@@ -74,7 +74,9 @@ class AgentState:
 
 
 class Agent:
-    """Mutable learner driven step by step by an episode executor.
+    """Mutable learner driven by an episode executor: Q-learning along each
+    stretch of play between phase boundaries (:meth:`learn`), then the
+    policy appraisal at the boundary (:meth:`end_phase_update`).
 
     The constructor takes raw scalars so degenerate settings (rho = 0,
     alpha = 1) remain reachable for diagnostics; configured runs go through
@@ -177,13 +179,28 @@ class Agent:
 
     def q_update(self, x: int, u: int, cost: float, x_next: int) -> None:
         """Constant-step Q-learning update of the single entry (x, u)."""
-        value = (1.0 - self.alpha) * self.q[x][u] + self.alpha * (
-            cost + self.discount * min(self.q[x_next])
-        )
-        self.q[x][u] = value
-        magnitude = value if value >= 0.0 else -value
-        if magnitude > self.max_abs_q:
-            self.max_abs_q = magnitude
+        self.learn((x,), (u,), (cost,), (x_next,))
+
+    def learn(
+        self,
+        states: Sequence[int],
+        actions: Sequence[int],
+        costs: Sequence[float],
+        next_states: Sequence[int],
+    ) -> None:
+        """Constant-step Q-learning updates along a path of transitions, one
+        entry (states[k], actions[k]) per step, in order."""
+        q = self.q
+        alpha = self.alpha
+        beta = self.discount
+        max_abs_q = self.max_abs_q
+        for x, u, c, x_next in zip(states, actions, costs, next_states):
+            value = (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
+            q[x][u] = value
+            magnitude = value if value >= 0.0 else -value
+            if magnitude > max_abs_q:
+                max_abs_q = magnitude
+        self.max_abs_q = max_abs_q
 
     def greedy_sets(self) -> tuple[tuple[int, ...], ...]:
         """Per state, the actions within delta of the best current Q-value."""

@@ -233,8 +233,11 @@ def run_experiment(
 
     payloads = [(game, config, equilibria, k) for k in range(config.trials)]
     if config.workers > 1:
+        # about four chunks per worker: few enough to keep the per-chunk
+        # overhead small, enough that no worker idles while another has two
+        chunksize = math.ceil(config.trials / (4 * config.workers))
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_trial_worker, payloads, chunksize=8))
+            outcomes = list(pool.map(_trial_worker, payloads, chunksize=chunksize))
     else:
         outcomes = [_trial_worker(p) for p in payloads]
 

@@ -361,6 +361,8 @@ def game_to_dict(game: StochasticGame, players: Iterable[str] | None = None) -> 
 
 def game_from_dict(data: dict) -> StochasticGame:
     """Inverse of :func:`game_to_dict`; raises ValueError on malformed input."""
+    if not isinstance(data, dict):
+        raise ValueError(f"game description must be a JSON object, got {type(data).__name__}")
     try:
         players = data["players"]
         states = data["states"]
@@ -371,16 +373,19 @@ def game_from_dict(data: dict) -> StochasticGame:
         initial = data["initial_dist"]
     except KeyError as exc:
         raise ValueError(f"game description is missing key {exc.args[0]!r}") from None
-    if len(actions) != len(players) or len(discounts) != len(players) or len(costs) != len(players):
-        raise ValueError("actions, discounts, and costs must have one entry per player")
-    return StochasticGame(
-        states=tuple(states),
-        action_sets=tuple(tuple(a) for a in actions),
-        costs=tuple(np.asarray(c, dtype=np.float64) for c in costs),
-        discounts=tuple(float(b) for b in discounts),
-        kernel=np.asarray(kernel, dtype=np.float64),
-        initial_dist=np.asarray(initial, dtype=np.float64),
-    )
+    try:
+        if len(actions) != len(players) or len(discounts) != len(players) or len(costs) != len(players):
+            raise ValueError("actions, discounts, and costs must have one entry per player")
+        return StochasticGame(
+            states=tuple(states),
+            action_sets=tuple(tuple(a) for a in actions),
+            costs=tuple(np.asarray(c, dtype=np.float64) for c in costs),
+            discounts=tuple(float(b) for b in discounts),
+            kernel=np.asarray(kernel, dtype=np.float64),
+            initial_dist=np.asarray(initial, dtype=np.float64),
+        )
+    except TypeError as exc:
+        raise ValueError(f"malformed game description: {exc}") from exc
 
 
 def save_game(game: StochasticGame, path: str | Path, players: Iterable[str] | None = None) -> None:

@@ -25,7 +25,9 @@ import numpy as np
 
 from .agent import Agent, AgentConfig
 from .exact_solver import QTable, check_reachability, equilibrium_set
-from .game_model import StochasticGame, sample_initial_state, sample_transition
+# sample_transition is imported for benchmarks/selftest.py, which calls it
+# as orchestrator.sample_transition
+from .game_model import StochasticGame, sample_initial_state, sample_transition  # noqa: F401
 
 __all__ = [
     "RandomnessStreams",
@@ -427,6 +429,60 @@ def _build_agents(
     return agents
 
 
+# Longest stretch of play built at once; bounds the per-segment tables.
+_BLOCK = 1 << 13
+
+
+def _play_segment(
+    game: StochasticGame,
+    agents: list[Agent],
+    draws: Sequence[tuple[np.ndarray, np.ndarray]],
+    w_draws: np.ndarray,
+    cumulative: np.ndarray,
+    fallback: np.ndarray,
+    x: int,
+) -> int:
+    """Play one stretch of stages under frozen baselines, starting in state
+    ``x``; returns the state after its last stage.
+
+    ``draws`` holds each player's experimentation flags and uniform actions
+    for the stretch, ``w_draws`` its transition uniforms. With the baselines
+    fixed, the action of every player and the next state are tables over
+    (stage, state), built with array operations; only the state path and the
+    Q-factor recursion run stage by stage.
+    """
+    length = len(w_draws)
+    num_states = game.num_states
+    states = np.arange(num_states)
+    tables = [
+        np.where(explore[:, None], uniform[:, None], np.asarray(ag.baseline))
+        for ag, (explore, uniform) in zip(agents, draws)
+    ]
+    joint = sum(table * stride for table, stride in zip(tables, game.joint_strides))
+    # inverse CDF: the number of cumulative masses <= w is the index
+    # bisect_right would return, with the same float comparisons
+    below = np.count_nonzero(cumulative[states, joint] <= w_draws[:, None, None], axis=2)
+    successor = np.where(below == num_states, fallback[states, joint], below).ravel().tolist()
+
+    path = []
+    for offset in range(0, length * num_states, num_states):
+        path.append(x)
+        x = successor[offset + x]
+
+    stages = np.arange(length)
+    visited = np.array(path)
+    joint_path = joint[stages, visited]
+    next_states = path[1:] + [x]
+    for ag, table, costs in zip(agents, tables, game.costs):
+        ag.learn(
+            path,
+            table[stages, visited].tolist(),
+            costs[visited, joint_path].tolist(),
+            next_states,
+        )
+    return x
+
+
 def _simulate(
     game: StochasticGame,
     agents: list[Agent],
@@ -437,20 +493,26 @@ def _simulate(
     policy_updates: bool,
     record_q: bool,
 ) -> tuple[list[PolicyChange], list[TraceRecord], tuple[tuple[int, ...], ...], bool]:
-    n = game.num_players
-    strides = game.joint_strides
-    w_draws = streams.transition_uniforms(horizon).tolist()
-    hot = []
-    for i, ag in enumerate(agents):
-        hot.append(
-            (
-                ag,
-                streams.experimentation_uniforms(i, horizon).tolist(),
-                streams.action_draws(i, horizon, game.action_counts[i]).tolist(),
-                game.costs[i].tolist(),
-                strides[i],
-            )
+    """Play ``horizon`` stages as segments between boundary and record times.
+
+    Every baseline is frozen between two policy-update times, so each
+    segment (capped at ``_BLOCK`` stages) is played by :func:`_play_segment`;
+    the appraisals and snapshots run at the segment starts. The outputs equal
+    those of a stage-by-stage loop over :meth:`Agent.select_action`,
+    :func:`~decqlearn.game_model.sample_transition` and :meth:`Agent.q_update`.
+    """
+    w_draws = streams.transition_uniforms(horizon)
+    if not (w_draws.min() >= 0.0 and w_draws.max() <= 1.0):
+        raise ValueError("transition uniforms must lie in [0, 1]")
+    draws = [
+        (
+            streams.experimentation_uniforms(i, horizon) <= ag.rho,
+            streams.action_draws(i, horizon, game.action_counts[i]),
         )
+        for i, ag in enumerate(agents)
+    ]
+    cumulative = np.cumsum(game.kernel, axis=2)
+    fallback = np.array(game.last_positive_state)
 
     sorted_records = sorted(set(int(t) for t in record_times))
     if sorted_records and not 0 <= sorted_records[0] <= sorted_records[-1] < horizon:
@@ -472,9 +534,9 @@ def _simulate(
     records: list[TraceRecord] = []
 
     x = sample_initial_state(game, streams.initial_state_uniform())
-    actions = [0] * n
 
-    for t in range(horizon):
+    t = 0
+    while t < horizon:
         if t == next_boundary:
             for i, ag in enumerate(agents):
                 if ag.next_update_time == t:
@@ -494,15 +556,17 @@ def _simulate(
             rec_idx += 1
             next_record = sorted_records[rec_idx] if rec_idx < len(sorted_records) else -1
 
-        ja = 0
-        for i, (ag, rho_row, act_row, _costs, stride) in enumerate(hot):
-            a = ag.select_action(x, rho_row[t], act_row[t])
-            actions[i] = a
-            ja += a * stride
-        x_next = sample_transition(game, x, ja, w_draws[t])
-        for i, (ag, _rho, _act, costs, _stride) in enumerate(hot):
-            ag.q_update(x, actions[i], costs[x][ja], x_next)
-        x = x_next
+        stop = min(u for u in (horizon, t + _BLOCK, next_boundary, next_record) if u > t)
+        x = _play_segment(
+            game,
+            agents,
+            [(explore[t:stop], uniform[t:stop]) for explore, uniform in draws],
+            w_draws[t:stop],
+            cumulative,
+            fallback,
+            x,
+        )
+        t = stop
 
     return events, records, initial_joint, initial_eq
 

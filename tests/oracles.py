@@ -3,16 +3,25 @@
 Everything here deliberately avoids the code paths under test: policy
 iteration instead of value iteration, Gauss-style iterative evaluation
 instead of a direct linear solve, full-policy-space filtering instead of
-product construction, and a literal integer-time scan of the active-phase
-recursion instead of the event-driven transcription.
+product construction, a literal integer-time scan of the active-phase
+recursion instead of the event-driven transcription, and a stage-by-stage
+episode loop instead of the segment-vectorized one.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from decqlearn.exact_solver import InducedMdp
-from decqlearn.game_model import StochasticGame, enumerate_deterministic_policies
+from decqlearn.game_model import (
+    StochasticGame,
+    enumerate_deterministic_policies,
+    sample_initial_state,
+    sample_transition,
+)
+from decqlearn.orchestrator import PolicyChange, TraceRecord
 
 
 def q_star_policy_iteration(mdp: InducedMdp, max_iter: int = 1000) -> np.ndarray:
@@ -134,3 +143,77 @@ def random_stationary(rng: np.random.Generator, player: int, num_states: int, nu
     probs = rng.uniform(0.05, 1.0, size=(num_states, num_actions))
     probs /= probs.sum(axis=1, keepdims=True)
     return StationaryPolicy(player, probs)
+
+
+def simulate_stepwise(
+    game, agents, streams, horizon, record_times, equilibria, policy_updates, record_q
+):
+    """Stage-by-stage episode loop with the signature and results of
+    ``orchestrator._simulate``: every stage calls ``Agent.select_action``,
+    ``sample_transition`` and ``Agent.q_update`` in turn."""
+    n = game.num_players
+    strides = game.joint_strides
+    w_draws = streams.transition_uniforms(horizon).tolist()
+    hot = []
+    for i, ag in enumerate(agents):
+        hot.append(
+            (
+                ag,
+                streams.experimentation_uniforms(i, horizon).tolist(),
+                streams.action_draws(i, horizon, game.action_counts[i]).tolist(),
+                game.costs[i].tolist(),
+                strides[i],
+            )
+        )
+
+    sorted_records = sorted(set(int(t) for t in record_times))
+    if sorted_records and not 0 <= sorted_records[0] <= sorted_records[-1] < horizon:
+        raise ValueError("record times must lie in [0, horizon)")
+    rec_idx = 0
+    next_record = sorted_records[0] if sorted_records else -1
+
+    def next_boundary_time() -> int:
+        pending = [ag.next_update_time for ag in agents if ag.next_update_time >= 0]
+        return min(pending) if pending else -1
+
+    next_boundary = next_boundary_time() if policy_updates else -1
+
+    current_joint = tuple(tuple(ag.baseline) for ag in agents)
+    current_eq = current_joint in equilibria if equilibria is not None else False
+    initial_joint, initial_eq = current_joint, current_eq
+
+    events = []
+    records = []
+
+    x = sample_initial_state(game, streams.initial_state_uniform())
+    actions = [0] * n
+
+    for t in range(horizon):
+        if t == next_boundary:
+            for i, ag in enumerate(agents):
+                if ag.next_update_time == t:
+                    lam_draw = streams.inertia_uniform(i, t)
+                    if ag.end_phase_update(t, lam_draw, partial(streams.policy_draw, i, t)):
+                        current_joint = tuple(tuple(a.baseline) for a in agents)
+                        current_eq = (
+                            current_joint in equilibria if equilibria is not None else False
+                        )
+                        events.append(PolicyChange(t, i, current_joint, current_eq))
+            next_boundary = next_boundary_time()
+        if t == next_record:
+            snapshots = tuple(np.array(ag.q) for ag in agents) if record_q else None
+            records.append(TraceRecord(t, current_joint, current_eq, snapshots))
+            rec_idx += 1
+            next_record = sorted_records[rec_idx] if rec_idx < len(sorted_records) else -1
+
+        ja = 0
+        for i, (ag, rho_row, act_row, _costs, stride) in enumerate(hot):
+            a = ag.select_action(x, rho_row[t], act_row[t])
+            actions[i] = a
+            ja += a * stride
+        x_next = sample_transition(game, x, ja, w_draws[t])
+        for i, (ag, _rho, _act, costs, _stride) in enumerate(hot):
+            ag.q_update(x, actions[i], costs[x][ja], x_next)
+        x = x_next
+
+    return events, records, initial_joint, initial_eq

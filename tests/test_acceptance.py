@@ -19,6 +19,7 @@ enough). The companion test checks the same threshold at alpha = 0.005 on 30
 seeds of another master seed.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -145,6 +146,37 @@ def test_criterion_5_q_boundedness(benchmark_experiment):
         "5 (Q boundedness)",
         ok,
         f"100 episodes of 1e5 steps: max |Q| = {worst:.3f} (bound 55)",
+    )
+
+
+def test_criterion_5_q_hull_on_random_games():
+    # From the zero table every update is a convex combination of the old
+    # entry and c + beta * (a table value), so |Q| stays within the hull
+    # bound max(|min(0, c_min/(1-beta))|, max(0, c_max/(1-beta))) per player,
+    # up to float rounding in the updates.
+    rng = np.random.default_rng(2718)
+    worst_ratio = 0.0
+    for k in range(12):
+        game = random_game(rng, num_players=k % 3 + 1, max_states=4, max_actions=3, beta=0.8)
+        if k % 2:
+            game = dataclasses.replace(game, costs=tuple(c - 5.0 for c in game.costs))
+        streams = dq.RandomnessStreams(k)
+        schedule = dq.draw_schedule(streams, game.num_players, 200, 3, 20_000)
+        configs = tuple(
+            dq.AgentConfig(player=i, **{**STANDARD_PARAMS, "alpha": 0.3})
+            for i in range(game.num_players)
+        )
+        trace = dq.run_episode(
+            game, configs, schedule, streams, 20_000, equilibria=frozenset(), warn_unreachable=False
+        )
+        for cost, beta, reached in zip(game.costs, game.discounts, trace.max_abs_q):
+            hull = max(-min(0.0, cost.min() / (1.0 - beta)), max(0.0, cost.max() / (1.0 - beta)))
+            worst_ratio = max(worst_ratio, float(reached / hull))
+    ok = worst_ratio <= 1.0 + 1e-12
+    _report(
+        "5 (Q hull, random games)",
+        ok,
+        f"12 random games, 2e4 steps: max |Q| / hull bound = {worst_ratio!r} (need <= 1 + 1e-12)",
     )
 
 

@@ -217,6 +217,16 @@ class TestGameIo:
         with pytest.raises(ValueError, match="kernel"):
             game_from_dict(data)
 
+    @pytest.mark.parametrize("document", ["top-level list", "actions not a list"])
+    def test_wrong_json_types_raise_value_error(self, benchmark_game, document):
+        if document == "top-level list":
+            data = [1, 2]
+        else:
+            data = game_to_dict(benchmark_game)
+            data["actions"] = 5
+        with pytest.raises(ValueError):
+            game_from_dict(data)
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ValueError):
             load_game(tmp_path / "missing.json")

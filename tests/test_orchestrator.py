@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from decqlearn import orchestrator
 from decqlearn.agent import AgentConfig
 from decqlearn.exact_solver import equilibrium_set, q_star
-from decqlearn.game_model import DeterministicPolicy, soften_policy
+from decqlearn.game_model import DeterministicPolicy, StochasticGame, soften_policy
 from decqlearn.orchestrator import (
     RandomnessStreams,
     Schedule,
@@ -14,7 +17,7 @@ from decqlearn.orchestrator import (
     frozen_q_run,
     run_episode,
 )
-from oracles import active_phases_bruteforce
+from oracles import active_phases_bruteforce, random_game, simulate_stepwise
 
 
 def _configs(n=2, rho=0.05, lam=0.2, delta=0.5, alpha=0.08, **kwargs):
@@ -292,6 +295,108 @@ class TestRunEpisode:
         rate = sum(flags) / len(flags)
         se = np.sqrt(0.25 * 0.75 / len(flags))
         assert abs(rate - 0.25) <= 3 * se
+
+
+class TestSegmentEngine:
+    """The segment-vectorized engine against the stage-by-stage loop of
+    ``oracles.simulate_stepwise``: traces with Q snapshots and frozen-run
+    tables must agree bit for bit."""
+
+    @staticmethod
+    def _assert_matches_stepwise(
+        monkeypatch, game, min_length, ratio, horizon, record_times=(), seed=0, equilibria=frozenset()
+    ):
+        configs = _configs(game.num_players, rho=0.2, alpha=0.1)
+        frozen = [
+            RandomnessStreams(seed).initial_policy_choices(i, game.num_states, m)
+            for i, m in enumerate(game.action_counts)
+        ]
+
+        def outputs():
+            streams = RandomnessStreams(seed, trial=1)
+            schedule = draw_schedule(streams, game.num_players, min_length, ratio, horizon)
+            trace = run_episode(
+                game,
+                configs,
+                schedule,
+                streams,
+                horizon,
+                record_times,
+                equilibria=equilibria,
+                record_q=True,
+                warn_unreachable=False,
+            )
+            tables = frozen_q_run(game, configs, frozen, RandomnessStreams(seed, trial=2), horizon)
+            return json.dumps(trace.to_json_dict()), [t.values.tobytes() for t in tables]
+
+        fast = outputs()
+        with monkeypatch.context() as patch:
+            patch.setattr(orchestrator, "_simulate", simulate_stepwise)
+            slow = outputs()
+        assert fast == slow
+
+    def test_benchmark_game(self, monkeypatch, benchmark_game):
+        self._assert_matches_stepwise(
+            monkeypatch,
+            benchmark_game,
+            500,
+            3,
+            20_000,
+            (0, 1, 4321, 19_999),
+            seed=5,
+            equilibria=equilibrium_set(benchmark_game, 1e-9),
+        )
+
+    @pytest.mark.parametrize("num_players", [1, 2, 3])
+    def test_random_games(self, monkeypatch, num_players):
+        rng = np.random.default_rng(num_players)
+        for seed in range(4):
+            game = random_game(rng, num_players=num_players, max_states=5, max_actions=3)
+            min_length = int(rng.integers(5, 60))
+            self._assert_matches_stepwise(
+                monkeypatch, game, min_length, 3, 3000, (0, 999, 2999), seed=seed
+            )
+
+    def test_boundary_at_every_stage(self, monkeypatch, benchmark_game):
+        self._assert_matches_stepwise(monkeypatch, benchmark_game, 1, 1, 300, (0, 150), seed=2)
+
+    def test_record_time_on_a_boundary(self, monkeypatch, benchmark_game):
+        schedule = draw_schedule(RandomnessStreams(4, trial=1), 2, 200, 2, 3000)
+        boundary = schedule.boundaries[1][2]
+        self._assert_matches_stepwise(
+            monkeypatch, benchmark_game, 200, 2, 3000, (boundary,), seed=4
+        )
+
+    def test_uniforms_on_cdf_steps(self, monkeypatch):
+        # every W_t sits on a step of some kernel row's CDF, or at 0 or 1, and
+        # the last next-state of half the rows has no mass: exercises the
+        # tie rule and the fallback at the top of the CDF
+        rng = np.random.default_rng(8)
+        game = random_game(rng, num_players=2, max_states=3, max_actions=2)
+        while game.num_states < 2:
+            game = random_game(rng, num_players=2, max_states=3, max_actions=2)
+        kernel = game.kernel.copy()
+        kernel[:, ::2, -1] = 0.0
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        game = StochasticGame(
+            game.states, game.action_sets, game.costs, game.discounts, kernel, game.initial_dist
+        )
+        steps = np.unique(np.concatenate([np.cumsum(kernel, axis=2).ravel(), [0.0, 1.0]]))
+
+        def transition_uniforms(streams, horizon):
+            return np.random.default_rng(streams.trial).choice(steps, size=horizon)
+
+        monkeypatch.setattr(RandomnessStreams, "transition_uniforms", transition_uniforms)
+        self._assert_matches_stepwise(monkeypatch, game, 50, 2, 2000, (0, 1000), seed=8)
+
+    def test_horizon_one(self, monkeypatch, benchmark_game):
+        self._assert_matches_stepwise(monkeypatch, benchmark_game, 1, 1, 1, (0,), seed=6)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_short_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(orchestrator, "_BLOCK", block)
+        game = random_game(np.random.default_rng(block), num_players=2, max_states=4)
+        self._assert_matches_stepwise(monkeypatch, game, 40, 2, 1500, (0, 700), seed=block)
 
 
 class TestFrozenQRun:
