@@ -10,6 +10,7 @@ floor p_min, and the theta/xi tolerance split).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .exact_solver import EnumerationBudgetError, q_star
+import numpy as np
+
+from .exact_solver import (
+    EnumerationBudgetError,
+    _best_response_grids,
+    _best_response_table,
+)
 from .game_model import (
     DeterministicPolicy,
     JointDeterministicPolicy,
@@ -80,6 +87,56 @@ class BrGraph:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
 
+def _check_node_budget(game: StochasticGame, tol: float, budget: int) -> None:
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    num_nodes = math.prod(count**game.num_states for count in game.action_counts)
+    if num_nodes > budget:
+        raise EnumerationBudgetError(
+            f"joint policy space has {num_nodes} nodes, above the budget of {budget}"
+        )
+
+
+def _br_graph(game: StochasticGame, table: Sequence[np.ndarray], tol: float) -> BrGraph:
+    """The graph read off the best-response table of ``exact_solver``;
+    node k is the k-th joint policy in ``itertools.product`` order, which is
+    the flat (C) order of the best-response grids."""
+    grids = _best_response_grids(game, table, tol)
+    shape = grids[0].shape
+    num_nodes = grids[0].size
+    edges = []
+    for i, grid in enumerate(grids):
+        # Every node whose player-i policy is a best response receives an
+        # edge from each node that differs from it in player i's policy only.
+        stride = num_nodes // math.prod(shape[: i + 1])
+        target = np.flatnonzero(grid)[:, None]
+        source = target + (np.arange(shape[i]) - target // stride % shape[i]) * stride
+        edges.append(np.stack(np.broadcast_arrays(source, target, i), axis=-1)[source != target])
+    edges = np.concatenate(edges)  # rows: source, target, deviator
+    edges = edges[np.lexsort((edges[:, 1], edges[:, 2], edges[:, 0]))]
+
+    # Shortest path lengths by reverse breadth-first search from the equilibria.
+    at_equilibrium = functools.reduce(np.logical_and, grids).ravel()
+    path_len = np.where(at_equilibrium, 0.0, math.inf)
+    frontier, level = at_equilibrium, 0.0
+    while frontier.any():
+        level += 1.0
+        reached = np.bincount(edges[frontier[edges[:, 1]], 0], minlength=num_nodes) > 0
+        frontier = reached & np.isinf(path_len)
+        path_len[frontier] = level
+
+    policies = [
+        [DeterministicPolicy(i, c) for c in enumerate_deterministic_policies(game.num_states, m)]
+        for i, m in enumerate(game.action_counts)
+    ]
+    return BrGraph(
+        nodes=tuple(JointDeterministicPolicy(joint) for joint in itertools.product(*policies)),
+        edges=tuple(map(tuple, edges.tolist())),
+        equilibria=frozenset(np.flatnonzero(at_equilibrium).tolist()),
+        path_len=tuple(path_len.tolist()),
+    )
+
+
 def build_br_graph(
     game: StochasticGame, tol: float, budget: int = DEFAULT_NODE_BUDGET
 ) -> BrGraph:
@@ -89,84 +146,8 @@ def build_br_graph(
     shortest path lengths are computed by reverse breadth-first search from
     the equilibrium set.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    num_nodes = 1
-    for count in game.action_counts:
-        num_nodes *= count ** game.num_states
-    if num_nodes > budget:
-        raise EnumerationBudgetError(
-            f"joint policy space has {num_nodes} nodes, above the budget of {budget}"
-        )
-
-    per_player = [
-        enumerate_deterministic_policies(game.num_states, count)
-        for count in game.action_counts
-    ]
-    joints = list(itertools.product(*per_player))
-    index = {joint: k for k, joint in enumerate(joints)}
-
-    # The greedy sets only depend on (player, opponents' joint), so cache the
-    # per-state allowed-action lists across nodes.
-    allowed_cache: dict[tuple[int, tuple[tuple[int, ...], ...]], list[list[int]]] = {}
-
-    def allowed_actions(player: int, joint: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-        opp = tuple(c for j, c in enumerate(joint) if j != player)
-        key = (player, opp)
-        hit = allowed_cache.get(key)
-        if hit is None:
-            others = [
-                DeterministicPolicy(j, c).as_stationary(game.action_counts[j])
-                for j, c in enumerate(joint)
-                if j != player
-            ]
-            values = q_star(game, player, others, tol).values
-            hit = []
-            for row in values:
-                cutoff = row.min() + tol
-                hit.append([a for a in range(row.shape[0]) if row[a] <= cutoff])
-            allowed_cache[key] = hit
-        return hit
-
-    edges: list[tuple[int, int, int]] = []
-    equilibria: set[int] = set()
-    incoming: list[list[int]] = [[] for _ in joints]
-    for k, joint in enumerate(joints):
-        at_equilibrium = True
-        for i in range(game.num_players):
-            allowed = allowed_actions(i, joint)
-            if any(joint[i][x] not in allowed[x] for x in range(game.num_states)):
-                at_equilibrium = False
-            for replacement in itertools.product(*allowed):
-                if replacement == joint[i]:
-                    continue
-                target = joint[:i] + (replacement,) + joint[i + 1 :]
-                t = index[target]
-                edges.append((k, t, i))
-                incoming[t].append(k)
-        if at_equilibrium:
-            equilibria.add(k)
-
-    path_len = [math.inf] * len(joints)
-    frontier = sorted(equilibria)
-    for k in frontier:
-        path_len[k] = 0.0
-    while frontier:
-        nxt: list[int] = []
-        for t in frontier:
-            for s in incoming[t]:
-                if math.isinf(path_len[s]):
-                    path_len[s] = path_len[t] + 1.0
-                    nxt.append(s)
-        frontier = nxt
-
-    nodes = tuple(JointDeterministicPolicy.from_choices(joint) for joint in joints)
-    return BrGraph(
-        nodes=nodes,
-        edges=tuple(edges),
-        equilibria=frozenset(equilibria),
-        path_len=tuple(path_len),
-    )
+    _check_node_budget(game, tol, budget)
+    return _br_graph(game, _best_response_table(game, tol), tol)
 
 
 def is_weakly_acyclic(graph: BrGraph) -> bool:

@@ -10,10 +10,11 @@ the ground-truth oracles the learning code is tested against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,7 +24,6 @@ from .game_model import (
     StationaryPolicy,
     StochasticGame,
     enumerate_deterministic_policies,
-    soften_policy,
 )
 
 __all__ = [
@@ -44,6 +44,9 @@ __all__ = [
 
 _MAX_VALUE_ITERATIONS = 5_000_000
 DEFAULT_SOLVE_BUDGET = 10**6
+# Opponent joints solved together by one value-iteration stack; bounds the
+# stacked kernels at _VI_BLOCK * S * A * S floats.
+_VI_BLOCK = 1024
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -84,26 +87,31 @@ class InducedMdp:
             raise ValueError("induced kernel rows must sum to 1")
 
 
-def _opponent_weights(
-    game: StochasticGame, player: int, others: Sequence[StationaryPolicy]
+def _weights(
+    game: StochasticGame, factors: Sequence[tuple[int, np.ndarray]], size: int
 ) -> np.ndarray:
-    """Probability of each opponent action combination, shaped
-    (num_states, m0, ..., m_{N-1}) with the player's own axis left whole."""
-    seen = sorted(pol.player for pol in others)
-    expected = [j for j in range(game.num_players) if j != player]
-    if seen != expected:
-        raise ValueError(f"opponent policies must cover players {expected}, got {seen}")
+    """Product of (player, probs (size, S, m_player)) factors in the given
+    order, shaped (size, S, m0, ..., m_{N-1}); absent players' axes stay whole."""
     counts = game.action_counts
-    n = game.num_players
-    w = np.ones((game.num_states,) + counts)
-    for pol in others:
-        if pol.probs.shape != (game.num_states, counts[pol.player]):
-            raise ValueError(f"policy for player {pol.player} has the wrong shape")
-        shape = [1] * (n + 1)
-        shape[0] = game.num_states
-        shape[pol.player + 1] = counts[pol.player]
-        w = w * pol.probs.reshape(shape)
+    w = np.ones((size, game.num_states) + counts)
+    for j, probs in factors:
+        shape = [size, game.num_states] + [1] * game.num_players
+        shape[j + 2] = counts[j]
+        w = w * probs.reshape(shape)
     return w
+
+
+def _induced_stack(
+    game: StochasticGame, player: int, factors: Sequence[tuple[int, np.ndarray]], size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Costs (size, S, A) and kernels (size, S, A, S) of the MDPs the player
+    faces against a stack of opponent profiles (see ``_weights``)."""
+    counts = game.action_counts
+    w = _weights(game, factors, size)
+    opp_axes = tuple(j + 2 for j in range(game.num_players) if j != player)
+    cost_full = game.costs[player].reshape((game.num_states,) + counts)
+    kernel_full = game.kernel.reshape((game.num_states,) + counts + (game.num_states,))
+    return (cost_full * w).sum(axis=opp_axes), (kernel_full * w[..., None]).sum(axis=opp_axes)
 
 
 def induced_mdp(
@@ -112,34 +120,48 @@ def induced_mdp(
     """Marginalize the opponents' stationary policies out of the game."""
     if not 0 <= player < game.num_players:
         raise ValueError(f"player id {player} out of range")
-    counts = game.action_counts
-    w = _opponent_weights(game, player, others)
-    opp_axes = tuple(j + 1 for j in range(game.num_players) if j != player)
-    cost_full = game.costs[player].reshape((game.num_states,) + counts)
-    cost = (cost_full * w).sum(axis=opp_axes)
-    kernel_full = game.kernel.reshape((game.num_states,) + counts + (game.num_states,))
-    kernel = (kernel_full * w[..., None]).sum(axis=opp_axes)
+    seen = sorted(pol.player for pol in others)
+    expected = [j for j in range(game.num_players) if j != player]
+    if seen != expected:
+        raise ValueError(f"opponent policies must cover players {expected}, got {seen}")
+    for pol in others:
+        if pol.probs.shape != (game.num_states, game.action_counts[pol.player]):
+            raise ValueError(f"policy for player {pol.player} has the wrong shape")
+    cost, kernel = _induced_stack(
+        game, player, [(pol.player, pol.probs[None]) for pol in others], 1
+    )
     return InducedMdp(
         states=game.states,
         actions=game.action_sets[player],
-        cost=cost,
-        kernel=kernel,
+        cost=cost[0],
+        kernel=kernel[0],
         discount=game.discounts[player],
     )
 
 
-def _q_value_iteration(mdp: InducedMdp, tol: float) -> np.ndarray:
-    beta = mdp.discount
+def _value_iteration(
+    cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
+) -> np.ndarray:
+    """Value iteration on Q-factors for a stack of MDPs with one discount:
+    cost (K, S, A), kernel (K, S, A, S). Each member starts from the zero
+    table and leaves the stack at its own first sweep whose successive gap is
+    <= tol * (1 - beta) / (2 * beta) (a direct pass for beta = 0), so its
+    result does not depend on the other members."""
     if beta == 0.0:
-        return mdp.cost.copy()
+        return cost.copy()
     threshold = tol * (1.0 - beta) / (2.0 * beta)
-    q = np.zeros_like(mdp.cost)
+    out = np.empty_like(cost)
+    live = np.arange(len(cost))
+    q = np.zeros_like(cost)
     for _ in range(_MAX_VALUE_ITERATIONS):
-        q_next = mdp.cost + beta * (mdp.kernel @ q.min(axis=1))
-        gap = float(np.abs(q_next - q).max())
+        q_next = cost + beta * (kernel @ q.min(axis=-1)[:, None, :, None])[..., 0]
+        done = np.abs(q_next - q).max(axis=(1, 2)) <= threshold
+        if done.any():
+            out[live[done]] = q_next[done]
+            live, cost, kernel, q_next = (a[~done] for a in (live, cost, kernel, q_next))
+            if not live.size:
+                return out
         q = q_next
-        if gap <= threshold:
-            return q
     raise RuntimeError("value iteration failed to reach the stopping threshold")
 
 
@@ -154,7 +176,9 @@ def q_star(
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    return QTable(player, _q_value_iteration(induced_mdp(game, player, others), tol))
+    mdp = induced_mdp(game, player, others)
+    values = _value_iteration(mdp.cost[None], mdp.kernel[None], mdp.discount, tol)
+    return QTable(player, values[0])
 
 
 def policy_value(
@@ -167,14 +191,7 @@ def policy_value(
     seen = sorted(pol.player for pol in joint)
     if seen != list(range(game.num_players)):
         raise ValueError("joint policy must contain exactly one policy per player")
-    counts = game.action_counts
-    n = game.num_players
-    w = np.ones((game.num_states,) + counts)
-    for pol in joint:
-        shape = [1] * (n + 1)
-        shape[0] = game.num_states
-        shape[pol.player + 1] = counts[pol.player]
-        w = w * pol.probs.reshape(shape)
+    w = _weights(game, [(pol.player, pol.probs[None]) for pol in joint], 1)
     w_flat = w.reshape(game.num_states, game.num_joint_actions)
     cost = (game.costs[player] * w_flat).sum(axis=1)
     transition = np.einsum("sa,sat->st", w_flat, game.kernel)
@@ -183,38 +200,20 @@ def policy_value(
     return np.linalg.solve(eye - beta * transition, cost)
 
 
+def _greedy_mask(values: np.ndarray, eps: float) -> np.ndarray:
+    """Actions within eps of their state's best value (over the last axis):
+    the one eps-greedy rule behind ``br_hat``, the equilibrium tests and the
+    best-response graph."""
+    return values <= values.min(axis=-1, keepdims=True) + eps
+
+
 def br_hat(q: QTable, eps: float) -> list[DeterministicPolicy]:
     """All deterministic policies that are eps-greedy with respect to q
     in every state. Nonempty for eps >= 0."""
     if eps < 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    allowed = []
-    for row in q.values:
-        cutoff = row.min() + eps
-        allowed.append([a for a in range(row.shape[0]) if row[a] <= cutoff])
-    return [
-        DeterministicPolicy(q.player, combo) for combo in itertools.product(*allowed)
-    ]
-
-
-def _choice_is_greedy(values: np.ndarray, choice: Sequence[int], eps: float) -> bool:
-    """Single membership rule shared by the equilibrium tests: the chosen
-    action must be within eps of the best value in every state."""
-    for x, a in enumerate(choice):
-        row = values[x]
-        if row[a] > row.min() + eps:
-            return False
-    return True
-
-
-def _indicators(
-    game: StochasticGame, joint_choices: Sequence[Sequence[int]], skip: int
-) -> list[StationaryPolicy]:
-    return [
-        DeterministicPolicy(j, tuple(c)).as_stationary(game.action_counts[j])
-        for j, c in enumerate(joint_choices)
-        if j != skip
-    ]
+    allowed = [np.flatnonzero(row).tolist() for row in _greedy_mask(q.values, eps)]
+    return [DeterministicPolicy(q.player, combo) for combo in itertools.product(*allowed)]
 
 
 def is_equilibrium(
@@ -228,38 +227,75 @@ def is_equilibrium(
         pol.validate_for(game)
     choices = joint.choices
     for i in range(game.num_players):
-        q = q_star(game, i, _indicators(game, choices, skip=i), tol)
-        if not _choice_is_greedy(q.values, choices[i], eps + tol):
+        others = [
+            DeterministicPolicy(j, c).as_stationary(game.action_counts[j])
+            for j, c in enumerate(choices)
+            if j != i
+        ]
+        greedy = _greedy_mask(q_star(game, i, others, tol).values, eps + tol)
+        if not greedy[np.arange(game.num_states), choices[i]].all():
             return False
     return True
 
 
-def _opponent_joints(
-    game: StochasticGame, player: int
-) -> Iterable[tuple[tuple[int, ...], ...]]:
-    """All deterministic opponent joint policies, as per-player choice tuples
-    keyed by opponent id order."""
-    per_player = [
-        enumerate_deterministic_policies(game.num_states, game.action_counts[j])
-        for j in range(game.num_players)
-        if j != player
+def _solve_stack(
+    game: StochasticGame, player: int, tol: float, rhos: Sequence[float]
+) -> np.ndarray:
+    """Q* of the player against every deterministic opponent joint (in
+    ``itertools.product`` order over the opponents' policies), each opponent j
+    softened by rhos[j] as ``soften_policy`` does; solved _VI_BLOCK at a time."""
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    counts = game.action_counts
+    others = [j for j in range(game.num_players) if j != player]
+    policies = [
+        np.array(enumerate_deterministic_policies(game.num_states, counts[j])) for j in others
     ]
-    return itertools.product(*per_player)
+    out = np.empty((math.prod(map(len, policies)), game.num_states, counts[player]))
+    for start in range(0, len(out), _VI_BLOCK):
+        block = out[start : start + _VI_BLOCK]
+        rest = np.arange(start, start + len(block))
+        factors = []
+        # Mixed-radix digits of the joint index; the last opponent's varies fastest.
+        for j, rows in zip(others[::-1], policies[::-1]):
+            onehot = rows[rest % len(rows)][..., None] == np.arange(counts[j])
+            rest = rest // len(rows)
+            factors.insert(0, (j, rhos[j] / counts[j] + onehot * (1.0 - rhos[j])))
+        cost, kernel = _induced_stack(game, player, factors, len(block))
+        block[...] = _value_iteration(cost, kernel, game.discounts[player], tol)
+    return out
 
 
-def _opponent_enumeration_cost(game: StochasticGame) -> int:
-    total = 0
-    for i in range(game.num_players):
-        solves = 1
-        for j in range(game.num_players):
-            if j != i:
-                solves *= game.action_counts[j] ** game.num_states
-        total += solves
-    return total
+def _best_response_table(game: StochasticGame, tol: float) -> list[np.ndarray]:
+    """Per player, Q* against every deterministic opponent joint: each best
+    response solved once, for the equilibria, the best-response graph,
+    ``delta_bar`` and the perturbation gap."""
+    rhos = (0.0,) * game.num_players
+    return [_solve_stack(game, i, tol, rhos) for i in range(game.num_players)]
+
+
+def _best_response_grids(
+    game: StochasticGame, table: Sequence[np.ndarray], tol: float
+) -> list[np.ndarray]:
+    """Per player i, a boolean array over the deterministic joint policies
+    (indexed by policy, shape (P_0, ..., P_{N-1})): True where i's policy is
+    tol-greedy against the others' in every state."""
+    sizes = [count**game.num_states for count in game.action_counts]
+    grids = []
+    for i, q in enumerate(table):
+        mask = _greedy_mask(q, tol)
+        choices = np.array(enumerate_deterministic_policies(game.num_states, q.shape[-1]))
+        greedy = np.ones((len(q), sizes[i]), dtype=bool)
+        for x in range(game.num_states):
+            greedy &= mask[:, x, choices[:, x]]
+        shape = sizes[:i] + sizes[i + 1 :] + [sizes[i]]
+        grids.append(np.moveaxis(greedy.reshape(shape), -1, i))
+    return grids
 
 
 def _check_budget(game: StochasticGame, budget: int, what: str) -> None:
-    cost = _opponent_enumeration_cost(game)
+    sizes = [count**game.num_states for count in game.action_counts]
+    cost = sum(math.prod(sizes[:i] + sizes[i + 1 :]) for i in range(len(sizes)))
     if cost > budget:
         raise EnumerationBudgetError(
             f"{what} needs {cost} exact solves, above the budget of {budget}"
@@ -272,26 +308,16 @@ def equilibrium_set(
     """Encodings (per-player choice tuples) of all deterministic
     0-equilibria, using slack tol on exact Q-values."""
     _check_budget(game, budget, "equilibrium enumeration")
-    per_player = [
-        enumerate_deterministic_policies(game.num_states, count)
-        for count in game.action_counts
-    ]
-    cache: dict[tuple[int, tuple[tuple[int, ...], ...]], np.ndarray] = {}
-    result = []
-    for joint in itertools.product(*per_player):
-        ok = True
-        for i in range(game.num_players):
-            opp_key = (i, tuple(c for j, c in enumerate(joint) if j != i))
-            values = cache.get(opp_key)
-            if values is None:
-                values = q_star(game, i, _indicators(game, joint, skip=i), tol).values
-                cache[opp_key] = values
-            if not _choice_is_greedy(values, joint[i], tol):
-                ok = False
-                break
-        if ok:
-            result.append(joint)
-    return frozenset(result)
+    grids = _best_response_grids(game, _best_response_table(game, tol), tol)
+    policies = [enumerate_deterministic_policies(game.num_states, m) for m in game.action_counts]
+    found = np.argwhere(functools.reduce(np.logical_and, grids)).tolist()
+    return frozenset(tuple(policies[i][p] for i, p in enumerate(joint)) for joint in found)
+
+
+def _delta_bar(table: Sequence[np.ndarray], tol: float) -> float:
+    gaps = np.concatenate([np.abs(q[..., :, None] - q[..., None, :]).ravel() for q in table])
+    nonzero = gaps[gaps >= 10.0 * tol]
+    return float(nonzero.min()) if nonzero.size else math.inf
 
 
 def delta_bar(
@@ -306,22 +332,23 @@ def delta_bar(
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     _check_budget(game, budget, "delta_bar")
-    zero_cutoff = 10.0 * tol
-    best = math.inf
-    for i in range(game.num_players):
-        others_ids = [j for j in range(game.num_players) if j != i]
-        for opp in _opponent_joints(game, i):
-            others = [
-                DeterministicPolicy(j, choice).as_stationary(game.action_counts[j])
-                for j, choice in zip(others_ids, opp)
-            ]
-            values = q_star(game, i, others, tol).values
-            for row in values:
-                gaps = np.abs(row[:, None] - row[None, :])
-                nonzero = gaps[gaps >= zero_cutoff]
-                if nonzero.size:
-                    best = min(best, float(nonzero.min()))
-    return best
+    return _delta_bar(_best_response_table(game, tol), tol)
+
+
+def _check_rhos(game: StochasticGame, rhos: Sequence[float]) -> None:
+    if len(rhos) != game.num_players:
+        raise ValueError("need one rho per player")
+    for rho in rhos:
+        if not 0.0 <= rho < 1.0:
+            raise ValueError(f"rho must lie in [0, 1), got {rho}")
+
+
+def _perturbation_gap(
+    game: StochasticGame, table: Sequence[np.ndarray], rhos: Sequence[float], tol: float
+) -> float:
+    return max(
+        float(np.abs(q - _solve_stack(game, i, tol, rhos)).max()) for i, q in enumerate(table)
+    )
 
 
 def perturbation_gap(
@@ -332,26 +359,14 @@ def perturbation_gap(
 ) -> float:
     """Largest sup-norm shift of any player's optimal Q-function when every
     deterministic opponent joint is softened by its experimentation rate."""
-    if len(rhos) != game.num_players:
-        raise ValueError("need one rho per player")
-    for rho in rhos:
-        if not 0.0 <= rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    _check_rhos(game, rhos)
     _check_budget(game, budget, "perturbation_gap")
-    worst = 0.0
-    for i in range(game.num_players):
-        others_ids = [j for j in range(game.num_players) if j != i]
-        for opp in _opponent_joints(game, i):
-            baseline = []
-            softened = []
-            for j, choice in zip(others_ids, opp):
-                pol = DeterministicPolicy(j, choice)
-                baseline.append(pol.as_stationary(game.action_counts[j]))
-                softened.append(soften_policy(pol, rhos[j], game.action_counts[j]))
-            q_base = q_star(game, i, baseline, tol).values
-            q_soft = q_star(game, i, softened, tol).values
-            worst = max(worst, float(np.abs(q_base - q_soft).max()))
-    return worst
+    return _perturbation_gap(game, _best_response_table(game, tol), rhos, tol)
+
+
+def _perturbation_bound(deltas: Sequence[float], dbar: float) -> float:
+    """The tolerance margin min_i min(delta_i, delta_bar - delta_i) / 4."""
+    return min(min(d, dbar - d) for d in deltas) / 4.0
 
 
 def perturbation_check(
@@ -370,7 +385,7 @@ def perturbation_check(
         raise ValueError("need one delta per player")
     gap = perturbation_gap(game, rhos, tol, budget)
     dbar = delta_bar(game, tol, budget)
-    bound = min(min(d, dbar - d) for d in deltas) / 4.0
+    bound = _perturbation_bound(deltas, dbar)
     return gap, bound, gap < bound
 
 

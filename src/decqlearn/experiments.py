@@ -300,7 +300,11 @@ def analyze_game(
     report["states"] = list(game.states)
     report["reachable"] = exact_solver.check_reachability(game)
 
-    graph = acyclicity.build_br_graph(game, tol, budget=budget)
+    # The checks of build_br_graph and then delta_bar, before the one table.
+    acyclicity._check_node_budget(game, tol, budget)
+    exact_solver._check_budget(game, budget, "delta_bar")
+    table = exact_solver._best_response_table(game, tol)
+    graph = acyclicity._br_graph(game, table, tol)
     weakly = acyclicity.is_weakly_acyclic(graph)
     report["num_joint_policies"] = len(graph.nodes)
     report["equilibria"] = [
@@ -310,14 +314,15 @@ def analyze_game(
     report["weakly_acyclic"] = weakly
     report["path_bound_L"] = acyclicity.path_bound_L(graph) if weakly else None
 
-    dbar = exact_solver.delta_bar(game, tol, budget=budget)
+    dbar = exact_solver._delta_bar(table, tol)
     report["delta_bar"] = None if math.isinf(dbar) else dbar
 
     if rhos is not None:
-        gap = exact_solver.perturbation_gap(game, rhos, tol, budget=budget)
+        exact_solver._check_rhos(game, rhos)
+        gap = exact_solver._perturbation_gap(game, table, rhos, tol)
         entry: dict = {"rhos": list(rhos), "gap": gap}
         if deltas is not None:
-            bound = min(min(d, dbar - d) for d in deltas) / 4.0
+            bound = exact_solver._perturbation_bound(deltas, dbar)
             entry["deltas"] = list(deltas)
             entry["bound"] = None if math.isinf(bound) else bound
             entry["within_bound"] = gap < bound

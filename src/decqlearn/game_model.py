@@ -384,7 +384,7 @@ def game_from_dict(data: dict) -> StochasticGame:
             kernel=np.asarray(kernel, dtype=np.float64),
             initial_dist=np.asarray(initial, dtype=np.float64),
         )
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed game description: {exc}") from exc
 
 

@@ -4,22 +4,29 @@ Everything here deliberately avoids the code paths under test: policy
 iteration instead of value iteration, Gauss-style iterative evaluation
 instead of a direct linear solve, full-policy-space filtering instead of
 product construction, a literal integer-time scan of the active-phase
-recursion instead of the event-driven transcription, and a stage-by-stage
-episode loop instead of the segment-vectorized one.
+recursion instead of the event-driven transcription, a stage-by-stage
+episode loop instead of the segment-vectorized one, and one value-iteration
+solve per opponent joint instead of the stacked best-response table.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from functools import partial
 
 import numpy as np
 
+from decqlearn.acyclicity import BrGraph
 from decqlearn.exact_solver import InducedMdp
 from decqlearn.game_model import (
+    DeterministicPolicy,
+    JointDeterministicPolicy,
     StochasticGame,
     enumerate_deterministic_policies,
     sample_initial_state,
     sample_transition,
+    soften_policy,
 )
 from decqlearn.orchestrator import PolicyChange, TraceRecord
 
@@ -217,3 +224,186 @@ def simulate_stepwise(
         x = x_next
 
     return events, records, initial_joint, initial_eq
+
+
+def induced_mdp_single(game: StochasticGame, player: int, others) -> InducedMdp:
+    """One induced MDP: opponent weights multiplied in the order given,
+    marginalized over the opponents' action axes."""
+    counts = game.action_counts
+    n = game.num_players
+    w = np.ones((game.num_states,) + counts)
+    for pol in others:
+        shape = [1] * (n + 1)
+        shape[0] = game.num_states
+        shape[pol.player + 1] = counts[pol.player]
+        w = w * pol.probs.reshape(shape)
+    opp_axes = tuple(j + 1 for j in range(n) if j != player)
+    cost_full = game.costs[player].reshape((game.num_states,) + counts)
+    cost = (cost_full * w).sum(axis=opp_axes)
+    kernel_full = game.kernel.reshape((game.num_states,) + counts + (game.num_states,))
+    kernel = (kernel_full * w[..., None]).sum(axis=opp_axes)
+    return InducedMdp(game.states, game.action_sets[player], cost, kernel, game.discounts[player])
+
+
+def q_value_iteration_single(mdp: InducedMdp, tol: float) -> tuple[np.ndarray, int]:
+    """Value iteration on one MDP's Q-factors from the zero table, stopping
+    at the first gap <= tol * (1 - beta) / (2 * beta); a direct pass for
+    beta = 0. Returns the table and the number of sweeps."""
+    beta = mdp.discount
+    if beta == 0.0:
+        return mdp.cost.copy(), 0
+    threshold = tol * (1.0 - beta) / (2.0 * beta)
+    q = np.zeros_like(mdp.cost)
+    sweeps = 0
+    while True:
+        q_next = mdp.cost + beta * (mdp.kernel @ q.min(axis=1))
+        gap = float(np.abs(q_next - q).max())
+        q = q_next
+        sweeps += 1
+        if gap <= threshold:
+            return q, sweeps
+
+
+def q_star_single(game: StochasticGame, player: int, others, tol: float) -> np.ndarray:
+    return q_value_iteration_single(induced_mdp_single(game, player, others), tol)[0]
+
+
+def opponent_joints(game: StochasticGame, player: int):
+    """All deterministic opponent joint policies, as per-player choice
+    tuples keyed by opponent id order."""
+    per_player = [
+        enumerate_deterministic_policies(game.num_states, game.action_counts[j])
+        for j in range(game.num_players)
+        if j != player
+    ]
+    return itertools.product(*per_player)
+
+
+def opponent_policies(game: StochasticGame, player: int, opp, rhos=None) -> list:
+    """Indicator policies of one opponent joint, softened by rhos when given."""
+    others_ids = [j for j in range(game.num_players) if j != player]
+    out = []
+    for j, choice in zip(others_ids, opp):
+        pol = DeterministicPolicy(j, choice)
+        m = game.action_counts[j]
+        out.append(pol.as_stationary(m) if rhos is None else soften_policy(pol, rhos[j], m))
+    return out
+
+
+def _choice_is_greedy(values: np.ndarray, choice, eps: float) -> bool:
+    for x, a in enumerate(choice):
+        row = values[x]
+        if row[a] > row.min() + eps:
+            return False
+    return True
+
+
+def equilibrium_set_enumerated(game: StochasticGame, tol: float) -> frozenset:
+    """Every deterministic joint checked in turn, with one cached solve per
+    (player, opponent joint)."""
+    per_player = [
+        enumerate_deterministic_policies(game.num_states, count)
+        for count in game.action_counts
+    ]
+    cache = {}
+    result = []
+    for joint in itertools.product(*per_player):
+        ok = True
+        for i in range(game.num_players):
+            opp = tuple(c for j, c in enumerate(joint) if j != i)
+            values = cache.get((i, opp))
+            if values is None:
+                values = q_star_single(game, i, opponent_policies(game, i, opp), tol)
+                cache[(i, opp)] = values
+            if not _choice_is_greedy(values, joint[i], tol):
+                ok = False
+                break
+        if ok:
+            result.append(joint)
+    return frozenset(result)
+
+
+def delta_bar_enumerated(game: StochasticGame, tol: float) -> float:
+    zero_cutoff = 10.0 * tol
+    best = math.inf
+    for i in range(game.num_players):
+        for opp in opponent_joints(game, i):
+            for row in q_star_single(game, i, opponent_policies(game, i, opp), tol):
+                gaps = np.abs(row[:, None] - row[None, :])
+                nonzero = gaps[gaps >= zero_cutoff]
+                if nonzero.size:
+                    best = min(best, float(nonzero.min()))
+    return best
+
+
+def perturbation_gap_enumerated(game: StochasticGame, rhos, tol: float) -> float:
+    worst = 0.0
+    for i in range(game.num_players):
+        for opp in opponent_joints(game, i):
+            q_base = q_star_single(game, i, opponent_policies(game, i, opp), tol)
+            q_soft = q_star_single(game, i, opponent_policies(game, i, opp, rhos), tol)
+            worst = max(worst, float(np.abs(q_base - q_soft).max()))
+    return worst
+
+
+def br_graph_enumerated(game: StochasticGame, tol: float) -> BrGraph:
+    """Node-by-node construction: per-state allowed-action lists cached per
+    (player, opponent joint), edges from their product, then a reverse
+    breadth-first search from the equilibria."""
+    per_player = [
+        enumerate_deterministic_policies(game.num_states, count)
+        for count in game.action_counts
+    ]
+    joints = list(itertools.product(*per_player))
+    index = {joint: k for k, joint in enumerate(joints)}
+    allowed_cache = {}
+
+    def allowed_actions(player, joint):
+        opp = tuple(c for j, c in enumerate(joint) if j != player)
+        hit = allowed_cache.get((player, opp))
+        if hit is None:
+            values = q_star_single(game, player, opponent_policies(game, player, opp), tol)
+            hit = []
+            for row in values:
+                cutoff = row.min() + tol
+                hit.append([a for a in range(row.shape[0]) if row[a] <= cutoff])
+            allowed_cache[(player, opp)] = hit
+        return hit
+
+    edges = []
+    equilibria = set()
+    incoming = [[] for _ in joints]
+    for k, joint in enumerate(joints):
+        at_equilibrium = True
+        for i in range(game.num_players):
+            allowed = allowed_actions(i, joint)
+            if any(joint[i][x] not in allowed[x] for x in range(game.num_states)):
+                at_equilibrium = False
+            for replacement in itertools.product(*allowed):
+                if replacement == joint[i]:
+                    continue
+                t = index[joint[:i] + (replacement,) + joint[i + 1 :]]
+                edges.append((k, t, i))
+                incoming[t].append(k)
+        if at_equilibrium:
+            equilibria.add(k)
+
+    path_len = [math.inf] * len(joints)
+    frontier = sorted(equilibria)
+    for k in frontier:
+        path_len[k] = 0.0
+    while frontier:
+        nxt = []
+        for t in frontier:
+            for s in incoming[t]:
+                if math.isinf(path_len[s]):
+                    path_len[s] = path_len[t] + 1.0
+                    nxt.append(s)
+        frontier = nxt
+
+    return BrGraph(
+        nodes=tuple(JointDeterministicPolicy.from_choices(joint) for joint in joints),
+        edges=tuple(edges),
+        equilibria=frozenset(equilibria),
+        path_len=tuple(path_len),
+    )

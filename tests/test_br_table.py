@@ -1,0 +1,177 @@
+"""Differential tests: the stacked best-response table of ``exact_solver``
+against one value-iteration solve per opponent joint (``tests/oracles.py``).
+
+The table runs the same float operations as the single solves, so tables are
+compared by their bytes and every derived object (equilibria, delta_bar, the
+perturbation gap, the best-response graph) must be exactly equal.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from decqlearn import exact_solver
+from decqlearn.acyclicity import build_br_graph
+from decqlearn.exact_solver import (
+    _solve_stack,
+    delta_bar,
+    equilibrium_set,
+    perturbation_gap,
+    q_star,
+)
+from decqlearn.experiments import analyze_game, build_benchmark_game
+from decqlearn.game_model import StochasticGame
+from oracles import (
+    opponent_policies,
+    br_graph_enumerated,
+    delta_bar_enumerated,
+    equilibrium_set_enumerated,
+    induced_mdp_single,
+    opponent_joints,
+    perturbation_gap_enumerated,
+    q_star_single,
+    q_value_iteration_single,
+    random_game,
+    random_stationary,
+)
+
+TOL = 1e-9
+RHOS = (0.05, 0.1, 0.2)
+# 1 and 7 split the stacks unevenly; the default solves each in one block.
+BLOCKS = (1, 7, exact_solver._VI_BLOCK)
+# (states, action counts): at most 6561 joint policies each.
+SHAPES = [
+    (5, (3,)),
+    (4, (3, 3)),
+    (5, (2, 2)),
+    (3, (3, 2)),
+    (3, (2, 2, 2)),
+    (2, (3, 2, 3)),
+    (2, (3, 3, 3)),
+]
+
+
+def _shaped_game(rng, num_states, counts, beta=0.6, ties=False) -> StochasticGame:
+    """Random dense game of the given shape; with ``ties``, 0/1 costs and one
+    shared uniform kernel row, so many Q-values tie exactly."""
+    num_joint = int(np.prod(counts))
+    if ties:
+        costs = tuple(rng.integers(0, 2, size=(num_states, num_joint)) * 1.0 for _ in counts)
+        kernel = np.full((num_states, num_joint, num_states), 1.0 / num_states)
+    else:
+        costs = tuple(rng.uniform(0.0, 10.0, size=(num_states, num_joint)) for _ in counts)
+        kernel = rng.uniform(0.1, 1.0, size=(num_states, num_joint, num_states))
+        kernel /= kernel.sum(axis=2, keepdims=True)
+    return StochasticGame(
+        states=tuple(f"s{k}" for k in range(num_states)),
+        action_sets=tuple(tuple(f"a{k}" for k in range(m)) for m in counts),
+        costs=costs,
+        discounts=(beta,) * len(counts),
+        kernel=kernel,
+        initial_dist=np.full(num_states, 1.0 / num_states),
+    )
+
+
+def _staggered_game() -> StochasticGame:
+    """Player 1's action scales player 0's costs by 1e-6 or 10, so player 0's
+    best responses to different opponent joints need very different numbers
+    of sweeps; player 0 has discount 0 in the direct-pass variant."""
+    rng = np.random.default_rng(11)
+    base = rng.uniform(1.0, 2.0, size=(3, 2))
+    scale = np.array([1e-6, 10.0])
+    cost0 = (base[:, :, None] * scale[None, None, :]).reshape(3, 4)
+    kernel = rng.uniform(0.1, 1.0, size=(3, 4, 3))
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    return StochasticGame(
+        states=("s0", "s1", "s2"),
+        action_sets=(("a0", "a1"), ("b0", "b1")),
+        costs=(cost0, rng.uniform(0.0, 1.0, size=(3, 4))),
+        discounts=(0.95, 0.9),
+        kernel=kernel,
+        initial_dist=np.full(3, 1.0 / 3.0),
+    )
+
+
+def _games():
+    yield "benchmark", build_benchmark_game()
+    for seed, (num_states, counts) in enumerate(SHAPES):
+        game = _shaped_game(np.random.default_rng(seed), num_states, counts)
+        yield f"random-{len(counts)}p{num_states}s-{seed}", game
+    yield "ties", _shaped_game(np.random.default_rng(8), 3, (2, 3), ties=True)
+    zero = _shaped_game(np.random.default_rng(7), 3, (3, 2))
+    yield "beta-zero", dataclasses.replace(zero, discounts=(0.0, 0.6))
+    yield "staggered", _staggered_game()
+
+
+GAMES = dict(_games())
+
+
+@pytest.fixture(params=sorted(GAMES))
+def game(request):
+    return GAMES[request.param]
+
+
+def _rhos(game):
+    return RHOS[: game.num_players]
+
+
+def test_tables_match_single_solves(game, monkeypatch):
+    rhos = _rhos(game)
+    for i in range(game.num_players):
+        joints = list(opponent_joints(game, i))
+        base = [q_star_single(game, i, opponent_policies(game, i, opp), TOL) for opp in joints]
+        soft = [
+            q_star_single(game, i, opponent_policies(game, i, opp, rhos), TOL) for opp in joints
+        ]
+        for block in BLOCKS:
+            monkeypatch.setattr(exact_solver, "_VI_BLOCK", block)
+            table = _solve_stack(game, i, TOL, (0.0,) * game.num_players)
+            softened = _solve_stack(game, i, TOL, rhos)
+            assert [q.tobytes() for q in table] == [q.tobytes() for q in base]
+            assert [q.tobytes() for q in softened] == [q.tobytes() for q in soft]
+
+
+def test_derived_objects_match_enumeration(game):
+    # The derived objects read only the table, whose block split is covered
+    # by the test above.
+    rhos = _rhos(game)
+    expected_eq = equilibrium_set_enumerated(game, TOL)
+    expected_dbar = delta_bar_enumerated(game, TOL)
+    expected_gap = perturbation_gap_enumerated(game, rhos, TOL)
+    expected_graph = br_graph_enumerated(game, TOL)
+    assert equilibrium_set(game, TOL) == expected_eq
+    assert delta_bar(game, TOL) == expected_dbar
+    assert perturbation_gap(game, rhos, TOL) == expected_gap
+    assert build_br_graph(game, TOL) == expected_graph
+    report = analyze_game(game, rhos=rhos, tol=TOL)
+    assert report["equilibria"] == sorted([list(c) for c in joint] for joint in expected_eq)
+    assert report["num_joint_policies"] == len(expected_graph.nodes)
+    assert report["delta_bar"] == (None if np.isinf(expected_dbar) else expected_dbar)
+    assert report["perturbation"]["gap"] == expected_gap
+
+
+def test_staggered_members_stop_at_their_own_sweep():
+    game = _staggered_game()
+    joints = opponent_joints(game, 0)
+    mdps = [induced_mdp_single(game, 0, opponent_policies(game, 0, opp)) for opp in joints]
+    sweeps = {q_value_iteration_single(mdp, TOL)[1] for mdp in mdps}
+    assert len(sweeps) > 1
+    assert max(sweeps) - min(sweeps) >= 50
+
+
+@pytest.mark.parametrize("players", [2, 3, 4])
+def test_q_star_matches_single_solve_for_stationary_opponents(players):
+    # Opponents given out of id order: the weights are multiplied in the
+    # order given, which matters for three or more opponents.
+    rng = np.random.default_rng(100 + players)
+    for _ in range(5):
+        game = random_game(rng, players, 3, 3, beta=0.85)
+        for i in range(players):
+            others = [
+                random_stationary(rng, j, game.num_states, game.action_counts[j])
+                for j in reversed(range(players))
+                if j != i
+            ]
+            got = q_star(game, i, others, TOL).values
+            assert got.tobytes() == q_star_single(game, i, others, TOL).tobytes()

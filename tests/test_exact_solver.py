@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from decqlearn import exact_solver
 from decqlearn.exact_solver import (
     EnumerationBudgetError,
     QTable,
@@ -51,6 +52,13 @@ def _single_player_game(costs, beta, kernel=None, states=1):
 
 def _indicator(player, choice, num_actions=2):
     return DeterministicPolicy(player, choice).as_stationary(num_actions)
+
+
+def _forbid_solves(monkeypatch):
+    def fail(*args):
+        raise AssertionError("value iteration ran before the budget check")
+
+    monkeypatch.setattr(exact_solver, "_value_iteration", fail)
 
 
 # q_star against the unique-best-response structure of the benchmark game,
@@ -223,6 +231,11 @@ class TestEquilibriumSet:
             )
             assert (joint in eqs) == direct
 
+    def test_budget_guard(self, benchmark_game, monkeypatch):
+        _forbid_solves(monkeypatch)
+        with pytest.raises(EnumerationBudgetError):
+            equilibrium_set(benchmark_game, 1e-9, budget=7)
+
 
 class TestDeltaBar:
     def test_two_costs_single_state(self):
@@ -304,6 +317,11 @@ class TestPerturbation:
         base = q_star(benchmark_game, 0, [_indicator(1, (0, 1))], 1e-10)
         gap = perturbation_gap(benchmark_game, (0.05, 0.05))
         assert float(np.abs(direct.values - base.values).max()) <= gap + 1e-9
+
+    def test_budget_guard(self, benchmark_game, monkeypatch):
+        _forbid_solves(monkeypatch)
+        with pytest.raises(EnumerationBudgetError):
+            perturbation_gap(benchmark_game, (0.05, 0.05), budget=7)
 
 
 class TestReachability:

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from decqlearn import cli
 from decqlearn.game_model import (
     DeterministicPolicy,
     JointDeterministicPolicy,
@@ -254,3 +261,69 @@ class TestGameIo:
         assert data["states"] == ["s0", "s1"]
         # kernel uses [state][joint][next] nesting
         assert data["kernel"][1][0][0] == 0.25
+
+
+# JSON integers are unbounded: include ones beyond the float range.
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _game_documents(draw):
+    """Arbitrary JSON, or the benchmark game's document with one value
+    somewhere inside it replaced by arbitrary JSON."""
+    from decqlearn.experiments import build_benchmark_game
+
+    if draw(st.booleans()):
+        return draw(_JSON_VALUES)
+    doc = game_to_dict(build_benchmark_game())
+    parent, key = doc, draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], list) and parent[key] and draw(st.booleans()):
+        parent, key = parent[key], draw(st.integers(0, len(parent[key]) - 1))
+    parent[key] = draw(_JSON_VALUES)
+    return doc
+
+
+def _with(key, value):
+    from decqlearn.experiments import build_benchmark_game
+
+    doc = game_to_dict(build_benchmark_game())
+    doc[key] = value
+    return doc
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(document=_game_documents())
+    @example(document=_with("discounts", [10**400, 0.8]))
+    @example(document=_with("initial_dist", [1, -(10**400)]))
+    def test_document_gives_a_game_or_value_error(self, document):
+        try:
+            game = game_from_dict(document)
+        except ValueError:
+            return
+        assert isinstance(game, StochasticGame)
+
+    @settings(max_examples=60, deadline=None)
+    @given(document=_game_documents())
+    def test_analyze_exits_2_on_a_malformed_file(self, document):
+        try:
+            game_from_dict(document)
+        except ValueError:
+            pass
+        else:
+            return
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "game.json"
+            path.write_text(json.dumps(document))
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(["analyze", str(path)]) == 2
