@@ -17,7 +17,7 @@ from .acyclicity import (
     theta_and_xi,
     xi_bound,
 )
-from .agent import Agent, AgentConfig, AgentState
+from .agent import Agent, AgentConfig
 from .exact_solver import (
     EnumerationBudgetError,
     InducedMdp,

@@ -21,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .exact_solver import (
-    EnumerationBudgetError,
     _best_response_grids,
     _best_response_table,
+    _check_node_budget,
 )
 from .game_model import (
     DeterministicPolicy,
@@ -85,16 +85,6 @@ class BrGraph:
 
     def save_json(self, path: str | Path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-
-
-def _check_node_budget(game: StochasticGame, tol: float, budget: int) -> None:
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    num_nodes = math.prod(count**game.num_states for count in game.action_counts)
-    if num_nodes > budget:
-        raise EnumerationBudgetError(
-            f"joint policy space has {num_nodes} nodes, above the budget of {budget}"
-        )
 
 
 def _br_graph(game: StochasticGame, table: Sequence[np.ndarray], tol: float) -> BrGraph:

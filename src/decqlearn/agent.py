@@ -19,7 +19,7 @@ import numpy as np
 from .exact_solver import QTable
 from .game_model import DeterministicPolicy
 
-__all__ = ["AgentConfig", "AgentState", "Agent"]
+__all__ = ["AgentConfig", "Agent"]
 
 # Draws a policy uniformly from a product set encoded as per-state tuples of
 # allowed action ids; supplied by the episode driver.
@@ -63,20 +63,12 @@ class AgentConfig:
             object.__setattr__(self, "initial_q", q)
 
 
-@dataclass(frozen=True)
-class AgentState:
-    """Snapshot of a learner: Q-table, baseline policy, and phase clock."""
-
-    q: QTable
-    baseline: DeterministicPolicy
-    phase_index: int
-    next_update_time: int
-
-
 class Agent:
     """Mutable learner driven by an episode executor: Q-learning along each
     stretch of play between phase boundaries (:meth:`learn`), then the
-    policy appraisal at the boundary (:meth:`end_phase_update`).
+    policy appraisal at the boundary (:meth:`end_phase_update`). The agent
+    keeps no clock: the executor plays the softened baseline and calls the
+    appraisal at the player's boundary times from the schedule.
 
     The constructor takes raw scalars so degenerate settings (rho = 0,
     alpha = 1) remain reachable for diagnostics; configured runs go through
@@ -94,9 +86,6 @@ class Agent:
         "num_actions",
         "q",
         "baseline",
-        "phase_index",
-        "next_update_time",
-        "boundaries",
         "max_abs_q",
     )
 
@@ -110,7 +99,6 @@ class Agent:
         discount: float,
         baseline: Sequence[int],
         initial_q: np.ndarray | None,
-        boundaries: Sequence[int],
     ) -> None:
         self.player = player
         self.rho = rho
@@ -127,13 +115,6 @@ class Agent:
             raise ValueError("initial_q must be a (num_states, num_actions) array")
         self.num_actions = q.shape[1]
         self.q = [list(map(float, row)) for row in q]
-        # boundaries[k] is the start of phase k; updates happen at each
-        # boundaries[k] for k >= 1.
-        self.boundaries = list(boundaries)
-        if not self.boundaries or self.boundaries[0] != 0:
-            raise ValueError("phase boundaries must start at 0")
-        self.phase_index = 0
-        self.next_update_time = self.boundaries[1] if len(self.boundaries) > 1 else -1
         self.max_abs_q = max((abs(v) for row in self.q for v in row), default=0.0)
 
     @classmethod
@@ -143,7 +124,6 @@ class Agent:
         num_states: int,
         num_actions: int,
         discount: float,
-        boundaries: Sequence[int],
         baseline: Sequence[int] | None = None,
     ) -> "Agent":
         if baseline is None:
@@ -168,18 +148,7 @@ class Agent:
             discount=discount,
             baseline=baseline,
             initial_q=initial_q,
-            boundaries=boundaries,
         )
-
-    def select_action(self, x: int, rho_draw: float, uniform_draw: int) -> int:
-        """Baseline action unless the experimentation draw fires."""
-        if rho_draw > self.rho:
-            return self.baseline[x]
-        return uniform_draw
-
-    def q_update(self, x: int, u: int, cost: float, x_next: int) -> None:
-        """Constant-step Q-learning update of the single entry (x, u)."""
-        self.learn((x,), (u,), (cost,), (x_next,))
 
     def learn(
         self,
@@ -217,7 +186,7 @@ class Agent:
                 return False
         return True
 
-    def end_phase_update(self, t: int, lambda_draw: float, subset_draw: SubsetDraw) -> bool:
+    def end_phase_update(self, lambda_draw: float, subset_draw: SubsetDraw) -> bool:
         """Phase-boundary policy appraisal; returns True iff the baseline
         changed.
 
@@ -225,26 +194,10 @@ class Agent:
         when ``lambda_draw < lam`` (inertia) and else replaces it with the
         supplied uniform draw from the realized delta-greedy set.
         """
-        if t != self.next_update_time:
-            raise ValueError(
-                f"policy update at t={t} but player {self.player}'s boundary is "
-                f"t={self.next_update_time}"
-            )
         changed = False
         if not self.baseline_is_greedy():
             if not lambda_draw < self.lam:
                 candidate = list(subset_draw(self.greedy_sets()))
                 changed = candidate != self.baseline
                 self.baseline = candidate
-        self.phase_index += 1
-        nxt = self.phase_index + 1
-        self.next_update_time = self.boundaries[nxt] if nxt < len(self.boundaries) else -1
         return changed
-
-    def snapshot(self) -> AgentState:
-        return AgentState(
-            q=QTable(self.player, np.array(self.q)),
-            baseline=DeterministicPolicy(self.player, tuple(self.baseline)),
-            phase_index=self.phase_index,
-            next_update_time=self.next_update_time,
-        )

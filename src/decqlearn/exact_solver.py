@@ -302,11 +302,24 @@ def _check_budget(game: StochasticGame, budget: int, what: str) -> None:
         )
 
 
+def _check_node_budget(game: StochasticGame, tol: float, budget: int) -> None:
+    if tol <= 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    num_nodes = math.prod(count**game.num_states for count in game.action_counts)
+    if num_nodes > budget:
+        raise EnumerationBudgetError(
+            f"joint policy space has {num_nodes} nodes, above the budget of {budget}"
+        )
+
+
 def equilibrium_set(
     game: StochasticGame, tol: float, budget: int = DEFAULT_SOLVE_BUDGET
 ) -> frozenset[tuple[tuple[int, ...], ...]]:
     """Encodings (per-player choice tuples) of all deterministic
-    0-equilibria, using slack tol on exact Q-values."""
+    0-equilibria, using slack tol on exact Q-values. The search holds a
+    boolean per joint policy, so both the joint policies and the solves
+    must fit ``budget``."""
+    _check_node_budget(game, tol, budget)
     _check_budget(game, budget, "equilibrium enumeration")
     grids = _best_response_grids(game, _best_response_table(game, tol), tol)
     policies = [enumerate_deterministic_policies(game.num_states, m) for m in game.action_counts]
@@ -341,6 +354,14 @@ def _check_rhos(game: StochasticGame, rhos: Sequence[float]) -> None:
     for rho in rhos:
         if not 0.0 <= rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {rho}")
+
+
+def _check_deltas(game: StochasticGame, deltas: Sequence[float]) -> None:
+    if len(deltas) != game.num_players:
+        raise ValueError("need one delta per player")
+    for delta in deltas:
+        if not delta > 0.0:
+            raise ValueError(f"delta must be positive, got {delta}")
 
 
 def _perturbation_gap(
@@ -381,11 +402,12 @@ def perturbation_check(
 
     Returns (gap, bound, gap < bound).
     """
-    if len(deltas) != game.num_players:
-        raise ValueError("need one delta per player")
-    gap = perturbation_gap(game, rhos, tol, budget)
-    dbar = delta_bar(game, tol, budget)
-    bound = _perturbation_bound(deltas, dbar)
+    _check_deltas(game, deltas)
+    _check_rhos(game, rhos)
+    _check_budget(game, budget, "perturbation_gap")
+    table = _best_response_table(game, tol)
+    gap = _perturbation_gap(game, table, rhos, tol)
+    bound = _perturbation_bound(deltas, _delta_bar(table, tol))
     return gap, bound, gap < bound
 
 

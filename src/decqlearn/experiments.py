@@ -300,8 +300,12 @@ def analyze_game(
     report["states"] = list(game.states)
     report["reachable"] = exact_solver.check_reachability(game)
 
+    if rhos is not None:
+        exact_solver._check_rhos(game, rhos)
+    if deltas is not None:
+        exact_solver._check_deltas(game, deltas)
     # The checks of build_br_graph and then delta_bar, before the one table.
-    acyclicity._check_node_budget(game, tol, budget)
+    exact_solver._check_node_budget(game, tol, budget)
     exact_solver._check_budget(game, budget, "delta_bar")
     table = exact_solver._best_response_table(game, tol)
     graph = acyclicity._br_graph(game, table, tol)
@@ -318,7 +322,6 @@ def analyze_game(
     report["delta_bar"] = None if math.isinf(dbar) else dbar
 
     if rhos is not None:
-        exact_solver._check_rhos(game, rhos)
         gap = exact_solver._perturbation_gap(game, table, rhos, tol)
         entry: dict = {"rhos": list(rhos), "gap": gap}
         if deltas is not None:

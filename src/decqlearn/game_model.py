@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -142,24 +141,16 @@ class StochasticGame:
         return tuple(out)
 
     @cached_property
-    def cumulative_kernel(self) -> tuple[tuple[tuple[float, ...], ...], ...]:
-        """Per (state, joint action): cumulative next-state masses, as plain
-        lists for fast inverse-CDF sampling."""
-        cum = np.cumsum(self.kernel, axis=2)
-        return tuple(tuple(tuple(row) for row in block) for block in cum)
+    def cumulative_kernel(self) -> np.ndarray:
+        """Per (state, joint action): cumulative next-state masses, shape
+        (num_states, num_joint_actions, num_states)."""
+        return _readonly(np.cumsum(self.kernel, axis=2))
 
     @cached_property
-    def last_positive_state(self) -> tuple[tuple[int, ...], ...]:
+    def last_positive_state(self) -> np.ndarray:
         """Per (state, joint action): index of the last next-state with
         positive mass (fallback target for w at the top of the CDF)."""
-        out = []
-        for s in range(self.num_states):
-            row = []
-            for ja in range(self.num_joint_actions):
-                positive = np.nonzero(self.kernel[s, ja] > 0.0)[0]
-                row.append(int(positive[-1]) if positive.size else self.num_states - 1)
-            out.append(tuple(row))
-        return tuple(out)
+        return _last_positive(self.kernel)
 
 
 @dataclass(frozen=True)
@@ -297,32 +288,46 @@ def soften_policy(policy: DeterministicPolicy, rho: float, num_actions: int) -> 
     return StationaryPolicy(policy.player, probs)
 
 
-def _inverse_cdf(cumulative: Sequence[float], w: float, fallback: int) -> int:
-    """First index whose cumulative mass strictly exceeds w; ``fallback``
-    (the last index of positive mass) catches w at the very top of the CDF."""
-    idx = bisect_right(cumulative, w)
-    if idx >= len(cumulative):
-        return fallback
-    return idx
+def _last_positive(masses: np.ndarray) -> np.ndarray:
+    """Index of the last positive entry along the last axis (the last index
+    when there is none)."""
+    return masses.shape[-1] - 1 - (masses[..., ::-1] > 0.0).argmax(axis=-1)
 
 
-def sample_transition(game: StochasticGame, state: int, joint_action: int, w: float) -> int:
+def _inverse_cdf(cumulative: np.ndarray, w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
+    """Per entry of ``w``, the first index along the last axis of
+    ``cumulative`` whose mass strictly exceeds it (the count of masses <= w,
+    as ``bisect_right`` would return); ``fallback`` (the last index of
+    positive mass) catches w at the very top of the CDF."""
+    below = np.count_nonzero(cumulative <= w[..., None], axis=-1)
+    return np.where(below == cumulative.shape[-1], fallback, below)[()]
+
+
+def sample_transition(
+    game: StochasticGame,
+    state: int | np.ndarray,
+    joint_action: int | np.ndarray,
+    w: float | np.ndarray,
+) -> int | np.ndarray:
     """Deterministic inverse-CDF next-state selection.
 
     Returns the first next-state whose cumulative kernel mass strictly
     exceeds ``w``; ``w`` exactly at the top of the CDF maps to the last state
     of positive mass. Under w ~ Unif[0, 1] the induced law is the kernel row.
+    The arguments may be integers and a float or arrays that broadcast
+    together; the result is an integer or an array of that shape.
     """
-    if not 0 <= state < game.num_states:
+    state, joint_action, w = np.asarray(state), np.asarray(joint_action), np.asarray(w)
+    if not np.all((0 <= state) & (state < game.num_states)):
         raise ValueError(f"state id {state} out of range")
-    if not 0 <= joint_action < game.num_joint_actions:
+    if not np.all((0 <= joint_action) & (joint_action < game.num_joint_actions)):
         raise ValueError(f"joint action index {joint_action} out of range")
-    if not 0.0 <= w <= 1.0:
+    if not np.all((0.0 <= w) & (w <= 1.0)):
         raise ValueError(f"w must lie in [0, 1], got {w}")
     return _inverse_cdf(
-        game.cumulative_kernel[state][joint_action],
+        game.cumulative_kernel[state, joint_action],
         w,
-        game.last_positive_state[state][joint_action],
+        game.last_positive_state[state, joint_action],
     )
 
 
@@ -331,10 +336,8 @@ def sample_initial_state(game: StochasticGame, w: float) -> int:
     tie rule as :func:`sample_transition`."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must lie in [0, 1], got {w}")
-    cumulative = tuple(np.cumsum(game.initial_dist))
-    positive = np.nonzero(game.initial_dist > 0.0)[0]
-    fallback = int(positive[-1]) if positive.size else game.num_states - 1
-    return _inverse_cdf(cumulative, w, fallback)
+    dist = game.initial_dist
+    return int(_inverse_cdf(np.cumsum(dist), np.asarray(w), _last_positive(dist)))
 
 
 def enumerate_deterministic_policies(num_states: int, num_actions: int) -> list[tuple[int, ...]]:

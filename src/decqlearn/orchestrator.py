@@ -25,9 +25,7 @@ import numpy as np
 
 from .agent import Agent, AgentConfig
 from .exact_solver import QTable, check_reachability, equilibrium_set
-# sample_transition is imported for benchmarks/selftest.py, which calls it
-# as orchestrator.sample_transition
-from .game_model import StochasticGame, sample_initial_state, sample_transition  # noqa: F401
+from .game_model import StochasticGame, sample_initial_state, sample_transition
 
 __all__ = [
     "RandomnessStreams",
@@ -403,7 +401,6 @@ def _build_agents(
     game: StochasticGame,
     configs: Sequence[AgentConfig],
     streams: RandomnessStreams,
-    boundaries: Sequence[Sequence[int]] | None,
     forced_choices: Sequence[Sequence[int]] | None,
 ) -> list[Agent]:
     agents = []
@@ -422,7 +419,6 @@ def _build_agents(
                 num_states=game.num_states,
                 num_actions=game.action_counts[i],
                 discount=game.discounts[i],
-                boundaries=boundaries[i] if boundaries is not None else (0,),
                 baseline=baseline,
             )
         )
@@ -438,8 +434,6 @@ def _play_segment(
     agents: list[Agent],
     draws: Sequence[tuple[np.ndarray, np.ndarray]],
     w_draws: np.ndarray,
-    cumulative: np.ndarray,
-    fallback: np.ndarray,
     x: int,
 ) -> int:
     """Play one stretch of stages under frozen baselines, starting in state
@@ -453,16 +447,13 @@ def _play_segment(
     """
     length = len(w_draws)
     num_states = game.num_states
-    states = np.arange(num_states)
     tables = [
         np.where(explore[:, None], uniform[:, None], np.asarray(ag.baseline))
         for ag, (explore, uniform) in zip(agents, draws)
     ]
     joint = sum(table * stride for table, stride in zip(tables, game.joint_strides))
-    # inverse CDF: the number of cumulative masses <= w is the index
-    # bisect_right would return, with the same float comparisons
-    below = np.count_nonzero(cumulative[states, joint] <= w_draws[:, None, None], axis=2)
-    successor = np.where(below == num_states, fallback[states, joint], below).ravel().tolist()
+    next_table = sample_transition(game, np.arange(num_states), joint, w_draws[:, None])
+    successor = next_table.ravel().tolist()
 
     path = []
     for offset in range(0, length * num_states, num_states):
@@ -490,20 +481,22 @@ def _simulate(
     horizon: int,
     record_times: Sequence[int],
     equilibria: frozenset | None,
-    policy_updates: bool,
+    boundaries: Sequence[Sequence[int]],
     record_q: bool,
 ) -> tuple[list[PolicyChange], list[TraceRecord], tuple[tuple[int, ...], ...], bool]:
-    """Play ``horizon`` stages as segments between boundary and record times.
+    """Play ``horizon`` stages as segments between update and record times.
 
-    Every baseline is frozen between two policy-update times, so each
-    segment (capped at ``_BLOCK`` stages) is played by :func:`_play_segment`;
-    the appraisals and snapshots run at the segment starts. The outputs equal
-    those of a stage-by-stage loop over :meth:`Agent.select_action`,
-    :func:`~decqlearn.game_model.sample_transition` and :meth:`Agent.q_update`.
+    ``boundaries`` holds each player's phase start times (a schedule's
+    ``boundaries``, or nothing for a run without policy updates); player i
+    appraises its baseline at each of its times after 0, and players sharing
+    a time go in player order. A player experiments at stage t when its
+    experimentation uniform is <= its rho. Every baseline is frozen between
+    two update times, so each segment (capped at ``_BLOCK`` stages) is played
+    by :func:`_play_segment`; the appraisals and snapshots run at the segment
+    starts. ``tests/oracles.simulate_stepwise`` is the stage-by-stage
+    reference these outputs must equal bit for bit.
     """
     w_draws = streams.transition_uniforms(horizon)
-    if not (w_draws.min() >= 0.0 and w_draws.max() <= 1.0):
-        raise ValueError("transition uniforms must lie in [0, 1]")
     draws = [
         (
             streams.experimentation_uniforms(i, horizon) <= ag.rho,
@@ -511,20 +504,15 @@ def _simulate(
         )
         for i, ag in enumerate(agents)
     ]
-    cumulative = np.cumsum(game.kernel, axis=2)
-    fallback = np.array(game.last_positive_state)
 
+    updates = sorted((t, i) for i, row in enumerate(boundaries) for t in row[1:] if t < horizon)
+    updates.append((horizon, -1))
+    next_update = 0
     sorted_records = sorted(set(int(t) for t in record_times))
     if sorted_records and not 0 <= sorted_records[0] <= sorted_records[-1] < horizon:
         raise ValueError("record times must lie in [0, horizon)")
-    rec_idx = 0
-    next_record = sorted_records[0] if sorted_records else -1
-
-    def next_boundary_time() -> int:
-        pending = [ag.next_update_time for ag in agents if ag.next_update_time >= 0]
-        return min(pending) if pending else -1
-
-    next_boundary = next_boundary_time() if policy_updates else -1
+    sorted_records.append(horizon)
+    next_record = 0
 
     current_joint = tuple(tuple(ag.baseline) for ag in agents)
     current_eq = current_joint in equilibria if equilibria is not None else False
@@ -537,33 +525,29 @@ def _simulate(
 
     t = 0
     while t < horizon:
-        if t == next_boundary:
-            for i, ag in enumerate(agents):
-                if ag.next_update_time == t:
-                    lam_draw = streams.inertia_uniform(i, t)
-                    if ag.end_phase_update(t, lam_draw, partial(streams.policy_draw, i, t)):
-                        current_joint = tuple(tuple(a.baseline) for a in agents)
-                        current_eq = (
-                            current_joint in equilibria if equilibria is not None else False
-                        )
-                        events.append(PolicyChange(t, i, current_joint, current_eq))
-            next_boundary = next_boundary_time()
-        if t == next_record:
+        while updates[next_update][0] == t:
+            i = updates[next_update][1]
+            next_update += 1
+            lam_draw = streams.inertia_uniform(i, t)
+            if agents[i].end_phase_update(lam_draw, partial(streams.policy_draw, i, t)):
+                current_joint = tuple(tuple(a.baseline) for a in agents)
+                current_eq = (
+                    current_joint in equilibria if equilibria is not None else False
+                )
+                events.append(PolicyChange(t, i, current_joint, current_eq))
+        if sorted_records[next_record] == t:
             snapshots = (
                 tuple(np.array(ag.q) for ag in agents) if record_q else None
             )
             records.append(TraceRecord(t, current_joint, current_eq, snapshots))
-            rec_idx += 1
-            next_record = sorted_records[rec_idx] if rec_idx < len(sorted_records) else -1
+            next_record += 1
 
-        stop = min(u for u in (horizon, t + _BLOCK, next_boundary, next_record) if u > t)
+        stop = min(t + _BLOCK, updates[next_update][0], sorted_records[next_record])
         x = _play_segment(
             game,
             agents,
             [(explore[t:stop], uniform[t:stop]) for explore, uniform in draws],
             w_draws[t:stop],
-            cumulative,
-            fallback,
             x,
         )
         t = stop
@@ -607,7 +591,7 @@ def run_episode(
     if equilibria is None:
         equilibria = equilibrium_set(game, tol=1e-9)
 
-    agents = _build_agents(game, configs, streams, schedule.boundaries, None)
+    agents = _build_agents(game, configs, streams, None)
     events, records, initial_joint, initial_eq = _simulate(
         game,
         agents,
@@ -615,7 +599,7 @@ def run_episode(
         horizon,
         record_times,
         equilibria,
-        policy_updates=True,
+        boundaries=schedule.boundaries,
         record_q=record_q,
     )
     return SimulationTrace(
@@ -650,7 +634,7 @@ def frozen_q_run(
     choices = [tuple(int(a) for a in row) for row in frozen_joint]
     if len(choices) != game.num_players:
         raise ValueError("frozen_joint needs one policy per player")
-    agents = _build_agents(game, configs, streams, None, choices)
+    agents = _build_agents(game, configs, streams, choices)
     _simulate(
         game,
         agents,
@@ -658,10 +642,10 @@ def frozen_q_run(
         steps,
         record_times=(),
         equilibria=None,
-        policy_updates=False,
+        boundaries=(),
         record_q=False,
     )
-    return [ag.snapshot().q for ag in agents]
+    return [QTable(ag.player, np.array(ag.q)) for ag in agents]
 
 
 def equilibrium_frequency(

@@ -5,14 +5,18 @@ iteration instead of value iteration, Gauss-style iterative evaluation
 instead of a direct linear solve, full-policy-space filtering instead of
 product construction, a literal integer-time scan of the active-phase
 recursion instead of the event-driven transcription, a stage-by-stage
-episode loop instead of the segment-vectorized one, and one value-iteration
-solve per opponent joint instead of the stacked best-response table.
+episode loop instead of the segment-vectorized one (with its own copies of
+the boundary scan, the experimentation test, the bisect inverse CDF and the
+Q-update formula; only the phase-end appraisal is the agent's), and one
+value-iteration solve per opponent joint instead of the stacked
+best-response table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from functools import partial
 
 import numpy as np
@@ -24,8 +28,6 @@ from decqlearn.game_model import (
     JointDeterministicPolicy,
     StochasticGame,
     enumerate_deterministic_policies,
-    sample_initial_state,
-    sample_transition,
     soften_policy,
 )
 from decqlearn.orchestrator import PolicyChange, TraceRecord
@@ -152,14 +154,33 @@ def random_stationary(rng: np.random.Generator, player: int, num_states: int, nu
     return StationaryPolicy(player, probs)
 
 
+def _inverse_cdf(cumulative, w, fallback):
+    """First index whose cumulative mass strictly exceeds w; ``fallback``
+    (the last index of positive mass) catches w at the very top of the CDF."""
+    idx = bisect_right(cumulative, w)
+    if idx >= len(cumulative):
+        return fallback
+    return idx
+
+
+def _last_positive(masses):
+    positive = [k for k, m in enumerate(masses) if m > 0.0]
+    return positive[-1] if positive else len(masses) - 1
+
+
 def simulate_stepwise(
-    game, agents, streams, horizon, record_times, equilibria, policy_updates, record_q
+    game, agents, streams, horizon, record_times, equilibria, boundaries, record_q
 ):
     """Stage-by-stage episode loop with the signature and results of
-    ``orchestrator._simulate``: every stage calls ``Agent.select_action``,
-    ``sample_transition`` and ``Agent.q_update`` in turn."""
+    ``orchestrator._simulate``, written with its own copies of the stage
+    rules: at every stage each player whose boundary (``boundaries[i][1:]``)
+    falls on it appraises its baseline, each player experiments iff its
+    draw is <= rho, the next state comes from a bisect over the cumulative
+    kernel row, and each player's Q entry gets the constant-step update."""
     n = game.num_players
     strides = game.joint_strides
+    cumulative = np.cumsum(game.kernel, axis=2).tolist()
+    fallback = [[_last_positive(row) for row in block] for block in game.kernel.tolist()]
     w_draws = streams.transition_uniforms(horizon).tolist()
     hot = []
     for i, ag in enumerate(agents):
@@ -176,14 +197,6 @@ def simulate_stepwise(
     sorted_records = sorted(set(int(t) for t in record_times))
     if sorted_records and not 0 <= sorted_records[0] <= sorted_records[-1] < horizon:
         raise ValueError("record times must lie in [0, horizon)")
-    rec_idx = 0
-    next_record = sorted_records[0] if sorted_records else -1
-
-    def next_boundary_time() -> int:
-        pending = [ag.next_update_time for ag in agents if ag.next_update_time >= 0]
-        return min(pending) if pending else -1
-
-    next_boundary = next_boundary_time() if policy_updates else -1
 
     current_joint = tuple(tuple(ag.baseline) for ag in agents)
     current_eq = current_joint in equilibria if equilibria is not None else False
@@ -192,35 +205,41 @@ def simulate_stepwise(
     events = []
     records = []
 
-    x = sample_initial_state(game, streams.initial_state_uniform())
+    w0 = streams.initial_state_uniform()
+    x = _inverse_cdf(
+        np.cumsum(game.initial_dist).tolist(), w0, _last_positive(game.initial_dist.tolist())
+    )
     actions = [0] * n
 
     for t in range(horizon):
-        if t == next_boundary:
-            for i, ag in enumerate(agents):
-                if ag.next_update_time == t:
-                    lam_draw = streams.inertia_uniform(i, t)
-                    if ag.end_phase_update(t, lam_draw, partial(streams.policy_draw, i, t)):
-                        current_joint = tuple(tuple(a.baseline) for a in agents)
-                        current_eq = (
-                            current_joint in equilibria if equilibria is not None else False
-                        )
-                        events.append(PolicyChange(t, i, current_joint, current_eq))
-            next_boundary = next_boundary_time()
-        if t == next_record:
+        for i, row in enumerate(boundaries):
+            if t > 0 and t in row:
+                lam_draw = streams.inertia_uniform(i, t)
+                if agents[i].end_phase_update(lam_draw, partial(streams.policy_draw, i, t)):
+                    current_joint = tuple(tuple(a.baseline) for a in agents)
+                    current_eq = (
+                        current_joint in equilibria if equilibria is not None else False
+                    )
+                    events.append(PolicyChange(t, i, current_joint, current_eq))
+        if t in sorted_records:
             snapshots = tuple(np.array(ag.q) for ag in agents) if record_q else None
             records.append(TraceRecord(t, current_joint, current_eq, snapshots))
-            rec_idx += 1
-            next_record = sorted_records[rec_idx] if rec_idx < len(sorted_records) else -1
 
         ja = 0
         for i, (ag, rho_row, act_row, _costs, stride) in enumerate(hot):
-            a = ag.select_action(x, rho_row[t], act_row[t])
+            a = act_row[t] if rho_row[t] <= ag.rho else ag.baseline[x]
             actions[i] = a
             ja += a * stride
-        x_next = sample_transition(game, x, ja, w_draws[t])
+        x_next = _inverse_cdf(cumulative[x][ja], w_draws[t], fallback[x][ja])
         for i, (ag, _rho, _act, costs, _stride) in enumerate(hot):
-            ag.q_update(x, actions[i], costs[x][ja], x_next)
+            q = ag.q
+            u = actions[i]
+            value = (1.0 - ag.alpha) * q[x][u] + ag.alpha * (
+                costs[x][ja] + ag.discount * min(q[x_next])
+            )
+            q[x][u] = value
+            if abs(value) > ag.max_abs_q:
+                ag.max_abs_q = abs(value)
         x = x_next
 
     return events, records, initial_joint, initial_eq

@@ -3,10 +3,11 @@ import pytest
 
 from decqlearn.agent import Agent, AgentConfig
 from decqlearn.exact_solver import QTable
-from decqlearn.game_model import DeterministicPolicy
+from decqlearn.game_model import DeterministicPolicy, StochasticGame
+from decqlearn.orchestrator import _simulate
 
 
-def _agent(rho=0.05, lam=0.2, delta=0.5, alpha=0.5, beta=0.8, q=None, baseline=(0, 0), boundaries=(0, 10, 20)):
+def _agent(rho=0.05, lam=0.2, delta=0.5, alpha=0.5, beta=0.8, q=None, baseline=(0, 0)):
     q = np.zeros((2, 2)) if q is None else np.asarray(q, dtype=float)
     return Agent(
         player=0,
@@ -17,7 +18,6 @@ def _agent(rho=0.05, lam=0.2, delta=0.5, alpha=0.5, beta=0.8, q=None, baseline=(
         discount=beta,
         baseline=baseline,
         initial_q=q,
-        boundaries=boundaries,
     )
 
 
@@ -52,10 +52,9 @@ class TestAgentConfig:
             alpha=0.1,
             initial_policy=DeterministicPolicy(0, (1, 0)),
         )
-        agent = Agent.from_config(cfg, num_states=2, num_actions=2, discount=0.8, boundaries=(0, 5))
+        agent = Agent.from_config(cfg, num_states=2, num_actions=2, discount=0.8)
         assert agent.q == [[0.0, 0.0], [0.0, 0.0]]
         assert agent.baseline == [1, 0]
-        assert agent.next_update_time == 5
 
     def test_initial_q_accepts_qtable(self):
         cfg = AgentConfig(
@@ -67,42 +66,90 @@ class TestAgentConfig:
             initial_policy=DeterministicPolicy(0, (0, 0)),
             initial_q=QTable(0, np.full((2, 2), 3.0)),
         )
-        agent = Agent.from_config(cfg, num_states=2, num_actions=2, discount=0.8, boundaries=(0, 5))
+        agent = Agent.from_config(cfg, num_states=2, num_actions=2, discount=0.8)
         assert agent.q == [[3.0, 3.0], [3.0, 3.0]]
         assert agent.max_abs_q == 3.0
 
 
+class _Draws:
+    """Stand-in streams for a one-stage episode: start in state 0,
+    experimentation uniform ``explore``, uniform action 0."""
+
+    def __init__(self, explore):
+        self.explore = explore
+
+    def transition_uniforms(self, horizon):
+        return np.full(horizon, 0.5)
+
+    def experimentation_uniforms(self, player, horizon):
+        return np.full(horizon, self.explore)
+
+    def action_draws(self, player, horizon, num_actions):
+        return np.zeros(horizon, dtype=np.int64)
+
+    def initial_state_uniform(self):
+        return 0.0
+
+
+def _played_action(rho, explore, baseline=(1, 0)):
+    """The action the episode engine plays for a one-player game at its first
+    stage, read off the one Q entry that stage updates (every cost is 1)."""
+    game = StochasticGame(
+        states=("s0", "s1"),
+        action_sets=(("a0", "a1"),),
+        costs=(np.ones((2, 2)),),
+        discounts=(0.8,),
+        kernel=np.full((2, 2, 2), 0.5),
+        initial_dist=np.array([1.0, 0.0]),
+    )
+    agent = _agent(rho=rho, baseline=baseline)
+    _simulate(
+        game,
+        [agent],
+        _Draws(explore),
+        horizon=1,
+        record_times=(),
+        equilibria=None,
+        boundaries=(),
+        record_q=False,
+    )
+    (played,) = [u for u in range(2) if agent.q[0][u] != 0.0]
+    return played
+
+
 class TestSelectAction:
+    """The experimentation rule of the episode engine: a player plays its
+    uniform action iff its experimentation draw is <= rho."""
+
     def test_draw_above_rho_uses_baseline(self):
-        agent = _agent(rho=0.05, baseline=(1, 0))
-        assert agent.select_action(0, 0.9, 0) == 1
+        assert _played_action(rho=0.05, explore=0.9) == 1
 
     def test_draw_at_or_below_rho_experiments(self):
-        agent = _agent(rho=0.05, baseline=(1, 0))
-        assert agent.select_action(0, 0.01, 0) == 0
-        assert agent.select_action(0, 0.05, 0) == 0  # boundary draw experiments
+        assert _played_action(rho=0.05, explore=0.01) == 0
+        assert _played_action(rho=0.05, explore=0.05) == 0  # boundary draw experiments
 
     def test_rho_zero_always_baseline(self):
-        agent = _agent(rho=0.0, baseline=(1, 0))
         for draw in (1e-12, 0.3, 0.9999, 1.0):
-            assert agent.select_action(0, draw, 0) == 1
+            assert _played_action(rho=0.0, explore=draw) == 1
 
 
 class TestQUpdate:
+    """The constant-step Q-learning update, ``Agent.learn``."""
+
     def test_arithmetic_example(self):
         agent = _agent(alpha=0.5, beta=0.8)
-        agent.q_update(0, 1, 2.0, 1)
+        agent.learn([0], [1], [2.0], [1])
         assert agent.q == [[0.0, 1.0], [0.0, 0.0]]
 
     def test_alpha_one_full_replacement(self):
         agent = _agent(alpha=1.0, beta=0.8, q=[[5.0, 5.0], [1.0, 3.0]])
-        agent.q_update(0, 0, 2.0, 1)
+        agent.learn([0], [0], [2.0], [1])
         assert agent.q[0][0] == 2.0 + 0.8 * 1.0
 
     def test_fixed_point_entry_unchanged(self):
         # entry already equals cost + beta * min next row
         agent = _agent(alpha=0.5, beta=0.5, q=[[2.0, 0.0], [2.0, 2.0]])
-        agent.q_update(0, 0, 1.0, 1)  # 1 + 0.5 * 2 = 2
+        agent.learn([0], [0], [1.0], [1])  # 1 + 0.5 * 2 = 2
         assert agent.q[0][0] == 2.0
 
     def test_touches_exactly_one_entry(self, rng):
@@ -112,7 +159,7 @@ class TestQUpdate:
             x = int(rng.integers(2))
             u = int(rng.integers(2))
             x_next = int(rng.integers(2))
-            agent.q_update(x, u, float(rng.normal()), x_next)
+            agent.learn([x], [u], [float(rng.normal())], [x_next])
             diffs = [
                 (s, a)
                 for s in range(2)
@@ -125,13 +172,25 @@ class TestQUpdate:
         # self-referential update (x_next == x): the min must be taken
         # before the entry is overwritten
         agent = _agent(alpha=1.0, beta=0.5, q=[[1.0, 4.0], [0.0, 0.0]])
-        agent.q_update(0, 0, 0.0, 0)
+        agent.learn([0], [0], [0.0], [0])
         assert agent.q[0][0] == 0.5 * 1.0
+
+    def test_path_applies_updates_in_order(self):
+        # a path that stays in state 0 (x_next == x) before leaving it: each
+        # update reads the row as the previous update left it
+        agent = _agent(alpha=0.5, beta=0.5, q=[[4.0, 2.0], [0.0, 0.0]])
+        agent.learn([0, 0, 0, 1], [1, 1, 0, 0], [0.0, 0.0, 1.0, 3.0], [0, 0, 0, 1])
+        # q[0][1]: 0.5 * 2 + 0.5 * (0 + 0.5 * 2) = 1.5,
+        #          then 0.5 * 1.5 + 0.5 * (0 + 0.5 * 1.5) = 1.125
+        # q[0][0]: 0.5 * 4 + 0.5 * (1 + 0.5 * 1.125) = 2.78125
+        # q[1][0]: 0.5 * 0 + 0.5 * (3 + 0.5 * 0) = 1.5
+        assert agent.q == [[2.78125, 1.125], [1.5, 0.0]]
+        assert agent.max_abs_q == 4.0
 
     def test_tracks_running_max(self):
         agent = _agent(alpha=1.0, beta=0.0, q=[[0.0, 0.0], [0.0, 0.0]])
-        agent.q_update(0, 0, -7.0, 1)
-        agent.q_update(0, 1, 3.0, 1)
+        agent.learn([0], [0], [-7.0], [1])
+        agent.learn([0], [1], [3.0], [1])
         assert agent.max_abs_q == 7.0
 
 
@@ -140,39 +199,32 @@ class TestEndPhaseUpdate:
         raise AssertionError("subset draw must not be consulted")
 
     def test_greedy_baseline_kept_regardless_of_draws(self):
-        agent = _agent(delta=0.5, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(0, 0), boundaries=(0, 10, 20))
-        changed = agent.end_phase_update(10, 0.99, self._no_draw)
+        agent = _agent(delta=0.5, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(0, 0))
+        changed = agent.end_phase_update(0.99, self._no_draw)
         assert not changed
         assert agent.baseline == [0, 0]
-        assert agent.phase_index == 1
-        assert agent.next_update_time == 20
 
     def test_inertia_keeps_poor_baseline(self):
-        agent = _agent(lam=0.2, delta=0.5, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(1, 1), boundaries=(0, 10, 20))
-        changed = agent.end_phase_update(10, 0.1, self._no_draw)
+        agent = _agent(lam=0.2, delta=0.5, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(1, 1))
+        changed = agent.end_phase_update(0.1, self._no_draw)
         assert not changed and agent.baseline == [1, 1]
 
     def test_switch_draws_from_greedy_set(self):
-        agent = _agent(lam=0.2, delta=0.5, q=[[0.0, 10.0], [0.0, 0.3]], baseline=(1, 1), boundaries=(0, 10, 20))
+        agent = _agent(lam=0.2, delta=0.5, q=[[0.0, 10.0], [0.0, 0.3]], baseline=(1, 1))
         seen = {}
 
         def draw(allowed):
             seen["allowed"] = allowed
             return (0, 1)
 
-        changed = agent.end_phase_update(10, 0.9, draw)
+        changed = agent.end_phase_update(0.9, draw)
         assert changed and agent.baseline == [0, 1]
         assert seen["allowed"] == ((0,), (0, 1))
 
     def test_huge_delta_accepts_everything(self):
-        agent = _agent(delta=100.0, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(1, 1), boundaries=(0, 10, 20))
-        assert not agent.end_phase_update(10, 0.99, self._no_draw)
+        agent = _agent(delta=100.0, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(1, 1))
+        assert not agent.end_phase_update(0.99, self._no_draw)
         assert agent.baseline == [1, 1]
-
-    def test_non_boundary_call_rejected(self):
-        agent = _agent(boundaries=(0, 10, 20))
-        with pytest.raises(ValueError):
-            agent.end_phase_update(7, 0.5, self._no_draw)
 
     def test_keep_frequency_matches_inertia(self, rng):
         # forced-switch situation: keep happens iff draw < lam
@@ -181,15 +233,10 @@ class TestEndPhaseUpdate:
         keeps = 0
         for draw in draws.tolist():
             agent = _agent(
-                lam=lam, delta=0.5, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(1, 1), boundaries=(0, 10, 20)
+                lam=lam, delta=0.5, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(1, 1)
             )
-            agent.end_phase_update(10, draw, lambda allowed: (0, 0))
+            agent.end_phase_update(draw, lambda allowed: (0, 0))
             if agent.baseline == [1, 1]:
                 keeps += 1
         se = np.sqrt(lam * (1 - lam) / draws.size)
         assert abs(keeps / draws.size - lam) <= 3 * se
-
-    def test_schedule_exhaustion_disables_updates(self):
-        agent = _agent(boundaries=(0, 10))
-        agent.end_phase_update(10, 0.5, self._no_draw)
-        assert agent.next_update_time == -1

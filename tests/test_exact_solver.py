@@ -236,6 +236,21 @@ class TestEquilibriumSet:
         with pytest.raises(EnumerationBudgetError):
             equilibrium_set(benchmark_game, 1e-9, budget=7)
 
+    def test_node_budget_guard(self, monkeypatch):
+        # 2 players, 2 actions, 10 states: the 2048 solves fit a budget of
+        # 4096, the 1024 x 1024 joint policies the search marks do not
+        game = StochasticGame(
+            states=tuple(f"s{k}" for k in range(10)),
+            action_sets=(("a0", "a1"), ("a0", "a1")),
+            costs=(np.zeros((10, 4)), np.zeros((10, 4))),
+            discounts=(0.8, 0.8),
+            kernel=np.full((10, 4, 10), 0.1),
+            initial_dist=np.full(10, 0.1),
+        )
+        _forbid_solves(monkeypatch)
+        with pytest.raises(EnumerationBudgetError, match="1048576 nodes"):
+            equilibrium_set(game, 1e-9, budget=4096)
+
 
 class TestDeltaBar:
     def test_two_costs_single_state(self):
@@ -303,6 +318,29 @@ class TestPerturbation:
         assert np.isfinite(gap) and gap > 0.0
         assert bound == pytest.approx(min(0.5, 2.0 - 0.5) / 4.0, abs=1e-9)
         assert ok == (gap < bound)
+
+    def test_check_builds_the_table_once(self, monkeypatch):
+        game = random_game(np.random.default_rng(11), num_players=2, max_states=3)
+        rhos, deltas = (0.05, 0.1), (0.3, 0.4)
+        build = exact_solver._best_response_table
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(exact_solver, "_best_response_table", counted)
+        gap, bound, ok = perturbation_check(game, rhos, deltas)
+        assert len(calls) == 1
+        assert gap == perturbation_gap(game, rhos)
+        dbar = delta_bar(game, 1e-10)
+        assert bound == min(min(d, dbar - d) for d in deltas) / 4.0
+        assert ok == (gap < bound)
+
+    def test_check_rejects_bad_deltas(self, benchmark_game):
+        for deltas in ((0.5,), (0.5, -0.1)):
+            with pytest.raises(ValueError, match="delta"):
+                perturbation_check(benchmark_game, (0.05, 0.05), deltas)
 
     def test_monotone_on_benchmark(self, benchmark_game):
         small = perturbation_gap(benchmark_game, (0.01, 0.01))

@@ -197,6 +197,13 @@ class TestAnalyzeGame:
         assert report["violations"]
         assert "equilibria" not in report
 
+    @pytest.mark.parametrize(
+        "deltas", [(0.5, 0.6, 0.7), (0.5,), (-1.0, -1.0), (0.5, 0.0)]
+    )
+    def test_deltas_one_positive_value_per_player(self, benchmark_game, deltas):
+        with pytest.raises(ValueError, match="delta"):
+            analyze_game(benchmark_game, rhos=(0.05, 0.05), deltas=deltas)
+
 
 class TestCli:
     def test_analyze_benchmark(self, capsys):
@@ -215,6 +222,12 @@ class TestCli:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["weakly_acyclic"] is False
         assert report["num_equilibria"] == 0
+
+    @pytest.mark.parametrize("deltas", [["0.5", "0.6", "0.7"], ["-1"]])
+    def test_analyze_rejects_bad_deltas(self, capsys, deltas):
+        code = main(["analyze", "benchmark", "--rho", "0.05", "--delta", *deltas])
+        assert code == 2
+        assert "delta" in capsys.readouterr().err
 
     def test_analyze_missing_file(self, capsys):
         code = main(["analyze", "nowhere/missing.json"])

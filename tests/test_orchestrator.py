@@ -389,6 +389,18 @@ class TestSegmentEngine:
         monkeypatch.setattr(RandomnessStreams, "transition_uniforms", transition_uniforms)
         self._assert_matches_stepwise(monkeypatch, game, 50, 2, 2000, (0, 1000), seed=8)
 
+    def test_experimentation_uniforms_on_rho(self, monkeypatch, benchmark_game):
+        # every experimentation uniform is exactly rho (0.2 here), 0 or 1:
+        # a draw equal to rho experiments
+        def experimentation_uniforms(streams, player, horizon):
+            rng = np.random.default_rng([streams.trial, player])
+            return rng.choice([0.2, 0.0, 1.0], size=horizon)
+
+        monkeypatch.setattr(
+            RandomnessStreams, "experimentation_uniforms", experimentation_uniforms
+        )
+        self._assert_matches_stepwise(monkeypatch, benchmark_game, 50, 2, 2000, (0, 1000), seed=3)
+
     def test_horizon_one(self, monkeypatch, benchmark_game):
         self._assert_matches_stepwise(monkeypatch, benchmark_game, 1, 1, 1, (0,), seed=6)
 
