@@ -1,36 +1,26 @@
 """Structural analysis of the deterministic joint-policy space.
 
-Builds the strict best-response graph: nodes are deterministic joint
-policies, and an edge changes exactly one player's policy to a different
-0-best-response. A game is weakly acyclic when every node has a path into the
-(nonempty) equilibrium set; the certificate also yields the shortest-path
-profile used by the convergence diagnostics (the path bound L, the inertia
-floor p_min, and the theta/xi tolerance split).
+The strict best-response graph (``BrGraph``, built by ``exact_solver``):
+nodes are deterministic joint policies, and an edge changes exactly one
+player's policy to a different 0-best-response. A game is weakly acyclic when
+every node has a path into the (nonempty) equilibrium set; the certificate
+also yields the shortest-path profile used by the convergence diagnostics
+(the path bound L, the inertia floor p_min, and the theta/xi tolerance split).
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
-import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from .exact_solver import (
-    _best_response_grids,
-    _best_response_table,
-    _check_node_budget,
+    DEFAULT_SOLVE_BUDGET,
+    BrGraph,
+    ExactAnalysis,
+    check_input,
+    check_per_player,
 )
-from .game_model import (
-    DeterministicPolicy,
-    JointDeterministicPolicy,
-    StochasticGame,
-    enumerate_deterministic_policies,
-)
+from .game_model import StochasticGame
 
 __all__ = [
     "BrGraph",
@@ -43,92 +33,9 @@ __all__ = [
     "theta_and_xi",
 ]
 
-DEFAULT_NODE_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class BrGraph:
-    """Strict best-response graph over all deterministic joint policies.
-
-    ``edges`` are (source index, target index, deviating player); ``path_len``
-    maps each node to the length of a shortest strict best-response path into
-    the equilibrium set (0 exactly on equilibria, ``math.inf`` if none is
-    reachable).
-    """
-
-    nodes: tuple[JointDeterministicPolicy, ...]
-    edges: tuple[tuple[int, int, int], ...]
-    equilibria: frozenset[int]
-    path_len: tuple[float, ...]
-
-    def node_index(self, joint: JointDeterministicPolicy) -> int:
-        return self._index[joint.choices]
-
-    @property
-    def _index(self) -> dict[tuple[tuple[int, ...], ...], int]:
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            cached = {node.choices: k for k, node in enumerate(self.nodes)}
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
-
-    def to_json_dict(self) -> dict:
-        """Export for external visualization tools."""
-        return {
-            "nodes": [list(map(list, node.choices)) for node in self.nodes],
-            "edges": [
-                {"source": s, "target": t, "deviator": i} for s, t, i in self.edges
-            ],
-            "equilibria": sorted(self.equilibria),
-            "path_len": [None if math.isinf(v) else int(v) for v in self.path_len],
-        }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-
-
-def _br_graph(game: StochasticGame, table: Sequence[np.ndarray], tol: float) -> BrGraph:
-    """The graph read off the best-response table of ``exact_solver``;
-    node k is the k-th joint policy in ``itertools.product`` order, which is
-    the flat (C) order of the best-response grids."""
-    grids = _best_response_grids(game, table, tol)
-    shape = grids[0].shape
-    num_nodes = grids[0].size
-    edges = []
-    for i, grid in enumerate(grids):
-        # Every node whose player-i policy is a best response receives an
-        # edge from each node that differs from it in player i's policy only.
-        stride = num_nodes // math.prod(shape[: i + 1])
-        target = np.flatnonzero(grid)[:, None]
-        source = target + (np.arange(shape[i]) - target // stride % shape[i]) * stride
-        edges.append(np.stack(np.broadcast_arrays(source, target, i), axis=-1)[source != target])
-    edges = np.concatenate(edges)  # rows: source, target, deviator
-    edges = edges[np.lexsort((edges[:, 1], edges[:, 2], edges[:, 0]))]
-
-    # Shortest path lengths by reverse breadth-first search from the equilibria.
-    at_equilibrium = functools.reduce(np.logical_and, grids).ravel()
-    path_len = np.where(at_equilibrium, 0.0, math.inf)
-    frontier, level = at_equilibrium, 0.0
-    while frontier.any():
-        level += 1.0
-        reached = np.bincount(edges[frontier[edges[:, 1]], 0], minlength=num_nodes) > 0
-        frontier = reached & np.isinf(path_len)
-        path_len[frontier] = level
-
-    policies = [
-        [DeterministicPolicy(i, c) for c in enumerate_deterministic_policies(game.num_states, m)]
-        for i, m in enumerate(game.action_counts)
-    ]
-    return BrGraph(
-        nodes=tuple(JointDeterministicPolicy(joint) for joint in itertools.product(*policies)),
-        edges=tuple(map(tuple, edges.tolist())),
-        equilibria=frozenset(np.flatnonzero(at_equilibrium).tolist()),
-        path_len=tuple(path_len.tolist()),
-    )
-
 
 def build_br_graph(
-    game: StochasticGame, tol: float, budget: int = DEFAULT_NODE_BUDGET
+    game: StochasticGame, tol: float, budget: int = DEFAULT_SOLVE_BUDGET
 ) -> BrGraph:
     """Enumerate the joint-policy space and its strict best-response edges.
 
@@ -136,8 +43,7 @@ def build_br_graph(
     shortest path lengths are computed by reverse breadth-first search from
     the equilibrium set.
     """
-    _check_node_budget(game, tol, budget)
-    return _br_graph(game, _best_response_table(game, tol), tol)
+    return ExactAnalysis(game, tol, budget).graph
 
 
 def is_weakly_acyclic(graph: BrGraph) -> bool:
@@ -160,15 +66,13 @@ def p_min(
     equilibrium through inertia and correct updates:
     prod_j min((1 - lambda_j) / |policy space of j|, lambda_j) ** ((R+1) L).
     """
-    if len(lambdas) != game.num_players:
-        raise ValueError("need one lambda per player")
-    if R < 1 or L < 1:
-        raise ValueError("R and L must be positive integers")
+    check_per_player(game, "lambda", lambdas)
+    check_input("ratio", R)
+    if L < 1:
+        raise ValueError("L must be a positive integer")
     exponent = (R + 1) * L
     out = 1.0
     for j, lam in enumerate(lambdas):
-        if not 0.0 < lam < 1.0:
-            raise ValueError(f"lambda must lie in (0, 1), got {lam}")
         policy_count = game.action_counts[j] ** game.num_states
         out *= min((1.0 - lam) / policy_count, lam) ** exponent
     return out
@@ -195,8 +99,7 @@ def solve_theta(p: float, eps: float) -> float:
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p_min must lie in (0, 1], got {p}")
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    check_input("eps", eps)
     target = 1.0 - eps
     lo, hi = -745.0, 36.7  # logit bounds: theta from ~5e-324 to ~1 - 1e-16
     for _ in range(200):
@@ -220,8 +123,9 @@ def xi_bound(
     min(theta, min_i min(delta_i, dbar - delta_i) / 2) / ((R+1) N L)."""
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
-    if R < 1 or N < 1 or L < 1:
-        raise ValueError("R, N, and L must be positive integers")
+    check_input("ratio", R)
+    if N < 1 or L < 1:
+        raise ValueError("N and L must be positive integers")
     for d in deltas:
         if not 0.0 < d < dbar:
             raise ValueError(f"delta {d} must lie strictly inside (0, {dbar})")

@@ -35,12 +35,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "analyze", help="exact structural report for a game (JSON to stdout)"
     )
     analyze.add_argument("game", help=f"game JSON file or '{BENCHMARK_NAME}'")
-    analyze.add_argument("--rho", type=float, nargs="+", default=None)
-    analyze.add_argument("--delta", type=float, nargs="+", default=None)
-    analyze.add_argument("--lam", type=float, nargs="+", default=None)
-    analyze.add_argument("--eps", type=float, default=None)
-    analyze.add_argument("--ratio", type=int, default=None)
-    analyze.add_argument("--tol", type=float, default=1e-9)
+    each = "one value, or one per player"
+    analyze.add_argument("--rho", type=float, nargs="+", help=f"experimentation in [0, 1); {each}")
+    analyze.add_argument("--delta", type=float, nargs="+", help=f"greedy tolerance > 0; {each}")
+    analyze.add_argument("--lam", type=float, nargs="+", help=f"inertia in (0, 1); {each}")
+    analyze.add_argument("--eps", type=float, help="theta/xi target in (0, 1)")
+    analyze.add_argument("--ratio", type=int, help="phase-length ratio, integer >= 1 (default 1)")
+    analyze.add_argument("--tol", type=float, default=1e-9, help="solver tolerance, finite and > 0")
     analyze.add_argument("--out", type=Path, default=None, help="also write to file")
 
     simulate = sub.add_parser("simulate", help="run a batch experiment")

@@ -3,17 +3,21 @@
 Fixing the other players' stationary policies turns one player's problem into
 a single-agent MDP; everything here is built on that reduction: optimal
 Q-functions (value iteration on Q-factors), policy evaluation, epsilon-greedy
-policy sets, equilibrium tests, the minimum nonzero Q-gap ``delta_bar``, the
-experimentation perturbation gap, and a joint-reachability check. These are
-the ground-truth oracles the learning code is tested against.
+policy sets, equilibrium tests, a joint-reachability check, and one
+:class:`ExactAnalysis` behind the equilibria, the best-response graph, the
+minimum nonzero Q-gap ``delta_bar`` and the experimentation perturbation gap.
+These are the ground-truth oracles the learning code is tested against.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import numbers
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -34,6 +38,8 @@ __all__ = [
     "policy_value",
     "br_hat",
     "is_equilibrium",
+    "BrGraph",
+    "ExactAnalysis",
     "equilibrium_set",
     "delta_bar",
     "perturbation_gap",
@@ -51,6 +57,32 @@ _VI_BLOCK = 1024
 
 class EnumerationBudgetError(RuntimeError):
     """Raised when an exhaustive computation would exceed its solve budget."""
+
+
+# The range of each analysis input: (test, wording for the error).
+_RULES = {
+    "tol": (lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
+    "rho": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    "delta": (lambda v: v > 0.0, "be positive"),
+    "lambda": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "eps": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    "ratio": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "be an integer >= 1"),
+}
+
+
+def check_input(name: str, value) -> None:
+    """Raise ValueError unless ``value`` lies in the range of input ``name``."""
+    ok, wording = _RULES[name]
+    if not ok(value):
+        raise ValueError(f"{name} must {wording}, got {value}")
+
+
+def check_per_player(game: StochasticGame, name: str, values: Sequence[float]) -> None:
+    """One value of input ``name`` per player, each in its range."""
+    if len(values) != game.num_players:
+        raise ValueError(f"need one {name} per player")
+    for value in values:
+        check_input(name, value)
 
 
 @dataclass(frozen=True)
@@ -174,8 +206,7 @@ def q_star(
     rule (successive gap <= tol * (1 - beta) / (2 * beta), direct pass for
     beta = 0) guarantees a sup-norm error of at most ``tol``.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_input("tol", tol)
     mdp = induced_mdp(game, player, others)
     values = _value_iteration(mdp.cost[None], mdp.kernel[None], mdp.discount, tol)
     return QTable(player, values[0])
@@ -186,8 +217,7 @@ def policy_value(
 ) -> np.ndarray:
     """Player's expected discounted cost per initial state when everyone
     (player included) follows the given joint stationary policy."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_input("tol", tol)
     seen = sorted(pol.player for pol in joint)
     if seen != list(range(game.num_players)):
         raise ValueError("joint policy must contain exactly one policy per player")
@@ -244,8 +274,6 @@ def _solve_stack(
     """Q* of the player against every deterministic opponent joint (in
     ``itertools.product`` order over the opponents' policies), each opponent j
     softened by rhos[j] as ``soften_policy`` does; solved _VI_BLOCK at a time."""
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     counts = game.action_counts
     others = [j for j in range(game.num_players) if j != player]
     policies = [
@@ -266,50 +294,182 @@ def _solve_stack(
     return out
 
 
-def _best_response_table(game: StochasticGame, tol: float) -> list[np.ndarray]:
-    """Per player, Q* against every deterministic opponent joint: each best
-    response solved once, for the equilibria, the best-response graph,
-    ``delta_bar`` and the perturbation gap."""
-    rhos = (0.0,) * game.num_players
-    return [_solve_stack(game, i, tol, rhos) for i in range(game.num_players)]
+@dataclass(frozen=True)
+class BrGraph:
+    """Strict best-response graph over all deterministic joint policies.
+
+    ``edges`` are (source index, target index, deviating player); ``path_len``
+    maps each node to the length of a shortest strict best-response path into
+    the equilibrium set (0 exactly on equilibria, ``math.inf`` if none is
+    reachable).
+    """
+
+    nodes: tuple[JointDeterministicPolicy, ...]
+    edges: tuple[tuple[int, int, int], ...]
+    equilibria: frozenset[int]
+    path_len: tuple[float, ...]
+
+    def to_json_dict(self) -> dict:
+        """Export for external visualization tools."""
+        return {
+            "nodes": [list(map(list, node.choices)) for node in self.nodes],
+            "edges": [
+                {"source": s, "target": t, "deviator": i} for s, t, i in self.edges
+            ],
+            "equilibria": sorted(self.equilibria),
+            "path_len": [None if math.isinf(v) else int(v) for v in self.path_len],
+        }
+
+    def save_json(self, path: str | Path) -> None:
+        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
 
 
-def _best_response_grids(
-    game: StochasticGame, table: Sequence[np.ndarray], tol: float
-) -> list[np.ndarray]:
-    """Per player i, a boolean array over the deterministic joint policies
-    (indexed by policy, shape (P_0, ..., P_{N-1})): True where i's policy is
-    tol-greedy against the others' in every state."""
-    sizes = [count**game.num_states for count in game.action_counts]
-    grids = []
-    for i, q in enumerate(table):
-        mask = _greedy_mask(q, tol)
-        choices = np.array(enumerate_deterministic_policies(game.num_states, q.shape[-1]))
-        greedy = np.ones((len(q), sizes[i]), dtype=bool)
-        for x in range(game.num_states):
-            greedy &= mask[:, x, choices[:, x]]
-        shape = sizes[:i] + sizes[i + 1 :] + [sizes[i]]
-        grids.append(np.moveaxis(greedy.reshape(shape), -1, i))
-    return grids
+class ExactAnalysis:
+    """The exact analysis of one game at one tolerance.
 
+    The constructor checks every input it is given, whatever else is given.
+    ``lambdas``, ``eps`` and ``ratio`` are only checked: p_min, theta and xi
+    are ``acyclicity``'s, which imports this module. Each attribute is built
+    on first use and cached:
+    ``table`` (per player, Q* against every deterministic opponent joint in
+    ``itertools.product`` order, each best response solved once), the greedy
+    ``grids``, ``equilibria``, ``graph``, ``delta_bar``, ``softened`` (the
+    table against opponents softened by ``rhos``), ``gap`` and ``bound``.
+    ``table`` and ``softened`` refuse, before any solve, more solves than
+    ``budget``; ``grids`` (behind ``equilibria`` and ``graph``) hold one
+    boolean per joint policy and first refuse more joint policies than that.
+    """
 
-def _check_budget(game: StochasticGame, budget: int, what: str) -> None:
-    sizes = [count**game.num_states for count in game.action_counts]
-    cost = sum(math.prod(sizes[:i] + sizes[i + 1 :]) for i in range(len(sizes)))
-    if cost > budget:
-        raise EnumerationBudgetError(
-            f"{what} needs {cost} exact solves, above the budget of {budget}"
+    def __init__(
+        self,
+        game: StochasticGame,
+        tol: float,
+        budget: int = DEFAULT_SOLVE_BUDGET,
+        rhos: Sequence[float] | None = None,
+        deltas: Sequence[float] | None = None,
+        lambdas: Sequence[float] | None = None,
+        eps: float | None = None,
+        ratio: int | None = None,
+    ) -> None:
+        check_input("tol", tol)
+        for name, value in (("eps", eps), ("ratio", ratio)):
+            if value is not None:
+                check_input(name, value)
+        for name, values in (("rho", rhos), ("delta", deltas), ("lambda", lambdas)):
+            if values is not None:
+                check_per_player(game, name, values)
+        self.game, self.tol, self.budget = game, tol, budget
+        self.rhos, self.deltas = rhos, deltas
+        self._sizes = [count**game.num_states for count in game.action_counts]
+
+    def _solve_all(self, rhos: Sequence[float]) -> list[np.ndarray]:
+        sizes = self._sizes
+        solves = sum(math.prod(sizes[:i] + sizes[i + 1 :]) for i in range(len(sizes)))
+        if solves > self.budget:
+            raise EnumerationBudgetError(
+                f"the best-response table needs {solves} exact solves, "
+                f"above the budget of {self.budget}"
+            )
+        return [_solve_stack(self.game, i, self.tol, rhos) for i in range(len(sizes))]
+
+    @functools.cached_property
+    def table(self) -> list[np.ndarray]:
+        return self._solve_all((0.0,) * self.game.num_players)
+
+    @functools.cached_property
+    def softened(self) -> list[np.ndarray]:
+        if self.rhos is None:
+            raise ValueError("the softened table needs rhos")
+        return self._solve_all(self.rhos)
+
+    @functools.cached_property
+    def _policies(self) -> list[list[tuple[int, ...]]]:
+        num_states = self.game.num_states
+        return [enumerate_deterministic_policies(num_states, m) for m in self.game.action_counts]
+
+    @functools.cached_property
+    def grids(self) -> list[np.ndarray]:
+        """Per player i, a boolean array over the deterministic joint policies
+        (indexed by policy, shape (P_0, ..., P_{N-1})): True where i's policy
+        is tol-greedy against the others' in every state."""
+        sizes = self._sizes
+        if math.prod(sizes) > self.budget:
+            raise EnumerationBudgetError(
+                f"joint policy space has {math.prod(sizes)} nodes, "
+                f"above the budget of {self.budget}"
+            )
+        grids = []
+        for i, q in enumerate(self.table):
+            mask = _greedy_mask(q, self.tol)
+            choices = np.array(self._policies[i])
+            greedy = np.ones((len(q), sizes[i]), dtype=bool)
+            for x in range(self.game.num_states):
+                greedy &= mask[:, x, choices[:, x]]
+            shape = sizes[:i] + sizes[i + 1 :] + [sizes[i]]
+            grids.append(np.moveaxis(greedy.reshape(shape), -1, i))
+        return grids
+
+    @functools.cached_property
+    def equilibria(self) -> frozenset[tuple[tuple[int, ...], ...]]:
+        found = np.argwhere(functools.reduce(np.logical_and, self.grids)).tolist()
+        return frozenset(tuple(self._policies[i][p] for i, p in enumerate(j)) for j in found)
+
+    @functools.cached_property
+    def graph(self) -> BrGraph:
+        """Node k is the k-th joint policy in ``itertools.product`` order,
+        which is the flat (C) order of the grids."""
+        grids = self.grids
+        shape = grids[0].shape
+        num_nodes = grids[0].size
+        edges = []
+        for i, grid in enumerate(grids):
+            # Every node whose player-i policy is a best response receives an
+            # edge from each node that differs from it in player i's policy only.
+            stride = num_nodes // math.prod(shape[: i + 1])
+            target = np.flatnonzero(grid)[:, None]
+            source = target + (np.arange(shape[i]) - target // stride % shape[i]) * stride
+            rows = np.stack(np.broadcast_arrays(source, target, i), axis=-1)
+            edges.append(rows[source != target])
+        edges = np.concatenate(edges)  # rows: source, target, deviator
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 2], edges[:, 0]))]
+
+        # Shortest path lengths by reverse breadth-first search from the equilibria.
+        at_equilibrium = functools.reduce(np.logical_and, grids).ravel()
+        path_len = np.where(at_equilibrium, 0.0, math.inf)
+        frontier, level = at_equilibrium, 0.0
+        while frontier.any():
+            level += 1.0
+            reached = np.bincount(edges[frontier[edges[:, 1]], 0], minlength=num_nodes) > 0
+            frontier = reached & np.isinf(path_len)
+            path_len[frontier] = level
+
+        policies = [
+            [DeterministicPolicy(i, c) for c in choices] for i, choices in enumerate(self._policies)
+        ]
+        return BrGraph(
+            nodes=tuple(JointDeterministicPolicy(joint) for joint in itertools.product(*policies)),
+            edges=tuple(map(tuple, edges.tolist())),
+            equilibria=frozenset(np.flatnonzero(at_equilibrium).tolist()),
+            path_len=tuple(path_len.tolist()),
         )
 
-
-def _check_node_budget(game: StochasticGame, tol: float, budget: int) -> None:
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    num_nodes = math.prod(count**game.num_states for count in game.action_counts)
-    if num_nodes > budget:
-        raise EnumerationBudgetError(
-            f"joint policy space has {num_nodes} nodes, above the budget of {budget}"
+    @functools.cached_property
+    def delta_bar(self) -> float:
+        gaps = np.concatenate(
+            [np.abs(q[..., :, None] - q[..., None, :]).ravel() for q in self.table]
         )
+        nonzero = gaps[gaps >= 10.0 * self.tol]
+        return float(nonzero.min()) if nonzero.size else math.inf
+
+    @functools.cached_property
+    def gap(self) -> float:
+        return max(float(np.abs(q - s).max()) for q, s in zip(self.table, self.softened))
+
+    @functools.cached_property
+    def bound(self) -> float:
+        if self.deltas is None:
+            raise ValueError("the perturbation bound needs deltas")
+        return min(min(d, self.delta_bar - d) for d in self.deltas) / 4.0
 
 
 def equilibrium_set(
@@ -319,18 +479,7 @@ def equilibrium_set(
     0-equilibria, using slack tol on exact Q-values. The search holds a
     boolean per joint policy, so both the joint policies and the solves
     must fit ``budget``."""
-    _check_node_budget(game, tol, budget)
-    _check_budget(game, budget, "equilibrium enumeration")
-    grids = _best_response_grids(game, _best_response_table(game, tol), tol)
-    policies = [enumerate_deterministic_policies(game.num_states, m) for m in game.action_counts]
-    found = np.argwhere(functools.reduce(np.logical_and, grids)).tolist()
-    return frozenset(tuple(policies[i][p] for i, p in enumerate(joint)) for joint in found)
-
-
-def _delta_bar(table: Sequence[np.ndarray], tol: float) -> float:
-    gaps = np.concatenate([np.abs(q[..., :, None] - q[..., None, :]).ravel() for q in table])
-    nonzero = gaps[gaps >= 10.0 * tol]
-    return float(nonzero.min()) if nonzero.size else math.inf
+    return ExactAnalysis(game, tol, budget).equilibria
 
 
 def delta_bar(
@@ -342,34 +491,7 @@ def delta_bar(
     Gaps below 10 * tol are treated as exact ties (solver noise); returns
     ``math.inf`` when no nonzero gap remains.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    _check_budget(game, budget, "delta_bar")
-    return _delta_bar(_best_response_table(game, tol), tol)
-
-
-def _check_rhos(game: StochasticGame, rhos: Sequence[float]) -> None:
-    if len(rhos) != game.num_players:
-        raise ValueError("need one rho per player")
-    for rho in rhos:
-        if not 0.0 <= rho < 1.0:
-            raise ValueError(f"rho must lie in [0, 1), got {rho}")
-
-
-def _check_deltas(game: StochasticGame, deltas: Sequence[float]) -> None:
-    if len(deltas) != game.num_players:
-        raise ValueError("need one delta per player")
-    for delta in deltas:
-        if not delta > 0.0:
-            raise ValueError(f"delta must be positive, got {delta}")
-
-
-def _perturbation_gap(
-    game: StochasticGame, table: Sequence[np.ndarray], rhos: Sequence[float], tol: float
-) -> float:
-    return max(
-        float(np.abs(q - _solve_stack(game, i, tol, rhos)).max()) for i, q in enumerate(table)
-    )
+    return ExactAnalysis(game, tol, budget).delta_bar
 
 
 def perturbation_gap(
@@ -380,14 +502,7 @@ def perturbation_gap(
 ) -> float:
     """Largest sup-norm shift of any player's optimal Q-function when every
     deterministic opponent joint is softened by its experimentation rate."""
-    _check_rhos(game, rhos)
-    _check_budget(game, budget, "perturbation_gap")
-    return _perturbation_gap(game, _best_response_table(game, tol), rhos, tol)
-
-
-def _perturbation_bound(deltas: Sequence[float], dbar: float) -> float:
-    """The tolerance margin min_i min(delta_i, delta_bar - delta_i) / 4."""
-    return min(min(d, dbar - d) for d in deltas) / 4.0
+    return ExactAnalysis(game, tol, budget, rhos=rhos).gap
 
 
 def perturbation_check(
@@ -402,13 +517,8 @@ def perturbation_check(
 
     Returns (gap, bound, gap < bound).
     """
-    _check_deltas(game, deltas)
-    _check_rhos(game, rhos)
-    _check_budget(game, budget, "perturbation_gap")
-    table = _best_response_table(game, tol)
-    gap = _perturbation_gap(game, table, rhos, tol)
-    bound = _perturbation_bound(deltas, _delta_bar(table, tol))
-    return gap, bound, gap < bound
+    analysis = ExactAnalysis(game, tol, budget, rhos=rhos, deltas=deltas)
+    return analysis.gap, analysis.bound, analysis.gap < analysis.bound
 
 
 def check_reachability(game: StochasticGame) -> bool:

@@ -295,52 +295,36 @@ def analyze_game(
     report: dict = {"violations": validate_game(game)}
     if report["violations"]:
         return report
-
-    report["num_players"] = game.num_players
-    report["states"] = list(game.states)
-    report["reachable"] = exact_solver.check_reachability(game)
-
-    if rhos is not None:
-        exact_solver._check_rhos(game, rhos)
-    if deltas is not None:
-        exact_solver._check_deltas(game, deltas)
-    # The checks of build_br_graph and then delta_bar, before the one table.
-    exact_solver._check_node_budget(game, tol, budget)
-    exact_solver._check_budget(game, budget, "delta_bar")
-    table = exact_solver._best_response_table(game, tol)
-    graph = acyclicity._br_graph(game, table, tol)
+    analysis = exact_solver.ExactAnalysis(game, tol, budget, rhos, deltas, lambdas, eps, ratio)
+    graph, dbar = analysis.graph, analysis.delta_bar
     weakly = acyclicity.is_weakly_acyclic(graph)
-    report["num_joint_policies"] = len(graph.nodes)
-    report["equilibria"] = [
-        [list(c) for c in graph.nodes[k].choices] for k in sorted(graph.equilibria)
-    ]
-    report["num_equilibria"] = len(graph.equilibria)
-    report["weakly_acyclic"] = weakly
-    report["path_bound_L"] = acyclicity.path_bound_L(graph) if weakly else None
-
-    dbar = exact_solver._delta_bar(table, tol)
-    report["delta_bar"] = None if math.isinf(dbar) else dbar
-
+    L = acyclicity.path_bound_L(graph) if weakly else None
+    report.update(
+        num_players=game.num_players,
+        states=list(game.states),
+        reachable=exact_solver.check_reachability(game),
+        num_joint_policies=len(graph.nodes),
+        equilibria=[[list(c) for c in graph.nodes[k].choices] for k in sorted(graph.equilibria)],
+        num_equilibria=len(graph.equilibria),
+        weakly_acyclic=weakly,
+        path_bound_L=L,
+        delta_bar=None if math.isinf(dbar) else dbar,
+    )
     if rhos is not None:
-        gap = exact_solver._perturbation_gap(game, table, rhos, tol)
-        entry: dict = {"rhos": list(rhos), "gap": gap}
+        entry: dict = {"rhos": list(rhos), "gap": analysis.gap}
         if deltas is not None:
-            bound = exact_solver._perturbation_bound(deltas, dbar)
             entry["deltas"] = list(deltas)
-            entry["bound"] = None if math.isinf(bound) else bound
-            entry["within_bound"] = gap < bound
+            entry["bound"] = None if math.isinf(analysis.bound) else analysis.bound
+            entry["within_bound"] = analysis.gap < analysis.bound
         report["perturbation"] = entry
 
     if lambdas is not None and eps is not None and weakly:
-        L = report["path_bound_L"]
         R = ratio if ratio is not None else 1
         p = acyclicity.p_min(game, lambdas, R, L)
         entry = {"lambdas": list(lambdas), "eps": eps, "ratio": R, "p_min": p}
         if deltas is not None and not math.isinf(dbar):
-            theta, xi = acyclicity.theta_and_xi(
+            entry["theta"], entry["xi"] = acyclicity.theta_and_xi(
                 p, eps, R, game.num_players, L, deltas, dbar
             )
-            entry["theta"] = theta
-            entry["xi"] = xi
         report["update_diagnostics"] = entry
     return report

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from decqlearn import exact_solver
 from decqlearn.experiments import build_benchmark_game
 from decqlearn.game_model import StochasticGame
 
@@ -46,3 +47,18 @@ def pennies_game():
         kernel=kernel,
         initial_dist=np.array([1.0]),
     )
+
+
+@pytest.fixture()
+def solve_calls(monkeypatch):
+    """The rhos of every best-response stack ``exact_solver`` solves during
+    the test, in call order."""
+    solve = exact_solver._solve_stack
+    calls = []
+
+    def counted(game, player, tol, rhos):
+        calls.append(tuple(rhos))
+        return solve(game, player, tol, rhos)
+
+    monkeypatch.setattr(exact_solver, "_solve_stack", counted)
+    return calls

@@ -116,6 +116,14 @@ class TestQStar:
         with pytest.raises(ValueError):
             q_star(benchmark_game, 0, [_indicator(1, (0, 0))], 0.0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_tol_must_be_finite(self, benchmark_game, tol):
+        joint = [_indicator(0, (0, 0)), _indicator(1, (0, 0))]
+        with pytest.raises(ValueError, match="tol"):
+            q_star(benchmark_game, 0, joint[1:], tol)
+        with pytest.raises(ValueError, match="tol"):
+            policy_value(benchmark_game, 0, joint, tol)
+
     def test_opponents_must_cover_everybody_else(self, benchmark_game):
         with pytest.raises(ValueError):
             q_star(benchmark_game, 0, [], 1e-8)
@@ -306,6 +314,22 @@ class TestDeltaBar:
         with pytest.raises(EnumerationBudgetError):
             delta_bar(benchmark_game, 1e-9, budget=3)
 
+    def test_needs_the_solve_budget_only(self, solve_calls):
+        # The 2p2a10s game of test_node_budget_guard: its 2048 solves fit a
+        # budget of 4096, and neither delta_bar nor the gap marks its
+        # 1024 x 1024 joint policies.
+        game = StochasticGame(
+            states=tuple(f"s{k}" for k in range(10)),
+            action_sets=(("a0", "a1"), ("a0", "a1")),
+            costs=(np.zeros((10, 4)), np.zeros((10, 4))),
+            discounts=(0.8, 0.8),
+            kernel=np.full((10, 4, 10), 0.1),
+            initial_dist=np.full(10, 0.1),
+        )
+        assert math.isinf(delta_bar(game, 1e-9, budget=4096))
+        assert perturbation_gap(game, (0.1, 0.1), budget=4096) == 0.0
+        assert solve_calls == [(0.0, 0.0)] * 4 + [(0.1, 0.1)] * 2
+
 
 class TestPerturbation:
     def test_zero_rho_zero_gap(self, benchmark_game):
@@ -319,19 +343,12 @@ class TestPerturbation:
         assert bound == pytest.approx(min(0.5, 2.0 - 0.5) / 4.0, abs=1e-9)
         assert ok == (gap < bound)
 
-    def test_check_builds_the_table_once(self, monkeypatch):
+    def test_check_builds_the_table_once(self, solve_calls):
         game = random_game(np.random.default_rng(11), num_players=2, max_states=3)
         rhos, deltas = (0.05, 0.1), (0.3, 0.4)
-        build = exact_solver._best_response_table
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return build(*args)
-
-        monkeypatch.setattr(exact_solver, "_best_response_table", counted)
         gap, bound, ok = perturbation_check(game, rhos, deltas)
-        assert len(calls) == 1
+        # one stack per player for the table, one per player softened
+        assert solve_calls == [(0.0, 0.0)] * 2 + [rhos] * 2
         assert gap == perturbation_gap(game, rhos)
         dbar = delta_bar(game, 1e-10)
         assert bound == min(min(d, dbar - d) for d in deltas) / 4.0

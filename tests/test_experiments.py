@@ -197,6 +197,18 @@ class TestAnalyzeGame:
         assert report["violations"]
         assert "equilibria" not in report
 
+    def test_solves_each_stack_once(self, solve_calls):
+        # N stacks for the table and N softened ones, whatever is derived
+        analyze_game(
+            "benchmark",
+            rhos=(0.05, 0.05),
+            deltas=(0.5, 0.5),
+            lambdas=(0.2, 0.2),
+            eps=0.1,
+            ratio=3,
+        )
+        assert solve_calls == [(0.0, 0.0)] * 2 + [(0.05, 0.05)] * 2
+
     @pytest.mark.parametrize(
         "deltas", [(0.5, 0.6, 0.7), (0.5,), (-1.0, -1.0), (0.5, 0.0)]
     )
@@ -228,6 +240,22 @@ class TestCli:
         code = main(["analyze", "benchmark", "--rho", "0.05", "--delta", *deltas])
         assert code == 2
         assert "delta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (["--lam", "0.2", "--eps", "-5", "--ratio", "3"], "eps"),
+            (["--eps", "7"], "eps"),
+            (["--lam", "5"], "lambda"),
+            (["--ratio", "-3"], "ratio"),
+            (["--tol", "nan"], "tol"),
+            (["--tol", "inf"], "tol"),
+        ],
+    )
+    def test_analyze_checks_each_input_alone(self, capsys, args, name):
+        code = main(["analyze", "benchmark", *args])
+        assert code == 2
+        assert f"{name} must" in capsys.readouterr().err
 
     def test_analyze_missing_file(self, capsys):
         code = main(["analyze", "nowhere/missing.json"])
