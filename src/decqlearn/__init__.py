@@ -66,6 +66,7 @@ from .orchestrator import (
     equilibrium_frequency,
     frozen_q_run,
     run_episode,
+    run_episodes,
 )
 
 __version__ = "0.1.0"

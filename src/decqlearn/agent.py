@@ -11,6 +11,7 @@ the caller, so a run is a pure function of the supplied draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,7 +32,8 @@ class AgentConfig:
     """Hyperparameters for one learner.
 
     ``rho`` (experimentation), ``lam`` (inertia), and ``alpha`` (step size)
-    must lie in (0, 1); ``delta`` (greedy tolerance) must be positive.
+    must lie in (0, 1); ``delta`` (greedy tolerance) must be finite and
+    positive.
     ``initial_policy`` may be None, meaning the episode driver draws one
     uniformly; ``initial_q`` defaults to the all-zero table.
     """
@@ -51,8 +53,8 @@ class AgentConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in the open interval (0, 1), got {value}")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise ValueError(f"delta must be finite and positive, got {self.delta}")
         if self.initial_policy is not None and self.initial_policy.player != self.player:
             raise ValueError("initial_policy belongs to a different player")
         if self.initial_q is not None:
@@ -68,7 +70,10 @@ class Agent:
     stretch of play between phase boundaries (:meth:`learn`), then the
     policy appraisal at the boundary (:meth:`end_phase_update`). The agent
     keeps no clock: the executor plays the softened baseline and calls the
-    appraisal at the player's boundary times from the schedule.
+    appraisal at the player's boundary times from the schedule. An executor
+    playing many trials in lockstep keeps the tables in its own stack and
+    applies the same update there; it writes a table into :attr:`q` before
+    each appraisal and at the end of the run.
 
     The constructor takes raw scalars so degenerate settings (rho = 0,
     alpha = 1) remain reachable for diagnostics; configured runs go through
@@ -158,7 +163,9 @@ class Agent:
         next_states: Sequence[int],
     ) -> None:
         """Constant-step Q-learning updates along a path of transitions, one
-        entry (states[k], actions[k]) per step, in order."""
+        entry (states[k], actions[k]) per step, in order. The per-trial form
+        of the update; ``orchestrator._QStack.play`` is the lockstep form, with
+        the same float operations in the same order."""
         q = self.q
         alpha = self.alpha
         beta = self.discount

@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("game", help=f"game JSON file or '{BENCHMARK_NAME}'")
     each = "one value, or one per player"
     analyze.add_argument("--rho", type=float, nargs="+", help=f"experimentation in [0, 1); {each}")
-    analyze.add_argument("--delta", type=float, nargs="+", help=f"greedy tolerance > 0; {each}")
+    analyze.add_argument("--delta", type=float, nargs="+", help=f"greedy tolerance, finite and > 0; {each}")
     analyze.add_argument("--lam", type=float, nargs="+", help=f"inertia in (0, 1); {each}")
     analyze.add_argument("--eps", type=float, help="theta/xi target in (0, 1)")
     analyze.add_argument("--ratio", type=int, help="phase-length ratio, integer >= 1 (default 1)")

@@ -63,7 +63,7 @@ class EnumerationBudgetError(RuntimeError):
 _RULES = {
     "tol": (lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
     "rho": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
-    "delta": (lambda v: v > 0.0, "be positive"),
+    "delta": (lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
     "lambda": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     "eps": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     "ratio": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "be an integer >= 1"),

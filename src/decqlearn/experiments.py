@@ -26,7 +26,7 @@ from .game_model import StochasticGame, load_game, validate_game
 from .orchestrator import (
     RandomnessStreams,
     draw_schedule,
-    run_episode,
+    run_episodes,
 )
 
 __all__ = [
@@ -181,32 +181,34 @@ class ExperimentResult:
     summary_path: Path | None
 
 
-def _run_trial(
+def _run_trials(
     game: StochasticGame,
     config: ExperimentConfig,
     equilibria: frozenset,
-    trial: int,
-) -> tuple[tuple[bool, ...], float]:
-    streams = RandomnessStreams(config.master_seed, trial=trial)
-    schedule = draw_schedule(
-        streams, game.num_players, config.min_phase, config.ratio, config.horizon
-    )
-    trace = run_episode(
+    trials: range,
+) -> list[tuple[tuple[bool, ...], float]]:
+    """Play the given trials as one batch; per trial, its equilibrium flags
+    at the record times and its largest |Q|."""
+    streams = [RandomnessStreams(config.master_seed, trial=k) for k in trials]
+    schedules = [
+        draw_schedule(s, game.num_players, config.min_phase, config.ratio, config.horizon)
+        for s in streams
+    ]
+    traces = run_episodes(
         game,
         config.agent_configs(game),
-        schedule,
+        schedules,
         streams,
         config.horizon,
         record_times=config.record_times,
         equilibria=equilibria,
         warn_unreachable=False,
     )
-    flags = tuple(r.at_equilibrium for r in trace.records)
-    return flags, max(trace.max_abs_q)
+    return [(tuple(r.at_equilibrium for r in tr.records), max(tr.max_abs_q)) for tr in traces]
 
 
-def _trial_worker(payload: tuple) -> tuple[tuple[bool, ...], float]:
-    return _run_trial(*payload)
+def _trials_worker(payload: tuple) -> list[tuple[tuple[bool, ...], float]]:
+    return _run_trials(*payload)
 
 
 def run_experiment(
@@ -231,15 +233,16 @@ def run_experiment(
         )
     equilibria = exact_solver.equilibrium_set(game, tol=1e-9)
 
-    payloads = [(game, config, equilibria, k) for k in range(config.trials)]
-    if config.workers > 1:
-        # about four chunks per worker: few enough to keep the per-chunk
-        # overhead small, enough that no worker idles while another has two
-        chunksize = math.ceil(config.trials / (4 * config.workers))
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(_trial_worker, payloads, chunksize=chunksize))
+    # one contiguous slice of trials per worker, played as one batch
+    workers = min(config.workers, config.trials)
+    cuts = [config.trials * w // workers for w in range(workers + 1)]
+    payloads = [(game, config, equilibria, range(a, b)) for a, b in zip(cuts, cuts[1:])]
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            batches = list(pool.map(_trials_worker, payloads))
     else:
-        outcomes = [_trial_worker(p) for p in payloads]
+        batches = [_trials_worker(p) for p in payloads]
+    outcomes = [outcome for batch in batches for outcome in batch]
 
     flags_by_trial = tuple(flags for flags, _ in outcomes)
     max_abs = tuple(m for _, m in outcomes)

@@ -299,7 +299,8 @@ def _inverse_cdf(cumulative: np.ndarray, w: np.ndarray, fallback: np.ndarray) ->
     ``cumulative`` whose mass strictly exceeds it (the count of masses <= w,
     as ``bisect_right`` would return); ``fallback`` (the last index of
     positive mass) catches w at the very top of the CDF."""
-    below = np.count_nonzero(cumulative <= w[..., None], axis=-1)
+    # one comparison per index: a count along a short last axis is slow
+    below = sum(cumulative[..., j] <= w for j in range(cumulative.shape[-1]))
     return np.where(below == cumulative.shape[-1], fallback, below)[()]
 
 
@@ -324,10 +325,11 @@ def sample_transition(
         raise ValueError(f"joint action index {joint_action} out of range")
     if not np.all((0.0 <= w) & (w <= 1.0)):
         raise ValueError(f"w must lie in [0, 1], got {w}")
+    row = state * game.num_joint_actions + joint_action
     return _inverse_cdf(
-        game.cumulative_kernel[state, joint_action],
+        game.cumulative_kernel.reshape(-1, game.num_states).take(row, axis=0),
         w,
-        game.last_positive_state[state, joint_action],
+        game.last_positive_state.take(row),
     )
 
 

@@ -38,6 +38,7 @@ __all__ = [
     "TraceRecord",
     "SimulationTrace",
     "run_episode",
+    "run_episodes",
     "frozen_q_run",
     "equilibrium_frequency",
 ]
@@ -55,7 +56,8 @@ _FAMILY_INIT_POLICY = 7
 class RandomnessStreams:
     """Keyed access to every primitive random variable of an episode.
 
-    Per-step families are drawn as whole arrays indexed by t; event families
+    Per-step families are open generators, drawn block by block, or whole
+    arrays indexed by t (the same draws); event families
     (inertia, policy draws, phase lengths) are drawn lazily from their own
     keyed sub-streams, so a draw never depends on which other draws were
     consumed first.
@@ -73,17 +75,28 @@ class RandomnessStreams:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.trial, *key))
         return np.random.Generator(np.random.PCG64(seq))
 
+    def transition_generator(self) -> np.random.Generator:
+        """The stream of W_t: successive ``random(n)`` calls continue it, so
+        blocks of draws equal one horizon-sized draw."""
+        return self._generator(_FAMILY_TRANSITION)
+
+    def experimentation_generator(self, player: int) -> np.random.Generator:
+        """The player's experimentation uniforms, drawn by ``random(n)``."""
+        return self._generator(_FAMILY_EXPERIMENT, player)
+
+    def action_generator(self, player: int) -> np.random.Generator:
+        """The player's uniform actions, drawn by ``integers(0, m, size=n)``."""
+        return self._generator(_FAMILY_ACTION, player)
+
     def transition_uniforms(self, horizon: int) -> np.ndarray:
         """W_0, ..., W_{horizon-1}."""
-        return self._generator(_FAMILY_TRANSITION).random(horizon)
+        return self.transition_generator().random(horizon)
 
     def experimentation_uniforms(self, player: int, horizon: int) -> np.ndarray:
-        return self._generator(_FAMILY_EXPERIMENT, player).random(horizon)
+        return self.experimentation_generator(player).random(horizon)
 
     def action_draws(self, player: int, horizon: int, num_actions: int) -> np.ndarray:
-        return self._generator(_FAMILY_ACTION, player).integers(
-            0, num_actions, size=horizon
-        )
+        return self.action_generator(player).integers(0, num_actions, size=horizon)
 
     def inertia_uniform(self, player: int, t: int) -> float:
         return float(self._generator(_FAMILY_INERTIA, player, t).random())
@@ -425,88 +438,238 @@ def _build_agents(
     return agents
 
 
-# Longest stretch of play built at once; bounds the per-segment tables.
+# Most trial-stages played as one segment: a batch of B trials plays at most
+# _BLOCK // B stages at once, which bounds the per-segment tables.
 _BLOCK = 1 << 13
+
+# Trial-stages of per-step draws taken at once from the open generators: few
+# generator calls per stage, and 8 + 2 bytes per player and trial-stage held,
+# whatever the horizon; a segment ends at the end of a block of draws too.
+_DRAWS = 1 << 17
+
+# Smallest batch whose trials play in lockstep; below it one update per stage
+# for all rows costs more than each trial's Python recursion (measured
+# break-even on the benchmark game).
+_LOCKSTEP_MIN = 8
+
+
+def _draw_block(
+    game: StochasticGame, agents: list[list[Agent]], generators: list, length: int
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The next ``length`` stages of every trial's per-step draws: the
+    transition uniforms and, per player, the experimentation flags and the
+    uniform actions (in the smallest integer type that holds them), each of
+    shape (trial, stage)."""
+    batch = len(agents)
+    w = np.empty((batch, length))
+    for row, (w_gen, _) in zip(w, generators):
+        w_gen.random(out=row)
+    uniform = np.empty(length)
+    draws = []
+    for i, num_actions in enumerate(game.action_counts):
+        flags = np.empty((batch, length), dtype=bool)
+        actions = np.empty((batch, length), dtype=np.min_scalar_type(num_actions - 1))
+        for k, (_, gens) in enumerate(generators):
+            np.less_equal(gens[i][0].random(out=uniform), agents[k][i].rho, out=flags[k])
+            actions[k] = gens[i][1].integers(0, num_actions, size=length)
+        draws.append((flags, actions))
+    return w, draws
+
+
+class _QStack:
+    """The Q tables of a batch in one array, entry (action, player, state,
+    trial), padded to the largest action count with +inf, which no min picks
+    up. :meth:`play` is the lockstep form of :meth:`Agent.learn`."""
+
+    def __init__(self, game: StochasticGame, agents: list[list[Agent]]) -> None:
+        self.widths = game.action_counts
+        self.q = np.full(
+            (max(self.widths), game.num_players, game.num_states, len(agents)), np.inf
+        )
+        for k, trial in enumerate(agents):
+            for i, ag in enumerate(trial):
+                self.table(i, k)[:] = ag.q
+        # one entry per (player, trial), player-major like the stack
+        rows = [trial[i] for i in range(game.num_players) for trial in agents]
+        self.keep = np.array([1.0 - ag.alpha for ag in rows])
+        self.alpha = np.array([ag.alpha for ag in rows])
+        self.beta = np.array([ag.discount for ag in rows])
+        self.max_abs_q = np.array([ag.max_abs_q for ag in rows])
+
+    def table(self, player: int, trial: int) -> np.ndarray:
+        """A view of one Q table, (state, action)."""
+        return self.q[: self.widths[player], player, :, trial].T
+
+    def play(
+        self,
+        game: StochasticGame,
+        tables: list[np.ndarray],
+        joint: np.ndarray,
+        successor: np.ndarray,
+        x: np.ndarray,
+    ) -> np.ndarray:
+        """Walk every trial's state path from states ``x`` with one gather per
+        stage, then give every (player, trial) its update of the stage with one
+        indexed update of the stack, in the float order of :meth:`Agent.learn`;
+        returns the states after the segment."""
+        num_states, batch, length = successor.shape
+        span = num_states * batch
+        trials = np.arange(batch)
+        # path[t, k] = (trial k's state at t) * B + k: the row of trial k's
+        # table within one player's block of the stack
+        step = (successor * batch + trials[:, None]).transpose(2, 0, 1).reshape(length, span)
+        path = np.empty((length + 1, batch), dtype=np.intp)
+        path[0] = x * batch + trials
+        for row, now, after in zip(step, path, path[1:]):
+            row.take(now, out=after, mode="clip")
+        now, after = path[:-1], path[1:]
+        # entry (state, k, t) of a (state, trial, stage) table is flat entry
+        # path[t, k] * L + t
+        cells = now * length + np.arange(length)[:, None]
+        joint_path = joint.take(cells)
+        states = now // batch
+        entries = np.concatenate(
+            [table.take(cells) * self.q[0].size + i * span + now for i, table in enumerate(tables)],
+            axis=1,
+        )
+        next_rows = np.concatenate([i * span + after for i in range(len(tables))], axis=1)
+        costs = np.concatenate([cost[states, joint_path] for cost in game.costs], axis=1)
+
+        flat = self.q.reshape(-1)
+        first, *rest = self.q.reshape(len(self.q), -1)
+        keep, alpha, beta = self.keep, self.alpha, self.beta
+        written = np.empty(costs.shape)
+        for value, entry, next_row, cost in zip(written, entries, next_rows, costs):
+            # (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
+            target = first[next_row]
+            for column in rest:
+                np.minimum(target, column[next_row], out=target)
+            target *= beta
+            target += cost
+            target *= alpha
+            np.multiply(flat[entry], keep, out=value)
+            value += target
+            flat[entry] = value
+        np.maximum(self.max_abs_q, np.abs(written).max(axis=0), out=self.max_abs_q)
+        return after[-1] // batch
+
+    def unload(self, agents: list[list[Agent]]) -> None:
+        """Hand every agent its final table and largest |Q|."""
+        batch = len(agents)
+        for k, trial in enumerate(agents):
+            for i, ag in enumerate(trial):
+                ag.q = self.table(i, k).tolist()
+                ag.max_abs_q = float(self.max_abs_q[i * batch + k])
 
 
 def _play_segment(
     game: StochasticGame,
-    agents: list[Agent],
-    draws: Sequence[tuple[np.ndarray, np.ndarray]],
-    w_draws: np.ndarray,
-    x: int,
-) -> int:
-    """Play one stretch of stages under frozen baselines, starting in state
-    ``x``; returns the state after its last stage.
+    agents: list[list[Agent]],
+    baselines: list[np.ndarray],
+    w: np.ndarray,
+    draws: list[tuple[np.ndarray, np.ndarray]],
+    x: np.ndarray,
+    stack: _QStack | None,
+) -> np.ndarray:
+    """Play one stretch of stages of a batch under frozen baselines, trial k
+    starting in state ``x[k]``; returns the states after its last stage.
 
-    ``draws`` holds each player's experimentation flags and uniform actions
-    for the stretch, ``w_draws`` its transition uniforms. With the baselines
-    fixed, the action of every player and the next state are tables over
-    (stage, state), built with array operations; only the state path and the
-    Q-factor recursion run stage by stage.
+    ``baselines`` holds each player's baseline per trial, (trial, state);
+    ``w`` the transition uniforms and ``draws`` each player's
+    experimentation flags and uniform actions, (trial, stage). With the
+    baselines fixed, the action of every player and the next state are
+    tables over (state, trial, stage), built with array operations (the
+    state axis first keeps the inner loops long). The state paths and the
+    Q-factor recursions then run stage by stage: in lockstep on ``stack``,
+    or, without one, for a single trial in a Python loop and
+    :meth:`Agent.learn`.
     """
-    length = len(w_draws)
     num_states = game.num_states
-    tables = [
-        np.where(explore[:, None], uniform[:, None], np.asarray(ag.baseline))
-        for ag, (explore, uniform) in zip(agents, draws)
-    ]
+    batch, length = w.shape
+    tables = []
+    for base, (explore, uniform) in zip(baselines, draws):
+        table = np.empty((num_states, batch, length), dtype=np.int64)
+        table[...] = base.T[:, :, None]
+        np.copyto(table, uniform, where=explore)
+        tables.append(table)
     joint = sum(table * stride for table, stride in zip(tables, game.joint_strides))
-    next_table = sample_transition(game, np.arange(num_states), joint, w_draws[:, None])
-    successor = next_table.ravel().tolist()
+    successor = sample_transition(game, np.arange(num_states)[:, None, None], joint, w)
+    if stack is not None:
+        return stack.play(game, tables, joint, successor, x)
 
+    step = successor[:, 0].T.ravel().tolist()
+    state = int(x[0])
     path = []
     for offset in range(0, length * num_states, num_states):
-        path.append(x)
-        x = successor[offset + x]
-
+        path.append(state)
+        state = step[offset + state]
     stages = np.arange(length)
     visited = np.array(path)
-    joint_path = joint[stages, visited]
-    next_states = path[1:] + [x]
-    for ag, table, costs in zip(agents, tables, game.costs):
+    joint_path = joint[visited, 0, stages]
+    next_states = path[1:] + [state]
+    for ag, table, costs in zip(agents[0], tables, game.costs):
         ag.learn(
             path,
-            table[stages, visited].tolist(),
+            table[visited, 0, stages].tolist(),
             costs[visited, joint_path].tolist(),
             next_states,
         )
-    return x
+    return np.array([state])
 
 
 def _simulate(
     game: StochasticGame,
-    agents: list[Agent],
-    streams: RandomnessStreams,
+    agents: list[list[Agent]],
+    streams: Sequence[RandomnessStreams],
     horizon: int,
     record_times: Sequence[int],
     equilibria: frozenset | None,
-    boundaries: Sequence[Sequence[int]],
+    boundaries: Sequence[Sequence[Sequence[int]]],
     record_q: bool,
-) -> tuple[list[PolicyChange], list[TraceRecord], tuple[tuple[int, ...], ...], bool]:
-    """Play ``horizon`` stages as segments between update and record times.
+) -> list[tuple[list[PolicyChange], list[TraceRecord], tuple[tuple[int, ...], ...], bool]]:
+    """Play ``horizon`` stages of a batch of trials in segments between
+    update and record times; per trial, returns its policy changes, records,
+    initial joint baseline and whether that is an equilibrium.
 
-    ``boundaries`` holds each player's phase start times (a schedule's
-    ``boundaries``, or nothing for a run without policy updates); player i
-    appraises its baseline at each of its times after 0, and players sharing
-    a time go in player order. A player experiments at stage t when its
-    experimentation uniform is <= its rho. Every baseline is frozen between
-    two update times, so each segment (capped at ``_BLOCK`` stages) is played
-    by :func:`_play_segment`; the appraisals and snapshots run at the segment
-    starts. ``tests/oracles.simulate_stepwise`` is the stage-by-stage
-    reference these outputs must equal bit for bit.
+    Trial k has the agents ``agents[k]``, the streams ``streams[k]`` and the
+    phase start times ``boundaries[k]`` (a schedule's ``boundaries``, or
+    nothing for a run without policy updates); the trials share the game,
+    the horizon and the record times. Player i of trial k appraises its
+    baseline at each of its times after 0, players of a trial sharing a time
+    in player order, through :meth:`Agent.end_phase_update`. A player
+    experiments at stage t when its experimentation uniform is <= its rho.
+    Every baseline is frozen between two update times, so the stages up to
+    the next update time of any trial, the next record time or the end of
+    the current block of draws (``_DRAWS`` trial-stages), at most
+    ``_BLOCK`` trial-stages, form one segment, played by
+    :func:`_play_segment`; appraisals and snapshots run at segment starts.
+    A batch of ``_LOCKSTEP_MIN`` trials or more plays in lockstep on a
+    :class:`_QStack`, which the appraisals, the snapshots and the final
+    tables read; in a smaller batch each trial plays alone. A trial's draws
+    depend only on its streams, so its outputs do not depend on the batch,
+    and they equal bit for bit those of the stage-by-stage reference
+    ``tests/oracles.simulate_stepwise``.
     """
-    w_draws = streams.transition_uniforms(horizon)
-    draws = [
-        (
-            streams.experimentation_uniforms(i, horizon) <= ag.rho,
-            streams.action_draws(i, horizon, game.action_counts[i]),
-        )
-        for i, ag in enumerate(agents)
-    ]
+    batch = len(agents)
+    if 1 < batch < _LOCKSTEP_MIN:
+        return [
+            out
+            for k in range(batch)
+            for out in _simulate(
+                game, agents[k : k + 1], streams[k : k + 1], horizon, record_times,
+                equilibria, boundaries[k : k + 1], record_q,
+            )
+        ]
+    stack = _QStack(game, agents) if batch >= _LOCKSTEP_MIN else None
 
-    updates = sorted((t, i) for i, row in enumerate(boundaries) for t in row[1:] if t < horizon)
-    updates.append((horizon, -1))
+    updates = sorted(
+        (t, k, i)
+        for k, rows in enumerate(boundaries)
+        for i, row in enumerate(rows)
+        for t in row[1:]
+        if t < horizon
+    )
+    updates.append((horizon, -1, -1))
     next_update = 0
     sorted_records = sorted(set(int(t) for t in record_times))
     if sorted_records and not 0 <= sorted_records[0] <= sorted_records[-1] < horizon:
@@ -514,45 +677,134 @@ def _simulate(
     sorted_records.append(horizon)
     next_record = 0
 
-    current_joint = tuple(tuple(ag.baseline) for ag in agents)
-    current_eq = current_joint in equilibria if equilibria is not None else False
-    initial_joint, initial_eq = current_joint, current_eq
+    def labelled(k: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
+        joint = tuple(tuple(ag.baseline) for ag in agents[k])
+        return joint, joint in equilibria if equilibria is not None else False
 
-    events: list[PolicyChange] = []
-    records: list[TraceRecord] = []
+    current = [labelled(k) for k in range(batch)]
+    initial = list(current)
+    events: list[list[PolicyChange]] = [[] for _ in range(batch)]
+    records: list[list[TraceRecord]] = [[] for _ in range(batch)]
+    baselines = [np.array([trial[i].baseline for trial in agents]) for i in range(game.num_players)]
+    generators = [
+        (
+            s.transition_generator(),
+            [(s.experimentation_generator(i), s.action_generator(i)) for i in range(game.num_players)],
+        )
+        for s in streams
+    ]
+    x = np.array([sample_initial_state(game, s.initial_state_uniform()) for s in streams])
+    segment_length = max(1, _BLOCK // batch)
+    block_length = max(1, _DRAWS // batch)
 
-    x = sample_initial_state(game, streams.initial_state_uniform())
-
-    t = 0
+    t = block_start = block_stop = 0
     while t < horizon:
         while updates[next_update][0] == t:
-            i = updates[next_update][1]
+            _, k, i = updates[next_update]
             next_update += 1
-            lam_draw = streams.inertia_uniform(i, t)
-            if agents[i].end_phase_update(lam_draw, partial(streams.policy_draw, i, t)):
-                current_joint = tuple(tuple(a.baseline) for a in agents)
-                current_eq = (
-                    current_joint in equilibria if equilibria is not None else False
-                )
-                events.append(PolicyChange(t, i, current_joint, current_eq))
+            agent = agents[k][i]
+            if stack is not None:
+                agent.q = stack.table(i, k).tolist()
+            lam_draw = streams[k].inertia_uniform(i, t)
+            if agent.end_phase_update(lam_draw, partial(streams[k].policy_draw, i, t)):
+                baselines[i][k] = agent.baseline
+                current[k] = labelled(k)
+                events[k].append(PolicyChange(t, i, *current[k]))
         if sorted_records[next_record] == t:
-            snapshots = (
-                tuple(np.array(ag.q) for ag in agents) if record_q else None
-            )
-            records.append(TraceRecord(t, current_joint, current_eq, snapshots))
+            for k, trial in enumerate(agents):
+                snapshots = None
+                if record_q:
+                    snapshots = tuple(
+                        np.array(ag.q) if stack is None else stack.table(i, k).copy()
+                        for i, ag in enumerate(trial)
+                    )
+                records[k].append(TraceRecord(t, *current[k], snapshots))
             next_record += 1
+        if t == block_stop:
+            block_start, block_stop = t, min(t + block_length, horizon)
+            w, draws = _draw_block(game, agents, generators, block_stop - t)
 
-        stop = min(t + _BLOCK, updates[next_update][0], sorted_records[next_record])
+        stop = min(
+            t + segment_length, block_stop, updates[next_update][0], sorted_records[next_record]
+        )
+        a, b = t - block_start, stop - block_start
         x = _play_segment(
             game,
             agents,
-            [(explore[t:stop], uniform[t:stop]) for explore, uniform in draws],
-            w_draws[t:stop],
+            baselines,
+            w[:, a:b],
+            [(explore[:, a:b], uniform[:, a:b]) for explore, uniform in draws],
             x,
+            stack,
         )
         t = stop
 
-    return events, records, initial_joint, initial_eq
+    if stack is not None:
+        stack.unload(agents)
+    return [(events[k], records[k], *initial[k]) for k in range(batch)]
+
+
+def run_episodes(
+    game: StochasticGame,
+    configs: Sequence[AgentConfig],
+    schedules: Sequence[Schedule],
+    streams: Sequence[RandomnessStreams],
+    horizon: int,
+    record_times: Sequence[int] = (),
+    *,
+    equilibria: frozenset | None = None,
+    record_q: bool = False,
+    warn_unreachable: bool = True,
+) -> list[SimulationTrace]:
+    """:func:`run_episode` for several trials at once, trial k with
+    ``schedules[k]`` and ``streams[k]``, played as one batch; each trace is
+    the one :func:`run_episode` gives for that trial alone."""
+    if horizon <= 0:
+        raise ValueError(f"horizon must be positive, got {horizon}")
+    _check_configs(game, configs)
+    if not streams or len(schedules) != len(streams):
+        raise ValueError("need one schedule per trial and at least one trial")
+    for schedule in schedules:
+        if schedule.num_players != game.num_players:
+            raise ValueError("schedule and game disagree on the number of players")
+        if not schedule.covers(horizon):
+            raise ValueError("schedule does not cover the horizon")
+    if warn_unreachable and not check_reachability(game):
+        warnings.warn(
+            "state graph is not strongly connected; learning may not visit "
+            "every state",
+            stacklevel=2,
+        )
+    if equilibria is None:
+        equilibria = equilibrium_set(game, tol=1e-9)
+
+    agents = [_build_agents(game, configs, s, None) for s in streams]
+    results = _simulate(
+        game,
+        agents,
+        streams,
+        horizon,
+        record_times,
+        equilibria,
+        boundaries=[schedule.boundaries for schedule in schedules],
+        record_q=record_q,
+    )
+    return [
+        SimulationTrace(
+            master_seed=s.master_seed,
+            trial=s.trial,
+            horizon=horizon,
+            schedule=schedule,
+            initial_joint=initial_joint,
+            initial_at_equilibrium=initial_eq,
+            events=tuple(events),
+            records=tuple(records),
+            max_abs_q=tuple(ag.max_abs_q for ag in trial),
+        )
+        for s, schedule, trial, (events, records, initial_joint, initial_eq) in zip(
+            streams, schedules, agents, results
+        )
+    ]
 
 
 def run_episode(
@@ -575,58 +827,34 @@ def run_episode(
     :func:`decqlearn.exact_solver.equilibrium_set`) may be precomputed and
     shared across episodes; when None it is computed here.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    _check_configs(game, configs)
-    if schedule.num_players != game.num_players:
-        raise ValueError("schedule and game disagree on the number of players")
-    if not schedule.covers(horizon):
-        raise ValueError("schedule does not cover the horizon")
-    if warn_unreachable and not check_reachability(game):
-        warnings.warn(
-            "state graph is not strongly connected; learning may not visit "
-            "every state",
-            stacklevel=2,
-        )
-    if equilibria is None:
-        equilibria = equilibrium_set(game, tol=1e-9)
-
-    agents = _build_agents(game, configs, streams, None)
-    events, records, initial_joint, initial_eq = _simulate(
+    (trace,) = run_episodes(
         game,
-        agents,
-        streams,
+        configs,
+        [schedule],
+        [streams],
         horizon,
         record_times,
-        equilibria,
-        boundaries=schedule.boundaries,
+        equilibria=equilibria,
         record_q=record_q,
+        warn_unreachable=warn_unreachable,
     )
-    return SimulationTrace(
-        master_seed=streams.master_seed,
-        trial=streams.trial,
-        horizon=horizon,
-        schedule=schedule,
-        initial_joint=initial_joint,
-        initial_at_equilibrium=initial_eq,
-        events=tuple(events),
-        records=tuple(records),
-        max_abs_q=tuple(ag.max_abs_q for ag in agents),
-    )
+    return trace
 
 
 def frozen_q_run(
     game: StochasticGame,
     configs: Sequence[AgentConfig],
     frozen_joint: Sequence[Sequence[int]],
-    streams: RandomnessStreams,
+    streams: RandomnessStreams | Sequence[RandomnessStreams],
     steps: int,
-) -> list[QTable]:
+) -> list[QTable] | list[list[QTable]]:
     """Run the stage-game loop with policy updates disabled.
 
     The baselines are pinned to ``frozen_joint`` for the whole run, realizing
     the hypothetical Q-factor trajectory driven by the episode's own
-    primitive streams; returns each player's final Q-table.
+    primitive streams; returns each player's final Q-table. Given a sequence
+    of streams, plays one trial per entry as one batch and returns one such
+    list per trial.
     """
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -634,18 +862,23 @@ def frozen_q_run(
     choices = [tuple(int(a) for a in row) for row in frozen_joint]
     if len(choices) != game.num_players:
         raise ValueError("frozen_joint needs one policy per player")
-    agents = _build_agents(game, configs, streams, choices)
+    single = isinstance(streams, RandomnessStreams)
+    batch = [streams] if single else list(streams)
+    if not batch:
+        raise ValueError("need at least one trial")
+    agents = [_build_agents(game, configs, s, choices) for s in batch]
     _simulate(
         game,
         agents,
-        streams,
+        batch,
         steps,
         record_times=(),
         equilibria=None,
-        boundaries=(),
+        boundaries=[()] * len(batch),
         record_q=False,
     )
-    return [QTable(ag.player, np.array(ag.q)) for ag in agents]
+    tables = [[QTable(ag.player, np.array(ag.q)) for ag in trial] for trial in agents]
+    return tables[0] if single else tables
 
 
 def equilibrium_frequency(

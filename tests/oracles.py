@@ -172,11 +172,24 @@ def simulate_stepwise(
     game, agents, streams, horizon, record_times, equilibria, boundaries, record_q
 ):
     """Stage-by-stage episode loop with the signature and results of
-    ``orchestrator._simulate``, written with its own copies of the stage
-    rules: at every stage each player whose boundary (``boundaries[i][1:]``)
-    falls on it appraises its baseline, each player experiments iff its
-    draw is <= rho, the next state comes from a bisect over the cumulative
-    kernel row, and each player's Q entry gets the constant-step update."""
+    ``orchestrator._simulate``: each trial of the batch plays alone, from
+    one horizon-sized draw of each per-step family."""
+    return [
+        _simulate_one_stepwise(
+            game, trial, trial_streams, horizon, record_times, equilibria, rows, record_q
+        )
+        for trial, trial_streams, rows in zip(agents, streams, boundaries)
+    ]
+
+
+def _simulate_one_stepwise(
+    game, agents, streams, horizon, record_times, equilibria, boundaries, record_q
+):
+    """One trial, written with its own copies of the stage rules: at every
+    stage each player whose boundary (``boundaries[i][1:]``) falls on it
+    appraises its baseline, each player experiments iff its draw is <= rho,
+    the next state comes from a bisect over the cumulative kernel row, and
+    each player's Q entry gets the constant-step update."""
     n = game.num_players
     strides = game.joint_strides
     cumulative = np.cumsum(game.kernel, axis=2).tolist()

@@ -192,13 +192,12 @@ def _frozen_run_hits(alpha: float, seeds: int, steps: int, master_seed: int) -> 
         j = 1 - i
         soft = dq.soften_policy(dq.DeterministicPolicy(j, frozen[j]), 0.05, 2)
         targets.append(dq.q_star(game, i, [soft], 1e-10).values)
-    errors = []
-    for trial in range(seeds):
-        streams = dq.RandomnessStreams(master_seed, trial=trial)
-        tables = dq.frozen_q_run(game, configs, frozen, streams, steps)
-        errors.append(
-            max(float(np.abs(tables[i].values - targets[i]).max()) for i in range(2))
-        )
+    # the seeds play as one batch, each on its own streams (master_seed, trial)
+    streams = [dq.RandomnessStreams(master_seed, trial=trial) for trial in range(seeds)]
+    errors = [
+        max(float(np.abs(tables[i].values - targets[i]).max()) for i in range(2))
+        for tables in dq.frozen_q_run(game, configs, frozen, streams, steps)
+    ]
     hits = sum(1 for e in errors if e < 0.5)
     return hits, errors
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,11 @@ class TestAgentConfig:
             AgentConfig(player=0, rho=0.05, lam=0.2, delta=0.0, alpha=0.1)
         with pytest.raises(ValueError):
             AgentConfig(player=0, rho=0.05, lam=0.2, delta=0.5, alpha=1.0)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -math.inf])
+    def test_delta_must_be_finite(self, delta):
+        with pytest.raises(ValueError, match="delta must be finite and positive"):
+            AgentConfig(player=0, rho=0.05, lam=0.2, delta=delta, alpha=0.1)
 
     def test_initial_policy_player_must_match(self):
         with pytest.raises(ValueError):
@@ -71,6 +78,20 @@ class TestAgentConfig:
         assert agent.max_abs_q == 3.0
 
 
+class _Constant:
+    """Stand-in generator whose every draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, out):
+        out[...] = self.value
+        return out
+
+    def integers(self, low, high, size):
+        return np.full(size, self.value, dtype=np.int64)
+
+
 class _Draws:
     """Stand-in streams for a one-stage episode: start in state 0,
     experimentation uniform ``explore``, uniform action 0."""
@@ -78,14 +99,14 @@ class _Draws:
     def __init__(self, explore):
         self.explore = explore
 
-    def transition_uniforms(self, horizon):
-        return np.full(horizon, 0.5)
+    def transition_generator(self):
+        return _Constant(0.5)
 
-    def experimentation_uniforms(self, player, horizon):
-        return np.full(horizon, self.explore)
+    def experimentation_generator(self, player):
+        return _Constant(self.explore)
 
-    def action_draws(self, player, horizon, num_actions):
-        return np.zeros(horizon, dtype=np.int64)
+    def action_generator(self, player):
+        return _Constant(0)
 
     def initial_state_uniform(self):
         return 0.0
@@ -105,12 +126,12 @@ def _played_action(rho, explore, baseline=(1, 0)):
     agent = _agent(rho=rho, baseline=baseline)
     _simulate(
         game,
-        [agent],
-        _Draws(explore),
+        [[agent]],
+        [_Draws(explore)],
         horizon=1,
         record_times=(),
         equilibria=None,
-        boundaries=(),
+        boundaries=[()],
         record_q=False,
     )
     (played,) = [u for u in range(2) if agent.q[0][u] != 0.0]

@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from decqlearn import orchestrator
 from decqlearn.cli import main
 from decqlearn.exact_solver import equilibrium_set
 from decqlearn.experiments import (
@@ -88,17 +90,23 @@ class TestRunExperiment:
         ).read_bytes()
 
     def test_worker_count_does_not_change_outputs(self, tmp_path):
-        base = dict(trials=4, horizon=3000, record_times=(0, 1500), min_phase=500)
-        serial = ExperimentConfig(workers=1, **base)
-        parallel = ExperimentConfig(workers=2, **base)
-        run_experiment(serial, out_dir=tmp_path / "serial")
-        run_experiment(parallel, out_dir=tmp_path / "parallel")
-        assert (tmp_path / "serial/frequencies.csv").read_bytes() == (
-            tmp_path / "parallel/frequencies.csv"
-        ).read_bytes()
-        serial_summary = json.loads((tmp_path / "serial/summary.json").read_text())
-        parallel_summary = json.loads((tmp_path / "parallel/summary.json").read_text())
-        assert serial_summary["frequencies"] == parallel_summary["frequencies"]
+        # each worker plays a contiguous slice as one batch: with B0 the
+        # smallest lockstep batch, 3 * B0 - 2 trials are one lockstep batch on
+        # one worker, two on two, and B0 - 1, B0 - 1 and B0 trials on three,
+        # so the two smaller slices play trial by trial
+        lockstep_min = orchestrator._LOCKSTEP_MIN
+        base = dict(
+            trials=3 * lockstep_min - 2, horizon=3000, record_times=(0, 1500, 2999), min_phase=300
+        )
+        outputs = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"workers{workers}"
+            run_experiment(ExperimentConfig(workers=workers, **base), out_dir=out)
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["config"].pop("workers") == workers
+            outputs.append(((out / "frequencies.csv").read_bytes(), summary))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert {"frequencies", "max_abs_q", "num_equilibria"} <= set(outputs[0][1])
 
     def test_unreachable_game_warns(self, tmp_path):
         import numpy as np
@@ -210,7 +218,7 @@ class TestAnalyzeGame:
         assert solve_calls == [(0.0, 0.0)] * 2 + [(0.05, 0.05)] * 2
 
     @pytest.mark.parametrize(
-        "deltas", [(0.5, 0.6, 0.7), (0.5,), (-1.0, -1.0), (0.5, 0.0)]
+        "deltas", [(0.5, 0.6, 0.7), (0.5,), (-1.0, -1.0), (0.5, 0.0), (0.5, math.inf), (math.nan, 0.5)]
     )
     def test_deltas_one_positive_value_per_player(self, benchmark_game, deltas):
         with pytest.raises(ValueError, match="delta"):
@@ -235,7 +243,7 @@ class TestCli:
         assert report["weakly_acyclic"] is False
         assert report["num_equilibria"] == 0
 
-    @pytest.mark.parametrize("deltas", [["0.5", "0.6", "0.7"], ["-1"]])
+    @pytest.mark.parametrize("deltas", [["0.5", "0.6", "0.7"], ["-1"], ["inf"], ["0.5", "inf"]])
     def test_analyze_rejects_bad_deltas(self, capsys, deltas):
         code = main(["analyze", "benchmark", "--rho", "0.05", "--delta", *deltas])
         assert code == 2

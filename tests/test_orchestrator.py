@@ -16,6 +16,7 @@ from decqlearn.orchestrator import (
     equilibrium_frequency,
     frozen_q_run,
     run_episode,
+    run_episodes,
 )
 from oracles import active_phases_bruteforce, random_game, simulate_stepwise
 
@@ -262,6 +263,16 @@ class TestRunEpisode:
                 benchmark_game, _configs(), schedule, streams, 500, record_times=(600,)
             )
 
+    def test_batch_argument_validation(self, benchmark_game):
+        streams = [RandomnessStreams(1, trial=k) for k in range(2)]
+        schedules = [draw_schedule(s, 2, 100, 2, 1000) for s in streams]
+        with pytest.raises(ValueError, match="one schedule per trial"):
+            run_episodes(benchmark_game, _configs(), schedules[:1], streams, 1000)
+        with pytest.raises(ValueError, match="at least one trial"):
+            run_episodes(benchmark_game, _configs(), [], [], 1000)
+        with pytest.raises(ValueError, match="at least one trial"):
+            frozen_q_run(benchmark_game, _configs(), ((0, 0), (0, 0)), [], 100)
+
     def test_explicit_initial_policies_respected(self, benchmark_game):
         eq = equilibrium_set(benchmark_game, 1e-9)
         configs = tuple(
@@ -297,28 +308,89 @@ class TestRunEpisode:
         assert abs(rate - 0.25) <= 3 * se
 
 
+class _Choice:
+    """Stand-in generator drawing uniformly from ``values``; successive calls
+    continue one stream, as a numpy Generator's do."""
+
+    def __init__(self, seed, values):
+        self.rng = np.random.default_rng(seed)
+        self.values = np.asarray(values, dtype=float)
+
+    def random(self, size=None, out=None):
+        n = size if out is None else len(out)
+        draws = self.values[self.rng.integers(0, len(self.values), size=n)]
+        if out is None:
+            return draws
+        out[...] = draws
+        return out
+
+
+class TestBlockDraws:
+    """The engine takes the per-step draws from open generators a block at a
+    time; the blocks must equal one horizon-sized draw byte for byte."""
+
+    @pytest.mark.parametrize(
+        "family, num_actions",
+        [("transition", None), ("experimentation", None), ("action", 2), ("action", 3), ("action", 5)],
+    )
+    def test_blocks_equal_one_draw(self, family, num_actions):
+        rng = np.random.default_rng(num_actions or len(family))
+        horizon = 20_011
+        lengths = []
+        while sum(lengths) < horizon:
+            lengths.append(min(2 * int(rng.integers(0, 600)) + 1, horizon - sum(lengths)))
+        streams = RandomnessStreams(11, trial=4)
+        if family == "transition":
+            whole = streams.transition_uniforms(horizon)
+            gen = streams.transition_generator()
+            blocks = [gen.random(out=np.empty(n)) for n in lengths]
+        elif family == "experimentation":
+            whole = streams.experimentation_uniforms(1, horizon)
+            gen = streams.experimentation_generator(1)
+            blocks = [gen.random(out=np.empty(n)) for n in lengths]
+        else:
+            whole = streams.action_draws(1, horizon, num_actions)
+            gen = streams.action_generator(1)
+            blocks = [gen.integers(0, num_actions, size=n) for n in lengths]
+        assert len(lengths) > 30
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
 class TestSegmentEngine:
     """The segment-vectorized engine against the stage-by-stage loop of
-    ``oracles.simulate_stepwise``: traces with Q snapshots and frozen-run
-    tables must agree bit for bit."""
+    ``oracles.simulate_stepwise``: every trial of a batch of 1, 2 or 7,
+    played alone (Python recursion) or in lockstep (the Q stack), must give
+    the oracle's trace with Q snapshots and its frozen-run tables bit for
+    bit."""
 
     @staticmethod
     def _assert_matches_stepwise(
-        monkeypatch, game, min_length, ratio, horizon, record_times=(), seed=0, equilibria=frozenset()
+        monkeypatch,
+        game,
+        min_length,
+        ratio,
+        horizon,
+        record_times=(),
+        seed=0,
+        equilibria=frozenset(),
+        configs=None,
     ):
-        configs = _configs(game.num_players, rho=0.2, alpha=0.1)
+        if configs is None:
+            configs = _configs(game.num_players, rho=0.2, alpha=0.1)
         frozen = [
             RandomnessStreams(seed).initial_policy_choices(i, game.num_states, m)
             for i, m in enumerate(game.action_counts)
         ]
 
-        def outputs():
-            streams = RandomnessStreams(seed, trial=1)
-            schedule = draw_schedule(streams, game.num_players, min_length, ratio, horizon)
-            trace = run_episode(
+        def outputs(batch):
+            streams = [RandomnessStreams(seed, trial=k) for k in range(1, batch + 1)]
+            schedules = [
+                draw_schedule(s, game.num_players, min_length, ratio, horizon) for s in streams
+            ]
+            traces = run_episodes(
                 game,
                 configs,
-                schedule,
+                schedules,
                 streams,
                 horizon,
                 record_times,
@@ -326,14 +398,21 @@ class TestSegmentEngine:
                 record_q=True,
                 warn_unreachable=False,
             )
-            tables = frozen_q_run(game, configs, frozen, RandomnessStreams(seed, trial=2), horizon)
-            return json.dumps(trace.to_json_dict()), [t.values.tobytes() for t in tables]
+            frozen_streams = [RandomnessStreams(seed, trial=100 + k) for k in range(batch)]
+            tables = frozen_q_run(game, configs, frozen, frozen_streams, horizon)
+            return [
+                (json.dumps(trace.to_json_dict()), [t.values.tobytes() for t in trial])
+                for trace, trial in zip(traces, tables)
+            ]
 
-        fast = outputs()
         with monkeypatch.context() as patch:
             patch.setattr(orchestrator, "_simulate", simulate_stepwise)
-            slow = outputs()
-        assert fast == slow
+            slow = outputs(7)
+        for lockstep_min in (1, 10**9):
+            with monkeypatch.context() as patch:
+                patch.setattr(orchestrator, "_LOCKSTEP_MIN", lockstep_min)
+                for batch in (1, 2, 7):
+                    assert outputs(batch) == slow[:batch], (lockstep_min, batch)
 
     def test_benchmark_game(self, monkeypatch, benchmark_game):
         self._assert_matches_stepwise(
@@ -356,6 +435,28 @@ class TestSegmentEngine:
             self._assert_matches_stepwise(
                 monkeypatch, game, min_length, 3, 3000, (0, 999, 2999), seed=seed
             )
+
+    def test_unequal_action_counts(self, monkeypatch):
+        # two and three actions: the stack pads player 0's rows with +inf;
+        # costs of both signs, and each player its own alpha and discount
+        rng = np.random.default_rng(23)
+        kernel = rng.uniform(0.1, 1.0, size=(3, 6, 3))
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        game = StochasticGame(
+            states=("s0", "s1", "s2"),
+            action_sets=(("a0", "a1"), ("a0", "a1", "a2")),
+            costs=(rng.uniform(-10.0, 5.0, size=(3, 6)), rng.uniform(-5.0, 10.0, size=(3, 6))),
+            discounts=(0.9, 0.7),
+            kernel=kernel,
+            initial_dist=np.full(3, 1.0 / 3.0),
+        )
+        configs = (
+            AgentConfig(player=0, rho=0.2, lam=0.2, delta=0.5, alpha=0.1),
+            AgentConfig(player=1, rho=0.3, lam=0.4, delta=0.8, alpha=0.04),
+        )
+        self._assert_matches_stepwise(
+            monkeypatch, game, 40, 3, 3000, (0, 1500, 2999), seed=9, configs=configs
+        )
 
     def test_boundary_at_every_stage(self, monkeypatch, benchmark_game):
         self._assert_matches_stepwise(monkeypatch, benchmark_game, 1, 1, 300, (0, 150), seed=2)
@@ -383,21 +484,20 @@ class TestSegmentEngine:
         )
         steps = np.unique(np.concatenate([np.cumsum(kernel, axis=2).ravel(), [0.0, 1.0]]))
 
-        def transition_uniforms(streams, horizon):
-            return np.random.default_rng(streams.trial).choice(steps, size=horizon)
+        def transition_generator(streams):
+            return _Choice(streams.trial, steps)
 
-        monkeypatch.setattr(RandomnessStreams, "transition_uniforms", transition_uniforms)
+        monkeypatch.setattr(RandomnessStreams, "transition_generator", transition_generator)
         self._assert_matches_stepwise(monkeypatch, game, 50, 2, 2000, (0, 1000), seed=8)
 
     def test_experimentation_uniforms_on_rho(self, monkeypatch, benchmark_game):
         # every experimentation uniform is exactly rho (0.2 here), 0 or 1:
         # a draw equal to rho experiments
-        def experimentation_uniforms(streams, player, horizon):
-            rng = np.random.default_rng([streams.trial, player])
-            return rng.choice([0.2, 0.0, 1.0], size=horizon)
+        def experimentation_generator(streams, player):
+            return _Choice([streams.trial, player], [0.2, 0.0, 1.0])
 
         monkeypatch.setattr(
-            RandomnessStreams, "experimentation_uniforms", experimentation_uniforms
+            RandomnessStreams, "experimentation_generator", experimentation_generator
         )
         self._assert_matches_stepwise(monkeypatch, benchmark_game, 50, 2, 2000, (0, 1000), seed=3)
 
@@ -406,9 +506,29 @@ class TestSegmentEngine:
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_short_blocks(self, monkeypatch, block):
+        # segments of at most ``block`` trial-stages, draws taken a few
+        # stages at a time, blocks of draws and segments ending apart
         monkeypatch.setattr(orchestrator, "_BLOCK", block)
+        monkeypatch.setattr(orchestrator, "_DRAWS", 5 * block + 3)
         game = random_game(np.random.default_rng(block), num_players=2, max_states=4)
         self._assert_matches_stepwise(monkeypatch, game, 40, 2, 1500, (0, 700), seed=block)
+
+    def test_trace_does_not_depend_on_the_batch(self, monkeypatch, benchmark_game):
+        monkeypatch.setattr(orchestrator, "_LOCKSTEP_MIN", 1)
+        eq = equilibrium_set(benchmark_game, 1e-9)
+
+        def traces(trials):
+            streams = [RandomnessStreams(4, trial=k) for k in trials]
+            schedules = [draw_schedule(s, 2, 300, 3, 6000) for s in streams]
+            out = run_episodes(
+                benchmark_game, _configs(), schedules, streams, 6000, (0, 2999),
+                equilibria=eq, record_q=True,
+            )
+            return {tr.trial: json.dumps(tr.to_json_dict()) for tr in out}
+
+        alone = traces([5])[5]
+        for trials in ([5, 0, 1], [9, 5], list(range(12))):
+            assert traces(trials)[5] == alone
 
 
 class TestFrozenQRun:
