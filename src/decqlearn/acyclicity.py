@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
+import numpy as np
+
 from .exact_solver import (
     DEFAULT_SOLVE_BUDGET,
     BrGraph,
@@ -46,17 +48,18 @@ def build_br_graph(
     return ExactAnalysis(game, tol, budget).graph
 
 
-def is_weakly_acyclic(graph: BrGraph) -> bool:
+def is_weakly_acyclic(graph: BrGraph | ExactAnalysis) -> bool:
     """True iff equilibria exist and every joint policy can reach one along
-    strict best-response edges."""
-    return bool(graph.equilibria) and all(math.isfinite(v) for v in graph.path_len)
+    strict best-response edges. Reads ``equilibria`` and ``path_len``, which
+    a ``BrGraph`` and an ``ExactAnalysis`` both have."""
+    return bool(graph.equilibria) and bool(np.isfinite(graph.path_len).all())
 
 
-def path_bound_L(graph: BrGraph) -> int:
+def path_bound_L(graph: BrGraph | ExactAnalysis) -> int:
     """One plus the largest shortest-path length to equilibrium."""
     if not is_weakly_acyclic(graph):
         raise ValueError("path bound is only defined for weakly acyclic games")
-    return 1 + int(max(graph.path_len))
+    return 1 + int(np.max(graph.path_len))
 
 
 def p_min(

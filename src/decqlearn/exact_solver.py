@@ -301,7 +301,9 @@ class BrGraph:
     ``edges`` are (source index, target index, deviating player); ``path_len``
     maps each node to the length of a shortest strict best-response path into
     the equilibrium set (0 exactly on equilibria, ``math.inf`` if none is
-    reachable).
+    reachable). This is the materialized export of ``ExactAnalysis``'s
+    arrays (one object per node, one tuple per edge), for callers and tools
+    that want the graph itself; the analysis reads the arrays.
     """
 
     nodes: tuple[JointDeterministicPolicy, ...]
@@ -333,11 +335,18 @@ class ExactAnalysis:
     on first use and cached:
     ``table`` (per player, Q* against every deterministic opponent joint in
     ``itertools.product`` order, each best response solved once), the greedy
-    ``grids``, ``equilibria``, ``graph``, ``delta_bar``, ``softened`` (the
-    table against opponents softened by ``rhos``), ``gap`` and ``bound``.
+    ``grids``, ``equilibria``, ``delta_bar``, ``softened`` (the table against
+    opponents softened by ``rhos``), ``gap`` and ``bound``.
+
+    The best-response graph is held as arrays over the nodes, the joint
+    policies in ``itertools.product`` order (the flat (C) order of the
+    grids): ``equilibrium_mask``, the sorted ``edges`` array and the float
+    ``path_len``; ``choices`` decodes node indices. ``graph`` is the
+    ``BrGraph`` export built from them, one Python object per node and edge.
+
     ``table`` and ``softened`` refuse, before any solve, more solves than
-    ``budget``; ``grids`` (behind ``equilibria`` and ``graph``) hold one
-    boolean per joint policy and first refuse more joint policies than that.
+    ``budget``; ``grids`` (behind the equilibria and the graph arrays) hold
+    one boolean per joint policy and first refuse more joint policies than that.
     """
 
     def __init__(
@@ -409,48 +418,68 @@ class ExactAnalysis:
             grids.append(np.moveaxis(greedy.reshape(shape), -1, i))
         return grids
 
-    @functools.cached_property
-    def equilibria(self) -> frozenset[tuple[tuple[int, ...], ...]]:
-        found = np.argwhere(functools.reduce(np.logical_and, self.grids)).tolist()
-        return frozenset(tuple(self._policies[i][p] for i, p in enumerate(j)) for j in found)
+    def choices(self, nodes: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
+        """Per-player choice tuples of the given nodes, in the order given."""
+        digits = np.unravel_index(np.asarray(nodes, dtype=np.intp), self._sizes)
+        return [
+            tuple(self._policies[i][p] for i, p in enumerate(joint))
+            for joint in zip(*(d.tolist() for d in digits))
+        ]
 
     @functools.cached_property
-    def graph(self) -> BrGraph:
-        """Node k is the k-th joint policy in ``itertools.product`` order,
-        which is the flat (C) order of the grids."""
+    def equilibrium_mask(self) -> np.ndarray:
+        """True at each node that is an equilibrium, over the nodes in flat order."""
+        return functools.reduce(np.logical_and, self.grids).ravel()
+
+    @functools.cached_property
+    def equilibria(self) -> frozenset[tuple[tuple[int, ...], ...]]:
+        return frozenset(self.choices(np.flatnonzero(self.equilibrium_mask)))
+
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """Strict best-response edges as (source, target, deviator) rows,
+        sorted by source, then deviator, then target."""
         grids = self.grids
-        shape = grids[0].shape
+        sizes = self._sizes
         num_nodes = grids[0].size
         edges = []
         for i, grid in enumerate(grids):
             # Every node whose player-i policy is a best response receives an
             # edge from each node that differs from it in player i's policy only.
-            stride = num_nodes // math.prod(shape[: i + 1])
+            stride = num_nodes // math.prod(sizes[: i + 1])
             target = np.flatnonzero(grid)[:, None]
-            source = target + (np.arange(shape[i]) - target // stride % shape[i]) * stride
+            source = target + (np.arange(sizes[i]) - target // stride % sizes[i]) * stride
             rows = np.stack(np.broadcast_arrays(source, target, i), axis=-1)
             edges.append(rows[source != target])
-        edges = np.concatenate(edges)  # rows: source, target, deviator
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 2], edges[:, 0]))]
+        edges = np.concatenate(edges)
+        return edges[np.lexsort((edges[:, 1], edges[:, 2], edges[:, 0]))]
 
-        # Shortest path lengths by reverse breadth-first search from the equilibria.
-        at_equilibrium = functools.reduce(np.logical_and, grids).ravel()
-        path_len = np.where(at_equilibrium, 0.0, math.inf)
-        frontier, level = at_equilibrium, 0.0
+    @functools.cached_property
+    def path_len(self) -> np.ndarray:
+        """Per node, the length of a shortest strict best-response path into
+        the equilibria (``math.inf`` if none), by reverse breadth-first search."""
+        edges, num_nodes = self.edges, self.equilibrium_mask.size
+        path_len = np.where(self.equilibrium_mask, 0.0, math.inf)
+        frontier, level = self.equilibrium_mask, 0.0
         while frontier.any():
             level += 1.0
             reached = np.bincount(edges[frontier[edges[:, 1]], 0], minlength=num_nodes) > 0
             frontier = reached & np.isinf(path_len)
             path_len[frontier] = level
+        return path_len
 
+    @functools.cached_property
+    def graph(self) -> BrGraph:
+        """The export view of ``edges``, ``equilibrium_mask`` and ``path_len``:
+        one ``JointDeterministicPolicy`` per node and one tuple per edge."""
         policies = [
             [DeterministicPolicy(i, c) for c in choices] for i, choices in enumerate(self._policies)
         ]
         return BrGraph(
             nodes=tuple(JointDeterministicPolicy(joint) for joint in itertools.product(*policies)),
-            edges=tuple(map(tuple, edges.tolist())),
-            equilibria=frozenset(np.flatnonzero(at_equilibrium).tolist()),
-            path_len=tuple(path_len.tolist()),
+            edges=tuple(map(tuple, self.edges.tolist())),
+            equilibria=frozenset(np.flatnonzero(self.equilibrium_mask).tolist()),
+            path_len=tuple(self.path_len.tolist()),
         )
 
     @functools.cached_property

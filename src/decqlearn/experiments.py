@@ -299,16 +299,17 @@ def analyze_game(
     if report["violations"]:
         return report
     analysis = exact_solver.ExactAnalysis(game, tol, budget, rhos, deltas, lambdas, eps, ratio)
-    graph, dbar = analysis.graph, analysis.delta_bar
-    weakly = acyclicity.is_weakly_acyclic(graph)
-    L = acyclicity.path_bound_L(graph) if weakly else None
+    dbar = analysis.delta_bar
+    weakly = acyclicity.is_weakly_acyclic(analysis)
+    L = acyclicity.path_bound_L(analysis) if weakly else None
+    equilibria = analysis.choices(np.flatnonzero(analysis.equilibrium_mask))
     report.update(
         num_players=game.num_players,
         states=list(game.states),
         reachable=exact_solver.check_reachability(game),
-        num_joint_policies=len(graph.nodes),
-        equilibria=[[list(c) for c in graph.nodes[k].choices] for k in sorted(graph.equilibria)],
-        num_equilibria=len(graph.equilibria),
+        num_joint_policies=analysis.equilibrium_mask.size,
+        equilibria=[[list(c) for c in joint] for joint in equilibria],
+        num_equilibria=len(equilibria),
         weakly_acyclic=weakly,
         path_bound_L=L,
         delta_bar=None if math.isinf(dbar) else dbar,
@@ -325,9 +326,12 @@ def analyze_game(
         R = ratio if ratio is not None else 1
         p = acyclicity.p_min(game, lambdas, R, L)
         entry = {"lambdas": list(lambdas), "eps": eps, "ratio": R, "p_min": p}
+        # p_min underflows to 0.0 at large ratios; theta and xi are then unknown.
         if deltas is not None and not math.isinf(dbar):
-            entry["theta"], entry["xi"] = acyclicity.theta_and_xi(
-                p, eps, R, game.num_players, L, deltas, dbar
+            entry["theta"], entry["xi"] = (
+                acyclicity.theta_and_xi(p, eps, R, game.num_players, L, deltas, dbar)
+                if p > 0.0
+                else (None, None)
             )
         report["update_diagnostics"] = entry
     return report

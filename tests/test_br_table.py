@@ -3,10 +3,12 @@ against one value-iteration solve per opponent joint (``tests/oracles.py``).
 
 The table runs the same float operations as the single solves, so tables are
 compared by their bytes and every derived object (equilibria, delta_bar, the
-perturbation gap, the best-response graph) must be exactly equal.
+perturbation gap, the best-response graph and the report's weak acyclicity and
+path bound) must be exactly equal.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from decqlearn.exact_solver import (
     q_star,
 )
 from decqlearn.experiments import analyze_game, build_benchmark_game
-from decqlearn.game_model import StochasticGame
+from decqlearn.game_model import JointDeterministicPolicy, StochasticGame
 from oracles import (
     opponent_policies,
     br_graph_enumerated,
@@ -93,8 +95,23 @@ def _staggered_game() -> StochasticGame:
     )
 
 
+def _pennies_game() -> StochasticGame:
+    """Matching pennies in one state: no deterministic equilibrium, so the
+    game is not weakly acyclic."""
+    match_cost = np.array([[0.0, 1.0, 1.0, 0.0]])
+    return StochasticGame(
+        states=("s0",),
+        action_sets=(("a0", "a1"), ("a0", "a1")),
+        costs=(match_cost, 1.0 - match_cost),
+        discounts=(0.5, 0.5),
+        kernel=np.ones((1, 4, 1)),
+        initial_dist=np.array([1.0]),
+    )
+
+
 def _games():
     yield "benchmark", build_benchmark_game()
+    yield "pennies", _pennies_game()
     for seed, (num_states, counts) in enumerate(SHAPES):
         game = _shaped_game(np.random.default_rng(seed), num_states, counts)
         yield f"random-{len(counts)}p{num_states}s-{seed}", game
@@ -149,6 +166,29 @@ def test_derived_objects_match_enumeration(game):
     assert report["num_joint_policies"] == len(expected_graph.nodes)
     assert report["delta_bar"] == (None if np.isinf(expected_dbar) else expected_dbar)
     assert report["perturbation"]["gap"] == expected_gap
+    path_len = expected_graph.path_len
+    weakly = bool(expected_graph.equilibria) and all(map(math.isfinite, path_len))
+    assert report["weakly_acyclic"] is weakly
+    assert report["path_bound_L"] == (1 + int(max(path_len)) if weakly else None)
+
+
+def test_analyze_builds_no_joint_policy_per_node(monkeypatch):
+    # 6561 joint policies, four of them equilibria. The report decodes only
+    # the equilibria; the graph export still holds one object per joint policy.
+    game = _shaped_game(np.random.default_rng(17), 4, (3, 3))
+    built = 0
+    post_init = JointDeterministicPolicy.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(JointDeterministicPolicy, "__post_init__", counted)
+    report = analyze_game(game, tol=TOL)
+    assert (report["num_joint_policies"], report["num_equilibria"]) == (6561, 4)
+    assert built <= 4
+    assert build_br_graph(game, TOL) == br_graph_enumerated(game, TOL)
 
 
 def test_staggered_members_stop_at_their_own_sweep():

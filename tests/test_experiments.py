@@ -265,6 +265,17 @@ class TestCli:
         assert code == 2
         assert f"{name} must" in capsys.readouterr().err
 
+    def test_analyze_reports_underflowed_p_min(self, capsys):
+        # L = 2, so p_min = 0.2 ** (4 (R + 1)) is below the smallest float at
+        # R = 1000, and theta and xi are unknown.
+        code = main(
+            ["analyze", "benchmark", "--rho", "0.05", "--delta", "0.5", "--lam", "0.2",
+             "--eps", "0.1", "--ratio", "1000"]
+        )
+        assert code == 0
+        diag = json.loads(capsys.readouterr().out)["update_diagnostics"]
+        assert diag["p_min"] == 0.0 and diag["theta"] is None and diag["xi"] is None
+
     def test_analyze_missing_file(self, capsys):
         code = main(["analyze", "nowhere/missing.json"])
         assert code == 2
