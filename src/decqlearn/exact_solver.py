@@ -178,7 +178,13 @@ def _value_iteration(
     cost (K, S, A), kernel (K, S, A, S). Each member starts from the zero
     table and leaves the stack at its own first sweep whose successive gap is
     <= tol * (1 - beta) / (2 * beta) (a direct pass for beta = 0), so its
-    result does not depend on the other members."""
+    result does not depend on the other members.
+
+    A sweep takes the min over actions as elementwise minimums of the action
+    columns and stops a member when every entry's gap is within the
+    threshold. Both are exact: the results equal, bit for bit, those of
+    ``q.min(axis=-1)`` and of the largest gap per member, and a NaN gap
+    never stops a member."""
     if beta == 0.0:
         return cost.copy()
     threshold = tol * (1.0 - beta) / (2.0 * beta)
@@ -186,8 +192,9 @@ def _value_iteration(
     live = np.arange(len(cost))
     q = np.zeros_like(cost)
     for _ in range(_MAX_VALUE_ITERATIONS):
-        q_next = cost + beta * (kernel @ q.min(axis=-1)[:, None, :, None])[..., 0]
-        done = np.abs(q_next - q).max(axis=(1, 2)) <= threshold
+        low = functools.reduce(np.minimum, [q[..., a] for a in range(q.shape[-1])])
+        q_next = cost + beta * (kernel @ low[:, None, :, None])[..., 0]
+        done = (np.abs(q_next - q) <= threshold).reshape(len(q), -1).all(axis=1)
         if done.any():
             out[live[done]] = q_next[done]
             live, cost, kernel, q_next = (a[~done] for a in (live, cost, kernel, q_next))
@@ -303,7 +310,8 @@ class BrGraph:
     the equilibrium set (0 exactly on equilibria, ``math.inf`` if none is
     reachable). This is the materialized export of ``ExactAnalysis``'s
     arrays (one object per node, one tuple per edge), for callers and tools
-    that want the graph itself; the analysis reads the arrays.
+    that want the graph itself; only this export builds the edge array, and
+    the analysis reads the grids, ``equilibrium_mask`` and ``path_len``.
     """
 
     nodes: tuple[JointDeterministicPolicy, ...]
@@ -340,9 +348,10 @@ class ExactAnalysis:
 
     The best-response graph is held as arrays over the nodes, the joint
     policies in ``itertools.product`` order (the flat (C) order of the
-    grids): ``equilibrium_mask``, the sorted ``edges`` array and the float
-    ``path_len``; ``choices`` decodes node indices. ``graph`` is the
-    ``BrGraph`` export built from them, one Python object per node and edge.
+    grids): ``equilibrium_mask`` and the float ``path_len``, both read off
+    the grids; ``choices`` decodes node indices. ``graph`` is the
+    ``BrGraph`` export, one Python object per node and edge, and the only
+    reader of the sorted ``edges`` array.
 
     ``table`` and ``softened`` refuse, before any solve, more solves than
     ``budget``; ``grids`` (behind the equilibria and the graph arrays) hold
@@ -438,7 +447,8 @@ class ExactAnalysis:
     @functools.cached_property
     def edges(self) -> np.ndarray:
         """Strict best-response edges as (source, target, deviator) rows,
-        sorted by source, then deviator, then target."""
+        sorted by source, then deviator, then target; built only for the
+        ``graph`` export."""
         grids = self.grids
         sizes = self._sizes
         num_nodes = grids[0].size
@@ -457,16 +467,20 @@ class ExactAnalysis:
     @functools.cached_property
     def path_len(self) -> np.ndarray:
         """Per node, the length of a shortest strict best-response path into
-        the equilibria (``math.inf`` if none), by reverse breadth-first search."""
-        edges, num_nodes = self.edges, self.equilibrium_mask.size
-        path_len = np.where(self.equilibrium_mask, 0.0, math.inf)
-        frontier, level = self.equilibrium_mask, 0.0
+        the equilibria (``math.inf`` if none), by reverse breadth-first search
+        on the grids: a frontier node where ``grids[i]`` is True is the target
+        of an edge from every other node on its player-i line."""
+        grids = self.grids
+        frontier = self.equilibrium_mask.reshape(grids[0].shape)
+        path_len, level = np.where(frontier, 0.0, math.inf), 0.0
         while frontier.any():
             level += 1.0
-            reached = np.bincount(edges[frontier[edges[:, 1]], 0], minlength=num_nodes) > 0
+            reached = np.zeros_like(frontier)
+            for i, grid in enumerate(grids):
+                reached |= (frontier & grid).any(axis=i, keepdims=True)
             frontier = reached & np.isinf(path_len)
             path_len[frontier] = level
-        return path_len
+        return path_len.ravel()
 
     @functools.cached_property
     def graph(self) -> BrGraph:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -80,8 +81,16 @@ def resolve_game(source: str | Path | StochasticGame) -> StochasticGame:
     return load_game(source)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _per_player(value: float | Sequence[float], n: int, name: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return (float(value),) * n
     out = tuple(float(v) for v in value)
     if len(out) != n:
@@ -92,7 +101,12 @@ def _per_player(value: float | Sequence[float], n: int, name: str) -> tuple[floa
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a batch run depends on; two runs with equal configs write
-    byte-identical outputs regardless of worker count."""
+    byte-identical outputs regardless of worker count.
+
+    Construction checks each field's type and range and raises a ValueError
+    naming the key: the counts, the seed and each record time are integers
+    (not bools), and rho, lam, delta and alpha are numbers or lists of
+    numbers (one per player), held as tuples."""
 
     game: str = BENCHMARK_NAME
     rho: float | tuple[float, ...] = 0.05
@@ -108,6 +122,21 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        for key in ("min_phase", "ratio", "horizon", "trials", "master_seed", "workers"):
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        for key in ("rho", "lam", "delta", "alpha"):
+            value = getattr(self, key)
+            if not _is_number(value) and not (
+                isinstance(value, (list, tuple)) and all(map(_is_number, value))
+            ):
+                raise ValueError(f"{key} must be a number or a list of numbers, got {value!r}")
+            if isinstance(value, list):
+                object.__setattr__(self, key, tuple(value))
+        if not isinstance(self.record_times, (list, tuple)) or not all(
+            map(_is_int, self.record_times)
+        ):
+            raise ValueError(f"record_times must be a list of integers, got {self.record_times!r}")
         if self.min_phase < 1 or self.ratio < 1:
             raise ValueError("min_phase and ratio must be positive integers")
         if self.horizon < 1 or self.trials < 1:
@@ -158,11 +187,6 @@ class ExperimentConfig:
         unknown = sorted(set(kwargs) - known)
         if unknown:
             raise ValueError(f"unknown experiment config keys: {', '.join(unknown)}")
-        for key in ("rho", "lam", "delta", "alpha"):
-            if key in kwargs and isinstance(kwargs[key], list):
-                kwargs[key] = tuple(kwargs[key])
-        if "record_times" in kwargs:
-            kwargs["record_times"] = tuple(kwargs["record_times"])
         return ExperimentConfig(**kwargs)
 
     @staticmethod

@@ -379,6 +379,11 @@ def game_from_dict(data: dict) -> StochasticGame:
     except KeyError as exc:
         raise ValueError(f"game description is missing key {exc.args[0]!r}") from None
     try:
+        # A string is iterable, so it would be read one character per name.
+        named = [("players", players), ("states", states), ("actions", actions)]
+        for key, names in named + [(f"actions[{i}]", a) for i, a in enumerate(actions)]:
+            if isinstance(names, str):
+                raise ValueError(f"{key} must be a list of names, got the string {names!r}")
         if len(actions) != len(players) or len(discounts) != len(players) or len(costs) != len(players):
             raise ValueError("actions, discounts, and costs must have one entry per player")
         return StochasticGame(

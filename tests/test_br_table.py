@@ -51,6 +51,9 @@ SHAPES = [
     (3, (2, 2, 2)),
     (2, (3, 2, 3)),
     (2, (3, 3, 3)),
+    # Player 0 has one action, so each sweep of its stack multiplies by a
+    # (1, S) kernel row block: a dot where the other players get a gemv.
+    (3, (1, 3)),
 ]
 
 
@@ -109,9 +112,28 @@ def _pennies_game() -> StochasticGame:
     )
 
 
+def _dead_end_game() -> StochasticGame:
+    """One state, three actions each: matching pennies on actions {0, 1} and
+    an equilibrium at (2, 2). A node that plays 2 reaches the equilibrium; the
+    pennies cycle never leaves {0, 1}, so its four nodes have no path."""
+    # cost[player][a0, a1]: player 0 wants to match, player 1 to mismatch on
+    # {0, 1}; both best-respond to the other's 2 with 2 only.
+    matcher = np.array([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 2.0, 0.0]])
+    mismatcher = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 2.0], [1.0, 1.0, 0.0]])
+    return StochasticGame(
+        states=("s0",),
+        action_sets=(("a0", "a1", "a2"), ("a0", "a1", "a2")),
+        costs=(matcher.reshape(1, 9), mismatcher.reshape(1, 9)),
+        discounts=(0.5, 0.5),
+        kernel=np.ones((1, 9, 1)),
+        initial_dist=np.array([1.0]),
+    )
+
+
 def _games():
     yield "benchmark", build_benchmark_game()
     yield "pennies", _pennies_game()
+    yield "dead-end", _dead_end_game()
     for seed, (num_states, counts) in enumerate(SHAPES):
         game = _shaped_game(np.random.default_rng(seed), num_states, counts)
         yield f"random-{len(counts)}p{num_states}s-{seed}", game
@@ -174,7 +196,8 @@ def test_derived_objects_match_enumeration(game):
 
 def test_analyze_builds_no_joint_policy_per_node(monkeypatch):
     # 6561 joint policies, four of them equilibria. The report decodes only
-    # the equilibria; the graph export still holds one object per joint policy.
+    # the equilibria and reads the path lengths off the grids, never the edge
+    # array; the graph export still holds one object per joint policy and edge.
     game = _shaped_game(np.random.default_rng(17), 4, (3, 3))
     built = 0
     post_init = JointDeterministicPolicy.__post_init__
@@ -184,9 +207,15 @@ def test_analyze_builds_no_joint_policy_per_node(monkeypatch):
         built += 1
         post_init(self)
 
+    def no_edges(self):
+        raise AssertionError("analyze built the edge array")
+
     monkeypatch.setattr(JointDeterministicPolicy, "__post_init__", counted)
-    report = analyze_game(game, tol=TOL)
+    with monkeypatch.context() as patch:
+        patch.setattr(exact_solver.ExactAnalysis, "edges", property(no_edges))
+        report = analyze_game(game, rhos=RHOS[:2], lambdas=(0.2, 0.2), eps=0.1, tol=TOL)
     assert (report["num_joint_policies"], report["num_equilibria"]) == (6561, 4)
+    assert report["path_bound_L"] is not None
     assert built <= 4
     assert build_br_graph(game, TOL) == br_graph_enumerated(game, TOL)
 

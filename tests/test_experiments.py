@@ -50,6 +50,31 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(horizon=100, record_times=(100,))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trials", "x"),
+            ("trials", True),
+            ("workers", 1.5),
+            ("record_times", 0),
+            ("record_times", [0.7]),
+            ("master_seed", "3"),
+            ("alpha", "0.1"),
+            ("rho", [0.05, "0.1"]),
+        ],
+    )
+    def test_simulate_rejects_mistyped_config(self, tmp_path, capsys, key, value):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        argv = ["simulate", "benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {key} must be")
+        assert not (tmp_path / "summary.json").exists()
+
+    def test_lists_are_held_as_tuples(self):
+        config = ExperimentConfig(rho=[0.05, 0.1], record_times=[0, 10])
+        assert config == ExperimentConfig(rho=(0.05, 0.1), record_times=(0, 10))
+
     def test_agent_configs_broadcast(self):
         game = build_benchmark_game()
         configs = ExperimentConfig(rho=0.07).agent_configs(game)

@@ -235,6 +235,27 @@ class TestGameIo:
         with pytest.raises(ValueError):
             game_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("states", "s0"),
+            ("actions", [["a0", "a1"], "a0"]),
+            ("actions", "ab"),
+            ("players", "p0"),
+        ],
+    )
+    def test_string_names_are_rejected(self, benchmark_game, tmp_path, capsys, key, value):
+        # Each string has as many characters as the list it replaces, so
+        # reading it one character per name would give a well-shaped game.
+        data = game_to_dict(benchmark_game)
+        data[key] = value
+        with pytest.raises(ValueError, match=r"must be a list of names"):
+            game_from_dict(data)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["analyze", str(path)]) == 2
+        assert "must be a list of names" in capsys.readouterr().err
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(ValueError):
             load_game(tmp_path / "missing.json")
