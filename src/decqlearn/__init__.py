@@ -28,6 +28,7 @@ from .exact_solver import (
     equilibrium_set,
     induced_mdp,
     is_equilibrium,
+    label_equilibria,
     perturbation_check,
     perturbation_gap,
     policy_value,

@@ -38,6 +38,7 @@ __all__ = [
     "policy_value",
     "br_hat",
     "is_equilibrium",
+    "label_equilibria",
     "BrGraph",
     "ExactAnalysis",
     "equilibrium_set",
@@ -258,43 +259,80 @@ def is_equilibrium(
 ) -> bool:
     """True iff every player's policy is an eps-best-response to the rest,
     judged on exact Q-values with numerical slack tol."""
-    if eps < 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
     for pol in joint.policies:
         pol.validate_for(game)
-    choices = joint.choices
+    return label_equilibria(game, [joint.choices], tol, eps)[0]
+
+
+def label_equilibria(
+    game: StochasticGame,
+    joints: Sequence[Sequence[Sequence[int]]],
+    tol: float,
+    eps: float = 0.0,
+) -> list[bool]:
+    """Per joint (per-player choice tuples), whether every player's policy is
+    an eps-best-response to the others', judged on exact Q-values with
+    numerical slack tol: the rule of ``ExactAnalysis.grids``, and the same
+    label alone or among any other joints. Each player solves only the
+    distinct opponent joints among ``joints``, as one stack, so the work
+    grows with the joints given, not with the joint-policy space."""
+    check_input("tol", tol)
+    if eps < 0.0:
+        raise ValueError(f"eps must be nonnegative, got {eps}")
+    num_states, counts = game.num_states, game.action_counts
+    labels = np.ones(len(joints), dtype=bool)
     for i in range(game.num_players):
-        others = [
-            DeterministicPolicy(j, c).as_stationary(game.action_counts[j])
-            for j, c in enumerate(choices)
-            if j != i
-        ]
-        greedy = _greedy_mask(q_star(game, i, others, tol).values, eps + tol)
-        if not greedy[np.arange(game.num_states), choices[i]].all():
-            return False
-    return True
+        others = [j for j in range(game.num_players) if j != i]
+        # each distinct opponent joint (its index in itertools.product
+        # order) and the stack row that solves it
+        members: dict[int, int] = {}
+        rows = []
+        for joint in joints:
+            index = 0
+            for j in others:
+                for a in joint[j]:
+                    index = index * counts[j] + a
+            rows.append(members.setdefault(index, len(members)))
+        q = _solve_stack(game, i, tol, (0.0,) * game.num_players, list(members))
+        rows_of = np.array(rows, dtype=np.intp)[:, None]
+        own = np.array([joint[i] for joint in joints], dtype=np.intp).reshape(-1, num_states)
+        labels &= _greedy_mask(q, eps + tol)[rows_of, np.arange(num_states), own].all(axis=1)
+    return labels.tolist()
 
 
 def _solve_stack(
-    game: StochasticGame, player: int, tol: float, rhos: Sequence[float]
+    game: StochasticGame,
+    player: int,
+    tol: float,
+    rhos: Sequence[float],
+    members: Sequence[int] | None = None,
 ) -> np.ndarray:
-    """Q* of the player against every deterministic opponent joint (in
-    ``itertools.product`` order over the opponents' policies), each opponent j
-    softened by rhos[j] as ``soften_policy`` does; solved _VI_BLOCK at a time."""
+    """Q* of the player against deterministic opponent joints, each opponent j
+    softened by rhos[j] as ``soften_policy`` does: one row per entry of
+    ``members`` (opponent-joint indices in ``itertools.product`` order over
+    the opponents' policies), every opponent joint in that order when None;
+    solved _VI_BLOCK at a time."""
     counts = game.action_counts
     others = [j for j in range(game.num_players) if j != player]
-    policies = [
-        np.array(enumerate_deterministic_policies(game.num_states, counts[j])) for j in others
-    ]
-    out = np.empty((math.prod(map(len, policies)), game.num_states, counts[player]))
+    total = math.prod(counts[j] ** game.num_states for j in others)
+    if members is None:
+        members = np.arange(total)
+    else:
+        # exact digits: Python ints once an index can pass int64
+        members = np.array(members, dtype=np.int64 if total <= 2**63 else object)
+    out = np.empty((len(members), game.num_states, counts[player]))
     for start in range(0, len(out), _VI_BLOCK):
         block = out[start : start + _VI_BLOCK]
-        rest = np.arange(start, start + len(block))
+        rest = members[start : start + len(block)]
         factors = []
-        # Mixed-radix digits of the joint index; the last opponent's varies fastest.
-        for j, rows in zip(others[::-1], policies[::-1]):
-            onehot = rows[rest % len(rows)][..., None] == np.arange(counts[j])
-            rest = rest // len(rows)
+        # Mixed-radix digits of the joint index, one per opponent and state;
+        # the last opponent's last state varies fastest.
+        for j in others[::-1]:
+            choices = np.empty((len(block), game.num_states), dtype=np.intp)
+            for x in reversed(range(game.num_states)):
+                choices[:, x] = rest % counts[j]
+                rest = rest // counts[j]
+            onehot = choices[..., None] == np.arange(counts[j])
             factors.insert(0, (j, rhos[j] / counts[j] + onehot * (1.0 - rhos[j])))
         cost, kernel = _induced_stack(game, player, factors, len(block))
         block[...] = _value_iteration(cost, kernel, game.discounts[player], tol)

@@ -200,7 +200,6 @@ class ExperimentResult:
     frequencies: dict[int, float]
     flags_by_trial: tuple[tuple[bool, ...], ...]
     max_abs_q_by_trial: tuple[float, ...]
-    num_equilibria: int
     csv_path: Path | None
     summary_path: Path | None
 
@@ -208,11 +207,11 @@ class ExperimentResult:
 def _run_trials(
     game: StochasticGame,
     config: ExperimentConfig,
-    equilibria: frozenset,
     trials: range,
 ) -> list[tuple[tuple[bool, ...], float]]:
     """Play the given trials as one batch; per trial, its equilibrium flags
-    at the record times and its largest |Q|."""
+    at the record times (only the joints the batch visited are labelled)
+    and its largest |Q|."""
     streams = [RandomnessStreams(config.master_seed, trial=k) for k in trials]
     schedules = [
         draw_schedule(s, game.num_players, config.min_phase, config.ratio, config.horizon)
@@ -225,7 +224,6 @@ def _run_trials(
         streams,
         config.horizon,
         record_times=config.record_times,
-        equilibria=equilibria,
         warn_unreachable=False,
     )
     return [(tuple(r.at_equilibrium for r in tr.records), max(tr.max_abs_q)) for tr in traces]
@@ -243,7 +241,8 @@ def run_experiment(
     Trial k draws all of its randomness from (master_seed, trial=k), so the
     aggregate is independent of scheduling and worker count. When ``out_dir``
     is given, writes ``frequencies.csv`` (time, frequency, trials) and
-    ``summary.json`` (parameter echo plus results).
+    ``summary.json`` (parameter echo plus results). No joint-policy space
+    is enumerated: each worker labels only the joints its trials visit.
     """
     game = resolve_game(config.game)
     violations = validate_game(game)
@@ -255,12 +254,11 @@ def run_experiment(
             "every state",
             stacklevel=2,
         )
-    equilibria = exact_solver.equilibrium_set(game, tol=1e-9)
 
     # one contiguous slice of trials per worker, played as one batch
     workers = min(config.workers, config.trials)
     cuts = [config.trials * w // workers for w in range(workers + 1)]
-    payloads = [(game, config, equilibria, range(a, b)) for a, b in zip(cuts, cuts[1:])]
+    payloads = [(game, config, range(a, b)) for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_trials_worker, payloads))
@@ -289,7 +287,6 @@ def run_experiment(
         summary = {
             "config": config.to_json_dict(),
             "frequencies": {str(t): frequencies[t] for t in times},
-            "num_equilibria": len(equilibria),
             "max_abs_q": max(max_abs),
         }
         summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
@@ -299,7 +296,6 @@ def run_experiment(
         frequencies=frequencies,
         flags_by_trial=flags_by_trial,
         max_abs_q_by_trial=max_abs,
-        num_equilibria=len(equilibria),
         csv_path=csv_path,
         summary_path=summary_path,
     )
@@ -323,9 +319,11 @@ def analyze_game(
     if report["violations"]:
         return report
     analysis = exact_solver.ExactAnalysis(game, tol, budget, rhos, deltas, lambdas, eps, ratio)
-    dbar = analysis.delta_bar
+    # the grids first: they refuse an over-budget joint-policy space before
+    # any solve, where delta_bar would solve the whole table first
     weakly = acyclicity.is_weakly_acyclic(analysis)
     L = acyclicity.path_bound_L(analysis) if weakly else None
+    dbar = analysis.delta_bar
     equilibria = analysis.choices(np.flatnonzero(analysis.equilibrium_mask))
     report.update(
         num_players=game.num_players,

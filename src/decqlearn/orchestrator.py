@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .agent import Agent, AgentConfig
-from .exact_solver import QTable, check_reachability, equilibrium_set
+from .exact_solver import QTable, check_reachability, label_equilibria
 from .game_model import StochasticGame, sample_initial_state, sample_transition
 
 __all__ = [
@@ -51,6 +51,9 @@ _FAMILY_POLICY = 4
 _FAMILY_PHASE = 5
 _FAMILY_INIT_STATE = 6
 _FAMILY_INIT_POLICY = 7
+
+# A joint baseline: one choice tuple (an action per state) per player.
+Joint = tuple[tuple[int, ...], ...]
 
 
 class RandomnessStreams:
@@ -447,6 +450,11 @@ _BLOCK = 1 << 13
 # whatever the horizon; a segment ends at the end of a block of draws too.
 _DRAWS = 1 << 17
 
+# Fewest stages of per-step draws taken at once: each generator call has a
+# fixed cost, so a batch of more than _DRAWS / _DRAWS_MIN_STAGES trials holds
+# this many stages of draws per trial instead (6 MB at 500 trials).
+_DRAWS_MIN_STAGES = 1 << 10
+
 # Smallest batch whose trials play in lockstep; below it one update per stage
 # for all rows costs more than each trial's Python recursion (measured
 # break-even on the benchmark game).
@@ -623,13 +631,14 @@ def _simulate(
     streams: Sequence[RandomnessStreams],
     horizon: int,
     record_times: Sequence[int],
-    equilibria: frozenset | None,
     boundaries: Sequence[Sequence[Sequence[int]]],
     record_q: bool,
-) -> list[tuple[list[PolicyChange], list[TraceRecord], tuple[tuple[int, ...], ...], bool]]:
+) -> list[tuple[Joint, list[tuple[int, int, Joint]], list[tuple[int, Joint, tuple | None]]]]:
     """Play ``horizon`` stages of a batch of trials in segments between
-    update and record times; per trial, returns its policy changes, records,
-    initial joint baseline and whether that is an equilibrium.
+    update and record times; per trial, returns its initial joint baseline,
+    its policy changes as (t, player, joint in force from t) and its
+    records as (t, joint, Q snapshots or None). Nothing here labels a joint:
+    the learners never read whether one is an equilibrium.
 
     Trial k has the agents ``agents[k]``, the streams ``streams[k]`` and the
     phase start times ``boundaries[k]`` (a schedule's ``boundaries``, or
@@ -640,7 +649,8 @@ def _simulate(
     experiments at stage t when its experimentation uniform is <= its rho.
     Every baseline is frozen between two update times, so the stages up to
     the next update time of any trial, the next record time or the end of
-    the current block of draws (``_DRAWS`` trial-stages), at most
+    the current block of draws (``_DRAWS`` trial-stages, at least
+    ``_DRAWS_MIN_STAGES`` stages), at most
     ``_BLOCK`` trial-stages, form one segment, played by
     :func:`_play_segment`; appraisals and snapshots run at segment starts.
     A batch of ``_LOCKSTEP_MIN`` trials or more plays in lockstep on a
@@ -657,7 +667,7 @@ def _simulate(
             for k in range(batch)
             for out in _simulate(
                 game, agents[k : k + 1], streams[k : k + 1], horizon, record_times,
-                equilibria, boundaries[k : k + 1], record_q,
+                boundaries[k : k + 1], record_q,
             )
         ]
     stack = _QStack(game, agents) if batch >= _LOCKSTEP_MIN else None
@@ -677,14 +687,13 @@ def _simulate(
     sorted_records.append(horizon)
     next_record = 0
 
-    def labelled(k: int) -> tuple[tuple[tuple[int, ...], ...], bool]:
-        joint = tuple(tuple(ag.baseline) for ag in agents[k])
-        return joint, joint in equilibria if equilibria is not None else False
+    def joint_of(k: int) -> Joint:
+        return tuple(tuple(ag.baseline) for ag in agents[k])
 
-    current = [labelled(k) for k in range(batch)]
+    current = [joint_of(k) for k in range(batch)]
     initial = list(current)
-    events: list[list[PolicyChange]] = [[] for _ in range(batch)]
-    records: list[list[TraceRecord]] = [[] for _ in range(batch)]
+    events: list[list[tuple[int, int, Joint]]] = [[] for _ in range(batch)]
+    records: list[list[tuple[int, Joint, tuple | None]]] = [[] for _ in range(batch)]
     baselines = [np.array([trial[i].baseline for trial in agents]) for i in range(game.num_players)]
     generators = [
         (
@@ -695,7 +704,7 @@ def _simulate(
     ]
     x = np.array([sample_initial_state(game, s.initial_state_uniform()) for s in streams])
     segment_length = max(1, _BLOCK // batch)
-    block_length = max(1, _DRAWS // batch)
+    block_length = max(_DRAWS_MIN_STAGES, _DRAWS // batch)
 
     t = block_start = block_stop = 0
     while t < horizon:
@@ -708,8 +717,8 @@ def _simulate(
             lam_draw = streams[k].inertia_uniform(i, t)
             if agent.end_phase_update(lam_draw, partial(streams[k].policy_draw, i, t)):
                 baselines[i][k] = agent.baseline
-                current[k] = labelled(k)
-                events[k].append(PolicyChange(t, i, *current[k]))
+                current[k] = joint_of(k)
+                events[k].append((t, i, current[k]))
         if sorted_records[next_record] == t:
             for k, trial in enumerate(agents):
                 snapshots = None
@@ -718,7 +727,7 @@ def _simulate(
                         np.array(ag.q) if stack is None else stack.table(i, k).copy()
                         for i, ag in enumerate(trial)
                     )
-                records[k].append(TraceRecord(t, *current[k], snapshots))
+                records[k].append((t, current[k], snapshots))
             next_record += 1
         if t == block_stop:
             block_start, block_stop = t, min(t + block_length, horizon)
@@ -741,7 +750,7 @@ def _simulate(
 
     if stack is not None:
         stack.unload(agents)
-    return [(events[k], records[k], *initial[k]) for k in range(batch)]
+    return [(initial[k], events[k], records[k]) for k in range(batch)]
 
 
 def run_episodes(
@@ -758,7 +767,13 @@ def run_episodes(
 ) -> list[SimulationTrace]:
     """:func:`run_episode` for several trials at once, trial k with
     ``schedules[k]`` and ``streams[k]``, played as one batch; each trace is
-    the one :func:`run_episode` gives for that trial alone."""
+    the one :func:`run_episode` gives for that trial alone.
+
+    The joints are labelled after play, the distinct ones of the whole batch
+    at once: by membership in ``equilibria`` when given, else by
+    :func:`decqlearn.exact_solver.label_equilibria` at tol 1e-9, which
+    solves only the opponent joints the trials visited and agrees with
+    membership in ``equilibrium_set(game, 1e-9)``."""
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     _check_configs(game, configs)
@@ -775,8 +790,6 @@ def run_episodes(
             "every state",
             stacklevel=2,
         )
-    if equilibria is None:
-        equilibria = equilibrium_set(game, tol=1e-9)
 
     agents = [_build_agents(game, configs, s, None) for s in streams]
     results = _simulate(
@@ -785,23 +798,35 @@ def run_episodes(
         streams,
         horizon,
         record_times,
-        equilibria,
         boundaries=[schedule.boundaries for schedule in schedules],
         record_q=record_q,
     )
+    joints = list(
+        dict.fromkeys(
+            joint for initial, events, _ in results for joint in [initial, *(e[2] for e in events)]
+        )
+    )
+    flags = (
+        label_equilibria(game, joints, 1e-9)
+        if equilibria is None
+        else [joint in equilibria for joint in joints]
+    )
+    label = dict(zip(joints, flags))
     return [
         SimulationTrace(
             master_seed=s.master_seed,
             trial=s.trial,
             horizon=horizon,
             schedule=schedule,
-            initial_joint=initial_joint,
-            initial_at_equilibrium=initial_eq,
-            events=tuple(events),
-            records=tuple(records),
+            initial_joint=initial,
+            initial_at_equilibrium=label[initial],
+            events=tuple(PolicyChange(t, i, joint, label[joint]) for t, i, joint in events),
+            records=tuple(
+                TraceRecord(t, joint, label[joint], snapshots) for t, joint, snapshots in records
+            ),
             max_abs_q=tuple(ag.max_abs_q for ag in trial),
         )
-        for s, schedule, trial, (events, records, initial_joint, initial_eq) in zip(
+        for s, schedule, trial, (initial, events, records) in zip(
             streams, schedules, agents, results
         )
     ]
@@ -825,7 +850,9 @@ def run_episode(
     the softened baselines, the state transition via W_t, and every player's
     Q-update. ``equilibria`` (encodings from
     :func:`decqlearn.exact_solver.equilibrium_set`) may be precomputed and
-    shared across episodes; when None it is computed here.
+    shared across episodes; when None, only the joints the episode visits
+    are labelled, after play (see :func:`run_episodes`), so no joint-policy
+    space is enumerated.
     """
     (trace,) = run_episodes(
         game,
@@ -873,7 +900,6 @@ def frozen_q_run(
         batch,
         steps,
         record_times=(),
-        equilibria=None,
         boundaries=[()] * len(batch),
         record_q=False,
     )

@@ -56,9 +56,9 @@ def solve_calls(monkeypatch):
     solve = exact_solver._solve_stack
     calls = []
 
-    def counted(game, player, tol, rhos):
+    def counted(game, player, tol, rhos, members=None):
         calls.append(tuple(rhos))
-        return solve(game, player, tol, rhos)
+        return solve(game, player, tol, rhos, members)
 
     monkeypatch.setattr(exact_solver, "_solve_stack", counted)
     return calls

@@ -30,7 +30,6 @@ from decqlearn.game_model import (
     enumerate_deterministic_policies,
     soften_policy,
 )
-from decqlearn.orchestrator import PolicyChange, TraceRecord
 
 
 def q_star_policy_iteration(mdp: InducedMdp, max_iter: int = 1000) -> np.ndarray:
@@ -168,23 +167,17 @@ def _last_positive(masses):
     return positive[-1] if positive else len(masses) - 1
 
 
-def simulate_stepwise(
-    game, agents, streams, horizon, record_times, equilibria, boundaries, record_q
-):
+def simulate_stepwise(game, agents, streams, horizon, record_times, boundaries, record_q):
     """Stage-by-stage episode loop with the signature and results of
     ``orchestrator._simulate``: each trial of the batch plays alone, from
     one horizon-sized draw of each per-step family."""
     return [
-        _simulate_one_stepwise(
-            game, trial, trial_streams, horizon, record_times, equilibria, rows, record_q
-        )
+        _simulate_one_stepwise(game, trial, trial_streams, horizon, record_times, rows, record_q)
         for trial, trial_streams, rows in zip(agents, streams, boundaries)
     ]
 
 
-def _simulate_one_stepwise(
-    game, agents, streams, horizon, record_times, equilibria, boundaries, record_q
-):
+def _simulate_one_stepwise(game, agents, streams, horizon, record_times, boundaries, record_q):
     """One trial, written with its own copies of the stage rules: at every
     stage each player whose boundary (``boundaries[i][1:]``) falls on it
     appraises its baseline, each player experiments iff its draw is <= rho,
@@ -211,9 +204,7 @@ def _simulate_one_stepwise(
     if sorted_records and not 0 <= sorted_records[0] <= sorted_records[-1] < horizon:
         raise ValueError("record times must lie in [0, horizon)")
 
-    current_joint = tuple(tuple(ag.baseline) for ag in agents)
-    current_eq = current_joint in equilibria if equilibria is not None else False
-    initial_joint, initial_eq = current_joint, current_eq
+    initial_joint = current_joint = tuple(tuple(ag.baseline) for ag in agents)
 
     events = []
     records = []
@@ -230,13 +221,10 @@ def _simulate_one_stepwise(
                 lam_draw = streams.inertia_uniform(i, t)
                 if agents[i].end_phase_update(lam_draw, partial(streams.policy_draw, i, t)):
                     current_joint = tuple(tuple(a.baseline) for a in agents)
-                    current_eq = (
-                        current_joint in equilibria if equilibria is not None else False
-                    )
-                    events.append(PolicyChange(t, i, current_joint, current_eq))
+                    events.append((t, i, current_joint))
         if t in sorted_records:
             snapshots = tuple(np.array(ag.q) for ag in agents) if record_q else None
-            records.append(TraceRecord(t, current_joint, current_eq, snapshots))
+            records.append((t, current_joint, snapshots))
 
         ja = 0
         for i, (ag, rho_row, act_row, _costs, stride) in enumerate(hot):
@@ -255,7 +243,7 @@ def _simulate_one_stepwise(
                 ag.max_abs_q = abs(value)
         x = x_next
 
-    return events, records, initial_joint, initial_eq
+    return initial_joint, events, records
 
 
 def induced_mdp_single(game: StochasticGame, player: int, others) -> InducedMdp:

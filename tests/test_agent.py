@@ -130,7 +130,6 @@ def _played_action(rho, explore, baseline=(1, 0)):
         [_Draws(explore)],
         horizon=1,
         record_times=(),
-        equilibria=None,
         boundaries=[()],
         record_q=False,
     )

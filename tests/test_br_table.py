@@ -8,6 +8,7 @@ path bound) must be exactly equal.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -19,12 +20,18 @@ from decqlearn.exact_solver import (
     _solve_stack,
     delta_bar,
     equilibrium_set,
+    label_equilibria,
     perturbation_gap,
     q_star,
 )
 from decqlearn.experiments import analyze_game, build_benchmark_game
-from decqlearn.game_model import JointDeterministicPolicy, StochasticGame
+from decqlearn.game_model import (
+    JointDeterministicPolicy,
+    StochasticGame,
+    enumerate_deterministic_policies,
+)
 from oracles import (
+    _choice_is_greedy,
     opponent_policies,
     br_graph_enumerated,
     delta_bar_enumerated,
@@ -157,18 +164,70 @@ def _rhos(game):
 
 def test_tables_match_single_solves(game, monkeypatch):
     rhos = _rhos(game)
+    rng = np.random.default_rng(game.num_states)
     for i in range(game.num_players):
         joints = list(opponent_joints(game, i))
         base = [q_star_single(game, i, opponent_policies(game, i, opp), TOL) for opp in joints]
         soft = [
             q_star_single(game, i, opponent_policies(game, i, opp, rhos), TOL) for opp in joints
         ]
+        # chosen members, out of order and repeated, solve to the same rows
+        members = rng.integers(0, len(joints), size=11).tolist()
         for block in BLOCKS:
             monkeypatch.setattr(exact_solver, "_VI_BLOCK", block)
             table = _solve_stack(game, i, TOL, (0.0,) * game.num_players)
             softened = _solve_stack(game, i, TOL, rhos)
             assert [q.tobytes() for q in table] == [q.tobytes() for q in base]
             assert [q.tobytes() for q in softened] == [q.tobytes() for q in soft]
+            chosen = _solve_stack(game, i, TOL, rhos, members)
+            assert [q.tobytes() for q in chosen] == [soft[k].tobytes() for k in members]
+
+
+def _every_joint(game):
+    return [
+        tuple(joint)
+        for joint in itertools.product(
+            *(enumerate_deterministic_policies(game.num_states, m) for m in game.action_counts)
+        )
+    ]
+
+
+def test_labels_match_enumeration(game):
+    # Every joint labelled at once, and a sample of joints each labelled
+    # alone: the labels are membership in the enumerated equilibrium set.
+    joints = _every_joint(game)
+    expected = equilibrium_set_enumerated(game, TOL)
+    labels = label_equilibria(game, joints, TOL)
+    assert labels == [joint in expected for joint in joints]
+    rng = np.random.default_rng(len(joints))
+    for k in rng.choice(len(joints), size=min(len(joints), 25), replace=False).tolist():
+        assert label_equilibria(game, [joints[k]], TOL) == [labels[k]]
+
+
+def test_labels_past_int64():
+    # A 2-player x 2-action x 64-state team game: opponent joint indices
+    # reach 2**64 - 1, past int64, and are decoded exactly. Best-response
+    # dynamics from all-ones give joints on and off the equilibria.
+    game = _shaped_game(np.random.default_rng(64), 64, (2, 2))
+    game = dataclasses.replace(game, costs=(game.costs[0], game.costs[0]))
+
+    def q(i, joint):
+        return q_star_single(game, i, opponent_policies(game, i, joint[1 - i : 2 - i]), TOL)
+
+    rng = np.random.default_rng(3)
+    joints = [tuple(tuple(rng.integers(0, 2, size=64).tolist()) for _ in range(2))]
+    joint = [(1,) * 64, (1,) * 64]
+    for i in (0, 1, 0):
+        joints.append(tuple(joint))
+        joint[i] = tuple(q(i, joint).argmin(axis=1).tolist())
+    joints.append(tuple(joint))
+    for eps in (0.0, 0.5):
+        expected = [
+            all(_choice_is_greedy(q(i, joint), joint[i], eps + TOL) for i in range(2))
+            for joint in joints
+        ]
+        assert True in expected and False in expected
+        assert label_equilibria(game, joints, TOL, eps) == expected
 
 
 def test_derived_objects_match_enumeration(game):

@@ -100,7 +100,7 @@ class TestRunExperiment:
             assert trials == "1"
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["config"] == config.to_json_dict()
-        assert summary["num_equilibria"] == 4
+        assert "num_equilibria" not in summary
         assert result.frequencies.keys() == {0, 5, 9}
 
     def test_identical_seeds_identical_outputs(self, tmp_path):
@@ -131,7 +131,8 @@ class TestRunExperiment:
             assert summary["config"].pop("workers") == workers
             outputs.append(((out / "frequencies.csv").read_bytes(), summary))
         assert outputs[0] == outputs[1] == outputs[2]
-        assert {"frequencies", "max_abs_q", "num_equilibria"} <= set(outputs[0][1])
+        assert {"frequencies", "max_abs_q"} <= set(outputs[0][1])
+        assert "num_equilibria" not in outputs[0][1]
 
     def test_unreachable_game_warns(self, tmp_path):
         import numpy as np
@@ -345,6 +346,49 @@ class TestCli:
         assert code == 0
         assert "frequency" in out
         assert (tmp_path / "frequencies.csv").exists()
+
+    def test_simulate_past_the_enumeration_budget(self, tmp_path, capsys, monkeypatch):
+        # 2 players x 16 states x 2 actions: 2**32 joint policies, past the
+        # budget of 10**6, but tiny learners; simulate labels only the joints
+        # its trials visit and never builds the greedy grids.
+        import numpy as np
+
+        from decqlearn.exact_solver import ExactAnalysis
+        from decqlearn.game_model import StochasticGame
+
+        rng = np.random.default_rng(16)
+        kernel = rng.dirichlet(np.ones(16), size=(16, 4))
+        game = StochasticGame(
+            states=tuple(f"s{x}" for x in range(16)),
+            action_sets=(("a0", "a1"), ("a0", "a1")),
+            costs=(rng.uniform(0.0, 10.0, size=(16, 4)), rng.uniform(0.0, 10.0, size=(16, 4))),
+            discounts=(0.8, 0.8),
+            kernel=kernel,
+            initial_dist=np.full(16, 1.0 / 16.0),
+        )
+        game_path = tmp_path / "game.json"
+        save_game(game, game_path)
+        config = ExperimentConfig(trials=9, horizon=4000, record_times=(0, 3999), min_phase=200)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config.to_json_dict()))
+
+        def no_grids(self):
+            raise AssertionError("simulate enumerated the joint-policy space")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ExactAnalysis, "grids", property(no_grids))
+            code = main(
+                ["simulate", str(game_path), "--config", str(cfg_path),
+                 "--out-dir", str(tmp_path / "out")]
+            )
+        assert code == 0
+        summary = json.loads((tmp_path / "out/summary.json").read_text())
+        assert "num_equilibria" not in summary
+        assert set(summary["frequencies"]) == {"0", "3999"}
+        capsys.readouterr()
+        assert main(["analyze", str(game_path)]) == 2
+        err = capsys.readouterr().err
+        assert "joint policy space has 4294967296 nodes, above the budget" in err
 
 
 def test_resolve_game_passthrough(benchmark_game):

@@ -510,6 +510,7 @@ class TestSegmentEngine:
         # stages at a time, blocks of draws and segments ending apart
         monkeypatch.setattr(orchestrator, "_BLOCK", block)
         monkeypatch.setattr(orchestrator, "_DRAWS", 5 * block + 3)
+        monkeypatch.setattr(orchestrator, "_DRAWS_MIN_STAGES", 1)
         game = random_game(np.random.default_rng(block), num_players=2, max_states=4)
         self._assert_matches_stepwise(monkeypatch, game, 40, 2, 1500, (0, 700), seed=block)
 
@@ -529,6 +530,55 @@ class TestSegmentEngine:
         alone = traces([5])[5]
         for trials in ([5, 0, 1], [9, 5], list(range(12))):
             assert traces(trials)[5] == alone
+
+
+def _tie_game() -> StochasticGame:
+    """Two players, two states, two actions; player 0's costs and the kernel
+    depend on player 1's action only, so player 0's Q-values tie exactly."""
+    rng = np.random.default_rng(12)
+    by_opponent = rng.uniform(0.0, 5.0, size=(2, 2))
+    kernel = rng.uniform(0.1, 1.0, size=(2, 2, 2))
+    kernel /= kernel.sum(axis=2, keepdims=True)
+    return StochasticGame(
+        states=("s0", "s1"),
+        action_sets=(("a0", "a1"), ("a0", "a1")),
+        costs=(np.tile(by_opponent, (1, 2)), rng.uniform(0.0, 5.0, size=(2, 4))),
+        discounts=(0.8, 0.8),
+        kernel=np.tile(kernel, (1, 2, 1)),
+        initial_dist=np.array([0.5, 0.5]),
+    )
+
+
+class TestLazyLabels:
+    """Labels computed after play for the visited joints only
+    (``equilibria=None``) against membership in the enumerated set."""
+
+    def test_traces_equal_eager_labels(self, pennies_game):
+        rng = np.random.default_rng(31)
+        games = [
+            random_game(rng, num_players=n, max_states=3, max_actions=3)
+            for n in (1, 2, 2, 3, 3)
+        ]
+        games += [pennies_game, _tie_game()]
+        labels = set()
+        for game in games:
+            streams = [RandomnessStreams(7, trial=k) for k in range(9)]
+            schedules = [draw_schedule(s, game.num_players, 30, 3, 3000) for s in streams]
+
+            def traces(equilibria):
+                return [
+                    tr.to_json_dict()
+                    for tr in run_episodes(
+                        game, _configs(game.num_players, rho=0.2), schedules, streams, 3000,
+                        (0, 1500, 2999), equilibria=equilibria, record_q=True,
+                        warn_unreachable=False,
+                    )
+                ]
+
+            lazy = traces(None)
+            assert lazy == traces(equilibrium_set(game, 1e-9))
+            labels.update(e["at_equilibrium"] for tr in lazy for e in tr["events"])
+        assert labels == {False, True}
 
 
 class TestFrozenQRun:
