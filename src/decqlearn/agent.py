@@ -1,9 +1,11 @@
-"""One player's learning state machine.
+"""One player's learner: its parameters, its baseline and the phase-end
+appraisal.
 
-During an exploration phase the agent runs constant-step Q-learning on its
+During an exploration phase the player runs constant-step Q-learning on its
 own (state, action) table while following its baseline deterministic policy
-mixed with uniform experimentation. At each phase boundary it re-appraises
-the baseline: if the baseline is delta-greedy for the current table it is
+mixed with uniform experimentation; the episode executor holds that table
+and applies the update. At each phase boundary the agent re-appraises the
+baseline: if the baseline is delta-greedy for the current table it is
 kept; otherwise it is kept with the inertia probability and replaced by a
 uniform draw from the delta-greedy set otherwise. Randomness is injected by
 the caller, so a run is a pure function of the supplied draws.
@@ -17,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exact_solver import QTable
+from .exact_solver import QTable, _greedy_mask
 from .game_model import DeterministicPolicy
 
 __all__ = ["AgentConfig", "Agent"]
@@ -66,33 +68,19 @@ class AgentConfig:
 
 
 class Agent:
-    """Mutable learner driven by an episode executor: Q-learning along each
-    stretch of play between phase boundaries (:meth:`learn`), then the
-    policy appraisal at the boundary (:meth:`end_phase_update`). The agent
-    keeps no clock: the executor plays the softened baseline and calls the
-    appraisal at the player's boundary times from the schedule. An executor
-    playing many trials in lockstep keeps the tables in its own stack and
-    applies the same update there; it writes a table into :attr:`q` before
-    each appraisal and at the end of the run.
+    """One learner's parameters, its baseline policy and its initial Q table,
+    driven by an episode executor. The executor holds the running Q tables
+    (``orchestrator._QStack``) and applies the Q-learning update along each
+    stretch of play; at the player's phase boundaries it hands the current
+    table to :meth:`end_phase_update`, the policy appraisal. The agent keeps
+    no clock.
 
     The constructor takes raw scalars so degenerate settings (rho = 0,
     alpha = 1) remain reachable for diagnostics; configured runs go through
     :meth:`from_config`, which enforces the AgentConfig ranges.
     """
 
-    __slots__ = (
-        "player",
-        "rho",
-        "lam",
-        "delta",
-        "alpha",
-        "discount",
-        "num_states",
-        "num_actions",
-        "q",
-        "baseline",
-        "max_abs_q",
-    )
+    __slots__ = ("player", "rho", "lam", "delta", "alpha", "discount", "baseline", "initial_q")
 
     def __init__(
         self,
@@ -112,15 +100,12 @@ class Agent:
         self.alpha = alpha
         self.discount = discount
         self.baseline = list(baseline)
-        self.num_states = len(self.baseline)
         if initial_q is None:
             raise ValueError("initial_q is required here; from_config fills in zeros")
         q = np.asarray(initial_q, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] != self.num_states:
+        if q.ndim != 2 or q.shape[0] != len(self.baseline):
             raise ValueError("initial_q must be a (num_states, num_actions) array")
-        self.num_actions = q.shape[1]
-        self.q = [list(map(float, row)) for row in q]
-        self.max_abs_q = max((abs(v) for row in self.q for v in row), default=0.0)
+        self.initial_q = q
 
     @classmethod
     def from_config(
@@ -155,56 +140,20 @@ class Agent:
             initial_q=initial_q,
         )
 
-    def learn(
-        self,
-        states: Sequence[int],
-        actions: Sequence[int],
-        costs: Sequence[float],
-        next_states: Sequence[int],
-    ) -> None:
-        """Constant-step Q-learning updates along a path of transitions, one
-        entry (states[k], actions[k]) per step, in order. The per-trial form
-        of the update; ``orchestrator._QStack.play`` is the lockstep form, with
-        the same float operations in the same order."""
-        q = self.q
-        alpha = self.alpha
-        beta = self.discount
-        max_abs_q = self.max_abs_q
-        for x, u, c, x_next in zip(states, actions, costs, next_states):
-            value = (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
-            q[x][u] = value
-            magnitude = value if value >= 0.0 else -value
-            if magnitude > max_abs_q:
-                max_abs_q = magnitude
-        self.max_abs_q = max_abs_q
-
-    def greedy_sets(self) -> tuple[tuple[int, ...], ...]:
-        """Per state, the actions within delta of the best current Q-value."""
-        delta = self.delta
-        out = []
-        for row in self.q:
-            cutoff = min(row) + delta
-            out.append(tuple(a for a, v in enumerate(row) if v <= cutoff))
-        return tuple(out)
-
-    def baseline_is_greedy(self) -> bool:
-        for x, row in enumerate(self.q):
-            if row[self.baseline[x]] > min(row) + self.delta:
-                return False
-        return True
-
-    def end_phase_update(self, lambda_draw: float, subset_draw: SubsetDraw) -> bool:
-        """Phase-boundary policy appraisal; returns True iff the baseline
-        changed.
+    def end_phase_update(
+        self, q: np.ndarray, lambda_draw: float, subset_draw: SubsetDraw
+    ) -> bool:
+        """Phase-boundary policy appraisal against the current Q table ``q``,
+        (state, action); returns True iff the baseline changed.
 
         Keeps a delta-greedy baseline unconditionally; otherwise keeps it
         when ``lambda_draw < lam`` (inertia) and else replaces it with the
         supplied uniform draw from the realized delta-greedy set.
         """
-        changed = False
-        if not self.baseline_is_greedy():
-            if not lambda_draw < self.lam:
-                candidate = list(subset_draw(self.greedy_sets()))
-                changed = candidate != self.baseline
-                self.baseline = candidate
+        greedy = _greedy_mask(q, self.delta)
+        if greedy[np.arange(len(self.baseline)), self.baseline].all() or lambda_draw < self.lam:
+            return False
+        candidate = list(subset_draw(tuple(tuple(np.flatnonzero(row).tolist()) for row in greedy)))
+        changed = candidate != self.baseline
+        self.baseline = candidate
         return changed

@@ -275,11 +275,23 @@ def label_equilibria(
     numerical slack tol: the rule of ``ExactAnalysis.grids``, and the same
     label alone or among any other joints. Each player solves only the
     distinct opponent joints among ``joints``, as one stack, so the work
-    grows with the joints given, not with the joint-policy space."""
+    grows with the joints given, not with the joint-policy space. A joint
+    of the wrong shape or with an action id out of range is a ValueError."""
     check_input("tol", tol)
     if eps < 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     num_states, counts = game.num_states, game.action_counts
+    for joint in joints:
+        if len(joint) != game.num_players or any(
+            len(choice) != num_states
+            or not all(isinstance(a, (int, np.integer)) and 0 <= a < m for a in choice)
+            for choice, m in zip(joint, counts)
+        ):
+            raise ValueError(
+                f"joint {joint!r} is not a joint policy of this game: each of its "
+                f"{game.num_players} players needs one integer action id in range per state "
+                f"({num_states} states, action counts {list(counts)})"
+            )
     labels = np.ones(len(joints), dtype=bool)
     for i in range(game.num_players):
         others = [j for j in range(game.num_players) if j != i]

@@ -182,6 +182,8 @@ class ExperimentConfig:
     def from_json_dict(data: dict) -> "ExperimentConfig":
         import dataclasses
 
+        if not isinstance(data, dict):
+            raise ValueError(f"experiment config must be a JSON object, got {type(data).__name__}")
         kwargs = dict(data)
         known = {f.name for f in dataclasses.fields(ExperimentConfig)}
         unknown = sorted(set(kwargs) - known)

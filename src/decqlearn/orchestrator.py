@@ -59,8 +59,8 @@ Joint = tuple[tuple[int, ...], ...]
 class RandomnessStreams:
     """Keyed access to every primitive random variable of an episode.
 
-    Per-step families are open generators, drawn block by block, or whole
-    arrays indexed by t (the same draws); event families
+    Per-step families are open generators, drawn block by block (the blocks
+    equal one horizon-sized draw); event families
     (inertia, policy draws, phase lengths) are drawn lazily from their own
     keyed sub-streams, so a draw never depends on which other draws were
     consumed first.
@@ -90,16 +90,6 @@ class RandomnessStreams:
     def action_generator(self, player: int) -> np.random.Generator:
         """The player's uniform actions, drawn by ``integers(0, m, size=n)``."""
         return self._generator(_FAMILY_ACTION, player)
-
-    def transition_uniforms(self, horizon: int) -> np.ndarray:
-        """W_0, ..., W_{horizon-1}."""
-        return self.transition_generator().random(horizon)
-
-    def experimentation_uniforms(self, player: int, horizon: int) -> np.ndarray:
-        return self.experimentation_generator(player).random(horizon)
-
-    def action_draws(self, player: int, horizon: int, num_actions: int) -> np.ndarray:
-        return self.action_generator(player).integers(0, num_actions, size=horizon)
 
     def inertia_uniform(self, player: int, t: int) -> float:
         return float(self._generator(_FAMILY_INERTIA, player, t).random())
@@ -485,9 +475,12 @@ def _draw_block(
 
 
 class _QStack:
-    """The Q tables of a batch in one array, entry (action, player, state,
-    trial), padded to the largest action count with +inf, which no min picks
-    up. :meth:`play` is the lockstep form of :meth:`Agent.learn`."""
+    """Every Q table of a batch during a run, in one array, entry (action,
+    player, state, trial), padded to the largest action count with +inf,
+    which no min picks up, and each table's running max |Q|. The update has
+    two forms with the same float operations in the same order: :meth:`play`
+    gives every (player, trial) its update of a stage at once, and
+    :meth:`play_each` runs :func:`_learn` trial by trial."""
 
     def __init__(self, game: StochasticGame, agents: list[list[Agent]]) -> None:
         self.widths = game.action_counts
@@ -496,13 +489,13 @@ class _QStack:
         )
         for k, trial in enumerate(agents):
             for i, ag in enumerate(trial):
-                self.table(i, k)[:] = ag.q
+                self.table(i, k)[:] = ag.initial_q
         # one entry per (player, trial), player-major like the stack
         rows = [trial[i] for i in range(game.num_players) for trial in agents]
         self.keep = np.array([1.0 - ag.alpha for ag in rows])
         self.alpha = np.array([ag.alpha for ag in rows])
         self.beta = np.array([ag.discount for ag in rows])
-        self.max_abs_q = np.array([ag.max_abs_q for ag in rows])
+        self.max_abs_q = np.array([np.abs(ag.initial_q).max(initial=0.0) for ag in rows])
 
     def table(self, player: int, trial: int) -> np.ndarray:
         """A view of one Q table, (state, action)."""
@@ -518,7 +511,7 @@ class _QStack:
     ) -> np.ndarray:
         """Walk every trial's state path from states ``x`` with one gather per
         stage, then give every (player, trial) its update of the stage with one
-        indexed update of the stack, in the float order of :meth:`Agent.learn`;
+        indexed update of the stack, in the float order of :func:`_learn`;
         returns the states after the segment."""
         num_states, batch, length = successor.shape
         span = num_states * batch
@@ -561,23 +554,86 @@ class _QStack:
         np.maximum(self.max_abs_q, np.abs(written).max(axis=0), out=self.max_abs_q)
         return after[-1] // batch
 
-    def unload(self, agents: list[list[Agent]]) -> None:
-        """Hand every agent its final table and largest |Q|."""
-        batch = len(agents)
-        for k, trial in enumerate(agents):
-            for i, ag in enumerate(trial):
-                ag.q = self.table(i, k).tolist()
-                ag.max_abs_q = float(self.max_abs_q[i * batch + k])
+    def play_each(
+        self,
+        game: StochasticGame,
+        tables: list[np.ndarray],
+        joint: np.ndarray,
+        successor: np.ndarray,
+        x: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`play` one trial at a time: a Python walk of each trial's
+        state path, then :func:`_learn` on each of its tables as lists,
+        written back into the stack after the segment."""
+        num_states, batch, length = successor.shape
+        paths = []
+        for k in range(batch):
+            step = successor[:, k].T.ravel().tolist()
+            state = int(x[k])
+            path = []
+            for offset in range(0, length * num_states, num_states):
+                path.append(state)
+                state = step[offset + state]
+            path.append(state)
+            paths.append(path)
+        visited = np.array(paths)
+        # cell (trial k, stage t) of a (state, trial, stage) table along the paths
+        cells = (visited[:, :-1], np.arange(batch)[:, None], np.arange(length))
+        joint_path = joint[cells]
+        for i, (table, costs) in enumerate(zip(tables, game.costs)):
+            actions, path_costs = table[cells].tolist(), costs[cells[0], joint_path].tolist()
+            for k, path in enumerate(paths):
+                row = i * batch + k
+                q = self.table(i, k)
+                values = q.tolist()
+                # path holds one more state than the stage count, so the
+                # update's zip stops at the segment's last stage
+                self.max_abs_q[row] = _learn(
+                    values,
+                    float(self.alpha[row]),
+                    float(self.beta[row]),
+                    float(self.max_abs_q[row]),
+                    path,
+                    actions[k],
+                    path_costs[k],
+                    path[1:],
+                )
+                q[...] = values
+        return visited[:, -1]
+
+
+def _learn(
+    q: list[list[float]],
+    alpha: float,
+    beta: float,
+    max_abs_q: float,
+    states: Sequence[int],
+    actions: Sequence[int],
+    costs: Sequence[float],
+    next_states: Sequence[int],
+) -> float:
+    """Constant-step Q-learning updates along a path of transitions on one
+    table ``q`` held as lists, (state, action), in place: one entry
+    (states[k], actions[k]) per step, in order. Returns the running max |Q|,
+    starting from ``max_abs_q``. The per-trial form of the update;
+    :meth:`_QStack.play` is the lockstep form, with the same float operations
+    in the same order."""
+    for x, u, c, x_next in zip(states, actions, costs, next_states):
+        value = (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
+        q[x][u] = value
+        magnitude = value if value >= 0.0 else -value
+        if magnitude > max_abs_q:
+            max_abs_q = magnitude
+    return max_abs_q
 
 
 def _play_segment(
     game: StochasticGame,
-    agents: list[list[Agent]],
     baselines: list[np.ndarray],
     w: np.ndarray,
     draws: list[tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
-    stack: _QStack | None,
+    stack: _QStack,
 ) -> np.ndarray:
     """Play one stretch of stages of a batch under frozen baselines, trial k
     starting in state ``x[k]``; returns the states after its last stage.
@@ -588,9 +644,8 @@ def _play_segment(
     baselines fixed, the action of every player and the next state are
     tables over (state, trial, stage), built with array operations (the
     state axis first keeps the inner loops long). The state paths and the
-    Q-factor recursions then run stage by stage: in lockstep on ``stack``,
-    or, without one, for a single trial in a Python loop and
-    :meth:`Agent.learn`.
+    Q-factor recursions then run stage by stage on ``stack``: in lockstep
+    for a batch of ``_LOCKSTEP_MIN`` trials or more, else trial by trial.
     """
     num_states = game.num_states
     batch, length = w.shape
@@ -602,27 +657,8 @@ def _play_segment(
         tables.append(table)
     joint = sum(table * stride for table, stride in zip(tables, game.joint_strides))
     successor = sample_transition(game, np.arange(num_states)[:, None, None], joint, w)
-    if stack is not None:
-        return stack.play(game, tables, joint, successor, x)
-
-    step = successor[:, 0].T.ravel().tolist()
-    state = int(x[0])
-    path = []
-    for offset in range(0, length * num_states, num_states):
-        path.append(state)
-        state = step[offset + state]
-    stages = np.arange(length)
-    visited = np.array(path)
-    joint_path = joint[visited, 0, stages]
-    next_states = path[1:] + [state]
-    for ag, table, costs in zip(agents[0], tables, game.costs):
-        ag.learn(
-            path,
-            table[visited, 0, stages].tolist(),
-            costs[visited, joint_path].tolist(),
-            next_states,
-        )
-    return np.array([state])
+    play = stack.play if batch >= _LOCKSTEP_MIN else stack.play_each
+    return play(game, tables, joint, successor, x)
 
 
 def _simulate(
@@ -633,44 +669,34 @@ def _simulate(
     record_times: Sequence[int],
     boundaries: Sequence[Sequence[Sequence[int]]],
     record_q: bool,
-) -> list[tuple[Joint, list[tuple[int, int, Joint]], list[tuple[int, Joint, tuple | None]]]]:
+) -> list[tuple[Joint, list, list, tuple[np.ndarray, ...], tuple[float, ...]]]:
     """Play ``horizon`` stages of a batch of trials in segments between
     update and record times; per trial, returns its initial joint baseline,
-    its policy changes as (t, player, joint in force from t) and its
-    records as (t, joint, Q snapshots or None). Nothing here labels a joint:
-    the learners never read whether one is an equilibrium.
+    its policy changes as (t, player, joint in force from t), its records
+    as (t, joint, Q snapshots or None), and per player its final Q table and
+    largest |Q|. Nothing here labels a joint: the learners never read
+    whether one is an equilibrium.
 
     Trial k has the agents ``agents[k]``, the streams ``streams[k]`` and the
     phase start times ``boundaries[k]`` (a schedule's ``boundaries``, or
     nothing for a run without policy updates); the trials share the game,
-    the horizon and the record times. Player i of trial k appraises its
-    baseline at each of its times after 0, players of a trial sharing a time
-    in player order, through :meth:`Agent.end_phase_update`. A player
-    experiments at stage t when its experimentation uniform is <= its rho.
-    Every baseline is frozen between two update times, so the stages up to
-    the next update time of any trial, the next record time or the end of
-    the current block of draws (``_DRAWS`` trial-stages, at least
-    ``_DRAWS_MIN_STAGES`` stages), at most
-    ``_BLOCK`` trial-stages, form one segment, played by
+    the horizon and the record times. Every Q table lives on one
+    :class:`_QStack` for the whole run, from the agents' initial tables.
+    Player i of trial k appraises its baseline against its current table at
+    each of its times after 0, players of a trial sharing a time in player
+    order, through :meth:`Agent.end_phase_update`. A player experiments at
+    stage t when its experimentation uniform is <= its rho. Every baseline
+    is frozen between two update times, so the stages up to the next update
+    time of any trial, the next record time or the end of the current block
+    of draws (``_DRAWS`` trial-stages, at least ``_DRAWS_MIN_STAGES``
+    stages), at most ``_BLOCK`` trial-stages, form one segment, played by
     :func:`_play_segment`; appraisals and snapshots run at segment starts.
-    A batch of ``_LOCKSTEP_MIN`` trials or more plays in lockstep on a
-    :class:`_QStack`, which the appraisals, the snapshots and the final
-    tables read; in a smaller batch each trial plays alone. A trial's draws
-    depend only on its streams, so its outputs do not depend on the batch,
-    and they equal bit for bit those of the stage-by-stage reference
-    ``tests/oracles.simulate_stepwise``.
+    A trial's draws depend only on its streams, so its outputs do not
+    depend on the batch, and they equal bit for bit those of the
+    stage-by-stage reference ``tests/oracles.simulate_stepwise``.
     """
     batch = len(agents)
-    if 1 < batch < _LOCKSTEP_MIN:
-        return [
-            out
-            for k in range(batch)
-            for out in _simulate(
-                game, agents[k : k + 1], streams[k : k + 1], horizon, record_times,
-                boundaries[k : k + 1], record_q,
-            )
-        ]
-    stack = _QStack(game, agents) if batch >= _LOCKSTEP_MIN else None
+    stack = _QStack(game, agents)
 
     updates = sorted(
         (t, k, i)
@@ -689,6 +715,9 @@ def _simulate(
 
     def joint_of(k: int) -> Joint:
         return tuple(tuple(ag.baseline) for ag in agents[k])
+
+    def tables_of(k: int) -> tuple[np.ndarray, ...]:
+        return tuple(stack.table(i, k).copy() for i in range(game.num_players))
 
     current = [joint_of(k) for k in range(batch)]
     initial = list(current)
@@ -712,22 +741,16 @@ def _simulate(
             _, k, i = updates[next_update]
             next_update += 1
             agent = agents[k][i]
-            if stack is not None:
-                agent.q = stack.table(i, k).tolist()
             lam_draw = streams[k].inertia_uniform(i, t)
-            if agent.end_phase_update(lam_draw, partial(streams[k].policy_draw, i, t)):
+            if agent.end_phase_update(
+                stack.table(i, k), lam_draw, partial(streams[k].policy_draw, i, t)
+            ):
                 baselines[i][k] = agent.baseline
                 current[k] = joint_of(k)
                 events[k].append((t, i, current[k]))
         if sorted_records[next_record] == t:
-            for k, trial in enumerate(agents):
-                snapshots = None
-                if record_q:
-                    snapshots = tuple(
-                        np.array(ag.q) if stack is None else stack.table(i, k).copy()
-                        for i, ag in enumerate(trial)
-                    )
-                records[k].append((t, current[k], snapshots))
+            for k in range(batch):
+                records[k].append((t, current[k], tables_of(k) if record_q else None))
             next_record += 1
         if t == block_stop:
             block_start, block_stop = t, min(t + block_length, horizon)
@@ -739,7 +762,6 @@ def _simulate(
         a, b = t - block_start, stop - block_start
         x = _play_segment(
             game,
-            agents,
             baselines,
             w[:, a:b],
             [(explore[:, a:b], uniform[:, a:b]) for explore, uniform in draws],
@@ -748,9 +770,16 @@ def _simulate(
         )
         t = stop
 
-    if stack is not None:
-        stack.unload(agents)
-    return [(initial[k], events[k], records[k]) for k in range(batch)]
+    return [
+        (
+            initial[k],
+            events[k],
+            records[k],
+            tables_of(k),
+            tuple(float(stack.max_abs_q[i * batch + k]) for i in range(game.num_players)),
+        )
+        for k in range(batch)
+    ]
 
 
 def run_episodes(
@@ -761,7 +790,6 @@ def run_episodes(
     horizon: int,
     record_times: Sequence[int] = (),
     *,
-    equilibria: frozenset | None = None,
     record_q: bool = False,
     warn_unreachable: bool = True,
 ) -> list[SimulationTrace]:
@@ -770,10 +798,9 @@ def run_episodes(
     the one :func:`run_episode` gives for that trial alone.
 
     The joints are labelled after play, the distinct ones of the whole batch
-    at once: by membership in ``equilibria`` when given, else by
-    :func:`decqlearn.exact_solver.label_equilibria` at tol 1e-9, which
-    solves only the opponent joints the trials visited and agrees with
-    membership in ``equilibrium_set(game, 1e-9)``."""
+    at once, by :func:`decqlearn.exact_solver.label_equilibria` at tol 1e-9,
+    which solves only the opponent joints the trials visited and agrees
+    with membership in ``equilibrium_set(game, 1e-9)``."""
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     _check_configs(game, configs)
@@ -803,15 +830,10 @@ def run_episodes(
     )
     joints = list(
         dict.fromkeys(
-            joint for initial, events, _ in results for joint in [initial, *(e[2] for e in events)]
+            joint for initial, events, *_ in results for joint in [initial, *(e[2] for e in events)]
         )
     )
-    flags = (
-        label_equilibria(game, joints, 1e-9)
-        if equilibria is None
-        else [joint in equilibria for joint in joints]
-    )
-    label = dict(zip(joints, flags))
+    label = dict(zip(joints, label_equilibria(game, joints, 1e-9)))
     return [
         SimulationTrace(
             master_seed=s.master_seed,
@@ -824,10 +846,10 @@ def run_episodes(
             records=tuple(
                 TraceRecord(t, joint, label[joint], snapshots) for t, joint, snapshots in records
             ),
-            max_abs_q=tuple(ag.max_abs_q for ag in trial),
+            max_abs_q=max_abs_q,
         )
-        for s, schedule, trial, (initial, events, records) in zip(
-            streams, schedules, agents, results
+        for s, schedule, (initial, events, records, _, max_abs_q) in zip(
+            streams, schedules, results
         )
     ]
 
@@ -840,7 +862,6 @@ def run_episode(
     horizon: int,
     record_times: Sequence[int] = (),
     *,
-    equilibria: frozenset | None = None,
     record_q: bool = False,
     warn_unreachable: bool = True,
 ) -> SimulationTrace:
@@ -848,11 +869,8 @@ def run_episode(
 
     Each stage: pending phase-boundary policy updates, action selection from
     the softened baselines, the state transition via W_t, and every player's
-    Q-update. ``equilibria`` (encodings from
-    :func:`decqlearn.exact_solver.equilibrium_set`) may be precomputed and
-    shared across episodes; when None, only the joints the episode visits
-    are labelled, after play (see :func:`run_episodes`), so no joint-policy
-    space is enumerated.
+    Q-update. Only the joints the episode visits are labelled, after play
+    (see :func:`run_episodes`), so no joint-policy space is enumerated.
     """
     (trace,) = run_episodes(
         game,
@@ -861,7 +879,6 @@ def run_episode(
         [streams],
         horizon,
         record_times,
-        equilibria=equilibria,
         record_q=record_q,
         warn_unreachable=warn_unreachable,
     )
@@ -894,7 +911,7 @@ def frozen_q_run(
     if not batch:
         raise ValueError("need at least one trial")
     agents = [_build_agents(game, configs, s, choices) for s in batch]
-    _simulate(
+    results = _simulate(
         game,
         agents,
         batch,
@@ -903,7 +920,7 @@ def frozen_q_run(
         boundaries=[()] * len(batch),
         record_q=False,
     )
-    tables = [[QTable(ag.player, np.array(ag.q)) for ag in trial] for trial in agents]
+    tables = [[QTable(i, q) for i, q in enumerate(final)] for _, _, _, final, _ in results]
     return tables[0] if single else tables
 
 

@@ -178,27 +178,32 @@ def simulate_stepwise(game, agents, streams, horizon, record_times, boundaries, 
 
 
 def _simulate_one_stepwise(game, agents, streams, horizon, record_times, boundaries, record_q):
-    """One trial, written with its own copies of the stage rules: at every
-    stage each player whose boundary (``boundaries[i][1:]``) falls on it
-    appraises its baseline, each player experiments iff its draw is <= rho,
-    the next state comes from a bisect over the cumulative kernel row, and
-    each player's Q entry gets the constant-step update."""
+    """One trial, written with its own copies of the stage rules and its own
+    Q tables as lists: at every stage each player whose boundary
+    (``boundaries[i][1:]``) falls on it appraises its baseline against its
+    table, each player experiments iff its draw is <= rho, the next state
+    comes from a bisect over the cumulative kernel row, and each player's Q
+    entry gets the constant-step update."""
     n = game.num_players
     strides = game.joint_strides
     cumulative = np.cumsum(game.kernel, axis=2).tolist()
     fallback = [[_last_positive(row) for row in block] for block in game.kernel.tolist()]
-    w_draws = streams.transition_uniforms(horizon).tolist()
+    w_draws = streams.transition_generator().random(horizon).tolist()
     hot = []
     for i, ag in enumerate(agents):
         hot.append(
             (
                 ag,
-                streams.experimentation_uniforms(i, horizon).tolist(),
-                streams.action_draws(i, horizon, game.action_counts[i]).tolist(),
+                streams.experimentation_generator(i).random(horizon).tolist(),
+                streams.action_generator(i)
+                .integers(0, game.action_counts[i], size=horizon)
+                .tolist(),
                 game.costs[i].tolist(),
                 strides[i],
             )
         )
+    q_tables = [ag.initial_q.tolist() for ag in agents]
+    max_abs_q = [max((abs(v) for row in q for v in row), default=0.0) for q in q_tables]
 
     sorted_records = sorted(set(int(t) for t in record_times))
     if sorted_records and not 0 <= sorted_records[0] <= sorted_records[-1] < horizon:
@@ -219,11 +224,13 @@ def _simulate_one_stepwise(game, agents, streams, horizon, record_times, boundar
         for i, row in enumerate(boundaries):
             if t > 0 and t in row:
                 lam_draw = streams.inertia_uniform(i, t)
-                if agents[i].end_phase_update(lam_draw, partial(streams.policy_draw, i, t)):
+                if agents[i].end_phase_update(
+                    np.array(q_tables[i]), lam_draw, partial(streams.policy_draw, i, t)
+                ):
                     current_joint = tuple(tuple(a.baseline) for a in agents)
                     events.append((t, i, current_joint))
         if t in sorted_records:
-            snapshots = tuple(np.array(ag.q) for ag in agents) if record_q else None
+            snapshots = tuple(np.array(q) for q in q_tables) if record_q else None
             records.append((t, current_joint, snapshots))
 
         ja = 0
@@ -233,17 +240,17 @@ def _simulate_one_stepwise(game, agents, streams, horizon, record_times, boundar
             ja += a * stride
         x_next = _inverse_cdf(cumulative[x][ja], w_draws[t], fallback[x][ja])
         for i, (ag, _rho, _act, costs, _stride) in enumerate(hot):
-            q = ag.q
+            q = q_tables[i]
             u = actions[i]
             value = (1.0 - ag.alpha) * q[x][u] + ag.alpha * (
                 costs[x][ja] + ag.discount * min(q[x_next])
             )
             q[x][u] = value
-            if abs(value) > ag.max_abs_q:
-                ag.max_abs_q = abs(value)
+            if abs(value) > max_abs_q[i]:
+                max_abs_q[i] = abs(value)
         x = x_next
 
-    return initial_joint, events, records
+    return initial_joint, events, records, tuple(np.array(q) for q in q_tables), tuple(max_abs_q)
 
 
 def induced_mdp_single(game: StochasticGame, player: int, others) -> InducedMdp:

@@ -167,7 +167,7 @@ def test_criterion_5_q_hull_on_random_games():
             for i in range(game.num_players)
         )
         trace = dq.run_episode(
-            game, configs, schedule, streams, 20_000, equilibria=frozenset(), warn_unreachable=False
+            game, configs, schedule, streams, 20_000, warn_unreachable=False
         )
         for cost, beta, reached in zip(game.costs, game.discounts, trace.max_abs_q):
             hull = max(-min(0.0, cost.min() / (1.0 - beta)), max(0.0, cost.max() / (1.0 - beta)))
@@ -322,7 +322,6 @@ def test_criterion_9_determinism(tmp_path):
     worker_ok = csv_1a == csv_2
 
     game = dq.build_benchmark_game()
-    eq = dq.equilibrium_set(game, 1e-9)
     configs = tuple(
         dq.AgentConfig(player=i, **STANDARD_PARAMS) for i in range(2)
     )
@@ -331,7 +330,7 @@ def test_criterion_9_determinism(tmp_path):
         streams = dq.RandomnessStreams(9, trial=2)
         schedule = dq.draw_schedule(streams, 2, 1000, 3, 8000)
         trace = dq.run_episode(
-            game, configs, schedule, streams, 8000, record_times=(0, 4000), equilibria=eq
+            game, configs, schedule, streams, 8000, record_times=(0, 4000)
         )
         path = tmp_path / name
         trace.save_json(path)

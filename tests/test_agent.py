@@ -6,20 +6,19 @@ import pytest
 from decqlearn.agent import Agent, AgentConfig
 from decqlearn.exact_solver import QTable
 from decqlearn.game_model import DeterministicPolicy, StochasticGame
-from decqlearn.orchestrator import _simulate
+from decqlearn.orchestrator import _learn, _QStack, _simulate
 
 
-def _agent(rho=0.05, lam=0.2, delta=0.5, alpha=0.5, beta=0.8, q=None, baseline=(0, 0)):
-    q = np.zeros((2, 2)) if q is None else np.asarray(q, dtype=float)
+def _agent(rho=0.05, lam=0.2, delta=0.5, baseline=(0, 0)):
     return Agent(
         player=0,
         rho=rho,
         lam=lam,
         delta=delta,
-        alpha=alpha,
-        discount=beta,
+        alpha=0.5,
+        discount=0.8,
         baseline=baseline,
-        initial_q=q,
+        initial_q=np.zeros((2, 2)),
     )
 
 
@@ -60,7 +59,7 @@ class TestAgentConfig:
             initial_policy=DeterministicPolicy(0, (1, 0)),
         )
         agent = Agent.from_config(cfg, num_states=2, num_actions=2, discount=0.8)
-        assert agent.q == [[0.0, 0.0], [0.0, 0.0]]
+        assert agent.initial_q.tolist() == [[0.0, 0.0], [0.0, 0.0]]
         assert agent.baseline == [1, 0]
 
     def test_initial_q_accepts_qtable(self):
@@ -74,8 +73,9 @@ class TestAgentConfig:
             initial_q=QTable(0, np.full((2, 2), 3.0)),
         )
         agent = Agent.from_config(cfg, num_states=2, num_actions=2, discount=0.8)
-        assert agent.q == [[3.0, 3.0], [3.0, 3.0]]
-        assert agent.max_abs_q == 3.0
+        assert agent.initial_q.tolist() == [[3.0, 3.0], [3.0, 3.0]]
+        # the engine's running max |Q| starts from the initial table
+        assert _QStack(_one_player_game(), [[agent]]).max_abs_q.tolist() == [3.0]
 
 
 class _Constant:
@@ -112,10 +112,9 @@ class _Draws:
         return 0.0
 
 
-def _played_action(rho, explore, baseline=(1, 0)):
-    """The action the episode engine plays for a one-player game at its first
-    stage, read off the one Q entry that stage updates (every cost is 1)."""
-    game = StochasticGame(
+def _one_player_game():
+    """One player, two states, two actions, every cost 1; starts in state 0."""
+    return StochasticGame(
         states=("s0", "s1"),
         action_sets=(("a0", "a1"),),
         costs=(np.ones((2, 2)),),
@@ -123,9 +122,14 @@ def _played_action(rho, explore, baseline=(1, 0)):
         kernel=np.full((2, 2, 2), 0.5),
         initial_dist=np.array([1.0, 0.0]),
     )
+
+
+def _played_action(rho, explore, baseline=(1, 0)):
+    """The action the episode engine plays for a one-player game at its first
+    stage, read off the one Q entry that stage updates (every cost is 1)."""
     agent = _agent(rho=rho, baseline=baseline)
-    _simulate(
-        game,
+    ((*_, (q,), _),) = _simulate(
+        _one_player_game(),
         [[agent]],
         [_Draws(explore)],
         horizon=1,
@@ -133,7 +137,7 @@ def _played_action(rho, explore, baseline=(1, 0)):
         boundaries=[()],
         record_q=False,
     )
-    (played,) = [u for u in range(2) if agent.q[0][u] != 0.0]
+    (played,) = [u for u in range(2) if q[0][u] != 0.0]
     return played
 
 
@@ -154,64 +158,67 @@ class TestSelectAction:
 
 
 class TestQUpdate:
-    """The constant-step Q-learning update, ``Agent.learn``."""
+    """The constant-step Q-learning update on a table held as lists,
+    ``orchestrator._learn``."""
 
     def test_arithmetic_example(self):
-        agent = _agent(alpha=0.5, beta=0.8)
-        agent.learn([0], [1], [2.0], [1])
-        assert agent.q == [[0.0, 1.0], [0.0, 0.0]]
+        q = [[0.0, 0.0], [0.0, 0.0]]
+        _learn(q, 0.5, 0.8, 0.0, [0], [1], [2.0], [1])
+        assert q == [[0.0, 1.0], [0.0, 0.0]]
 
     def test_alpha_one_full_replacement(self):
-        agent = _agent(alpha=1.0, beta=0.8, q=[[5.0, 5.0], [1.0, 3.0]])
-        agent.learn([0], [0], [2.0], [1])
-        assert agent.q[0][0] == 2.0 + 0.8 * 1.0
+        q = [[5.0, 5.0], [1.0, 3.0]]
+        _learn(q, 1.0, 0.8, 5.0, [0], [0], [2.0], [1])
+        assert q[0][0] == 2.0 + 0.8 * 1.0
 
     def test_fixed_point_entry_unchanged(self):
         # entry already equals cost + beta * min next row
-        agent = _agent(alpha=0.5, beta=0.5, q=[[2.0, 0.0], [2.0, 2.0]])
-        agent.learn([0], [0], [1.0], [1])  # 1 + 0.5 * 2 = 2
-        assert agent.q[0][0] == 2.0
+        q = [[2.0, 0.0], [2.0, 2.0]]
+        _learn(q, 0.5, 0.5, 2.0, [0], [0], [1.0], [1])  # 1 + 0.5 * 2 = 2
+        assert q[0][0] == 2.0
 
     def test_touches_exactly_one_entry(self, rng):
-        agent = _agent(alpha=0.3, beta=0.8, q=rng.normal(size=(2, 2)))
+        q = rng.normal(size=(2, 2)).tolist()
         for _ in range(200):
-            before = [row[:] for row in agent.q]
+            before = [row[:] for row in q]
             x = int(rng.integers(2))
             u = int(rng.integers(2))
             x_next = int(rng.integers(2))
-            agent.learn([x], [u], [float(rng.normal())], [x_next])
+            _learn(q, 0.3, 0.8, 0.0, [x], [u], [float(rng.normal())], [x_next])
             diffs = [
                 (s, a)
                 for s in range(2)
                 for a in range(2)
-                if agent.q[s][a] != before[s][a]
+                if q[s][a] != before[s][a]
             ]
             assert diffs in ([], [(x, u)])
 
     def test_uses_pre_update_next_row(self):
         # self-referential update (x_next == x): the min must be taken
         # before the entry is overwritten
-        agent = _agent(alpha=1.0, beta=0.5, q=[[1.0, 4.0], [0.0, 0.0]])
-        agent.learn([0], [0], [0.0], [0])
-        assert agent.q[0][0] == 0.5 * 1.0
+        q = [[1.0, 4.0], [0.0, 0.0]]
+        _learn(q, 1.0, 0.5, 4.0, [0], [0], [0.0], [0])
+        assert q[0][0] == 0.5 * 1.0
 
     def test_path_applies_updates_in_order(self):
         # a path that stays in state 0 (x_next == x) before leaving it: each
         # update reads the row as the previous update left it
-        agent = _agent(alpha=0.5, beta=0.5, q=[[4.0, 2.0], [0.0, 0.0]])
-        agent.learn([0, 0, 0, 1], [1, 1, 0, 0], [0.0, 0.0, 1.0, 3.0], [0, 0, 0, 1])
+        q = [[4.0, 2.0], [0.0, 0.0]]
+        max_abs_q = _learn(
+            q, 0.5, 0.5, 4.0, [0, 0, 0, 1], [1, 1, 0, 0], [0.0, 0.0, 1.0, 3.0], [0, 0, 0, 1]
+        )
         # q[0][1]: 0.5 * 2 + 0.5 * (0 + 0.5 * 2) = 1.5,
         #          then 0.5 * 1.5 + 0.5 * (0 + 0.5 * 1.5) = 1.125
         # q[0][0]: 0.5 * 4 + 0.5 * (1 + 0.5 * 1.125) = 2.78125
         # q[1][0]: 0.5 * 0 + 0.5 * (3 + 0.5 * 0) = 1.5
-        assert agent.q == [[2.78125, 1.125], [1.5, 0.0]]
-        assert agent.max_abs_q == 4.0
+        assert q == [[2.78125, 1.125], [1.5, 0.0]]
+        assert max_abs_q == 4.0
 
     def test_tracks_running_max(self):
-        agent = _agent(alpha=1.0, beta=0.0, q=[[0.0, 0.0], [0.0, 0.0]])
-        agent.learn([0], [0], [-7.0], [1])
-        agent.learn([0], [1], [3.0], [1])
-        assert agent.max_abs_q == 7.0
+        q = [[0.0, 0.0], [0.0, 0.0]]
+        max_abs_q = _learn(q, 1.0, 0.0, 0.0, [0], [0], [-7.0], [1])
+        max_abs_q = _learn(q, 1.0, 0.0, max_abs_q, [0], [1], [3.0], [1])
+        assert max_abs_q == 7.0
 
 
 class TestEndPhaseUpdate:
@@ -219,43 +226,42 @@ class TestEndPhaseUpdate:
         raise AssertionError("subset draw must not be consulted")
 
     def test_greedy_baseline_kept_regardless_of_draws(self):
-        agent = _agent(delta=0.5, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(0, 0))
-        changed = agent.end_phase_update(0.99, self._no_draw)
+        agent = _agent(delta=0.5, baseline=(0, 0))
+        changed = agent.end_phase_update(np.array([[0.0, 10.0], [0.0, 10.0]]), 0.99, self._no_draw)
         assert not changed
         assert agent.baseline == [0, 0]
 
     def test_inertia_keeps_poor_baseline(self):
-        agent = _agent(lam=0.2, delta=0.5, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(1, 1))
-        changed = agent.end_phase_update(0.1, self._no_draw)
+        agent = _agent(lam=0.2, delta=0.5, baseline=(1, 1))
+        changed = agent.end_phase_update(np.array([[0.0, 10.0], [0.0, 10.0]]), 0.1, self._no_draw)
         assert not changed and agent.baseline == [1, 1]
 
     def test_switch_draws_from_greedy_set(self):
-        agent = _agent(lam=0.2, delta=0.5, q=[[0.0, 10.0], [0.0, 0.3]], baseline=(1, 1))
+        agent = _agent(lam=0.2, delta=0.5, baseline=(1, 1))
         seen = {}
 
         def draw(allowed):
             seen["allowed"] = allowed
             return (0, 1)
 
-        changed = agent.end_phase_update(0.9, draw)
+        changed = agent.end_phase_update(np.array([[0.0, 10.0], [0.0, 0.3]]), 0.9, draw)
         assert changed and agent.baseline == [0, 1]
         assert seen["allowed"] == ((0,), (0, 1))
 
     def test_huge_delta_accepts_everything(self):
-        agent = _agent(delta=100.0, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(1, 1))
-        assert not agent.end_phase_update(0.99, self._no_draw)
+        agent = _agent(delta=100.0, baseline=(1, 1))
+        assert not agent.end_phase_update(np.array([[0.0, 10.0], [0.0, 10.0]]), 0.99, self._no_draw)
         assert agent.baseline == [1, 1]
 
     def test_keep_frequency_matches_inertia(self, rng):
         # forced-switch situation: keep happens iff draw < lam
         lam = 0.2
+        q = np.array([[0.0, 10.0], [0.0, 10.0]])
         draws = rng.random(100_000)
         keeps = 0
         for draw in draws.tolist():
-            agent = _agent(
-                lam=lam, delta=0.5, q=[[0.0, 10.0], [0.0, 10.0]], baseline=(1, 1)
-            )
-            agent.end_phase_update(draw, lambda allowed: (0, 0))
+            agent = _agent(lam=lam, delta=0.5, baseline=(1, 1))
+            agent.end_phase_update(q, draw, lambda allowed: (0, 0))
             if agent.baseline == [1, 1]:
                 keeps += 1
         se = np.sqrt(lam * (1 - lam) / draws.size)

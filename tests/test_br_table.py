@@ -10,6 +10,7 @@ path bound) must be exactly equal.
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -202,6 +203,25 @@ def test_labels_match_enumeration(game):
     rng = np.random.default_rng(len(joints))
     for k in rng.choice(len(joints), size=min(len(joints), 25), replace=False).tolist():
         assert label_equilibria(game, [joints[k]], TOL) == [labels[k]]
+
+
+@pytest.mark.parametrize(
+    "joint",
+    [
+        ((0, -1), (0, 0)),  # wraps around under numpy indexing
+        ((0, 2), (0, 0)),  # past the action count
+        ((0, 0.5), (0, 0)),  # not an action id
+        ((0, 0, 0), (0, 0)),  # one action id too many
+        ((0,), (0, 0)),  # one too few
+        ((0, 0),),  # a player missing
+    ],
+)
+def test_labels_reject_malformed_joints(joint):
+    game = build_benchmark_game()
+    with pytest.raises(ValueError, match=r"joint .* is not a joint policy of this game"):
+        label_equilibria(game, [((0, 0), (0, 1)), joint], TOL)
+    with pytest.raises(ValueError, match=re.escape(repr(joint))):
+        label_equilibria(game, [joint], TOL)
 
 
 def test_labels_past_int64():

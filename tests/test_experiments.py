@@ -71,6 +71,15 @@ class TestExperimentConfig:
         assert capsys.readouterr().err.startswith(f"error: {key} must be")
         assert not (tmp_path / "summary.json").exists()
 
+    @pytest.mark.parametrize("document", ["[1, 2]", "null", '"x"', "3"])
+    def test_simulate_rejects_a_config_that_is_not_an_object(self, tmp_path, capsys, document):
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(document)
+        argv = ["simulate", "benchmark", "--config", str(cfg_path), "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: experiment config must be a JSON object")
+        assert not (tmp_path / "summary.json").exists()
+
     def test_lists_are_held_as_tuples(self):
         config = ExperimentConfig(rho=[0.05, 0.1], record_times=[0, 10])
         assert config == ExperimentConfig(rho=(0.05, 0.1), record_times=(0, 10))

@@ -32,9 +32,9 @@ class TestRandomnessStreams:
     def test_regeneration_is_identical(self):
         a = RandomnessStreams(123, trial=4)
         b = RandomnessStreams(123, trial=4)
-        assert_allclose(a.transition_uniforms(100), b.transition_uniforms(100))
+        assert_allclose(a.transition_generator().random(100), b.transition_generator().random(100))
         assert_allclose(
-            a.experimentation_uniforms(1, 100), b.experimentation_uniforms(1, 100)
+            a.experimentation_generator(1).random(100), b.experimentation_generator(1).random(100)
         )
         assert a.inertia_uniform(0, 17) == b.inertia_uniform(0, 17)
         assert a.policy_draw(0, 17, ((0, 1), (1,))) == b.policy_draw(0, 17, ((0, 1), (1,)))
@@ -42,16 +42,16 @@ class TestRandomnessStreams:
     def test_trials_are_distinct(self):
         a = RandomnessStreams(123, trial=0)
         b = RandomnessStreams(123, trial=1)
-        assert not np.allclose(a.transition_uniforms(50), b.transition_uniforms(50))
+        assert not np.allclose(a.transition_generator().random(50), b.transition_generator().random(50))
 
     def test_family_cross_correlations_small(self):
         streams = RandomnessStreams(99)
         n = 100_000
         families = {
-            "transition": streams.transition_uniforms(n),
-            "experiment0": streams.experimentation_uniforms(0, n),
-            "experiment1": streams.experimentation_uniforms(1, n),
-            "action0": streams.action_draws(0, n, 5).astype(float),
+            "transition": streams.transition_generator().random(n),
+            "experiment0": streams.experimentation_generator(0).random(n),
+            "experiment1": streams.experimentation_generator(1).random(n),
+            "action0": streams.action_generator(0).integers(0, 5, size=n).astype(float),
             "inertia0": np.array(
                 [streams.inertia_uniform(0, t) for t in range(n)]
             ),
@@ -179,7 +179,6 @@ class TestActivePhases:
 
 class TestRunEpisode:
     def test_identical_seeds_identical_traces(self, benchmark_game):
-        eq = equilibrium_set(benchmark_game, 1e-9)
         results = []
         for _ in range(2):
             streams = RandomnessStreams(42, trial=3)
@@ -191,7 +190,6 @@ class TestRunEpisode:
                 streams,
                 5000,
                 record_times=(0, 2500, 4999),
-                equilibria=eq,
                 record_q=True,
             )
             results.append(trace)
@@ -202,22 +200,20 @@ class TestRunEpisode:
                 assert np.array_equal(qa, qb)
 
     def test_policy_changes_only_at_own_boundaries(self, benchmark_game):
-        eq = equilibrium_set(benchmark_game, 1e-9)
         streams = RandomnessStreams(7, trial=0)
         schedule = draw_schedule(streams, 2, 300, 3, 20_000)
         trace = run_episode(
-            benchmark_game, _configs(), schedule, streams, 20_000, equilibria=eq
+            benchmark_game, _configs(), schedule, streams, 20_000
         )
         assert trace.events, "expected at least one policy change in 20k steps"
         for event in trace.events:
             assert event.t in schedule.boundaries[event.player]
 
     def test_policy_changes_inside_active_phases(self, benchmark_game):
-        eq = equilibrium_set(benchmark_game, 1e-9)
         streams = RandomnessStreams(11, trial=0)
         schedule = draw_schedule(streams, 2, 300, 3, 20_000)
         trace = run_episode(
-            benchmark_game, _configs(), schedule, streams, 20_000, equilibria=eq
+            benchmark_game, _configs(), schedule, streams, 20_000
         )
         result = active_phases(schedule)
         covered = [(p.tau_min, p.tau_max) for p in result.phases]
@@ -228,11 +224,10 @@ class TestRunEpisode:
 
     def test_max_abs_q_bounded(self, benchmark_game):
         # cost bound 11, discount 0.8, zero initialization: M = 55
-        eq = equilibrium_set(benchmark_game, 1e-9)
         streams = RandomnessStreams(3, trial=0)
         schedule = draw_schedule(streams, 2, 1000, 3, 30_000)
         trace = run_episode(
-            benchmark_game, _configs(), schedule, streams, 30_000, equilibria=eq
+            benchmark_game, _configs(), schedule, streams, 30_000
         )
         assert max(trace.max_abs_q) <= 55.0
 
@@ -241,7 +236,7 @@ class TestRunEpisode:
         streams = RandomnessStreams(19, trial=0)
         schedule = draw_schedule(streams, 2, 500, 3, 10_000)
         trace = run_episode(
-            benchmark_game, _configs(), schedule, streams, 10_000, equilibria=eq
+            benchmark_game, _configs(), schedule, streams, 10_000
         )
         assert trace.initial_at_equilibrium == (trace.initial_joint in eq)
         for event in trace.events:
@@ -274,7 +269,6 @@ class TestRunEpisode:
             frozen_q_run(benchmark_game, _configs(), ((0, 0), (0, 0)), [], 100)
 
     def test_explicit_initial_policies_respected(self, benchmark_game):
-        eq = equilibrium_set(benchmark_game, 1e-9)
         configs = tuple(
             AgentConfig(
                 player=i,
@@ -288,19 +282,18 @@ class TestRunEpisode:
         )
         streams = RandomnessStreams(2, trial=0)
         schedule = draw_schedule(streams, 2, 2000, 2, 4000)
-        trace = run_episode(benchmark_game, configs, schedule, streams, 4000, equilibria=eq)
+        trace = run_episode(benchmark_game, configs, schedule, streams, 4000)
         assert trace.initial_joint == ((0, 0), (0, 1))
         assert trace.initial_at_equilibrium
 
     def test_initial_equilibrium_rate_near_quarter(self, benchmark_game):
         # 4 of 16 joint policies are equilibria under uniform initialization
-        eq = equilibrium_set(benchmark_game, 1e-9)
         flags = []
         for trial in range(400):
             streams = RandomnessStreams(77, trial=trial)
             schedule = draw_schedule(streams, 2, 200, 2, 200)
             trace = run_episode(
-                benchmark_game, _configs(), schedule, streams, 200, equilibria=eq
+                benchmark_game, _configs(), schedule, streams, 200
             )
             flags.append(trace.initial_at_equilibrium)
         rate = sum(flags) / len(flags)
@@ -341,15 +334,15 @@ class TestBlockDraws:
             lengths.append(min(2 * int(rng.integers(0, 600)) + 1, horizon - sum(lengths)))
         streams = RandomnessStreams(11, trial=4)
         if family == "transition":
-            whole = streams.transition_uniforms(horizon)
+            whole = streams.transition_generator().random(horizon)
             gen = streams.transition_generator()
             blocks = [gen.random(out=np.empty(n)) for n in lengths]
         elif family == "experimentation":
-            whole = streams.experimentation_uniforms(1, horizon)
+            whole = streams.experimentation_generator(1).random(horizon)
             gen = streams.experimentation_generator(1)
             blocks = [gen.random(out=np.empty(n)) for n in lengths]
         else:
-            whole = streams.action_draws(1, horizon, num_actions)
+            whole = streams.action_generator(1).integers(0, num_actions, size=horizon)
             gen = streams.action_generator(1)
             blocks = [gen.integers(0, num_actions, size=n) for n in lengths]
         assert len(lengths) > 30
@@ -372,7 +365,6 @@ class TestSegmentEngine:
         horizon,
         record_times=(),
         seed=0,
-        equilibria=frozenset(),
         configs=None,
     ):
         if configs is None:
@@ -394,7 +386,6 @@ class TestSegmentEngine:
                 streams,
                 horizon,
                 record_times,
-                equilibria=equilibria,
                 record_q=True,
                 warn_unreachable=False,
             )
@@ -423,7 +414,6 @@ class TestSegmentEngine:
             20_000,
             (0, 1, 4321, 19_999),
             seed=5,
-            equilibria=equilibrium_set(benchmark_game, 1e-9),
         )
 
     @pytest.mark.parametrize("num_players", [1, 2, 3])
@@ -516,14 +506,13 @@ class TestSegmentEngine:
 
     def test_trace_does_not_depend_on_the_batch(self, monkeypatch, benchmark_game):
         monkeypatch.setattr(orchestrator, "_LOCKSTEP_MIN", 1)
-        eq = equilibrium_set(benchmark_game, 1e-9)
 
         def traces(trials):
             streams = [RandomnessStreams(4, trial=k) for k in trials]
             schedules = [draw_schedule(s, 2, 300, 3, 6000) for s in streams]
             out = run_episodes(
                 benchmark_game, _configs(), schedules, streams, 6000, (0, 2999),
-                equilibria=eq, record_q=True,
+                record_q=True,
             )
             return {tr.trial: json.dumps(tr.to_json_dict()) for tr in out}
 
@@ -550,8 +539,8 @@ def _tie_game() -> StochasticGame:
 
 
 class TestLazyLabels:
-    """Labels computed after play for the visited joints only
-    (``equilibria=None``) against membership in the enumerated set."""
+    """Labels computed after play for the visited joints only against
+    membership in the enumerated set."""
 
     def test_traces_equal_eager_labels(self, pennies_game):
         rng = np.random.default_rng(31)
@@ -562,22 +551,20 @@ class TestLazyLabels:
         games += [pennies_game, _tie_game()]
         labels = set()
         for game in games:
+            eq = equilibrium_set(game, 1e-9)
             streams = [RandomnessStreams(7, trial=k) for k in range(9)]
             schedules = [draw_schedule(s, game.num_players, 30, 3, 3000) for s in streams]
-
-            def traces(equilibria):
-                return [
-                    tr.to_json_dict()
-                    for tr in run_episodes(
-                        game, _configs(game.num_players, rho=0.2), schedules, streams, 3000,
-                        (0, 1500, 2999), equilibria=equilibria, record_q=True,
-                        warn_unreachable=False,
-                    )
-                ]
-
-            lazy = traces(None)
-            assert lazy == traces(equilibrium_set(game, 1e-9))
-            labels.update(e["at_equilibrium"] for tr in lazy for e in tr["events"])
+            traces = run_episodes(
+                game, _configs(game.num_players, rho=0.2), schedules, streams, 3000,
+                (0, 1500, 2999), warn_unreachable=False,
+            )
+            for trace in traces:
+                labelled = [(trace.initial_joint, trace.initial_at_equilibrium)]
+                labelled += [(e.joint, e.at_equilibrium) for e in trace.events]
+                labelled += [(r.joint, r.at_equilibrium) for r in trace.records]
+                for joint, flag in labelled:
+                    assert flag == (joint in eq), joint
+                labels.update(e.at_equilibrium for e in trace.events)
         assert labels == {False, True}
 
 
@@ -611,7 +598,6 @@ class TestFrozenQRun:
             streams,
             steps + 1,
             record_times=(steps,),
-            equilibria=equilibrium_set(benchmark_game, 1e-9),
             record_q=True,
         )
         snapshot = trace.records[0]
@@ -657,14 +643,13 @@ class TestFrozenQRun:
 
 class TestEquilibriumFrequency:
     def _mini_traces(self, benchmark_game, trials=20, horizon=3000):
-        eq = equilibrium_set(benchmark_game, 1e-9)
         traces = []
         for trial in range(trials):
             streams = RandomnessStreams(55, trial=trial)
             schedule = draw_schedule(streams, 2, 400, 2, horizon)
             traces.append(
                 run_episode(
-                    benchmark_game, _configs(), schedule, streams, horizon, equilibria=eq
+                    benchmark_game, _configs(), schedule, streams, horizon
                 )
             )
         return traces
@@ -681,10 +666,9 @@ class TestEquilibriumFrequency:
             )
             for i in range(2)
         )
-        eq = equilibrium_set(benchmark_game, 1e-9)
         streams = RandomnessStreams(9, trial=0)
         schedule = Schedule(min_length=601, ratio=1, phase_lengths=((601,), (601,)))
-        trace = run_episode(benchmark_game, configs, schedule, streams, 600, equilibria=eq)
+        trace = run_episode(benchmark_game, configs, schedule, streams, 600)
         freqs = equilibrium_frequency([trace], [0, 100, 599])
         assert freqs == {0: 1.0, 100: 1.0, 599: 1.0}
 
