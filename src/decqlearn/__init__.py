@@ -3,8 +3,9 @@
 Library layers: ``game_model`` (games, policies, transition sampling),
 ``exact_solver`` (model-based Q-functions, values, equilibrium tests),
 ``acyclicity`` (best-response graph and weak-acyclicity certificate),
-``agent`` (the constant-step learner), ``orchestrator`` (seeded episodes),
-and ``experiments``/``cli`` (batch runs and the command line).
+``agent`` (a learner's parameters and phase-end appraisal),
+``orchestrator`` (seeded episodes), and ``experiments``/``cli`` (batch
+runs and the command line).
 """
 
 from .acyclicity import (
@@ -17,7 +18,7 @@ from .acyclicity import (
     theta_and_xi,
     xi_bound,
 )
-from .agent import Agent, AgentConfig
+from .agent import AgentConfig
 from .exact_solver import (
     EnumerationBudgetError,
     InducedMdp,

@@ -1,14 +1,14 @@
-"""One player's learner: its parameters, its baseline and the phase-end
-appraisal.
+"""One player's learner: its parameters and the phase-end appraisal.
 
 During an exploration phase the player runs constant-step Q-learning on its
 own (state, action) table while following its baseline deterministic policy
-mixed with uniform experimentation; the episode executor holds that table
-and applies the update. At each phase boundary the agent re-appraises the
-baseline: if the baseline is delta-greedy for the current table it is
-kept; otherwise it is kept with the inertia probability and replaced by a
-uniform draw from the delta-greedy set otherwise. Randomness is injected by
-the caller, so a run is a pure function of the supplied draws.
+mixed with uniform experimentation; the episode executor holds the table
+and the baseline and applies the update. At each phase boundary
+:func:`end_phase_update` re-appraises the baseline: if the baseline is
+delta-greedy for the current table it is kept; otherwise it is kept with the
+inertia probability and replaced by a uniform draw from the delta-greedy set
+otherwise. Randomness is injected by the caller, so a run is a pure function
+of the supplied draws.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .exact_solver import QTable, _greedy_mask
 from .game_model import DeterministicPolicy
 
-__all__ = ["AgentConfig", "Agent"]
+__all__ = ["AgentConfig", "end_phase_update"]
 
 # Draws a policy uniformly from a product set encoded as per-state tuples of
 # allowed action ids; supplied by the episode driver.
@@ -67,93 +67,23 @@ class AgentConfig:
             object.__setattr__(self, "initial_q", q)
 
 
-class Agent:
-    """One learner's parameters, its baseline policy and its initial Q table,
-    driven by an episode executor. The executor holds the running Q tables
-    (``orchestrator._QStack``) and applies the Q-learning update along each
-    stretch of play; at the player's phase boundaries it hands the current
-    table to :meth:`end_phase_update`, the policy appraisal. The agent keeps
-    no clock.
+def end_phase_update(
+    config: AgentConfig,
+    q: np.ndarray,
+    baseline: Sequence[int],
+    lambda_draw: float,
+    subset_draw: SubsetDraw,
+) -> tuple[int, ...] | None:
+    """Phase-boundary appraisal of a player's ``baseline`` (an action per
+    state) against its current Q table ``q``, (state, action); returns the
+    new baseline if it changed, else None.
 
-    The constructor takes raw scalars so degenerate settings (rho = 0,
-    alpha = 1) remain reachable for diagnostics; configured runs go through
-    :meth:`from_config`, which enforces the AgentConfig ranges.
+    Keeps a ``config.delta``-greedy baseline unconditionally; otherwise keeps
+    it when ``lambda_draw < config.lam`` (inertia) and else replaces it with
+    the supplied uniform draw from the realized delta-greedy set.
     """
-
-    __slots__ = ("player", "rho", "lam", "delta", "alpha", "discount", "baseline", "initial_q")
-
-    def __init__(
-        self,
-        player: int,
-        rho: float,
-        lam: float,
-        delta: float,
-        alpha: float,
-        discount: float,
-        baseline: Sequence[int],
-        initial_q: np.ndarray | None,
-    ) -> None:
-        self.player = player
-        self.rho = rho
-        self.lam = lam
-        self.delta = delta
-        self.alpha = alpha
-        self.discount = discount
-        self.baseline = list(baseline)
-        if initial_q is None:
-            raise ValueError("initial_q is required here; from_config fills in zeros")
-        q = np.asarray(initial_q, dtype=np.float64)
-        if q.ndim != 2 or q.shape[0] != len(self.baseline):
-            raise ValueError("initial_q must be a (num_states, num_actions) array")
-        self.initial_q = q
-
-    @classmethod
-    def from_config(
-        cls,
-        config: AgentConfig,
-        num_states: int,
-        num_actions: int,
-        discount: float,
-        baseline: Sequence[int] | None = None,
-    ) -> "Agent":
-        if baseline is None:
-            if config.initial_policy is None:
-                raise ValueError("no baseline policy: config has none and none was drawn")
-            baseline = config.initial_policy.choice
-        if len(baseline) != num_states:
-            raise ValueError("baseline must choose an action in every state")
-        if any(not 0 <= a < num_actions for a in baseline):
-            raise ValueError("baseline contains an invalid action id")
-        initial_q = config.initial_q
-        if initial_q is None:
-            initial_q = np.zeros((num_states, num_actions))
-        elif initial_q.shape != (num_states, num_actions):
-            raise ValueError("initial_q has the wrong shape for this game")
-        return cls(
-            player=config.player,
-            rho=config.rho,
-            lam=config.lam,
-            delta=config.delta,
-            alpha=config.alpha,
-            discount=discount,
-            baseline=baseline,
-            initial_q=initial_q,
-        )
-
-    def end_phase_update(
-        self, q: np.ndarray, lambda_draw: float, subset_draw: SubsetDraw
-    ) -> bool:
-        """Phase-boundary policy appraisal against the current Q table ``q``,
-        (state, action); returns True iff the baseline changed.
-
-        Keeps a delta-greedy baseline unconditionally; otherwise keeps it
-        when ``lambda_draw < lam`` (inertia) and else replaces it with the
-        supplied uniform draw from the realized delta-greedy set.
-        """
-        greedy = _greedy_mask(q, self.delta)
-        if greedy[np.arange(len(self.baseline)), self.baseline].all() or lambda_draw < self.lam:
-            return False
-        candidate = list(subset_draw(tuple(tuple(np.flatnonzero(row).tolist()) for row in greedy)))
-        changed = candidate != self.baseline
-        self.baseline = candidate
-        return changed
+    greedy = _greedy_mask(q, config.delta)
+    if greedy[np.arange(len(baseline)), baseline].all() or lambda_draw < config.lam:
+        return None
+    candidate = tuple(subset_draw(tuple(tuple(np.flatnonzero(row).tolist()) for row in greedy)))
+    return None if candidate == tuple(baseline) else candidate

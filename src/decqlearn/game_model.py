@@ -153,6 +153,21 @@ class StochasticGame:
         return _last_positive(self.kernel)
 
 
+def _is_action_id(a: object) -> bool:
+    """The one rule for an action id: a Python or numpy integer, not a bool."""
+    return isinstance(a, (int, np.integer)) and not isinstance(a, bool)
+
+
+def _action_ids(choice: Iterable) -> tuple[int, ...]:
+    """``choice`` as Python ints; an entry that is not an action id (see
+    :func:`_is_action_id`) is a ValueError naming it."""
+    choice = tuple(choice)
+    for a in choice:
+        if not _is_action_id(a):
+            raise ValueError(f"action id {a!r} is not an integer")
+    return tuple(int(a) for a in choice)
+
+
 @dataclass(frozen=True)
 class DeterministicPolicy:
     """One player's deterministic stationary policy: a total map
@@ -162,7 +177,7 @@ class DeterministicPolicy:
     choice: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "choice", tuple(int(a) for a in self.choice))
+        object.__setattr__(self, "choice", _action_ids(self.choice))
         if self.player < 0:
             raise ValueError("player id must be nonnegative")
         if any(a < 0 for a in self.choice):

@@ -8,6 +8,11 @@ greedy set), per-player phase lengths, and the initial state/policy draws.
 Distinct keys give mutually independent streams, and regenerating from the
 same master seed reproduces every draw, so a trace is a pure function of
 (game, configs, schedule parameters, horizon, master seed).
+
+The configs hold only the learners' fixed parameters: every Q table and
+every baseline of a run lives in the engine (``_simulate``), which applies
+the Q-learning update and hands each table and baseline to
+:func:`decqlearn.agent.end_phase_update` at the player's phase boundaries.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .agent import Agent, AgentConfig
+from .agent import AgentConfig, end_phase_update
 from .exact_solver import QTable, check_reachability, label_equilibria
-from .game_model import StochasticGame, sample_initial_state, sample_transition
+from .game_model import StochasticGame, _action_ids, sample_initial_state, sample_transition
 
 __all__ = [
     "RandomnessStreams",
@@ -403,32 +408,34 @@ def _check_configs(game: StochasticGame, configs: Sequence[AgentConfig]) -> None
             raise ValueError("configs must be ordered by player id")
 
 
-def _build_agents(
+def _first_baselines(
     game: StochasticGame,
     configs: Sequence[AgentConfig],
-    streams: RandomnessStreams,
-    forced_choices: Sequence[Sequence[int]] | None,
-) -> list[Agent]:
-    agents = []
+    streams: Sequence[RandomnessStreams],
+    forced_choices: Sequence[Sequence[int]] | None = None,
+) -> list[np.ndarray]:
+    """Per player, the first baseline of every trial, (trial, state): the
+    ``forced_choices``, else the config's ``initial_policy``, else a uniform
+    draw from the trial's streams. Checks each given baseline against the
+    game, and each config's ``initial_q`` shape."""
+    baselines = []
     for i, cfg in enumerate(configs):
-        if forced_choices is not None:
-            baseline: Sequence[int] | None = forced_choices[i]
-        elif cfg.initial_policy is not None:
-            baseline = cfg.initial_policy.choice
+        num_states, num_actions = game.num_states, game.action_counts[i]
+        if forced_choices is None and cfg.initial_policy is None:
+            rows = [s.initial_policy_choices(i, num_states, num_actions) for s in streams]
         else:
-            baseline = streams.initial_policy_choices(
-                i, game.num_states, game.action_counts[i]
+            choice = _action_ids(
+                cfg.initial_policy.choice if forced_choices is None else forced_choices[i]
             )
-        agents.append(
-            Agent.from_config(
-                cfg,
-                num_states=game.num_states,
-                num_actions=game.action_counts[i],
-                discount=game.discounts[i],
-                baseline=baseline,
-            )
-        )
-    return agents
+            if len(choice) != num_states:
+                raise ValueError("baseline must choose an action in every state")
+            if any(not 0 <= a < num_actions for a in choice):
+                raise ValueError("baseline contains an invalid action id")
+            rows = [choice] * len(streams)
+        if cfg.initial_q is not None and cfg.initial_q.shape != (num_states, num_actions):
+            raise ValueError("initial_q has the wrong shape for this game")
+        baselines.append(np.array(rows, dtype=np.int64))
+    return baselines
 
 
 # Most trial-stages played as one segment: a batch of B trials plays at most
@@ -452,13 +459,13 @@ _LOCKSTEP_MIN = 8
 
 
 def _draw_block(
-    game: StochasticGame, agents: list[list[Agent]], generators: list, length: int
+    game: StochasticGame, configs: Sequence[AgentConfig], generators: list, length: int
 ) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """The next ``length`` stages of every trial's per-step draws: the
-    transition uniforms and, per player, the experimentation flags and the
-    uniform actions (in the smallest integer type that holds them), each of
-    shape (trial, stage)."""
-    batch = len(agents)
+    transition uniforms and, per player, the experimentation flags (uniform
+    <= its rho) and the uniform actions (in the smallest integer type that
+    holds them), each of shape (trial, stage)."""
+    batch = len(generators)
     w = np.empty((batch, length))
     for row, (w_gen, _) in zip(w, generators):
         w_gen.random(out=row)
@@ -468,7 +475,7 @@ def _draw_block(
         flags = np.empty((batch, length), dtype=bool)
         actions = np.empty((batch, length), dtype=np.min_scalar_type(num_actions - 1))
         for k, (_, gens) in enumerate(generators):
-            np.less_equal(gens[i][0].random(out=uniform), agents[k][i].rho, out=flags[k])
+            np.less_equal(gens[i][0].random(out=uniform), configs[i].rho, out=flags[k])
             actions[k] = gens[i][1].integers(0, num_actions, size=length)
         draws.append((flags, actions))
     return w, draws
@@ -480,22 +487,27 @@ class _QStack:
     which no min picks up, and each table's running max |Q|. The update has
     two forms with the same float operations in the same order: :meth:`play`
     gives every (player, trial) its update of a stage at once, and
-    :meth:`play_each` runs :func:`_learn` trial by trial."""
+    :meth:`play_each` runs :func:`_learn` trial by trial.
 
-    def __init__(self, game: StochasticGame, agents: list[list[Agent]]) -> None:
+    Every trial starts from its player's ``initial_q`` (zeros if None) and
+    learns with its player's alpha and discount."""
+
+    def __init__(
+        self, game: StochasticGame, configs: Sequence[AgentConfig], batch: int
+    ) -> None:
         self.widths = game.action_counts
-        self.q = np.full(
-            (max(self.widths), game.num_players, game.num_states, len(agents)), np.inf
-        )
-        for k, trial in enumerate(agents):
-            for i, ag in enumerate(trial):
-                self.table(i, k)[:] = ag.initial_q
+        self.q = np.full((max(self.widths), game.num_players, game.num_states, batch), np.inf)
+        initial = [
+            np.zeros((game.num_states, m)) if cfg.initial_q is None else cfg.initial_q
+            for cfg, m in zip(configs, self.widths)
+        ]
+        for i, (q, m) in enumerate(zip(initial, self.widths)):
+            self.q[:m, i] = q.T[:, :, None]
         # one entry per (player, trial), player-major like the stack
-        rows = [trial[i] for i in range(game.num_players) for trial in agents]
-        self.keep = np.array([1.0 - ag.alpha for ag in rows])
-        self.alpha = np.array([ag.alpha for ag in rows])
-        self.beta = np.array([ag.discount for ag in rows])
-        self.max_abs_q = np.array([np.abs(ag.initial_q).max(initial=0.0) for ag in rows])
+        self.alpha = np.repeat([cfg.alpha for cfg in configs], batch)
+        self.keep = 1.0 - self.alpha
+        self.beta = np.repeat(game.discounts, batch)
+        self.max_abs_q = np.repeat([np.abs(q).max(initial=0.0) for q in initial], batch)
 
     def table(self, player: int, trial: int) -> np.ndarray:
         """A view of one Q table, (state, action)."""
@@ -663,7 +675,8 @@ def _play_segment(
 
 def _simulate(
     game: StochasticGame,
-    agents: list[list[Agent]],
+    configs: Sequence[AgentConfig],
+    baselines: list[np.ndarray],
     streams: Sequence[RandomnessStreams],
     horizon: int,
     record_times: Sequence[int],
@@ -677,15 +690,17 @@ def _simulate(
     largest |Q|. Nothing here labels a joint: the learners never read
     whether one is an equilibrium.
 
-    Trial k has the agents ``agents[k]``, the streams ``streams[k]`` and the
-    phase start times ``boundaries[k]`` (a schedule's ``boundaries``, or
-    nothing for a run without policy updates); the trials share the game,
-    the horizon and the record times. Every Q table lives on one
-    :class:`_QStack` for the whole run, from the agents' initial tables.
-    Player i of trial k appraises its baseline against its current table at
-    each of its times after 0, players of a trial sharing a time in player
-    order, through :meth:`Agent.end_phase_update`. A player experiments at
-    stage t when its experimentation uniform is <= its rho. Every baseline
+    Trial k has the streams ``streams[k]`` and the phase start times
+    ``boundaries[k]`` (a schedule's ``boundaries``, or nothing for a run
+    without policy updates); the trials share the game, the players'
+    ``configs``, the horizon and the record times. ``baselines[i]`` holds
+    player i's baseline of every trial, (trial, state), from its first one
+    on: the run updates it in place, and it is the only copy. Every Q table
+    lives on one :class:`_QStack` for the whole run. Player i of trial k
+    appraises its baseline against its current table at each of its times
+    after 0, players of a trial sharing a time in player order, through
+    :func:`decqlearn.agent.end_phase_update`. A player experiments at stage
+    t when its experimentation uniform is <= its rho. Every baseline
     is frozen between two update times, so the stages up to the next update
     time of any trial, the next record time or the end of the current block
     of draws (``_DRAWS`` trial-stages, at least ``_DRAWS_MIN_STAGES``
@@ -695,8 +710,8 @@ def _simulate(
     depend on the batch, and they equal bit for bit those of the
     stage-by-stage reference ``tests/oracles.simulate_stepwise``.
     """
-    batch = len(agents)
-    stack = _QStack(game, agents)
+    batch = len(streams)
+    stack = _QStack(game, configs, batch)
 
     updates = sorted(
         (t, k, i)
@@ -714,7 +729,7 @@ def _simulate(
     next_record = 0
 
     def joint_of(k: int) -> Joint:
-        return tuple(tuple(ag.baseline) for ag in agents[k])
+        return tuple(tuple(base[k].tolist()) for base in baselines)
 
     def tables_of(k: int) -> tuple[np.ndarray, ...]:
         return tuple(stack.table(i, k).copy() for i in range(game.num_players))
@@ -723,7 +738,6 @@ def _simulate(
     initial = list(current)
     events: list[list[tuple[int, int, Joint]]] = [[] for _ in range(batch)]
     records: list[list[tuple[int, Joint, tuple | None]]] = [[] for _ in range(batch)]
-    baselines = [np.array([trial[i].baseline for trial in agents]) for i in range(game.num_players)]
     generators = [
         (
             s.transition_generator(),
@@ -740,12 +754,16 @@ def _simulate(
         while updates[next_update][0] == t:
             _, k, i = updates[next_update]
             next_update += 1
-            agent = agents[k][i]
             lam_draw = streams[k].inertia_uniform(i, t)
-            if agent.end_phase_update(
-                stack.table(i, k), lam_draw, partial(streams[k].policy_draw, i, t)
-            ):
-                baselines[i][k] = agent.baseline
+            new = end_phase_update(
+                configs[i],
+                stack.table(i, k),
+                baselines[i][k],
+                lam_draw,
+                partial(streams[k].policy_draw, i, t),
+            )
+            if new is not None:
+                baselines[i][k] = new
                 current[k] = joint_of(k)
                 events[k].append((t, i, current[k]))
         if sorted_records[next_record] == t:
@@ -754,7 +772,7 @@ def _simulate(
             next_record += 1
         if t == block_stop:
             block_start, block_stop = t, min(t + block_length, horizon)
-            w, draws = _draw_block(game, agents, generators, block_stop - t)
+            w, draws = _draw_block(game, configs, generators, block_stop - t)
 
         stop = min(
             t + segment_length, block_stop, updates[next_update][0], sorted_records[next_record]
@@ -818,10 +836,10 @@ def run_episodes(
             stacklevel=2,
         )
 
-    agents = [_build_agents(game, configs, s, None) for s in streams]
     results = _simulate(
         game,
-        agents,
+        configs,
+        _first_baselines(game, configs, streams),
         streams,
         horizon,
         record_times,
@@ -903,17 +921,16 @@ def frozen_q_run(
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps}")
     _check_configs(game, configs)
-    choices = [tuple(int(a) for a in row) for row in frozen_joint]
-    if len(choices) != game.num_players:
+    if len(frozen_joint) != game.num_players:
         raise ValueError("frozen_joint needs one policy per player")
     single = isinstance(streams, RandomnessStreams)
     batch = [streams] if single else list(streams)
     if not batch:
         raise ValueError("need at least one trial")
-    agents = [_build_agents(game, configs, s, choices) for s in batch]
     results = _simulate(
         game,
-        agents,
+        configs,
+        _first_baselines(game, configs, batch, frozen_joint),
         batch,
         steps,
         record_times=(),

@@ -7,7 +7,7 @@ product construction, a literal integer-time scan of the active-phase
 recursion instead of the event-driven transcription, a stage-by-stage
 episode loop instead of the segment-vectorized one (with its own copies of
 the boundary scan, the experimentation test, the bisect inverse CDF and the
-Q-update formula; only the phase-end appraisal is the agent's), and one
+Q-update formula; only the phase-end appraisal is the agent module's), and one
 value-iteration solve per opponent joint instead of the stacked
 best-response table.
 """
@@ -22,6 +22,7 @@ from functools import partial
 import numpy as np
 
 from decqlearn.acyclicity import BrGraph
+from decqlearn.agent import end_phase_update
 from decqlearn.exact_solver import InducedMdp
 from decqlearn.game_model import (
     DeterministicPolicy,
@@ -167,18 +168,25 @@ def _last_positive(masses):
     return positive[-1] if positive else len(masses) - 1
 
 
-def simulate_stepwise(game, agents, streams, horizon, record_times, boundaries, record_q):
+def simulate_stepwise(game, configs, baselines, streams, horizon, record_times, boundaries, record_q):
     """Stage-by-stage episode loop with the signature and results of
     ``orchestrator._simulate``: each trial of the batch plays alone, from
-    one horizon-sized draw of each per-step family."""
+    one horizon-sized draw of each per-step family, with its own copies of
+    its first baselines (row k of each ``baselines[i]``)."""
     return [
-        _simulate_one_stepwise(game, trial, trial_streams, horizon, record_times, rows, record_q)
-        for trial, trial_streams, rows in zip(agents, streams, boundaries)
+        _simulate_one_stepwise(
+            game, configs, [base[k].tolist() for base in baselines], trial_streams,
+            horizon, record_times, rows, record_q,
+        )
+        for k, (trial_streams, rows) in enumerate(zip(streams, boundaries))
     ]
 
 
-def _simulate_one_stepwise(game, agents, streams, horizon, record_times, boundaries, record_q):
-    """One trial, written with its own copies of the stage rules and its own
+def _simulate_one_stepwise(
+    game, configs, baseline, streams, horizon, record_times, boundaries, record_q
+):
+    """One trial, written with its own copies of the stage rules, its own
+    baselines (``baseline[i]`` a list, an action per state) and its own
     Q tables as lists: at every stage each player whose boundary
     (``boundaries[i][1:]``) falls on it appraises its baseline against its
     table, each player experiments iff its draw is <= rho, the next state
@@ -190,10 +198,10 @@ def _simulate_one_stepwise(game, agents, streams, horizon, record_times, boundar
     fallback = [[_last_positive(row) for row in block] for block in game.kernel.tolist()]
     w_draws = streams.transition_generator().random(horizon).tolist()
     hot = []
-    for i, ag in enumerate(agents):
+    for i, cfg in enumerate(configs):
         hot.append(
             (
-                ag,
+                cfg,
                 streams.experimentation_generator(i).random(horizon).tolist(),
                 streams.action_generator(i)
                 .integers(0, game.action_counts[i], size=horizon)
@@ -202,14 +210,17 @@ def _simulate_one_stepwise(game, agents, streams, horizon, record_times, boundar
                 strides[i],
             )
         )
-    q_tables = [ag.initial_q.tolist() for ag in agents]
+    q_tables = [
+        np.zeros((game.num_states, m)).tolist() if cfg.initial_q is None else cfg.initial_q.tolist()
+        for cfg, m in zip(configs, game.action_counts)
+    ]
     max_abs_q = [max((abs(v) for row in q for v in row), default=0.0) for q in q_tables]
 
     sorted_records = sorted(set(int(t) for t in record_times))
     if sorted_records and not 0 <= sorted_records[0] <= sorted_records[-1] < horizon:
         raise ValueError("record times must lie in [0, horizon)")
 
-    initial_joint = current_joint = tuple(tuple(ag.baseline) for ag in agents)
+    initial_joint = current_joint = tuple(tuple(b) for b in baseline)
 
     events = []
     records = []
@@ -224,26 +235,29 @@ def _simulate_one_stepwise(game, agents, streams, horizon, record_times, boundar
         for i, row in enumerate(boundaries):
             if t > 0 and t in row:
                 lam_draw = streams.inertia_uniform(i, t)
-                if agents[i].end_phase_update(
-                    np.array(q_tables[i]), lam_draw, partial(streams.policy_draw, i, t)
-                ):
-                    current_joint = tuple(tuple(a.baseline) for a in agents)
+                new = end_phase_update(
+                    configs[i], np.array(q_tables[i]), baseline[i], lam_draw,
+                    partial(streams.policy_draw, i, t),
+                )
+                if new is not None:
+                    baseline[i] = list(new)
+                    current_joint = tuple(tuple(b) for b in baseline)
                     events.append((t, i, current_joint))
         if t in sorted_records:
             snapshots = tuple(np.array(q) for q in q_tables) if record_q else None
             records.append((t, current_joint, snapshots))
 
         ja = 0
-        for i, (ag, rho_row, act_row, _costs, stride) in enumerate(hot):
-            a = act_row[t] if rho_row[t] <= ag.rho else ag.baseline[x]
+        for i, (cfg, rho_row, act_row, _costs, stride) in enumerate(hot):
+            a = act_row[t] if rho_row[t] <= cfg.rho else baseline[i][x]
             actions[i] = a
             ja += a * stride
         x_next = _inverse_cdf(cumulative[x][ja], w_draws[t], fallback[x][ja])
-        for i, (ag, _rho, _act, costs, _stride) in enumerate(hot):
+        for i, (cfg, _rho, _act, costs, _stride) in enumerate(hot):
             q = q_tables[i]
             u = actions[i]
-            value = (1.0 - ag.alpha) * q[x][u] + ag.alpha * (
-                costs[x][ja] + ag.discount * min(q[x_next])
+            value = (1.0 - cfg.alpha) * q[x][u] + cfg.alpha * (
+                costs[x][ja] + game.discounts[i] * min(q[x_next])
             )
             q[x][u] = value
             if abs(value) > max_abs_q[i]:

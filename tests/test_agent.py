@@ -1,25 +1,17 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from decqlearn.agent import Agent, AgentConfig
+from decqlearn.agent import AgentConfig, end_phase_update
 from decqlearn.exact_solver import QTable
 from decqlearn.game_model import DeterministicPolicy, StochasticGame
-from decqlearn.orchestrator import _learn, _QStack, _simulate
+from decqlearn.orchestrator import RandomnessStreams, _first_baselines, _learn, _QStack, _simulate
 
 
-def _agent(rho=0.05, lam=0.2, delta=0.5, baseline=(0, 0)):
-    return Agent(
-        player=0,
-        rho=rho,
-        lam=lam,
-        delta=delta,
-        alpha=0.5,
-        discount=0.8,
-        baseline=baseline,
-        initial_q=np.zeros((2, 2)),
-    )
+def _config(lam=0.2, delta=0.5):
+    return AgentConfig(player=0, rho=0.05, lam=lam, delta=delta, alpha=0.5)
 
 
 class TestAgentConfig:
@@ -58,9 +50,11 @@ class TestAgentConfig:
             alpha=0.1,
             initial_policy=DeterministicPolicy(0, (1, 0)),
         )
-        agent = Agent.from_config(cfg, num_states=2, num_actions=2, discount=0.8)
-        assert agent.initial_q.tolist() == [[0.0, 0.0], [0.0, 0.0]]
-        assert agent.baseline == [1, 0]
+        stack = _QStack(_one_player_game(), [cfg], 1)
+        assert stack.table(0, 0).tolist() == [[0.0, 0.0], [0.0, 0.0]]
+        assert stack.max_abs_q.tolist() == [0.0]
+        (baselines,) = _first_baselines(_one_player_game(), [cfg], [RandomnessStreams(0)])
+        assert baselines.tolist() == [[1, 0]]
 
     def test_initial_q_accepts_qtable(self):
         cfg = AgentConfig(
@@ -72,10 +66,10 @@ class TestAgentConfig:
             initial_policy=DeterministicPolicy(0, (0, 0)),
             initial_q=QTable(0, np.full((2, 2), 3.0)),
         )
-        agent = Agent.from_config(cfg, num_states=2, num_actions=2, discount=0.8)
-        assert agent.initial_q.tolist() == [[3.0, 3.0], [3.0, 3.0]]
+        stack = _QStack(_one_player_game(), [cfg], 1)
+        assert stack.table(0, 0).tolist() == [[3.0, 3.0], [3.0, 3.0]]
         # the engine's running max |Q| starts from the initial table
-        assert _QStack(_one_player_game(), [[agent]]).max_abs_q.tolist() == [3.0]
+        assert stack.max_abs_q.tolist() == [3.0]
 
 
 class _Constant:
@@ -126,11 +120,14 @@ def _one_player_game():
 
 def _played_action(rho, explore, baseline=(1, 0)):
     """The action the episode engine plays for a one-player game at its first
-    stage, read off the one Q entry that stage updates (every cost is 1)."""
-    agent = _agent(rho=rho, baseline=baseline)
+    stage, read off the one Q entry that stage updates (every cost is 1).
+    The config is a stand-in, so rho = 0 (outside AgentConfig's range)
+    stays reachable."""
+    config = SimpleNamespace(rho=rho, alpha=0.5, initial_q=None)
     ((*_, (q,), _),) = _simulate(
         _one_player_game(),
-        [[agent]],
+        [config],
+        [np.array([baseline])],
         [_Draws(explore)],
         horizon=1,
         record_times=(),
@@ -226,32 +223,27 @@ class TestEndPhaseUpdate:
         raise AssertionError("subset draw must not be consulted")
 
     def test_greedy_baseline_kept_regardless_of_draws(self):
-        agent = _agent(delta=0.5, baseline=(0, 0))
-        changed = agent.end_phase_update(np.array([[0.0, 10.0], [0.0, 10.0]]), 0.99, self._no_draw)
-        assert not changed
-        assert agent.baseline == [0, 0]
+        q = np.array([[0.0, 10.0], [0.0, 10.0]])
+        assert end_phase_update(_config(delta=0.5), q, [0, 0], 0.99, self._no_draw) is None
 
     def test_inertia_keeps_poor_baseline(self):
-        agent = _agent(lam=0.2, delta=0.5, baseline=(1, 1))
-        changed = agent.end_phase_update(np.array([[0.0, 10.0], [0.0, 10.0]]), 0.1, self._no_draw)
-        assert not changed and agent.baseline == [1, 1]
+        q = np.array([[0.0, 10.0], [0.0, 10.0]])
+        assert end_phase_update(_config(lam=0.2, delta=0.5), q, [1, 1], 0.1, self._no_draw) is None
 
     def test_switch_draws_from_greedy_set(self):
-        agent = _agent(lam=0.2, delta=0.5, baseline=(1, 1))
         seen = {}
 
         def draw(allowed):
             seen["allowed"] = allowed
             return (0, 1)
 
-        changed = agent.end_phase_update(np.array([[0.0, 10.0], [0.0, 0.3]]), 0.9, draw)
-        assert changed and agent.baseline == [0, 1]
+        q = np.array([[0.0, 10.0], [0.0, 0.3]])
+        assert end_phase_update(_config(lam=0.2, delta=0.5), q, [1, 1], 0.9, draw) == (0, 1)
         assert seen["allowed"] == ((0,), (0, 1))
 
     def test_huge_delta_accepts_everything(self):
-        agent = _agent(delta=100.0, baseline=(1, 1))
-        assert not agent.end_phase_update(np.array([[0.0, 10.0], [0.0, 10.0]]), 0.99, self._no_draw)
-        assert agent.baseline == [1, 1]
+        q = np.array([[0.0, 10.0], [0.0, 10.0]])
+        assert end_phase_update(_config(delta=100.0), q, [1, 1], 0.99, self._no_draw) is None
 
     def test_keep_frequency_matches_inertia(self, rng):
         # forced-switch situation: keep happens iff draw < lam
@@ -259,10 +251,9 @@ class TestEndPhaseUpdate:
         q = np.array([[0.0, 10.0], [0.0, 10.0]])
         draws = rng.random(100_000)
         keeps = 0
+        config = _config(lam=lam, delta=0.5)
         for draw in draws.tolist():
-            agent = _agent(lam=lam, delta=0.5, baseline=(1, 1))
-            agent.end_phase_update(q, draw, lambda allowed: (0, 0))
-            if agent.baseline == [1, 1]:
+            if end_phase_update(config, q, [1, 1], draw, lambda allowed: (0, 0)) is None:
                 keeps += 1
         se = np.sqrt(lam * (1 - lam) / draws.size)
         assert abs(keeps / draws.size - lam) <= 3 * se

@@ -211,6 +211,7 @@ def test_labels_match_enumeration(game):
         ((0, -1), (0, 0)),  # wraps around under numpy indexing
         ((0, 2), (0, 0)),  # past the action count
         ((0, 0.5), (0, 0)),  # not an action id
+        ((0, True), (0, 0)),  # a bool, not an action id
         ((0, 0, 0), (0, 0)),  # one action id too many
         ((0,), (0, 0)),  # one too few
         ((0, 0),),  # a player missing

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -192,6 +193,15 @@ class TestPolicies:
             DeterministicPolicy(0, (0, 5)).validate_for(benchmark_game)
         with pytest.raises(ValueError):
             DeterministicPolicy(0, (0,)).validate_for(benchmark_game)
+
+    @pytest.mark.parametrize("action", [1.7, 1.0, "1", True, np.bool_(True), None])
+    def test_action_ids_must_be_integers(self, action):
+        with pytest.raises(ValueError, match=re.escape(f"action id {action!r} is not an integer")):
+            DeterministicPolicy(0, (0, action))
+
+    def test_numpy_integer_action_ids(self):
+        choice = DeterministicPolicy(0, (np.int64(1), np.uint8(0))).choice
+        assert choice == (1, 0) and all(type(a) is int for a in choice)
 
     def test_stationary_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):

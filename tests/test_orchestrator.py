@@ -267,6 +267,9 @@ class TestRunEpisode:
             run_episodes(benchmark_game, _configs(), [], [], 1000)
         with pytest.raises(ValueError, match="at least one trial"):
             frozen_q_run(benchmark_game, _configs(), ((0, 0), (0, 0)), [], 100)
+        for action in (0.5, True, "1"):
+            with pytest.raises(ValueError, match=f"action id {action!r} is not an integer"):
+                frozen_q_run(benchmark_game, _configs(), ((0, action), (0, 0)), streams, 100)
 
     def test_explicit_initial_policies_respected(self, benchmark_game):
         configs = tuple(
@@ -404,9 +407,10 @@ class TestSegmentEngine:
                 patch.setattr(orchestrator, "_LOCKSTEP_MIN", lockstep_min)
                 for batch in (1, 2, 7):
                     assert outputs(batch) == slow[:batch], (lockstep_min, batch)
+        return [json.loads(trace) for trace, _ in slow]
 
     def test_benchmark_game(self, monkeypatch, benchmark_game):
-        self._assert_matches_stepwise(
+        traces = self._assert_matches_stepwise(
             monkeypatch,
             benchmark_game,
             500,
@@ -415,6 +419,9 @@ class TestSegmentEngine:
             (0, 1, 4321, 19_999),
             seed=5,
         )
+        # every trial switches (3 to 7 times), so the engine's baseline rows
+        # change mid-run
+        assert min(len(trace["events"]) for trace in traces) >= 1
 
     @pytest.mark.parametrize("num_players", [1, 2, 3])
     def test_random_games(self, monkeypatch, num_players):
