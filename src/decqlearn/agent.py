@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exact_solver import QTable, _greedy_mask
-from .game_model import DeterministicPolicy
+from .game_model import DeterministicPolicy, _player_id
 
 __all__ = ["AgentConfig", "end_phase_update"]
 
@@ -33,6 +33,7 @@ SubsetDraw = Callable[[tuple[tuple[int, ...], ...]], Sequence[int]]
 class AgentConfig:
     """Hyperparameters for one learner.
 
+    ``player`` is an integer id (not a bool), nonnegative.
     ``rho`` (experimentation), ``lam`` (inertia), and ``alpha`` (step size)
     must lie in (0, 1); ``delta`` (greedy tolerance) must be finite and
     positive.
@@ -49,8 +50,7 @@ class AgentConfig:
     initial_q: np.ndarray | QTable | None = None
 
     def __post_init__(self) -> None:
-        if self.player < 0:
-            raise ValueError("player id must be nonnegative")
+        object.__setattr__(self, "player", _player_id(self.player))
         for name in ("rho", "lam", "alpha"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:

@@ -27,7 +27,7 @@ from .game_model import (
     JointDeterministicPolicy,
     StationaryPolicy,
     StochasticGame,
-    _is_action_id,
+    _is_id,
     enumerate_deterministic_policies,
 )
 
@@ -278,7 +278,7 @@ def label_equilibria(
     distinct opponent joints among ``joints``, as one stack, so the work
     grows with the joints given, not with the joint-policy space. A joint
     of the wrong shape, or with an action id out of range or not an
-    integer (``game_model._is_action_id``), is a ValueError."""
+    integer (``game_model._is_id``), is a ValueError."""
     check_input("tol", tol)
     if eps < 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
@@ -286,7 +286,7 @@ def label_equilibria(
     for joint in joints:
         if len(joint) != game.num_players or any(
             len(choice) != num_states
-            or not all(_is_action_id(a) and 0 <= a < m for a in choice)
+            or not all(_is_id(a) and 0 <= a < m for a in choice)
             for choice, m in zip(joint, counts)
         ):
             raise ValueError(

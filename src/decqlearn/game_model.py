@@ -153,19 +153,30 @@ class StochasticGame:
         return _last_positive(self.kernel)
 
 
-def _is_action_id(a: object) -> bool:
-    """The one rule for an action id: a Python or numpy integer, not a bool."""
+def _is_id(a: object) -> bool:
+    """The one rule for an action or player id: a Python or numpy integer,
+    not a bool."""
     return isinstance(a, (int, np.integer)) and not isinstance(a, bool)
 
 
 def _action_ids(choice: Iterable) -> tuple[int, ...]:
-    """``choice`` as Python ints; an entry that is not an action id (see
-    :func:`_is_action_id`) is a ValueError naming it."""
+    """``choice`` as Python ints; an entry that is not an id (see
+    :func:`_is_id`) is a ValueError naming it."""
     choice = tuple(choice)
     for a in choice:
-        if not _is_action_id(a):
+        if not _is_id(a):
             raise ValueError(f"action id {a!r} is not an integer")
     return tuple(int(a) for a in choice)
+
+
+def _player_id(player: object) -> int:
+    """``player`` as a Python int; a value that is not an id (see
+    :func:`_is_id`) or is negative is a ValueError naming it."""
+    if not _is_id(player):
+        raise ValueError(f"player id {player!r} is not an integer")
+    if player < 0:
+        raise ValueError(f"player id {player!r} must be nonnegative")
+    return int(player)
 
 
 @dataclass(frozen=True)
@@ -177,9 +188,8 @@ class DeterministicPolicy:
     choice: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "player", _player_id(self.player))
         object.__setattr__(self, "choice", _action_ids(self.choice))
-        if self.player < 0:
-            raise ValueError("player id must be nonnegative")
         if any(a < 0 for a in self.choice):
             raise ValueError("action ids must be nonnegative")
 
@@ -210,6 +220,7 @@ class StationaryPolicy:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "player", _player_id(self.player))
         object.__setattr__(self, "probs", _readonly(self.probs))
         if self.probs.ndim != 2:
             raise ValueError("probs must be a (num_states, num_actions) array")

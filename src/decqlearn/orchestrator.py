@@ -629,14 +629,35 @@ def _learn(
     (states[k], actions[k]) per step, in order. Returns the running max |Q|,
     starting from ``max_abs_q``. The per-trial form of the update;
     :meth:`_QStack.play` is the lockstep form, with the same float operations
-    in the same order."""
+    in the same order.
+
+    ``mins[x]`` caches ``min(q[x])``, so a step reads its next row's minimum
+    without scanning the row. After a step writes ``value`` over ``old`` in
+    row x, the cache stays exactly what ``min(q[x])`` returns, signed zeros
+    included: a ``value`` below ``mins[x]`` is the new minimum; an ``old``
+    equal to ``mins[x]`` may have been the minimum, and a ``value`` equal to
+    it may now be the first one ``min`` meets (0.0 before -0.0), so the row
+    is scanned again; otherwise the minimum is unchanged. The running max
+    |Q| is ``max(hi, -lo)``, with ``hi`` and ``lo`` the highest and lowest
+    of ``max_abs_q``, ``-max_abs_q`` and the values written."""
+    keep = 1.0 - alpha
+    mins = [min(row) for row in q]
+    hi, lo = max_abs_q, -max_abs_q
     for x, u, c, x_next in zip(states, actions, costs, next_states):
-        value = (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
-        q[x][u] = value
-        magnitude = value if value >= 0.0 else -value
-        if magnitude > max_abs_q:
-            max_abs_q = magnitude
-    return max_abs_q
+        row = q[x]
+        old = row[u]
+        value = keep * old + alpha * (c + beta * mins[x_next])
+        row[u] = value
+        least = mins[x]
+        if value < least:
+            mins[x] = value
+        elif value == least or old == least:
+            mins[x] = min(row)
+        if value > hi:
+            hi = value
+        if value < lo:
+            lo = value
+    return max(hi, -lo)
 
 
 def _play_segment(

@@ -7,9 +7,10 @@ product construction, a literal integer-time scan of the active-phase
 recursion instead of the event-driven transcription, a stage-by-stage
 episode loop instead of the segment-vectorized one (with its own copies of
 the boundary scan, the experimentation test, the bisect inverse CDF and the
-Q-update formula; only the phase-end appraisal is the agent module's), and one
-value-iteration solve per opponent joint instead of the stacked
-best-response table.
+Q-update formula; only the phase-end appraisal is the agent module's), a
+Q-factor recursion that scans each next row for its minimum instead of
+caching the row minima, and one value-iteration solve per opponent joint
+instead of the stacked best-response table.
 """
 
 from __future__ import annotations
@@ -265,6 +266,19 @@ def _simulate_one_stepwise(
         x = x_next
 
     return initial_joint, events, records, tuple(np.array(q) for q in q_tables), tuple(max_abs_q)
+
+
+def learn_reference(q, alpha, beta, max_abs_q, states, actions, costs, next_states):
+    """``orchestrator._learn`` without its cache of row minima: every step
+    calls ``min`` on its next row, and the running max |Q| keeps the largest
+    magnitude written."""
+    for x, u, c, x_next in zip(states, actions, costs, next_states):
+        value = (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
+        q[x][u] = value
+        magnitude = value if value >= 0.0 else -value
+        if magnitude > max_abs_q:
+            max_abs_q = magnitude
+    return max_abs_q
 
 
 def induced_mdp_single(game: StochasticGame, player: int, others) -> InducedMdp:

@@ -1,13 +1,17 @@
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from decqlearn.agent import AgentConfig, end_phase_update
 from decqlearn.exact_solver import QTable
 from decqlearn.game_model import DeterministicPolicy, StochasticGame
 from decqlearn.orchestrator import RandomnessStreams, _first_baselines, _learn, _QStack, _simulate
+from oracles import learn_reference
 
 
 def _config(lam=0.2, delta=0.5):
@@ -29,6 +33,17 @@ class TestAgentConfig:
     def test_delta_must_be_finite(self, delta):
         with pytest.raises(ValueError, match="delta must be finite and positive"):
             AgentConfig(player=0, rho=0.05, lam=0.2, delta=delta, alpha=0.1)
+
+    @pytest.mark.parametrize("player", [0.0, True, "0", None])
+    def test_player_id_must_be_an_integer(self, player):
+        with pytest.raises(ValueError, match=re.escape(f"player id {player!r} is not an integer")):
+            AgentConfig(player=player, rho=0.05, lam=0.2, delta=0.5, alpha=0.1)
+
+    def test_player_id_nonnegative_and_a_python_int(self):
+        with pytest.raises(ValueError, match="player id -1 must be nonnegative"):
+            AgentConfig(player=-1, rho=0.05, lam=0.2, delta=0.5, alpha=0.1)
+        cfg = AgentConfig(player=np.int64(1), rho=0.05, lam=0.2, delta=0.5, alpha=0.1)
+        assert type(cfg.player) is int and cfg.player == 1
 
     def test_initial_policy_player_must_match(self):
         with pytest.raises(ValueError):
@@ -216,6 +231,117 @@ class TestQUpdate:
         max_abs_q = _learn(q, 1.0, 0.0, 0.0, [0], [0], [-7.0], [1])
         max_abs_q = _learn(q, 1.0, 0.0, max_abs_q, [0], [1], [3.0], [1])
         assert max_abs_q == 7.0
+
+
+# Few distinct values, so rows tie and entries repeat; both signed zeros.
+_TIED = st.sampled_from([-3.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def _learn_cases(draw):
+    """Arguments of ``_learn``: a table of 1-4 states and 1-4 actions with
+    tied, negative or signed-zero entries, a path of updates whose next
+    states may equal their states, costs that are small integers, signed
+    zeros or any finite float, and a starting max |Q| below or above the
+    table's largest |entry|, or even negative."""
+    num_states = draw(st.integers(1, 4))
+    num_actions = draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([_TIED, st.floats(-50.0, 50.0)]))
+    q = draw(
+        st.lists(
+            st.lists(entry, min_size=num_actions, max_size=num_actions),
+            min_size=num_states,
+            max_size=num_states,
+        )
+    )
+    length = draw(st.integers(0, 60))
+    state = st.integers(0, num_states - 1)
+    states = draw(st.lists(state, min_size=length, max_size=length))
+    if draw(st.booleans()):  # a path: each step starts where the last one ended
+        next_states = (states[1:] + [draw(state)])[:length]
+    else:
+        next_states = draw(st.lists(state, min_size=length, max_size=length))
+    actions = draw(st.lists(st.integers(0, num_actions - 1), min_size=length, max_size=length))
+    cost = draw(
+        st.sampled_from(
+            [
+                st.integers(-2, 2).map(float),
+                st.sampled_from([0.0, -0.0]),
+                st.floats(-10.0, 10.0),
+            ]
+        )
+    )
+    costs = draw(st.lists(cost, min_size=length, max_size=length))
+    alpha = draw(st.sampled_from([1.0, 0.5, 0.08]) | st.floats(0.01, 1.0))
+    beta = draw(st.sampled_from([0.0, 0.5, 0.8]) | st.floats(0.0, 0.99))
+    largest = max(abs(v) for row in q for v in row)
+    max_abs_q = draw(st.sampled_from([-1.0, 0.0, largest / 2, largest, largest + 1.0]))
+    return q, alpha, beta, max_abs_q, states, actions, costs, next_states
+
+
+def _bits(q, max_abs_q):
+    return [[v.hex() for v in row] for row in q], max_abs_q.hex()
+
+
+class TestLearnMatchesReference:
+    """``_learn``, which caches each row's minimum, against
+    ``oracles.learn_reference``, which scans the row at every step: every
+    table entry and the returned max |Q| agree bit for bit."""
+
+    @staticmethod
+    def _assert_same_bits(q, alpha, beta, max_abs_q, states, actions, costs, next_states):
+        fast, slow = [row[:] for row in q], [row[:] for row in q]
+        got = _learn(fast, alpha, beta, max_abs_q, states, actions, costs, next_states)
+        want = learn_reference(slow, alpha, beta, max_abs_q, states, actions, costs, next_states)
+        assert _bits(fast, got) == _bits(slow, want)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=_learn_cases())
+    # alpha = 1 and beta = 0 write the cost itself: -0.0 over 0.0 and back
+    # moves which zero min() returns
+    @example(
+        case=(
+            [[0.0, 0.0], [0.0, -0.0]], 1.0, 0.0, 0.0,
+            [0, 0, 1, 0], [0, 1, 0, 0], [-0.0, -0.0, 0.0, 0.0], [1, 0, 0, 1],
+        )
+    )
+    @example(
+        case=([[-0.0, 0.0, -0.0]], 1.0, 0.0, 0.0, [0, 0, 0], [0, 2, 1], [0.0, 0.0, -0.0], [0, 0, 0])
+    )
+    # 0.0 written before a -0.0 minimum: min() now returns the 0.0, which
+    # the second step reads through its next row
+    @example(case=([[1.0, -0.0], [-1.0, -1.0]], 1.0, 0.0, 0.0, [0, 1], [0, 0], [0.0, -0.0], [0, 0]))
+    # integer costs on a tied row: the minimum is overwritten and restored
+    @example(
+        case=(
+            [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]], 1.0, 0.5, 0.5,
+            [0, 0, 1, 0], [0, 0, 2, 1], [3.0, 0.0, 1.0, 1.0], [0, 1, 1, 0],
+        )
+    )
+    # a negative starting max |Q|: the first magnitude written replaces it
+    @example(case=([[0.0]], 0.5, 0.0, -1.0, [0, 0], [0, 0], [-1.0, 0.5], [0, 0]))
+    def test_random_paths(self, case):
+        self._assert_same_bits(*case)
+
+    def test_seeded_long_paths(self):
+        # long paths on small tables with integer costs and integer initial
+        # entries, so rows tie again and again
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            num_states, num_actions = rng.integers(1, 5, size=2)
+            q = rng.integers(-3, 4, size=(num_states, num_actions)).astype(float).tolist()
+            length = int(rng.integers(1, 2000))
+            path = rng.integers(num_states, size=length + 1).tolist()
+            self._assert_same_bits(
+                q,
+                float(rng.choice([1.0, 0.5, 0.25])),
+                float(rng.choice([0.0, 0.5])),
+                float(rng.choice([0.0, 1.0, 10.0])),
+                path[:-1],
+                rng.integers(num_actions, size=length).tolist(),
+                rng.integers(-2, 3, size=length).astype(float).tolist(),
+                path[1:],
+            )
 
 
 class TestEndPhaseUpdate:

@@ -199,6 +199,25 @@ class TestPolicies:
         with pytest.raises(ValueError, match=re.escape(f"action id {action!r} is not an integer")):
             DeterministicPolicy(0, (0, action))
 
+    @pytest.mark.parametrize("player", [0.0, True, "0", np.bool_(False)])
+    def test_player_ids_must_be_integers(self, player):
+        message = re.escape(f"player id {player!r} is not an integer")
+        with pytest.raises(ValueError, match=message):
+            DeterministicPolicy(player, (0, 1))
+        with pytest.raises(ValueError, match=message):
+            StationaryPolicy(player, np.array([[0.5, 0.5]]))
+
+    def test_player_ids_nonnegative_and_python_ints(self):
+        with pytest.raises(ValueError, match="player id -1 must be nonnegative"):
+            DeterministicPolicy(-1, (0, 1))
+        with pytest.raises(ValueError, match="player id -1 must be nonnegative"):
+            StationaryPolicy(-1, np.array([[0.5, 0.5]]))
+        for policy in (
+            DeterministicPolicy(np.uint8(1), (0, 1)),
+            StationaryPolicy(np.int64(1), np.array([[0.5, 0.5]])),
+        ):
+            assert type(policy.player) is int and policy.player == 1
+
     def test_numpy_integer_action_ids(self):
         choice = DeterministicPolicy(0, (np.int64(1), np.uint8(0))).choice
         assert choice == (1, 0) and all(type(a) is int for a in choice)

@@ -455,6 +455,27 @@ class TestSegmentEngine:
             monkeypatch, game, 40, 3, 3000, (0, 1500, 2999), seed=9, configs=configs
         )
 
+    def test_tied_integer_rows(self, monkeypatch):
+        # three actions, integer costs, tied initial rows and dyadic steps
+        # (alpha and both discounts 1/2): updates write their row's minimum
+        # again and overwrite it, so the per-trial pass (_LOCKSTEP_MIN forced
+        # to 10**9) rescans rows for its cached minima
+        rng = np.random.default_rng(31)
+        kernel = rng.uniform(0.1, 1.0, size=(3, 9, 3))
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        game = StochasticGame(
+            states=("s0", "s1", "s2"),
+            action_sets=(("a0", "a1", "a2"), ("a0", "a1", "a2")),
+            costs=tuple(rng.integers(0, 3, size=(3, 9)).astype(float) for _ in range(2)),
+            discounts=(0.5, 0.5),
+            kernel=kernel,
+            initial_dist=np.full(3, 1.0 / 3.0),
+        )
+        configs = _configs(2, rho=0.2, alpha=0.5, initial_q=np.ones((3, 3)))
+        self._assert_matches_stepwise(
+            monkeypatch, game, 40, 3, 3000, (0, 1500, 2999), seed=11, configs=configs
+        )
+
     def test_boundary_at_every_stage(self, monkeypatch, benchmark_game):
         self._assert_matches_stepwise(monkeypatch, benchmark_game, 1, 1, 300, (0, 150), seed=2)
 
