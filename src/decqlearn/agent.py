@@ -38,7 +38,9 @@ class AgentConfig:
     must lie in (0, 1); ``delta`` (greedy tolerance) must be finite and
     positive.
     ``initial_policy`` may be None, meaning the episode driver draws one
-    uniformly; ``initial_q`` defaults to the all-zero table.
+    uniformly; ``initial_q`` defaults to the all-zero table. An
+    ``initial_policy``, and an ``initial_q`` given as a ``QTable``, must
+    belong to ``player``.
     """
 
     player: int
@@ -59,6 +61,8 @@ class AgentConfig:
             raise ValueError(f"delta must be finite and positive, got {self.delta}")
         if self.initial_policy is not None and self.initial_policy.player != self.player:
             raise ValueError("initial_policy belongs to a different player")
+        if isinstance(self.initial_q, QTable) and self.initial_q.player != self.player:
+            raise ValueError("initial_q belongs to a different player")
         if self.initial_q is not None:
             raw = self.initial_q.values if isinstance(self.initial_q, QTable) else self.initial_q
             q = np.asarray(raw, dtype=np.float64)

@@ -2,7 +2,8 @@
 
 Fixing the other players' stationary policies turns one player's problem into
 a single-agent MDP; everything here is built on that reduction: optimal
-Q-functions (value iteration on Q-factors), policy evaluation, epsilon-greedy
+Q-functions (value iteration on Q-factors, and batched policy iteration for
+the labels of visited joints), policy evaluation, epsilon-greedy
 policy sets, equilibrium tests, a joint-reachability check, and one
 :class:`ExactAnalysis` behind the equilibria, the best-response graph, the
 minimum nonzero Q-gap ``delta_bar`` and the experimentation perturbation gap.
@@ -18,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .game_model import (
     StationaryPolicy,
     StochasticGame,
     _is_id,
+    _player_id,
     enumerate_deterministic_policies,
 )
 
@@ -51,8 +53,9 @@ __all__ = [
 ]
 
 _MAX_VALUE_ITERATIONS = 5_000_000
+_MAX_POLICY_ITERATIONS = 1000
 DEFAULT_SOLVE_BUDGET = 10**6
-# Opponent joints solved together by one value-iteration stack; bounds the
+# Opponent joints solved together by one solver stack; bounds the
 # stacked kernels at _VI_BLOCK * S * A * S floats.
 _VI_BLOCK = 1024
 
@@ -89,12 +92,14 @@ def check_per_player(game: StochasticGame, name: str, values: Sequence[float]) -
 
 @dataclass(frozen=True)
 class QTable:
-    """One player's Q-function: a finite table over (state, own action)."""
+    """One player's Q-function: a finite table over (state, own action).
+    ``player`` is a nonnegative integer id (``game_model._player_id``)."""
 
     player: int
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "player", _player_id(self.player))
         vals = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -206,6 +211,51 @@ def _value_iteration(
     raise RuntimeError("value iteration failed to reach the stopping threshold")
 
 
+def _policy_iteration(
+    cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
+) -> np.ndarray:
+    """Howard policy iteration on the stacks ``_value_iteration`` takes. Each
+    member starts from its greedy policy on cost, is evaluated by one batched
+    linear solve of I - beta P_pi per step, and keeps each action unless
+    another is strictly lower, so ties cannot cycle. A member leaves the stack
+    once its policy is stable and must then pass one Bellman check,
+    max |T q - q| <= tol (which bounds its sup error by tol / (1 - beta)), so
+    precision lost near beta = 1 raises RuntimeError instead of passing; so
+    does a member not settled within _MAX_POLICY_ITERATIONS steps. The step
+    count grows with the policies tried, not with 1 / (1 - beta)."""
+    if beta == 0.0:
+        return cost.copy()
+    num_states = cost.shape[1]
+    states, eye = np.arange(num_states), np.eye(num_states)
+    out = np.empty_like(cost)
+    live = np.arange(len(cost))
+    policy = cost.argmin(axis=-1)
+    for _ in range(_MAX_POLICY_ITERATIONS):
+        rows = np.arange(len(live))[:, None]
+        chosen = np.linalg.solve(
+            eye - beta * kernel[rows, states, policy], cost[rows, states, policy][..., None]
+        )
+        q = cost + beta * (kernel @ chosen[:, None])[..., 0]
+        best = q.argmin(axis=-1)
+        better = q[rows, states, best] < q[rows, states, policy]
+        done = ~better.any(axis=1)
+        if done.any():
+            q, settled = q[done], live[done]
+            backup = cost[done] + beta * (kernel[done] @ q.min(axis=-1)[:, None, :, None])[..., 0]
+            residual = np.abs(backup - q).reshape(len(q), -1).max(axis=1)
+            if not (residual <= tol).all():
+                raise RuntimeError(
+                    f"policy iteration lost precision: Bellman residual "
+                    f"{residual.max():.3g} above tol {tol:.3g} at discount {beta}"
+                )
+            out[settled] = q
+            live, cost, kernel = (a[~done] for a in (live, cost, kernel))
+            if not live.size:
+                return out
+        policy = np.where(better, best, policy)[~done]
+    raise RuntimeError("policy iteration did not settle")
+
+
 def q_star(
     game: StochasticGame, player: int, others: Sequence[StationaryPolicy], tol: float
 ) -> QTable:
@@ -278,7 +328,14 @@ def label_equilibria(
     distinct opponent joints among ``joints``, as one stack, so the work
     grows with the joints given, not with the joint-policy space. A joint
     of the wrong shape, or with an action id out of range or not an
-    integer (``game_model._is_id``), is a ValueError."""
+    integer (``game_model._is_id``), is a ValueError.
+
+    The stacks are solved by policy iteration (``_policy_iteration``), which
+    stays fast at discounts near 1 where value iteration needs ~1 / (1 - beta)
+    sweeps; ``ExactAnalysis``, behind ``equilibrium_set``, keeps value
+    iteration. The two solvers differ by solver error only, so a label equals
+    membership in ``equilibrium_set(game, tol)`` except where some Q-gap lies
+    within that error of the tol slack."""
     check_input("tol", tol)
     if eps < 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
@@ -307,7 +364,9 @@ def label_equilibria(
                 for a in joint[j]:
                     index = index * counts[j] + a
             rows.append(members.setdefault(index, len(members)))
-        q = _solve_stack(game, i, tol, (0.0,) * game.num_players, list(members))
+        q = _solve_stack(
+            game, i, tol, (0.0,) * game.num_players, list(members), _policy_iteration
+        )
         rows_of = np.array(rows, dtype=np.intp)[:, None]
         own = np.array([joint[i] for joint in joints], dtype=np.intp).reshape(-1, num_states)
         labels &= _greedy_mask(q, eps + tol)[rows_of, np.arange(num_states), own].all(axis=1)
@@ -320,12 +379,19 @@ def _solve_stack(
     tol: float,
     rhos: Sequence[float],
     members: Sequence[int] | None = None,
+    _solver: Callable[..., np.ndarray] = _value_iteration,
 ) -> np.ndarray:
     """Q* of the player against deterministic opponent joints, each opponent j
     softened by rhos[j] as ``soften_policy`` does: one row per entry of
     ``members`` (opponent-joint indices in ``itertools.product`` order over
     the opponents' policies), every opponent joint in that order when None;
-    solved _VI_BLOCK at a time."""
+    solved _VI_BLOCK at a time by the stack solver ``_solver``.
+
+    ``ExactAnalysis`` (``table``, ``softened``) keeps the default,
+    ``_value_iteration``: the digits of ``delta_bar`` and of the perturbation
+    gap that ``analyze`` prints are those of value iteration.
+    ``label_equilibria`` passes ``_policy_iteration``, whose cost does not
+    grow like 1 / (1 - beta) with the discount."""
     counts = game.action_counts
     others = [j for j in range(game.num_players) if j != player]
     total = math.prod(counts[j] ** game.num_states for j in others)
@@ -349,7 +415,7 @@ def _solve_stack(
             onehot = choices[..., None] == np.arange(counts[j])
             factors.insert(0, (j, rhos[j] / counts[j] + onehot * (1.0 - rhos[j])))
         cost, kernel = _induced_stack(game, player, factors, len(block))
-        block[...] = _value_iteration(cost, kernel, game.discounts[player], tol)
+        block[...] = _solver(cost, kernel, game.discounts[player], tol)
     return out
 
 

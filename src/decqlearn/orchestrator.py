@@ -838,8 +838,9 @@ def run_episodes(
 
     The joints are labelled after play, the distinct ones of the whole batch
     at once, by :func:`decqlearn.exact_solver.label_equilibria` at tol 1e-9,
-    which solves only the opponent joints the trials visited and agrees
-    with membership in ``equilibrium_set(game, 1e-9)``."""
+    which solves only the opponent joints the trials visited, by policy
+    iteration, and agrees with membership in ``equilibrium_set(game, 1e-9)``
+    except where a Q-gap lies within solver error of the 1e-9 slack."""
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     _check_configs(game, configs)

@@ -56,6 +56,17 @@ class TestAgentConfig:
                 initial_policy=DeterministicPolicy(1, (0, 0)),
             )
 
+    def test_initial_q_player_must_match(self):
+        with pytest.raises(ValueError, match="initial_q belongs to a different player"):
+            AgentConfig(
+                player=0,
+                rho=0.05,
+                lam=0.2,
+                delta=0.5,
+                alpha=0.1,
+                initial_q=QTable(1, np.zeros((2, 2))),
+            )
+
     def test_from_config_fills_zero_q(self):
         cfg = AgentConfig(
             player=0,

@@ -4,7 +4,9 @@ against one value-iteration solve per opponent joint (``tests/oracles.py``).
 The table runs the same float operations as the single solves, so tables are
 compared by their bytes and every derived object (equilibria, delta_bar, the
 perturbation gap, the best-response graph and the report's weak acyclicity and
-path bound) must be exactly equal.
+path bound) must be exactly equal. The stacked policy iteration behind the
+labels runs other float operations, so it is held to the tolerance against
+both single-solve oracles and to the value-iteration stack's greedy masks.
 """
 
 import dataclasses
@@ -18,6 +20,8 @@ import pytest
 from decqlearn import exact_solver
 from decqlearn.acyclicity import build_br_graph
 from decqlearn.exact_solver import (
+    _greedy_mask,
+    _policy_iteration,
     _solve_stack,
     delta_bar,
     equilibrium_set,
@@ -40,6 +44,7 @@ from oracles import (
     induced_mdp_single,
     opponent_joints,
     perturbation_gap_enumerated,
+    q_star_policy_iteration,
     q_star_single,
     q_value_iteration_single,
     random_game,
@@ -182,6 +187,52 @@ def test_tables_match_single_solves(game, monkeypatch):
             assert [q.tobytes() for q in softened] == [q.tobytes() for q in soft]
             chosen = _solve_stack(game, i, TOL, rhos, members)
             assert [q.tobytes() for q in chosen] == [soft[k].tobytes() for k in members]
+
+
+def _assert_policy_iteration_matches(game):
+    # Against every opponent joint, plain and softened: within tol of both
+    # single-solve oracles, with the value-iteration stack's greedy masks.
+    for rhos in ((0.0,) * game.num_players, _rhos(game)):
+        for i in range(game.num_players):
+            pi = _solve_stack(game, i, TOL, rhos, None, _policy_iteration)
+            vi = _solve_stack(game, i, TOL, rhos)
+            mdps = [
+                induced_mdp_single(game, i, opponent_policies(game, i, opp, rhos))
+                for opp in opponent_joints(game, i)
+            ]
+            assert np.abs(pi - [q_value_iteration_single(m, TOL)[0] for m in mdps]).max() <= TOL
+            assert np.abs(pi - [q_star_policy_iteration(m) for m in mdps]).max() <= TOL
+            assert np.array_equal(_greedy_mask(pi, TOL), _greedy_mask(vi, TOL))
+
+
+def test_policy_iteration_matches_oracles(game):
+    _assert_policy_iteration_matches(game)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99])
+@pytest.mark.parametrize("num_states, counts", [(3, (2, 2)), (2, (3, 2)), (2, (2, 2, 2))])
+def test_policy_iteration_matches_oracles_across_discounts(beta, num_states, counts):
+    rng = np.random.default_rng(int(100 * beta) + num_states)
+    _assert_policy_iteration_matches(_shaped_game(rng, num_states, counts, beta=beta))
+
+
+def test_policy_iteration_refuses_lost_precision():
+    # At beta = 0.9999 the evaluation solves round far above 1e-15, so the
+    # Bellman check fails and the labels raise instead of passing.
+    game = _shaped_game(np.random.default_rng(5), 3, (2, 2), beta=0.9999)
+    joints = _every_joint(game)
+    assert len(label_equilibria(game, joints, TOL)) == len(joints)
+    with pytest.raises(RuntimeError, match="Bellman residual .* above tol 1e-15"):
+        label_equilibria(game, joints, 1e-15)
+
+
+def test_policy_iteration_refuses_unsettled_members(monkeypatch):
+    # Greedy on cost is not optimal against every opponent joint here, so a
+    # one-step cap leaves members unsettled.
+    game = _shaped_game(np.random.default_rng(0), 3, (3, 3), beta=0.9)
+    monkeypatch.setattr(exact_solver, "_MAX_POLICY_ITERATIONS", 1)
+    with pytest.raises(RuntimeError, match="policy iteration did not settle"):
+        _solve_stack(game, 0, TOL, (0.0, 0.0), None, _policy_iteration)
 
 
 def _every_joint(game):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,19 @@ class TestPolicyValue:
             mine = policy_value(benchmark_game, player, joint, 1e-10)
             reference = policy_value_iterative(benchmark_game, player, probs, 1e-10)
             assert_allclose(mine, reference, atol=1e-8)
+
+
+class TestQTable:
+    @pytest.mark.parametrize("player", [True, "x", 0.0, None])
+    def test_player_id_must_be_an_integer(self, player):
+        with pytest.raises(ValueError, match=re.escape(f"player id {player!r} is not an integer")):
+            QTable(player, np.zeros((2, 2)))
+
+    def test_player_id_nonnegative_and_a_python_int(self):
+        with pytest.raises(ValueError, match="player id -3 must be nonnegative"):
+            QTable(-3, np.zeros((2, 2)))
+        table = QTable(np.int64(1), np.zeros((2, 2)))
+        assert type(table.player) is int and table.player == 1
 
 
 class TestBrHat:

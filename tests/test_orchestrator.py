@@ -576,6 +576,12 @@ class TestLazyLabels:
             random_game(rng, num_players=n, max_states=3, max_actions=3)
             for n in (1, 2, 2, 3, 3)
         ]
+        # labels by policy iteration at a discount where value iteration,
+        # behind equilibrium_set, needs thousands of sweeps
+        games += [
+            random_game(rng, num_players=2, max_states=3, max_actions=3, beta=0.99)
+            for _ in range(2)
+        ]
         games += [pennies_game, _tie_game()]
         labels = set()
         for game in games:
