@@ -50,9 +50,10 @@ def build_br_graph(
 
 def is_weakly_acyclic(graph: BrGraph | ExactAnalysis) -> bool:
     """True iff equilibria exist and every joint policy can reach one along
-    strict best-response edges. Reads ``equilibria`` and ``path_len``, which
-    a ``BrGraph`` and an ``ExactAnalysis`` both have."""
-    return bool(graph.equilibria) and bool(np.isfinite(graph.path_len).all())
+    strict best-response edges. Reads only ``path_len``, which a ``BrGraph``
+    and an ``ExactAnalysis`` both have: when every path length is finite,
+    some node sits at 0, so an equilibrium exists."""
+    return bool(np.isfinite(graph.path_len).all())
 
 
 def path_bound_L(graph: BrGraph | ExactAnalysis) -> int:

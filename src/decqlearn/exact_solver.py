@@ -28,7 +28,7 @@ from .game_model import (
     JointDeterministicPolicy,
     StationaryPolicy,
     StochasticGame,
-    _is_id,
+    _choice_for,
     _player_id,
     enumerate_deterministic_policies,
 )
@@ -310,8 +310,6 @@ def is_equilibrium(
 ) -> bool:
     """True iff every player's policy is an eps-best-response to the rest,
     judged on exact Q-values with numerical slack tol."""
-    for pol in joint.policies:
-        pol.validate_for(game)
     return label_equilibria(game, [joint.choices], tol, eps)[0]
 
 
@@ -325,10 +323,10 @@ def label_equilibria(
     an eps-best-response to the others', judged on exact Q-values with
     numerical slack tol: the rule of ``ExactAnalysis.grids``, and the same
     label alone or among any other joints. Each player solves only the
-    distinct opponent joints among ``joints``, as one stack, so the work
-    grows with the joints given, not with the joint-policy space. A joint
-    of the wrong shape, or with an action id out of range or not an
-    integer (``game_model._is_id``), is a ValueError.
+    distinct opponent joints among ``joints``, stacked as one choice array,
+    so the work grows with the joints given, not with the joint-policy space.
+    A joint without one policy per player, or with a policy that breaks the
+    choice rule (``game_model._choice_for``), is a ValueError naming it.
 
     The stacks are solved by policy iteration (``_policy_iteration``), which
     stays fast at discounts near 1 where value iteration needs ~1 / (1 - beta)
@@ -339,36 +337,26 @@ def label_equilibria(
     check_input("tol", tol)
     if eps < 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
-    num_states, counts = game.num_states, game.action_counts
+    num_players, num_states = game.num_players, game.num_states
+    checked = []
     for joint in joints:
-        if len(joint) != game.num_players or any(
-            len(choice) != num_states
-            or not all(_is_id(a) and 0 <= a < m for a in choice)
-            for choice, m in zip(joint, counts)
-        ):
-            raise ValueError(
-                f"joint {joint!r} is not a joint policy of this game: each of its "
-                f"{game.num_players} players needs one integer action id in range per state "
-                f"({num_states} states, action counts {list(counts)})"
-            )
-    labels = np.ones(len(joints), dtype=bool)
-    for i in range(game.num_players):
-        others = [j for j in range(game.num_players) if j != i]
-        # each distinct opponent joint (its index in itertools.product
-        # order) and the stack row that solves it
-        members: dict[int, int] = {}
-        rows = []
-        for joint in joints:
-            index = 0
-            for j in others:
-                for a in joint[j]:
-                    index = index * counts[j] + a
-            rows.append(members.setdefault(index, len(members)))
-        q = _solve_stack(
-            game, i, tol, (0.0,) * game.num_players, list(members), _policy_iteration
+        try:
+            if len(joint) != num_players:
+                raise ValueError(f"{len(joint)} policies for {num_players} players")
+            checked.append(tuple(_choice_for(game, i, c) for i, c in enumerate(joint)))
+        except ValueError as exc:
+            raise ValueError(f"joint {joint!r} is not a joint policy of this game: {exc}") from None
+    labels = np.ones(len(checked), dtype=bool)
+    for i in range(num_players):
+        # each distinct opponent joint and the stack row that solves it
+        distinct: dict[tuple[tuple[int, ...], ...], int] = {}
+        rows = [distinct.setdefault(joint[:i] + joint[i + 1 :], len(distinct)) for joint in checked]
+        opponents = np.array(list(distinct), dtype=np.intp).reshape(
+            len(distinct), num_players - 1, num_states
         )
+        q = _solve_stack(game, i, tol, (0.0,) * num_players, opponents, _policy_iteration)
+        own = np.array([joint[i] for joint in checked], dtype=np.intp).reshape(-1, num_states)
         rows_of = np.array(rows, dtype=np.intp)[:, None]
-        own = np.array([joint[i] for joint in joints], dtype=np.intp).reshape(-1, num_states)
         labels &= _greedy_mask(q, eps + tol)[rows_of, np.arange(num_states), own].all(axis=1)
     return labels.tolist()
 
@@ -378,14 +366,14 @@ def _solve_stack(
     player: int,
     tol: float,
     rhos: Sequence[float],
-    members: Sequence[int] | None = None,
+    opponents: np.ndarray,
     _solver: Callable[..., np.ndarray] = _value_iteration,
 ) -> np.ndarray:
     """Q* of the player against deterministic opponent joints, each opponent j
-    softened by rhos[j] as ``soften_policy`` does: one row per entry of
-    ``members`` (opponent-joint indices in ``itertools.product`` order over
-    the opponents' policies), every opponent joint in that order when None;
-    solved _VI_BLOCK at a time by the stack solver ``_solver``.
+    softened by rhos[j] as ``soften_policy`` does: one row per joint of
+    ``opponents``, a (K, N - 1, S) int array of the opponents' action ids
+    (joint, opponent in id order, state); solved _VI_BLOCK joints at a time by
+    the stack solver ``_solver``.
 
     ``ExactAnalysis`` (``table``, ``softened``) keeps the default,
     ``_value_iteration``: the digits of ``delta_bar`` and of the perturbation
@@ -394,28 +382,15 @@ def _solve_stack(
     grow like 1 / (1 - beta) with the discount."""
     counts = game.action_counts
     others = [j for j in range(game.num_players) if j != player]
-    total = math.prod(counts[j] ** game.num_states for j in others)
-    if members is None:
-        members = np.arange(total)
-    else:
-        # exact digits: Python ints once an index can pass int64
-        members = np.array(members, dtype=np.int64 if total <= 2**63 else object)
-    out = np.empty((len(members), game.num_states, counts[player]))
+    out = np.empty((len(opponents), game.num_states, counts[player]))
     for start in range(0, len(out), _VI_BLOCK):
-        block = out[start : start + _VI_BLOCK]
-        rest = members[start : start + len(block)]
+        block = opponents[start : start + _VI_BLOCK]
         factors = []
-        # Mixed-radix digits of the joint index, one per opponent and state;
-        # the last opponent's last state varies fastest.
-        for j in others[::-1]:
-            choices = np.empty((len(block), game.num_states), dtype=np.intp)
-            for x in reversed(range(game.num_states)):
-                choices[:, x] = rest % counts[j]
-                rest = rest // counts[j]
-            onehot = choices[..., None] == np.arange(counts[j])
-            factors.insert(0, (j, rhos[j] / counts[j] + onehot * (1.0 - rhos[j])))
+        for k, j in enumerate(others):
+            onehot = block[:, k, :, None] == np.arange(counts[j])
+            factors.append((j, rhos[j] / counts[j] + onehot * (1.0 - rhos[j])))
         cost, kernel = _induced_stack(game, player, factors, len(block))
-        block[...] = _solver(cost, kernel, game.discounts[player], tol)
+        out[start : start + len(block)] = _solver(cost, kernel, game.discounts[player], tol)
     return out
 
 
@@ -455,10 +430,10 @@ class BrGraph:
 class ExactAnalysis:
     """The exact analysis of one game at one tolerance.
 
-    The constructor checks every input it is given, whatever else is given.
-    ``lambdas``, ``eps`` and ``ratio`` are only checked: p_min, theta and xi
-    are ``acyclicity``'s, which imports this module. Each attribute is built
-    on first use and cached:
+    It takes only the inputs it reads: the game, ``tol``, ``budget`` and,
+    for the softened table and the perturbation bound, ``rhos`` and
+    ``deltas``; the constructor checks each one given, whatever else is
+    given. Each attribute is built on first use and cached:
     ``table`` (per player, Q* against every deterministic opponent joint in
     ``itertools.product`` order, each best response solved once), the greedy
     ``grids``, ``equilibria``, ``delta_bar``, ``softened`` (the table against
@@ -467,9 +442,10 @@ class ExactAnalysis:
     The best-response graph is held as arrays over the nodes, the joint
     policies in ``itertools.product`` order (the flat (C) order of the
     grids): ``equilibrium_mask`` and the float ``path_len``, both read off
-    the grids; ``choices`` decodes node indices. ``graph`` is the
-    ``BrGraph`` export, one Python object per node and edge, and the only
-    reader of the sorted ``edges`` array.
+    the grids. One decode turns flat indices into choice arrays, both for
+    the opponent joints the table solves and for ``choices`` of nodes.
+    ``graph`` is the ``BrGraph`` export, one Python object per node and edge,
+    and the only reader of the sorted ``edges`` array.
 
     ``table`` and ``softened`` refuse, before any solve, more solves than
     ``budget``; ``grids`` (behind the equilibria and the graph arrays) hold
@@ -483,15 +459,9 @@ class ExactAnalysis:
         budget: int = DEFAULT_SOLVE_BUDGET,
         rhos: Sequence[float] | None = None,
         deltas: Sequence[float] | None = None,
-        lambdas: Sequence[float] | None = None,
-        eps: float | None = None,
-        ratio: int | None = None,
     ) -> None:
         check_input("tol", tol)
-        for name, value in (("eps", eps), ("ratio", ratio)):
-            if value is not None:
-                check_input(name, value)
-        for name, values in (("rho", rhos), ("delta", deltas), ("lambda", lambdas)):
+        for name, values in (("rho", rhos), ("delta", deltas)):
             if values is not None:
                 check_per_player(game, name, values)
         self.game, self.tol, self.budget = game, tol, budget
@@ -506,7 +476,12 @@ class ExactAnalysis:
                 f"the best-response table needs {solves} exact solves, "
                 f"above the budget of {self.budget}"
             )
-        return [_solve_stack(self.game, i, self.tol, rhos) for i in range(len(sizes))]
+        tables = []
+        for i in range(len(sizes)):
+            others = [j for j in range(len(sizes)) if j != i]
+            opponents = self._decode(others, np.arange(math.prod(sizes[j] for j in others)))
+            tables.append(_solve_stack(self.game, i, self.tol, rhos, opponents))
+        return tables
 
     @functools.cached_property
     def table(self) -> list[np.ndarray]:
@@ -519,9 +494,24 @@ class ExactAnalysis:
         return self._solve_all(self.rhos)
 
     @functools.cached_property
-    def _policies(self) -> list[list[tuple[int, ...]]]:
+    def _policies(self) -> list[np.ndarray]:
+        """Per player, every deterministic policy as a (P, S) choice array."""
         num_states = self.game.num_states
-        return [enumerate_deterministic_policies(num_states, m) for m in self.game.action_counts]
+        return [
+            np.array(enumerate_deterministic_policies(num_states, m), dtype=np.intp)
+            for m in self.game.action_counts
+        ]
+
+    def _decode(self, players: Sequence[int], flat: np.ndarray) -> np.ndarray:
+        """Choice arrays (K, len(players), S) of flat indices over the joint
+        policies of ``players`` (``itertools.product`` order of their
+        policies); no players give (K, 0, S)."""
+        out = np.empty((len(flat), len(players), self.game.num_states), dtype=np.intp)
+        if players:
+            digits = np.unravel_index(flat, [self._sizes[j] for j in players])
+            for k, (j, digit) in enumerate(zip(players, digits)):
+                out[:, k] = self._policies[j][digit]
+        return out
 
     @functools.cached_property
     def grids(self) -> list[np.ndarray]:
@@ -537,7 +527,7 @@ class ExactAnalysis:
         grids = []
         for i, q in enumerate(self.table):
             mask = _greedy_mask(q, self.tol)
-            choices = np.array(self._policies[i])
+            choices = self._policies[i]
             greedy = np.ones((len(q), sizes[i]), dtype=bool)
             for x in range(self.game.num_states):
                 greedy &= mask[:, x, choices[:, x]]
@@ -547,11 +537,9 @@ class ExactAnalysis:
 
     def choices(self, nodes: Sequence[int]) -> list[tuple[tuple[int, ...], ...]]:
         """Per-player choice tuples of the given nodes, in the order given."""
-        digits = np.unravel_index(np.asarray(nodes, dtype=np.intp), self._sizes)
-        return [
-            tuple(self._policies[i][p] for i, p in enumerate(joint))
-            for joint in zip(*(d.tolist() for d in digits))
-        ]
+        players = range(self.game.num_players)
+        joints = self._decode(players, np.asarray(nodes, dtype=np.intp)).tolist()
+        return [tuple(map(tuple, joint)) for joint in joints]
 
     @functools.cached_property
     def equilibrium_mask(self) -> np.ndarray:
@@ -605,7 +593,8 @@ class ExactAnalysis:
         """The export view of ``edges``, ``equilibrium_mask`` and ``path_len``:
         one ``JointDeterministicPolicy`` per node and one tuple per edge."""
         policies = [
-            [DeterministicPolicy(i, c) for c in choices] for i, choices in enumerate(self._policies)
+            [DeterministicPolicy(i, c) for c in choices.tolist()]
+            for i, choices in enumerate(self._policies)
         ]
         return BrGraph(
             nodes=tuple(JointDeterministicPolicy(joint) for joint in itertools.product(*policies)),

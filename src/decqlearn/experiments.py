@@ -320,7 +320,13 @@ def analyze_game(
     report: dict = {"violations": validate_game(game)}
     if report["violations"]:
         return report
-    analysis = exact_solver.ExactAnalysis(game, tol, budget, rhos, deltas, lambdas, eps, ratio)
+    exact_solver.check_input("tol", tol)
+    for name, value in (("eps", eps), ("ratio", ratio)):
+        if value is not None:
+            exact_solver.check_input(name, value)
+    analysis = exact_solver.ExactAnalysis(game, tol, budget, rhos, deltas)
+    if lambdas is not None:
+        exact_solver.check_per_player(game, "lambda", lambdas)
     # the grids first: they refuse an over-budget joint-policy space before
     # any solve, where delta_bar would solve the whole table first
     weakly = acyclicity.is_weakly_acyclic(analysis)

@@ -179,6 +179,25 @@ def _player_id(player: object) -> int:
     return int(player)
 
 
+def _choice_for(game: StochasticGame, player: int, choice: Iterable) -> tuple[int, ...]:
+    """The one rule for a choice tuple: ``choice`` as Python ints, one action
+    id (see :func:`_action_ids`) in range for ``player`` per state of the
+    game; anything else is a ValueError naming the fault."""
+    if not 0 <= player < game.num_players:
+        raise ValueError(f"player id {player} out of range")
+    choice = _action_ids(choice)
+    if len(choice) != game.num_states:
+        raise ValueError(
+            f"player {player}'s policy must choose an action in every state: "
+            f"{len(choice)} action ids for {game.num_states} states"
+        )
+    count = game.action_counts[player]
+    for x, a in enumerate(choice):
+        if not 0 <= a < count:
+            raise ValueError(f"action id {a} invalid for player {player} in state {x}")
+    return choice
+
+
 @dataclass(frozen=True)
 class DeterministicPolicy:
     """One player's deterministic stationary policy: a total map
@@ -194,14 +213,7 @@ class DeterministicPolicy:
             raise ValueError("action ids must be nonnegative")
 
     def validate_for(self, game: StochasticGame) -> None:
-        if not 0 <= self.player < game.num_players:
-            raise ValueError(f"player id {self.player} out of range")
-        if len(self.choice) != game.num_states:
-            raise ValueError("policy must choose an action in every state")
-        count = game.action_counts[self.player]
-        for x, a in enumerate(self.choice):
-            if not 0 <= a < count:
-                raise ValueError(f"action id {a} invalid for player {self.player} in state {x}")
+        _choice_for(game, self.player, self.choice)
 
     def as_stationary(self, num_actions: int) -> StationaryPolicy:
         """Indicator (point-mass) representation of this policy."""
@@ -263,7 +275,7 @@ def validate_game(game: StochasticGame) -> list[str]:
     """Check the numeric invariants of a game; returns violations as data.
 
     An empty list means the game is valid. Each violation names the offending
-    player/state/joint-action.
+    player/state/joint-action. A sum that is NaN or infinite is a violation.
     """
     violations: list[str] = []
     for i, beta in enumerate(game.discounts):
@@ -276,24 +288,20 @@ def validate_game(game: StochasticGame) -> list[str]:
                 f"cost for player {i} is not finite at state {game.states[bad[0]]}, "
                 f"joint action {game.joint_tuple(int(bad[1]))}"
             )
-    for s in range(game.num_states):
-        for ja in range(game.num_joint_actions):
-            row = game.kernel[s, ja]
-            if np.any(row < 0.0):
-                violations.append(
-                    f"kernel row (state {game.states[s]}, joint action "
-                    f"{game.joint_tuple(ja)}) has a negative entry"
-                )
-            total = float(row.sum())
-            if abs(total - 1.0) > _SUM_TOL:
-                violations.append(
-                    f"kernel row (state {game.states[s]}, joint action "
-                    f"{game.joint_tuple(ja)}) sums to {total!r}, expected 1"
-                )
+    negative = (game.kernel < 0.0).any(axis=2)
+    sums = game.kernel.sum(axis=2)
+    # not <=, so that a NaN sum is a violation too
+    off = ~(np.abs(sums - 1.0) <= _SUM_TOL)
+    for s, ja in np.argwhere(negative | off).tolist():
+        row = f"kernel row (state {game.states[s]}, joint action {game.joint_tuple(ja)})"
+        if negative[s, ja]:
+            violations.append(f"{row} has a negative entry")
+        if off[s, ja]:
+            violations.append(f"{row} sums to {float(sums[s, ja])!r}, expected 1")
     total = float(game.initial_dist.sum())
     if np.any(game.initial_dist < 0.0):
         violations.append("initial_dist has a negative entry")
-    if abs(total - 1.0) > _SUM_TOL:
+    if not abs(total - 1.0) <= _SUM_TOL:
         violations.append(f"initial_dist sums to {total!r}, expected 1")
     return violations
 

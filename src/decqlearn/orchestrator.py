@@ -30,7 +30,7 @@ import numpy as np
 
 from .agent import AgentConfig, end_phase_update
 from .exact_solver import QTable, check_reachability, label_equilibria
-from .game_model import StochasticGame, _action_ids, sample_initial_state, sample_transition
+from .game_model import StochasticGame, _choice_for, sample_initial_state, sample_transition
 
 __all__ = [
     "RandomnessStreams",
@@ -424,14 +424,8 @@ def _first_baselines(
         if forced_choices is None and cfg.initial_policy is None:
             rows = [s.initial_policy_choices(i, num_states, num_actions) for s in streams]
         else:
-            choice = _action_ids(
-                cfg.initial_policy.choice if forced_choices is None else forced_choices[i]
-            )
-            if len(choice) != num_states:
-                raise ValueError("baseline must choose an action in every state")
-            if any(not 0 <= a < num_actions for a in choice):
-                raise ValueError("baseline contains an invalid action id")
-            rows = [choice] * len(streams)
+            choice = cfg.initial_policy.choice if forced_choices is None else forced_choices[i]
+            rows = [_choice_for(game, i, choice)] * len(streams)
         if cfg.initial_q is not None and cfg.initial_q.shape != (num_states, num_actions):
             raise ValueError("initial_q has the wrong shape for this game")
         baselines.append(np.array(rows, dtype=np.int64))

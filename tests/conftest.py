@@ -56,9 +56,9 @@ def solve_calls(monkeypatch):
     solve = exact_solver._solve_stack
     calls = []
 
-    def counted(game, player, tol, rhos, members=None):
+    def counted(game, player, tol, rhos, opponents, _solver=exact_solver._value_iteration):
         calls.append(tuple(rhos))
-        return solve(game, player, tol, rhos, members)
+        return solve(game, player, tol, rhos, opponents, _solver)
 
     monkeypatch.setattr(exact_solver, "_solve_stack", counted)
     return calls

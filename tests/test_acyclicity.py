@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,6 +50,12 @@ class TestBrGraph:
         assert all(math.isinf(v) for v in graph.path_len)
         with pytest.raises(ValueError):
             path_bound_L(graph)
+
+    def test_weak_acyclicity_reads_only_path_len(self):
+        # Finite path lengths put some node at 0, an equilibrium.
+        assert is_weakly_acyclic(SimpleNamespace(path_len=np.array([0.0, 1.0, 2.0])))
+        assert not is_weakly_acyclic(SimpleNamespace(path_len=np.array([0.0, math.inf])))
+        assert not is_weakly_acyclic(SimpleNamespace(path_len=(math.inf, math.inf)))
 
     def test_benchmark_structure(self, benchmark_game, benchmark_graph):
         graph = benchmark_graph

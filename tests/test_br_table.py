@@ -20,6 +20,7 @@ import pytest
 from decqlearn import exact_solver
 from decqlearn.acyclicity import build_br_graph
 from decqlearn.exact_solver import (
+    ExactAnalysis,
     _greedy_mask,
     _policy_iteration,
     _solve_stack,
@@ -168,25 +169,49 @@ def _rhos(game):
     return RHOS[: game.num_players]
 
 
+def _opponents(game, i):
+    """Every opponent joint of player i as a (K, N - 1, S) choice array, in
+    the oracle's ``itertools.product`` order."""
+    joints = list(opponent_joints(game, i))
+    shape = (len(joints), game.num_players - 1, game.num_states)
+    return np.array(joints, dtype=np.intp).reshape(shape)
+
+
 def test_tables_match_single_solves(game, monkeypatch):
     rhos = _rhos(game)
     rng = np.random.default_rng(game.num_states)
+    analysis = ExactAnalysis(game, TOL, rhos=rhos)
     for i in range(game.num_players):
         joints = list(opponent_joints(game, i))
+        opponents = _opponents(game, i)
         base = [q_star_single(game, i, opponent_policies(game, i, opp), TOL) for opp in joints]
         soft = [
             q_star_single(game, i, opponent_policies(game, i, opp, rhos), TOL) for opp in joints
         ]
-        # chosen members, out of order and repeated, solve to the same rows
+        assert [q.tobytes() for q in analysis.table[i]] == [q.tobytes() for q in base]
+        assert [q.tobytes() for q in analysis.softened[i]] == [q.tobytes() for q in soft]
+        # chosen rows, out of order and repeated, solve to the same rows
         members = rng.integers(0, len(joints), size=11).tolist()
         for block in BLOCKS:
             monkeypatch.setattr(exact_solver, "_VI_BLOCK", block)
-            table = _solve_stack(game, i, TOL, (0.0,) * game.num_players)
-            softened = _solve_stack(game, i, TOL, rhos)
+            table = _solve_stack(game, i, TOL, (0.0,) * game.num_players, opponents)
+            softened = _solve_stack(game, i, TOL, rhos, opponents)
             assert [q.tobytes() for q in table] == [q.tobytes() for q in base]
             assert [q.tobytes() for q in softened] == [q.tobytes() for q in soft]
-            chosen = _solve_stack(game, i, TOL, rhos, members)
+            chosen = _solve_stack(game, i, TOL, rhos, opponents[members])
             assert [q.tobytes() for q in chosen] == [soft[k].tobytes() for k in members]
+
+
+def test_decode_follows_product_order(game):
+    # Opponent joints (a (1, 0, S) array for a 1-player game) and nodes.
+    analysis = ExactAnalysis(game, TOL)
+    for i in range(game.num_players):
+        others = [j for j in range(game.num_players) if j != i]
+        opponents = _opponents(game, i)
+        decoded = analysis._decode(others, np.arange(len(opponents)))
+        assert decoded.shape == opponents.shape and np.array_equal(decoded, opponents)
+    joints = _every_joint(game)
+    assert analysis.choices(range(len(joints))) == joints
 
 
 def _assert_policy_iteration_matches(game):
@@ -194,8 +219,8 @@ def _assert_policy_iteration_matches(game):
     # single-solve oracles, with the value-iteration stack's greedy masks.
     for rhos in ((0.0,) * game.num_players, _rhos(game)):
         for i in range(game.num_players):
-            pi = _solve_stack(game, i, TOL, rhos, None, _policy_iteration)
-            vi = _solve_stack(game, i, TOL, rhos)
+            pi = _solve_stack(game, i, TOL, rhos, _opponents(game, i), _policy_iteration)
+            vi = _solve_stack(game, i, TOL, rhos, _opponents(game, i))
             mdps = [
                 induced_mdp_single(game, i, opponent_policies(game, i, opp, rhos))
                 for opp in opponent_joints(game, i)
@@ -232,7 +257,7 @@ def test_policy_iteration_refuses_unsettled_members(monkeypatch):
     game = _shaped_game(np.random.default_rng(0), 3, (3, 3), beta=0.9)
     monkeypatch.setattr(exact_solver, "_MAX_POLICY_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="policy iteration did not settle"):
-        _solve_stack(game, 0, TOL, (0.0, 0.0), None, _policy_iteration)
+        _solve_stack(game, 0, TOL, (0.0, 0.0), _opponents(game, 0), _policy_iteration)
 
 
 def _every_joint(game):
@@ -277,9 +302,10 @@ def test_labels_reject_malformed_joints(joint):
 
 
 def test_labels_past_int64():
-    # A 2-player x 2-action x 64-state team game: opponent joint indices
-    # reach 2**64 - 1, past int64, and are decoded exactly. Best-response
-    # dynamics from all-ones give joints on and off the equilibria.
+    # A 2-player x 2-action x 64-state team game: an opponent joint's index
+    # in product order would reach 2**64 - 1, past int64; its choice array
+    # needs no index. Best-response dynamics from all-ones give joints on
+    # and off the equilibria.
     game = _shaped_game(np.random.default_rng(64), 64, (2, 2))
     game = dataclasses.replace(game, costs=(game.costs[0], game.costs[0]))
 

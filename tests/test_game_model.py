@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -12,11 +13,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from decqlearn import cli
+from decqlearn.agent import AgentConfig
+from decqlearn.exact_solver import label_equilibria
 from decqlearn.game_model import (
     DeterministicPolicy,
     JointDeterministicPolicy,
     StationaryPolicy,
     StochasticGame,
+    _choice_for,
     game_from_dict,
     game_to_dict,
     load_game,
@@ -26,6 +30,7 @@ from decqlearn.game_model import (
     soften_policy,
     validate_game,
 )
+from decqlearn.orchestrator import RandomnessStreams, _first_baselines
 
 
 def _single_state_game(kernel_row, initial=(1.0,)):
@@ -87,6 +92,67 @@ class TestValidateGame:
         violations = validate_game(game)
         assert any("finite" in v for v in violations)
         assert any("initial_dist" in v for v in violations)
+
+    def test_nan_kernel_and_initial_dist_are_flagged(self, benchmark_game):
+        # abs(nan - 1) > tol is False, so only a "not <=" test flags NaN.
+        kernel = np.array(benchmark_game.kernel)
+        kernel[0, 0] = [np.nan, 1.0]
+        game = dataclasses.replace(
+            benchmark_game, kernel=kernel, initial_dist=np.array([np.nan, 1.0])
+        )
+        assert validate_game(game) == [
+            "kernel row (state s0, joint action (0, 0)) sums to nan, expected 1",
+            "initial_dist sums to nan, expected 1",
+        ]
+
+    def test_kernel_messages_follow_the_row_loop(self):
+        # Nine states, so each row sum runs numpy's pairwise summation; the
+        # expected messages are the row-by-row loop's, in (state, joint
+        # action) order, a negative entry before a bad sum.
+        rng = np.random.default_rng(9)
+        kernel = rng.dirichlet(np.ones(9), size=(9, 4))
+        kernel[2, 1, 3] = -0.25
+        kernel[2, 3] *= 1.0 + 1e-9
+        kernel[5, 0, :2] += [-0.1, 0.1]
+        kernel[6, 2, 8] = np.inf
+        kernel[8, 3] *= 0.5
+        game = StochasticGame(
+            states=tuple(f"s{x}" for x in range(9)),
+            action_sets=(("a0", "a1"), ("b0", "b1")),
+            costs=(np.zeros((9, 4)), np.zeros((9, 4))),
+            discounts=(0.5, 0.5),
+            kernel=kernel,
+            initial_dist=np.full(9, 1.0 / 9.0),
+        )
+        expected = []
+        for s in range(9):
+            for ja in range(4):
+                row = game.kernel[s, ja]
+                where = f"kernel row (state s{s}, joint action {game.joint_tuple(ja)})"
+                if np.any(row < 0.0):
+                    expected.append(f"{where} has a negative entry")
+                total = float(row.sum())
+                if abs(total - 1.0) > 1e-12:
+                    expected.append(f"{where} sums to {total!r}, expected 1")
+        assert len(expected) >= 6
+        assert validate_game(game) == expected
+
+    def test_nan_kernel_exits_2_from_simulate_and_1_from_analyze(
+        self, benchmark_game, tmp_path, capsys
+    ):
+        kernel = np.array(benchmark_game.kernel)
+        kernel[0, 0] = [np.nan, 1.0]
+        save_game(dataclasses.replace(benchmark_game, kernel=kernel), tmp_path / "game.json")
+        config = {"trials": 2, "horizon": 1200, "record_times": [0, 600], "min_phase": 300}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        game = str(tmp_path / "game.json")
+        argv = ["simulate", game, "--config", str(tmp_path / "config.json")]
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "out")]) == 2
+        assert "sums to nan" in capsys.readouterr().err
+        assert cli.main(["analyze", game]) == 1
+        assert json.loads(capsys.readouterr().out)["violations"] == [
+            "kernel row (state s0, joint action (0, 0)) sums to nan, expected 1"
+        ]
 
 
 class TestSoftenPolicy:
@@ -217,6 +283,32 @@ class TestPolicies:
             StationaryPolicy(np.int64(1), np.array([[0.5, 0.5]])),
         ):
             assert type(policy.player) is int and policy.player == 1
+
+    @pytest.mark.parametrize(
+        "choice, message",
+        [
+            ((0, 2), "action id 2 invalid for player 0 in state 1"),
+            ((0,), "must choose an action in every state: 1 action ids for 2 states"),
+            ((0, 0, 0), "must choose an action in every state: 3 action ids for 2 states"),
+            ((0, 0.5), "action id 0.5 is not an integer"),
+        ],
+    )
+    def test_one_choice_rule(self, benchmark_game, choice, message):
+        # A policy, a forced first baseline and a labelled joint all break
+        # the one rule the same way.
+        configs = [AgentConfig(player=i, rho=0.05, lam=0.2, delta=0.5, alpha=0.1) for i in (0, 1)]
+        message = re.escape(message)
+        with pytest.raises(ValueError, match=message):
+            _choice_for(benchmark_game, 0, choice)
+        with pytest.raises(ValueError, match=message):
+            DeterministicPolicy(0, choice).validate_for(benchmark_game)
+        with pytest.raises(ValueError, match=message):
+            _first_baselines(benchmark_game, configs, [RandomnessStreams(0)], (choice, (0, 0)))
+        with pytest.raises(ValueError, match=r"joint .* is not a joint policy of this game: "):
+            label_equilibria(benchmark_game, [(choice, (0, 0))], 1e-9)
+        with pytest.raises(ValueError, match=message):
+            label_equilibria(benchmark_game, [(choice, (0, 0))], 1e-9)
+        assert _choice_for(benchmark_game, 1, (np.int64(1), np.uint8(0))) == (1, 0)
 
     def test_numpy_integer_action_ids(self):
         choice = DeterministicPolicy(0, (np.int64(1), np.uint8(0))).choice
