@@ -55,8 +55,9 @@ __all__ = [
 _MAX_VALUE_ITERATIONS = 5_000_000
 _MAX_POLICY_ITERATIONS = 1000
 DEFAULT_SOLVE_BUDGET = 10**6
-# Opponent joints solved together by one solver stack; bounds the
-# stacked kernels at _VI_BLOCK * S * A * S floats.
+# Opponent joints solved together by one solver stack, once per rho set;
+# bounds the stacked kernels at R * _VI_BLOCK * S * A * S floats for R rho
+# sets (R = 2 for ExactAnalysis with rhos, 1 otherwise).
 _VI_BLOCK = 1024
 
 
@@ -178,6 +179,16 @@ def induced_mdp(
     )
 
 
+def _backup(cost: np.ndarray, kernel: np.ndarray, beta: float, values: np.ndarray) -> np.ndarray:
+    """cost + beta * P values for a stack: cost (K, S, A), kernel (K, S, A, S),
+    values (K, S). The product is one (S * A, S) gemv per member, the form of
+    both stack solvers and of the single-solve oracle: BLAS sums in an order
+    that depends on the matrix's row count, so another shape of the same
+    product (such as K * S gemvs of (A, S)) can differ in the last bits."""
+    flat = kernel.reshape(len(kernel), -1, kernel.shape[-1])
+    return cost + beta * (flat @ values[:, :, None]).reshape(cost.shape)
+
+
 def _value_iteration(
     cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
 ) -> np.ndarray:
@@ -188,10 +199,11 @@ def _value_iteration(
     result does not depend on the other members.
 
     A sweep takes the min over actions as elementwise minimums of the action
-    columns and stops a member when every entry's gap is within the
-    threshold. Both are exact: the results equal, bit for bit, those of
-    ``q.min(axis=-1)`` and of the largest gap per member, and a NaN gap
-    never stops a member."""
+    columns, multiplies by each member's kernel as one gemv (``_backup``) and
+    stops a member when every entry's gap is within the threshold. The min
+    and the stop are exact: they equal, bit for bit, ``q.min(axis=-1)`` and
+    the test on the largest gap per member, and a NaN gap never stops a
+    member."""
     if beta == 0.0:
         return cost.copy()
     threshold = tol * (1.0 - beta) / (2.0 * beta)
@@ -200,7 +212,7 @@ def _value_iteration(
     q = np.zeros_like(cost)
     for _ in range(_MAX_VALUE_ITERATIONS):
         low = functools.reduce(np.minimum, [q[..., a] for a in range(q.shape[-1])])
-        q_next = cost + beta * (kernel @ low[:, None, :, None])[..., 0]
+        q_next = _backup(cost, kernel, beta, low)
         done = (np.abs(q_next - q) <= threshold).reshape(len(q), -1).all(axis=1)
         if done.any():
             out[live[done]] = q_next[done]
@@ -222,7 +234,9 @@ def _policy_iteration(
     max |T q - q| <= tol (which bounds its sup error by tol / (1 - beta)), so
     precision lost near beta = 1 raises RuntimeError instead of passing; so
     does a member not settled within _MAX_POLICY_ITERATIONS steps. The step
-    count grows with the policies tried, not with 1 / (1 - beta)."""
+    count grows with the policies tried, not with 1 / (1 - beta). The
+    evaluation's Q-factors and the Bellman check both take the product of
+    ``_value_iteration``, one gemv per member (``_backup``)."""
     if beta == 0.0:
         return cost.copy()
     num_states = cost.shape[1]
@@ -235,13 +249,13 @@ def _policy_iteration(
         chosen = np.linalg.solve(
             eye - beta * kernel[rows, states, policy], cost[rows, states, policy][..., None]
         )
-        q = cost + beta * (kernel @ chosen[:, None])[..., 0]
+        q = _backup(cost, kernel, beta, chosen[..., 0])
         best = q.argmin(axis=-1)
         better = q[rows, states, best] < q[rows, states, policy]
         done = ~better.any(axis=1)
         if done.any():
             q, settled = q[done], live[done]
-            backup = cost[done] + beta * (kernel[done] @ q.min(axis=-1)[:, None, :, None])[..., 0]
+            backup = _backup(cost[done], kernel[done], beta, q.min(axis=-1))
             residual = np.abs(backup - q).reshape(len(q), -1).max(axis=1)
             if not (residual <= tol).all():
                 raise RuntimeError(
@@ -354,7 +368,7 @@ def label_equilibria(
         opponents = np.array(list(distinct), dtype=np.intp).reshape(
             len(distinct), num_players - 1, num_states
         )
-        q = _solve_stack(game, i, tol, (0.0,) * num_players, opponents, _policy_iteration)
+        q = _solve_stack(game, i, tol, [(0.0,) * num_players], opponents, _policy_iteration)[0]
         own = np.array([joint[i] for joint in checked], dtype=np.intp).reshape(-1, num_states)
         rows_of = np.array(rows, dtype=np.intp)[:, None]
         labels &= _greedy_mask(q, eps + tol)[rows_of, np.arange(num_states), own].all(axis=1)
@@ -365,32 +379,42 @@ def _solve_stack(
     game: StochasticGame,
     player: int,
     tol: float,
-    rhos: Sequence[float],
+    rhos: Sequence[Sequence[float]],
     opponents: np.ndarray,
     _solver: Callable[..., np.ndarray] = _value_iteration,
 ) -> np.ndarray:
-    """Q* of the player against deterministic opponent joints, each opponent j
-    softened by rhos[j] as ``soften_policy`` does: one row per joint of
+    """Q* of the player against deterministic opponent joints, once per rho
+    set of ``rhos``, each opponent j softened by rho[j] as ``soften_policy``
+    does: shaped (R, K, S, A), one row per rho set and per joint of
     ``opponents``, a (K, N - 1, S) int array of the opponents' action ids
-    (joint, opponent in id order, state); solved _VI_BLOCK joints at a time by
-    the stack solver ``_solver``.
+    (joint, opponent in id order, state). The rho sets of _VI_BLOCK joints at
+    a time go to the stack solver ``_solver`` as one stack; each member's
+    result does not depend on the others in it.
 
-    ``ExactAnalysis`` (``table``, ``softened``) keeps the default,
+    ``ExactAnalysis`` solves its plain and softened tables (``table``,
+    ``softened``) in one call per player with the default,
     ``_value_iteration``: the digits of ``delta_bar`` and of the perturbation
     gap that ``analyze`` prints are those of value iteration.
-    ``label_equilibria`` passes ``_policy_iteration``, whose cost does not
-    grow like 1 / (1 - beta) with the discount."""
+    ``label_equilibria`` passes one rho set and ``_policy_iteration``, whose
+    cost does not grow like 1 / (1 - beta) with the discount."""
     counts = game.action_counts
     others = [j for j in range(game.num_players) if j != player]
-    out = np.empty((len(opponents), game.num_states, counts[player]))
-    for start in range(0, len(out), _VI_BLOCK):
+    out = np.empty((len(rhos), len(opponents), game.num_states, counts[player]))
+    for start in range(0, len(opponents), _VI_BLOCK):
         block = opponents[start : start + _VI_BLOCK]
-        factors = []
-        for k, j in enumerate(others):
-            onehot = block[:, k, :, None] == np.arange(counts[j])
-            factors.append((j, rhos[j] / counts[j] + onehot * (1.0 - rhos[j])))
-        cost, kernel = _induced_stack(game, player, factors, len(block))
-        out[start : start + len(block)] = _solver(cost, kernel, game.discounts[player], tol)
+        onehots = [(j, block[:, k, :, None] == np.arange(counts[j])) for k, j in enumerate(others)]
+        stacks = [
+            _induced_stack(
+                game,
+                player,
+                [(j, rho[j] / counts[j] + onehot * (1.0 - rho[j])) for j, onehot in onehots],
+                len(block),
+            )
+            for rho in rhos
+        ]
+        cost, kernel = (np.concatenate(parts) for parts in zip(*stacks))
+        solved = _solver(cost, kernel, game.discounts[player], tol)
+        out[:, start : start + len(block)] = solved.reshape(len(rhos), len(block), *out.shape[2:])
     return out
 
 
@@ -437,7 +461,10 @@ class ExactAnalysis:
     ``table`` (per player, Q* against every deterministic opponent joint in
     ``itertools.product`` order, each best response solved once), the greedy
     ``grids``, ``equilibria``, ``delta_bar``, ``softened`` (the table against
-    opponents softened by ``rhos``), ``gap`` and ``bound``.
+    opponents softened by ``rhos``), ``gap`` and ``bound``. Each player's
+    opponent joints are decoded once and solved in one value-iteration stack
+    that holds the plain and, when ``rhos`` are given, the softened members
+    together, so ``table`` and ``softened`` share one cached solve.
 
     The best-response graph is held as arrays over the nodes, the joint
     policies in ``itertools.product`` order (the flat (C) order of the
@@ -468,7 +495,10 @@ class ExactAnalysis:
         self.rhos, self.deltas = rhos, deltas
         self._sizes = [count**game.num_states for count in game.action_counts]
 
-    def _solve_all(self, rhos: Sequence[float]) -> list[np.ndarray]:
+    @functools.cached_property
+    def _solved(self) -> list[np.ndarray]:
+        """Per player, one value-iteration stack against every opponent joint:
+        (1, K, S, A), the plain table, or (2, K, S, A) with the softened one."""
         sizes = self._sizes
         solves = sum(math.prod(sizes[:i] + sizes[i + 1 :]) for i in range(len(sizes)))
         if solves > self.budget:
@@ -476,6 +506,9 @@ class ExactAnalysis:
                 f"the best-response table needs {solves} exact solves, "
                 f"above the budget of {self.budget}"
             )
+        rhos = [(0.0,) * self.game.num_players]
+        if self.rhos is not None:
+            rhos.append(self.rhos)
         tables = []
         for i in range(len(sizes)):
             others = [j for j in range(len(sizes)) if j != i]
@@ -485,13 +518,13 @@ class ExactAnalysis:
 
     @functools.cached_property
     def table(self) -> list[np.ndarray]:
-        return self._solve_all((0.0,) * self.game.num_players)
+        return [q[0] for q in self._solved]
 
     @functools.cached_property
     def softened(self) -> list[np.ndarray]:
         if self.rhos is None:
             raise ValueError("the softened table needs rhos")
-        return self._solve_all(self.rhos)
+        return [q[1] for q in self._solved]
 
     @functools.cached_property
     def _policies(self) -> list[np.ndarray]:

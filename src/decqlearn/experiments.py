@@ -356,12 +356,15 @@ def analyze_game(
         R = ratio if ratio is not None else 1
         p = acyclicity.p_min(game, lambdas, R, L)
         entry = {"lambdas": list(lambdas), "eps": eps, "ratio": R, "p_min": p}
-        # p_min underflows to 0.0 at large ratios; theta and xi are then unknown.
+        # p_min underflows to 0.0 at large ratios; theta and xi are then
+        # unknown. xi is also unknown when some delta lies outside
+        # (0, delta_bar), where the paper's accuracy requirement is undefined.
         if deltas is not None and not math.isinf(dbar):
-            entry["theta"], entry["xi"] = (
-                acyclicity.theta_and_xi(p, eps, R, game.num_players, L, deltas, dbar)
-                if p > 0.0
-                else (None, None)
+            theta = acyclicity.solve_theta(p, eps) if p > 0.0 else None
+            defined = theta is not None and all(0.0 < d < dbar for d in deltas)
+            entry["theta"] = theta
+            entry["xi"] = (
+                acyclicity.xi_bound(theta, R, game.num_players, L, deltas, dbar) if defined else None
             )
         report["update_diagnostics"] = entry
     return report

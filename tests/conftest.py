@@ -51,13 +51,13 @@ def pennies_game():
 
 @pytest.fixture()
 def solve_calls(monkeypatch):
-    """The rhos of every best-response stack ``exact_solver`` solves during
-    the test, in call order."""
+    """The rho sets of every best-response stack ``exact_solver`` solves
+    during the test, one tuple of rho tuples per call, in call order."""
     solve = exact_solver._solve_stack
     calls = []
 
     def counted(game, player, tol, rhos, opponents, _solver=exact_solver._value_iteration):
-        calls.append(tuple(rhos))
+        calls.append(tuple(map(tuple, rhos)))
         return solve(game, player, tol, rhos, opponents, _solver)
 
     monkeypatch.setattr(exact_solver, "_solve_stack", counted)

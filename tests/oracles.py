@@ -10,7 +10,9 @@ the boundary scan, the experimentation test, the bisect inverse CDF and the
 Q-update formula; only the phase-end appraisal is the agent module's), a
 Q-factor recursion that scans each next row for its minimum instead of
 caching the row minima, and one value-iteration solve per opponent joint
-instead of the stacked best-response table.
+instead of the stacked best-response table (with the stack solvers' per-member
+product shape, so that tables compare by their bytes; ``value_iteration_4d``
+keeps the earlier, broadcast product shape as a tolerance reference).
 """
 
 from __future__ import annotations
@@ -303,20 +305,53 @@ def induced_mdp_single(game: StochasticGame, player: int, others) -> InducedMdp:
 def q_value_iteration_single(mdp: InducedMdp, tol: float) -> tuple[np.ndarray, int]:
     """Value iteration on one MDP's Q-factors from the zero table, stopping
     at the first gap <= tol * (1 - beta) / (2 * beta); a direct pass for
-    beta = 0. Returns the table and the number of sweeps."""
+    beta = 0. Returns the table and the number of sweeps.
+
+    Each sweep multiplies the kernel as one (S * A, S) matrix by the row
+    minima, the product shape the library's stack solvers use per member.
+    The shape must match for the tables to be compared by their bytes: BLAS
+    picks its summation order from the matrix's row count, so S products of
+    (A, S) (or S dots at A = 1) can differ from one (S * A, S) product in the
+    last bits (seen with OpenBLAS at A = 1, and at S = 8 with A = 2, 3, 5).
+    ``value_iteration_4d`` keeps that other shape as a tolerance reference."""
     beta = mdp.discount
     if beta == 0.0:
         return mdp.cost.copy(), 0
     threshold = tol * (1.0 - beta) / (2.0 * beta)
+    num_states = mdp.cost.shape[0]
+    kernel = mdp.kernel.reshape(-1, num_states)
     q = np.zeros_like(mdp.cost)
     sweeps = 0
     while True:
-        q_next = mdp.cost + beta * (mdp.kernel @ q.min(axis=1))
+        q_next = mdp.cost + beta * (kernel @ q.min(axis=1)).reshape(mdp.cost.shape)
         gap = float(np.abs(q_next - q).max())
         q = q_next
         sweeps += 1
         if gap <= threshold:
             return q, sweeps
+
+
+def value_iteration_4d(cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float) -> np.ndarray:
+    """Stacked value iteration with the stopping rule of
+    ``exact_solver._value_iteration`` (cost (K, S, A), kernel (K, S, A, S)),
+    but each sweep's product broadcast over (member, state) as
+    ``kernel @ low[:, None, :, None]``: K * S products of an (A, S) block,
+    the library's earlier form. It sums in another order than one
+    (S * A, S) product per member, so it is a reference within a relative
+    tolerance, not by bytes."""
+    if beta == 0.0:
+        return cost.copy()
+    threshold = tol * (1.0 - beta) / (2.0 * beta)
+    out = np.empty_like(cost)
+    live = np.arange(len(cost))
+    q = np.zeros_like(cost)
+    while live.size:
+        low = q.min(axis=-1)
+        q_next = cost + beta * (kernel @ low[:, None, :, None])[..., 0]
+        done = np.abs(q_next - q).reshape(len(q), -1).max(axis=1) <= threshold
+        out[live[done]] = q_next[done]
+        live, cost, kernel, q = (a[~done] for a in (live, cost, kernel, q_next))
+    return out
 
 
 def q_star_single(game: StochasticGame, player: int, others, tol: float) -> np.ndarray:

@@ -16,11 +16,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decqlearn import exact_solver
-from decqlearn.acyclicity import build_br_graph
+from decqlearn.acyclicity import build_br_graph, is_weakly_acyclic, path_bound_L
 from decqlearn.exact_solver import (
     ExactAnalysis,
+    InducedMdp,
     _greedy_mask,
     _policy_iteration,
     _solve_stack,
@@ -50,6 +53,7 @@ from oracles import (
     q_value_iteration_single,
     random_game,
     random_stationary,
+    value_iteration_4d,
 )
 
 TOL = 1e-9
@@ -178,7 +182,7 @@ def _opponents(game, i):
 
 
 def test_tables_match_single_solves(game, monkeypatch):
-    rhos = _rhos(game)
+    rhos, plain = _rhos(game), (0.0,) * game.num_players
     rng = np.random.default_rng(game.num_states)
     analysis = ExactAnalysis(game, TOL, rhos=rhos)
     for i in range(game.num_players):
@@ -194,12 +198,100 @@ def test_tables_match_single_solves(game, monkeypatch):
         members = rng.integers(0, len(joints), size=11).tolist()
         for block in BLOCKS:
             monkeypatch.setattr(exact_solver, "_VI_BLOCK", block)
-            table = _solve_stack(game, i, TOL, (0.0,) * game.num_players, opponents)
-            softened = _solve_stack(game, i, TOL, rhos, opponents)
+            table, softened = _solve_stack(game, i, TOL, [plain, rhos], opponents)
             assert [q.tobytes() for q in table] == [q.tobytes() for q in base]
             assert [q.tobytes() for q in softened] == [q.tobytes() for q in soft]
-            chosen = _solve_stack(game, i, TOL, rhos, opponents[members])
+            (chosen,) = _solve_stack(game, i, TOL, [rhos], opponents[members])
             assert [q.tobytes() for q in chosen] == [soft[k].tobytes() for k in members]
+        # a member of the merged plain + softened stack, solved alone
+        for k in members:
+            for rho, merged in ((plain, table), (rhos, softened)):
+                alone = _solve_stack(game, i, TOL, [rho], opponents[k : k + 1])
+                assert alone.shape == (1, 1) + merged[k].shape
+                assert alone[0, 0].tobytes() == merged[k].tobytes()
+
+
+def _random_stack(rng, size, num_states, num_actions):
+    """A stack of random MDPs: costs (K, S, A) uniform in [0, 10], kernel
+    rows normalized uniforms."""
+    cost = rng.uniform(0.0, 10.0, size=(size, num_states, num_actions))
+    kernel = rng.uniform(0.1, 1.0, size=(size, num_states, num_actions, num_states))
+    return cost, kernel / kernel.sum(axis=-1, keepdims=True)
+
+
+def _assert_matches_broadcast_product(cost, kernel, beta):
+    # One (S * A, S) gemv per member against K * S products of (A, S): the
+    # sums run in another order, so the tables agree to a relative 1e-12.
+    got = exact_solver._value_iteration(cost, kernel, beta, TOL)
+    expected = value_iteration_4d(cost, kernel, beta, TOL)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99])
+def test_value_iteration_matches_broadcast_product(beta):
+    # Every S in 1..8 with every A in 1..5 below beta = 0.99; at 0.99, whose
+    # ~3000 sweeps make the broadcast reference slow, each S with one A.
+    rng = np.random.default_rng(int(100 * beta))
+    for num_states in range(1, 9):
+        actions = range(1, 6) if beta < 0.99 else [1 + num_states % 5]
+        for num_actions in actions:
+            size = int(rng.integers(1, 65))
+            _assert_matches_broadcast_product(
+                *_random_stack(rng, size, num_states, num_actions), beta
+            )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    num_states=st.integers(1, 8),
+    num_actions=st.integers(1, 5),
+    size=st.integers(1, 64),
+    beta=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_value_iteration_matches_broadcast_product_drawn(num_states, num_actions, size, beta, seed):
+    rng = np.random.default_rng(seed)
+    _assert_matches_broadcast_product(*_random_stack(rng, size, num_states, num_actions), beta)
+
+
+def test_value_iteration_matches_single_solves_at_eight_states():
+    # At S = 8, A = 2, OpenBLAS sums K * S (2, 8) products in another order
+    # than one (16, 8) product per member; the stack and the single-solve
+    # oracle share the per-member shape, so they agree by bytes.
+    cost, kernel = _random_stack(np.random.default_rng(8), 40, 8, 2)
+    got = exact_solver._value_iteration(cost, kernel, 0.9, TOL)
+    states, actions = tuple(f"s{x}" for x in range(8)), ("a0", "a1")
+    for member, c, k in zip(got, cost, kernel):
+        mdp = InducedMdp(states, actions, c, k, 0.9)
+        assert member.tobytes() == q_value_iteration_single(mdp, TOL)[0].tobytes()
+
+
+def test_analysis_matches_broadcast_product(game, monkeypatch):
+    # The exact analysis with each stack solved by the broadcast-product
+    # reference: the same greedy masks, equilibria, path lengths and report
+    # fields, and delta_bar and the gap within 1e-12.
+    rhos = _rhos(game)
+    analysis = ExactAnalysis(game, TOL, rhos=rhos)
+    solve = exact_solver._solve_stack
+
+    def broadcast(game, player, tol, rhos, opponents, _solver=None):
+        return solve(game, player, tol, rhos, opponents, value_iteration_4d)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact_solver, "_solve_stack", broadcast)
+        reference = ExactAnalysis(game, TOL, rhos=rhos)
+        reference.path_len, reference.gap, reference.delta_bar
+    for table in ("table", "softened"):
+        for q, r in zip(getattr(analysis, table), getattr(reference, table)):
+            assert np.array_equal(_greedy_mask(q, TOL), _greedy_mask(r, TOL))
+    assert np.array_equal(analysis.equilibrium_mask, reference.equilibrium_mask)
+    assert np.array_equal(analysis.path_len, reference.path_len)
+    weakly = is_weakly_acyclic(analysis)
+    assert weakly is is_weakly_acyclic(reference)
+    if weakly:
+        assert path_bound_L(analysis) == path_bound_L(reference)
+    assert analysis.delta_bar == pytest.approx(reference.delta_bar, rel=1e-12, abs=0.0)
+    assert analysis.gap == pytest.approx(reference.gap, rel=1e-12, abs=1e-12)
 
 
 def test_decode_follows_product_order(game):
@@ -219,8 +311,8 @@ def _assert_policy_iteration_matches(game):
     # single-solve oracles, with the value-iteration stack's greedy masks.
     for rhos in ((0.0,) * game.num_players, _rhos(game)):
         for i in range(game.num_players):
-            pi = _solve_stack(game, i, TOL, rhos, _opponents(game, i), _policy_iteration)
-            vi = _solve_stack(game, i, TOL, rhos, _opponents(game, i))
+            (pi,) = _solve_stack(game, i, TOL, [rhos], _opponents(game, i), _policy_iteration)
+            (vi,) = _solve_stack(game, i, TOL, [rhos], _opponents(game, i))
             mdps = [
                 induced_mdp_single(game, i, opponent_policies(game, i, opp, rhos))
                 for opp in opponent_joints(game, i)
@@ -257,7 +349,7 @@ def test_policy_iteration_refuses_unsettled_members(monkeypatch):
     game = _shaped_game(np.random.default_rng(0), 3, (3, 3), beta=0.9)
     monkeypatch.setattr(exact_solver, "_MAX_POLICY_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="policy iteration did not settle"):
-        _solve_stack(game, 0, TOL, (0.0, 0.0), _opponents(game, 0), _policy_iteration)
+        _solve_stack(game, 0, TOL, [(0.0, 0.0)], _opponents(game, 0), _policy_iteration)
 
 
 def _every_joint(game):

@@ -342,7 +342,10 @@ class TestDeltaBar:
         )
         assert math.isinf(delta_bar(game, 1e-9, budget=4096))
         assert perturbation_gap(game, (0.1, 0.1), budget=4096) == 0.0
-        assert solve_calls == [(0.0, 0.0)] * 4 + [(0.1, 0.1)] * 2
+        # one stack per player for delta_bar's table, then one per player
+        # for the gap's plain and softened tables together
+        plain = (0.0, 0.0)
+        assert solve_calls == [(plain,)] * 2 + [(plain, (0.1, 0.1))] * 2
 
 
 class TestPerturbation:
@@ -361,8 +364,8 @@ class TestPerturbation:
         game = random_game(np.random.default_rng(11), num_players=2, max_states=3)
         rhos, deltas = (0.05, 0.1), (0.3, 0.4)
         gap, bound, ok = perturbation_check(game, rhos, deltas)
-        # one stack per player for the table, one per player softened
-        assert solve_calls == [(0.0, 0.0)] * 2 + [rhos] * 2
+        # one stack per player, the table and the softened table together
+        assert solve_calls == [((0.0, 0.0), rhos)] * 2
         assert gap == perturbation_gap(game, rhos)
         dbar = delta_bar(game, 1e-10)
         assert bound == min(min(d, dbar - d) for d in deltas) / 4.0

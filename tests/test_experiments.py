@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from decqlearn import orchestrator
+from decqlearn import acyclicity, orchestrator
 from decqlearn.cli import main
 from decqlearn.exact_solver import equilibrium_set
 from decqlearn.experiments import (
@@ -241,7 +241,8 @@ class TestAnalyzeGame:
         assert "equilibria" not in report
 
     def test_solves_each_stack_once(self, solve_calls):
-        # N stacks for the table and N softened ones, whatever is derived
+        # N stacks, each holding the table and the softened table, whatever
+        # is derived
         analyze_game(
             "benchmark",
             rhos=(0.05, 0.05),
@@ -250,7 +251,7 @@ class TestAnalyzeGame:
             eps=0.1,
             ratio=3,
         )
-        assert solve_calls == [(0.0, 0.0)] * 2 + [(0.05, 0.05)] * 2
+        assert solve_calls == [((0.0, 0.0), (0.05, 0.05))] * 2
 
     @pytest.mark.parametrize(
         "deltas", [(0.5, 0.6, 0.7), (0.5,), (-1.0, -1.0), (0.5, 0.0), (0.5, math.inf), (math.nan, 0.5)]
@@ -310,6 +311,21 @@ class TestCli:
         assert code == 0
         diag = json.loads(capsys.readouterr().out)["update_diagnostics"]
         assert diag["p_min"] == 0.0 and diag["theta"] is None and diag["xi"] is None
+
+    @pytest.mark.parametrize("deltas", [["2.5"], ["0.5", "3.0"]])
+    def test_analyze_reports_delta_outside_delta_bar(self, capsys, deltas):
+        # delta_bar is 2 on the benchmark game: a delta past it leaves
+        # xi undefined, but the report, theta and the failed bound still print.
+        code = main(
+            ["analyze", "benchmark", "--rho", "0.05", "--delta", *deltas, "--lam", "0.2",
+             "--eps", "0.1", "--ratio", "3"]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["perturbation"]["within_bound"] is False
+        diag = report["update_diagnostics"]
+        assert diag["theta"] == acyclicity.solve_theta(diag["p_min"], 0.1)
+        assert diag["xi"] is None
 
     def test_analyze_missing_file(self, capsys):
         code = main(["analyze", "nowhere/missing.json"])
