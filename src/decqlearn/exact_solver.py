@@ -19,7 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -55,10 +55,10 @@ __all__ = [
 _MAX_VALUE_ITERATIONS = 5_000_000
 _MAX_POLICY_ITERATIONS = 1000
 DEFAULT_SOLVE_BUDGET = 10**6
-# Opponent joints solved together by one solver stack, once per rho set;
-# bounds the stacked kernels at R * _VI_BLOCK * S * A * S floats for R rho
-# sets (R = 2 for ExactAnalysis with rhos, 1 otherwise).
-_VI_BLOCK = 1024
+# Members of one stack-solver call (players of one group times rho sets
+# times opponent joints); bounds the call's kernels at
+# _SOLVE_MEMBERS * S * A * S floats.
+_SOLVE_MEMBERS = 1024
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -179,47 +179,80 @@ def induced_mdp(
     )
 
 
-def _backup(cost: np.ndarray, kernel: np.ndarray, beta: float, values: np.ndarray) -> np.ndarray:
+def _check_finite(cost: np.ndarray, kernel: np.ndarray) -> None:
+    """Refuse a stack with a non-finite cost or kernel entry: a NaN gap would
+    never stop value iteration, and policy iteration would report it as lost
+    precision."""
+    if not (np.isfinite(cost).all() and np.isfinite(kernel).all()):
+        raise ValueError("the stack solvers need finite costs and kernels")
+
+
+def _backup(
+    cost: np.ndarray,
+    kernel: np.ndarray,
+    beta: float,
+    values: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """cost + beta * P values for a stack: cost (K, S, A), kernel (K, S, A, S),
-    values (K, S). The product is one (S * A, S) gemv per member, the form of
-    both stack solvers and of the single-solve oracle: BLAS sums in an order
-    that depends on the matrix's row count, so another shape of the same
-    product (such as K * S gemvs of (A, S)) can differ in the last bits."""
+    values (K, S), written into ``out`` (a C-contiguous (K, S, A) array) when
+    given. The product is one (S * A, S) gemv per member, the form of both
+    stack solvers and of the single-solve oracle: BLAS sums in an order that
+    depends on the matrix's row count, so another shape of the same product
+    (such as K * S gemvs of (A, S)) can differ in the last bits."""
     flat = kernel.reshape(len(kernel), -1, kernel.shape[-1])
-    return cost + beta * (flat @ values[:, :, None]).reshape(cost.shape)
+    out = np.empty(cost.shape) if out is None else out
+    np.matmul(flat, values[:, :, None], out=out.reshape(flat.shape[:2] + (1,)))
+    out *= beta
+    out += cost
+    return out
 
 
 def _value_iteration(
     cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
 ) -> np.ndarray:
     """Value iteration on Q-factors for a stack of MDPs with one discount:
-    cost (K, S, A), kernel (K, S, A, S). Each member starts from the zero
-    table and leaves the stack at its own first sweep whose successive gap is
-    <= tol * (1 - beta) / (2 * beta) (a direct pass for beta = 0), so its
-    result does not depend on the other members.
+    cost (K, S, A), kernel (K, S, A, S), both finite (else ValueError). Each
+    member starts from the zero table and leaves the stack at its own first
+    sweep whose successive gap is <= tol * (1 - beta) / (2 * beta) (a direct
+    pass for beta = 0), so its result does not depend on the other members.
 
     A sweep takes the min over actions as elementwise minimums of the action
     columns, multiplies by each member's kernel as one gemv (``_backup``) and
     stops a member when every entry's gap is within the threshold. The min
     and the stop are exact: they equal, bit for bit, ``q.min(axis=-1)`` and
-    the test on the largest gap per member, and a NaN gap never stops a
-    member."""
+    the test on the largest gap per member. The sweeps run in place on
+    buffers of the live members, and the per-member stop test runs only on a
+    sweep where at least S * A entries of the stack are within the threshold,
+    which any stopping member needs (a NaN gap never counts)."""
+    _check_finite(cost, kernel)
     if beta == 0.0:
         return cost.copy()
     threshold = tol * (1.0 - beta) / (2.0 * beta)
-    out = np.empty_like(cost)
+    entries = math.prod(cost.shape[1:])
+    out = np.empty(cost.shape)
     live = np.arange(len(cost))
-    q = np.zeros_like(cost)
+    q, q_next, gap = np.zeros(cost.shape), np.empty(cost.shape), np.empty(cost.shape)
+    low, within = np.empty(cost.shape[:2]), np.empty(cost.shape, dtype=bool)
     for _ in range(_MAX_VALUE_ITERATIONS):
-        low = functools.reduce(np.minimum, [q[..., a] for a in range(q.shape[-1])])
-        q_next = _backup(cost, kernel, beta, low)
-        done = (np.abs(q_next - q) <= threshold).reshape(len(q), -1).all(axis=1)
-        if done.any():
-            out[live[done]] = q_next[done]
-            live, cost, kernel, q_next = (a[~done] for a in (live, cost, kernel, q_next))
-            if not live.size:
-                return out
-        q = q_next
+        np.copyto(low, q[..., 0])
+        for a in range(1, cost.shape[-1]):
+            np.minimum(low, q[..., a], out=low)
+        _backup(cost, kernel, beta, low, out=q_next)
+        np.abs(np.subtract(q_next, q, out=gap), out=gap)
+        if np.count_nonzero(np.less_equal(gap, threshold, out=within)) >= entries:
+            done = within.reshape(len(live), -1).all(axis=1)
+            if done.any():
+                out[live[done]] = q_next[done]
+                keep = ~done
+                live, cost, kernel = live[keep], cost[keep], kernel[keep]
+                if not live.size:
+                    return out
+                q_next[: live.size] = q_next[keep]
+                q, q_next, gap, low, within = (
+                    a[: live.size] for a in (q, q_next, gap, low, within)
+                )
+        q, q_next = q_next, q
     raise RuntimeError("value iteration failed to reach the stopping threshold")
 
 
@@ -236,7 +269,9 @@ def _policy_iteration(
     does a member not settled within _MAX_POLICY_ITERATIONS steps. The step
     count grows with the policies tried, not with 1 / (1 - beta). The
     evaluation's Q-factors and the Bellman check both take the product of
-    ``_value_iteration``, one gemv per member (``_backup``)."""
+    ``_value_iteration``, one gemv per member (``_backup``). A non-finite
+    cost or kernel entry is a ValueError."""
+    _check_finite(cost, kernel)
     if beta == 0.0:
         return cost.copy()
     num_states = cost.shape[1]
@@ -337,8 +372,10 @@ def label_equilibria(
     an eps-best-response to the others', judged on exact Q-values with
     numerical slack tol: the rule of ``ExactAnalysis.grids``, and the same
     label alone or among any other joints. Each player solves only the
-    distinct opponent joints among ``joints``, stacked as one choice array,
-    so the work grows with the joints given, not with the joint-policy space.
+    distinct opponent joints among ``joints``, one choice array per player,
+    all in one ``_solve_stack`` call (one solver call per group of players
+    that share a discount and an action count), so the work grows with the
+    joints given, not with the joint-policy space.
     A joint without one policy per player, or with a policy that breaks the
     choice rule (``game_model._choice_for``), is a ValueError naming it.
 
@@ -360,62 +397,87 @@ def label_equilibria(
             checked.append(tuple(_choice_for(game, i, c) for i, c in enumerate(joint)))
         except ValueError as exc:
             raise ValueError(f"joint {joint!r} is not a joint policy of this game: {exc}") from None
-    labels = np.ones(len(checked), dtype=bool)
+    opponents, rows = {}, []
     for i in range(num_players):
         # each distinct opponent joint and the stack row that solves it
         distinct: dict[tuple[tuple[int, ...], ...], int] = {}
-        rows = [distinct.setdefault(joint[:i] + joint[i + 1 :], len(distinct)) for joint in checked]
-        opponents = np.array(list(distinct), dtype=np.intp).reshape(
+        rows.append([distinct.setdefault(joint[:i] + joint[i + 1 :], len(distinct)) for joint in checked])
+        opponents[i] = np.array(list(distinct), dtype=np.intp).reshape(
             len(distinct), num_players - 1, num_states
         )
-        q = _solve_stack(game, i, tol, [(0.0,) * num_players], opponents, _policy_iteration)[0]
+    solved = _solve_stack(game, tol, [(0.0,) * num_players], opponents, _policy_iteration)
+    labels = np.ones(len(checked), dtype=bool)
+    for i, rows_i in enumerate(rows):
         own = np.array([joint[i] for joint in checked], dtype=np.intp).reshape(-1, num_states)
-        rows_of = np.array(rows, dtype=np.intp)[:, None]
-        labels &= _greedy_mask(q, eps + tol)[rows_of, np.arange(num_states), own].all(axis=1)
+        rows_of = np.array(rows_i, dtype=np.intp)[:, None]
+        mask = _greedy_mask(solved[i][0], eps + tol)
+        labels &= mask[rows_of, np.arange(num_states), own].all(axis=1)
     return labels.tolist()
 
 
 def _solve_stack(
     game: StochasticGame,
-    player: int,
     tol: float,
     rhos: Sequence[Sequence[float]],
-    opponents: np.ndarray,
+    opponents: Mapping[int, np.ndarray],
     _solver: Callable[..., np.ndarray] = _value_iteration,
-) -> np.ndarray:
-    """Q* of the player against deterministic opponent joints, once per rho
-    set of ``rhos``, each opponent j softened by rho[j] as ``soften_policy``
-    does: shaped (R, K, S, A), one row per rho set and per joint of
-    ``opponents``, a (K, N - 1, S) int array of the opponents' action ids
-    (joint, opponent in id order, state). The rho sets of _VI_BLOCK joints at
-    a time go to the stack solver ``_solver`` as one stack; each member's
-    result does not depend on the others in it.
+) -> dict[int, np.ndarray]:
+    """Q* of each player i of ``opponents`` against its deterministic opponent
+    joints ``opponents[i]``, a (K_i, N - 1, S) int array of the opponents'
+    action ids (joint, opponent in id order, state), once per rho set of
+    ``rhos``, each opponent j softened by rho[j] as ``soften_policy`` does:
+    ``{i: (R, K_i, S, A_i)}``, one row per rho set and per joint.
+
+    Players that share a discount and an action count form one group, whose
+    members (player, then rho set, then joint) go to the stack solver
+    ``_solver`` in calls of at most _SOLVE_MEMBERS, so a game whose players
+    all share both makes one call. Each member's result does not depend on
+    the others in its call.
 
     ``ExactAnalysis`` solves its plain and softened tables (``table``,
-    ``softened``) in one call per player with the default,
-    ``_value_iteration``: the digits of ``delta_bar`` and of the perturbation
-    gap that ``analyze`` prints are those of value iteration.
-    ``label_equilibria`` passes one rho set and ``_policy_iteration``, whose
-    cost does not grow like 1 / (1 - beta) with the discount."""
+    ``softened``) in one call with the default, ``_value_iteration``: the
+    digits of ``delta_bar`` and of the perturbation gap that ``analyze``
+    prints are those of value iteration. ``label_equilibria`` passes one rho
+    set and ``_policy_iteration``, whose cost does not grow like
+    1 / (1 - beta) with the discount."""
+    counts, num_states = game.action_counts, game.num_states
+    out = {i: np.empty((len(rhos), len(opp), num_states, counts[i])) for i, opp in opponents.items()}
+    groups: dict[tuple[float, int], list[int]] = {}
+    for i in opponents:
+        groups.setdefault((game.discounts[i], counts[i]), []).append(i)
+    for (beta, _), players in groups.items():
+        # the group's members, run by run: (player, rho set, its output rows)
+        runs = [(i, rho, out[i][r]) for i in players for r, rho in enumerate(rhos)]
+        starts = list(itertools.accumulate((len(rows) for _, _, rows in runs), initial=0))
+        for lo in range(0, starts[-1], _SOLVE_MEMBERS):
+            hi = lo + _SOLVE_MEMBERS
+            # each run's joints [a, b) among the call's members [lo, hi)
+            pieces = [
+                (i, rho, rows, max(lo, start) - start, min(hi, end) - start)
+                for (i, rho, rows), start, end in zip(runs, starts, starts[1:])
+                if max(lo, start) < min(hi, end)
+            ]
+            stacks = [_softened_stack(game, i, rho, opponents[i][a:b]) for i, rho, _, a, b in pieces]
+            solved = _solver(*(np.concatenate(parts) for parts in zip(*stacks)), beta, tol)
+            first = 0
+            for *_, rows, a, b in pieces:
+                rows[a:b] = solved[first : first + b - a]
+                first += b - a
+    return out
+
+
+def _softened_stack(
+    game: StochasticGame, player: int, rho: Sequence[float], opponents: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_induced_stack`` against (K, N - 1, S) opponent choice arrays, each
+    opponent j softened by rho[j]."""
     counts = game.action_counts
     others = [j for j in range(game.num_players) if j != player]
-    out = np.empty((len(rhos), len(opponents), game.num_states, counts[player]))
-    for start in range(0, len(opponents), _VI_BLOCK):
-        block = opponents[start : start + _VI_BLOCK]
-        onehots = [(j, block[:, k, :, None] == np.arange(counts[j])) for k, j in enumerate(others)]
-        stacks = [
-            _induced_stack(
-                game,
-                player,
-                [(j, rho[j] / counts[j] + onehot * (1.0 - rho[j])) for j, onehot in onehots],
-                len(block),
-            )
-            for rho in rhos
-        ]
-        cost, kernel = (np.concatenate(parts) for parts in zip(*stacks))
-        solved = _solver(cost, kernel, game.discounts[player], tol)
-        out[:, start : start + len(block)] = solved.reshape(len(rhos), len(block), *out.shape[2:])
-    return out
+    factors = [
+        (j, rho[j] / counts[j] + (opponents[:, k, :, None] == np.arange(counts[j])) * (1.0 - rho[j]))
+        for k, j in enumerate(others)
+    ]
+    return _induced_stack(game, player, factors, len(opponents))
 
 
 @dataclass(frozen=True)
@@ -462,9 +524,11 @@ class ExactAnalysis:
     ``itertools.product`` order, each best response solved once), the greedy
     ``grids``, ``equilibria``, ``delta_bar``, ``softened`` (the table against
     opponents softened by ``rhos``), ``gap`` and ``bound``. Each player's
-    opponent joints are decoded once and solved in one value-iteration stack
-    that holds the plain and, when ``rhos`` are given, the softened members
-    together, so ``table`` and ``softened`` share one cached solve.
+    opponent joints are decoded once, and every player's are solved in one
+    ``_solve_stack`` call: one value-iteration stack per group of players
+    that share a discount and an action count, holding the plain and, when
+    ``rhos`` are given, the softened members together, so ``table`` and
+    ``softened`` share one cached solve.
 
     The best-response graph is held as arrays over the nodes, the joint
     policies in ``itertools.product`` order (the flat (C) order of the
@@ -497,8 +561,9 @@ class ExactAnalysis:
 
     @functools.cached_property
     def _solved(self) -> list[np.ndarray]:
-        """Per player, one value-iteration stack against every opponent joint:
-        (1, K, S, A), the plain table, or (2, K, S, A) with the softened one."""
+        """Per player, Q* against every opponent joint, from one grouped
+        solve: (1, K, S, A), the plain table, or (2, K, S, A) with the
+        softened one."""
         sizes = self._sizes
         solves = sum(math.prod(sizes[:i] + sizes[i + 1 :]) for i in range(len(sizes)))
         if solves > self.budget:
@@ -509,12 +574,13 @@ class ExactAnalysis:
         rhos = [(0.0,) * self.game.num_players]
         if self.rhos is not None:
             rhos.append(self.rhos)
-        tables = []
-        for i in range(len(sizes)):
-            others = [j for j in range(len(sizes)) if j != i]
-            opponents = self._decode(others, np.arange(math.prod(sizes[j] for j in others)))
-            tables.append(_solve_stack(self.game, i, self.tol, rhos, opponents))
-        return tables
+        players = range(len(sizes))
+        opponents = {}
+        for i in players:
+            others = [j for j in players if j != i]
+            opponents[i] = self._decode(others, np.arange(math.prod(sizes[j] for j in others)))
+        solved = _solve_stack(self.game, self.tol, rhos, opponents)
+        return [solved[i] for i in players]
 
     @functools.cached_property
     def table(self) -> list[np.ndarray]:
@@ -538,8 +604,11 @@ class ExactAnalysis:
     def _decode(self, players: Sequence[int], flat: np.ndarray) -> np.ndarray:
         """Choice arrays (K, len(players), S) of flat indices over the joint
         policies of ``players`` (``itertools.product`` order of their
-        policies); no players give (K, 0, S)."""
-        out = np.empty((len(flat), len(players), self.game.num_states), dtype=np.intp)
+        policies); no players give (K, 0, S). The entries take the smallest
+        dtype that holds an action id, as ``_solved`` keeps every player's
+        opponent joints at once."""
+        dtype = np.min_scalar_type(max(self.game.action_counts) - 1)
+        out = np.empty((len(flat), len(players), self.game.num_states), dtype=dtype)
         if players:
             digits = np.unravel_index(flat, [self._sizes[j] for j in players])
             for k, (j, digit) in enumerate(zip(players, digits)):

@@ -51,14 +51,15 @@ def pennies_game():
 
 @pytest.fixture()
 def solve_calls(monkeypatch):
-    """The rho sets of every best-response stack ``exact_solver`` solves
-    during the test, one tuple of rho tuples per call, in call order."""
+    """Every best-response solve ``exact_solver`` makes during the test, in
+    call order: per ``_solve_stack`` call, the players it solves and its rho
+    sets, as (tuple of players, tuple of rho tuples)."""
     solve = exact_solver._solve_stack
     calls = []
 
-    def counted(game, player, tol, rhos, opponents, _solver=exact_solver._value_iteration):
-        calls.append(tuple(map(tuple, rhos)))
-        return solve(game, player, tol, rhos, opponents, _solver)
+    def counted(game, tol, rhos, opponents, _solver=exact_solver._value_iteration):
+        calls.append((tuple(opponents), tuple(map(tuple, rhos))))
+        return solve(game, tol, rhos, opponents, _solver)
 
     monkeypatch.setattr(exact_solver, "_solve_stack", counted)
     return calls

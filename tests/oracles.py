@@ -12,11 +12,14 @@ Q-factor recursion that scans each next row for its minimum instead of
 caching the row minima, and one value-iteration solve per opponent joint
 instead of the stacked best-response table (with the stack solvers' per-member
 product shape, so that tables compare by their bytes; ``value_iteration_4d``
-keeps the earlier, broadcast product shape as a tolerance reference).
+keeps the earlier, broadcast product shape as a tolerance reference), and a
+stacked value iteration that allocates its arrays every sweep and tests every
+member at every sweep (``value_iteration_stack``) instead of the in-place one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_right
@@ -352,6 +355,33 @@ def value_iteration_4d(cost: np.ndarray, kernel: np.ndarray, beta: float, tol: f
         out[live[done]] = q_next[done]
         live, cost, kernel, q = (a[~done] for a in (live, cost, kernel, q_next))
     return out
+
+
+def value_iteration_stack(
+    cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked value iteration as ``exact_solver._value_iteration`` once ran
+    it: fresh arrays every sweep and the per-member stop test at every sweep,
+    with the same float operations (elementwise minimums of the action
+    columns, one (S * A, S) gemv per member, cost + beta * product), so the
+    tables compare by their bytes. Returns the table and each member's
+    stopping sweep (0 for the direct pass at beta = 0)."""
+    if beta == 0.0:
+        return cost.copy(), np.zeros(len(cost), dtype=int)
+    threshold = tol * (1.0 - beta) / (2.0 * beta)
+    out, sweeps = np.empty_like(cost), np.empty(len(cost), dtype=int)
+    live = np.arange(len(cost))
+    q = np.zeros_like(cost)
+    sweep = 0
+    while live.size:
+        sweep += 1
+        low = functools.reduce(np.minimum, [q[..., a] for a in range(q.shape[-1])])
+        flat = kernel.reshape(len(kernel), -1, kernel.shape[-1])
+        q_next = cost + beta * (flat @ low[:, :, None]).reshape(cost.shape)
+        done = (np.abs(q_next - q) <= threshold).reshape(len(q), -1).all(axis=1)
+        out[live[done]], sweeps[live[done]] = q_next[done], sweep
+        live, cost, kernel, q = (a[~done] for a in (live, cost, kernel, q_next))
+    return out, sweeps
 
 
 def q_star_single(game: StochasticGame, player: int, others, tol: float) -> np.ndarray:

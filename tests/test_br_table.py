@@ -26,7 +26,9 @@ from decqlearn.exact_solver import (
     InducedMdp,
     _greedy_mask,
     _policy_iteration,
+    _softened_stack,
     _solve_stack,
+    _value_iteration,
     delta_bar,
     equilibrium_set,
     label_equilibria,
@@ -54,12 +56,14 @@ from oracles import (
     random_game,
     random_stationary,
     value_iteration_4d,
+    value_iteration_stack,
 )
 
 TOL = 1e-9
 RHOS = (0.05, 0.1, 0.2)
-# 1 and 7 split the stacks unevenly; the default solves each in one block.
-BLOCKS = (1, 7, exact_solver._VI_BLOCK)
+# 1 and 7 split the solver calls unevenly, across players and rho sets; the
+# default solves each game's group in one call.
+BLOCKS = (1, 7, exact_solver._SOLVE_MEMBERS)
 # (states, action counts): at most 6561 joint policies each.
 SHAPES = [
     (5, (3,)),
@@ -185,30 +189,35 @@ def test_tables_match_single_solves(game, monkeypatch):
     rhos, plain = _rhos(game), (0.0,) * game.num_players
     rng = np.random.default_rng(game.num_states)
     analysis = ExactAnalysis(game, TOL, rhos=rhos)
-    for i in range(game.num_players):
+    players = range(game.num_players)
+    opponents = {i: _opponents(game, i) for i in players}
+    base, soft = {}, {}
+    for i in players:
         joints = list(opponent_joints(game, i))
-        opponents = _opponents(game, i)
-        base = [q_star_single(game, i, opponent_policies(game, i, opp), TOL) for opp in joints]
-        soft = [
+        base[i] = [q_star_single(game, i, opponent_policies(game, i, opp), TOL) for opp in joints]
+        soft[i] = [
             q_star_single(game, i, opponent_policies(game, i, opp, rhos), TOL) for opp in joints
         ]
-        assert [q.tobytes() for q in analysis.table[i]] == [q.tobytes() for q in base]
-        assert [q.tobytes() for q in analysis.softened[i]] == [q.tobytes() for q in soft]
-        # chosen rows, out of order and repeated, solve to the same rows
-        members = rng.integers(0, len(joints), size=11).tolist()
-        for block in BLOCKS:
-            monkeypatch.setattr(exact_solver, "_VI_BLOCK", block)
-            table, softened = _solve_stack(game, i, TOL, [plain, rhos], opponents)
-            assert [q.tobytes() for q in table] == [q.tobytes() for q in base]
-            assert [q.tobytes() for q in softened] == [q.tobytes() for q in soft]
-            (chosen,) = _solve_stack(game, i, TOL, [rhos], opponents[members])
-            assert [q.tobytes() for q in chosen] == [soft[k].tobytes() for k in members]
-        # a member of the merged plain + softened stack, solved alone
-        for k in members:
-            for rho, merged in ((plain, table), (rhos, softened)):
-                alone = _solve_stack(game, i, TOL, [rho], opponents[k : k + 1])
-                assert alone.shape == (1, 1) + merged[k].shape
-                assert alone[0, 0].tobytes() == merged[k].tobytes()
+        assert [q.tobytes() for q in analysis.table[i]] == [q.tobytes() for q in base[i]]
+        assert [q.tobytes() for q in analysis.softened[i]] == [q.tobytes() for q in soft[i]]
+    # chosen rows, out of order and repeated, solve to the same rows
+    members = {i: rng.integers(0, len(opponents[i]), size=11).tolist() for i in players}
+    for block in BLOCKS:
+        monkeypatch.setattr(exact_solver, "_SOLVE_MEMBERS", block)
+        solved = _solve_stack(game, TOL, [plain, rhos], opponents)
+        chosen = _solve_stack(game, TOL, [rhos], {i: opponents[i][members[i]] for i in players})
+        for i in players:
+            table, softened = solved[i]
+            assert [q.tobytes() for q in table] == [q.tobytes() for q in base[i]]
+            assert [q.tobytes() for q in softened] == [q.tobytes() for q in soft[i]]
+            assert [q.tobytes() for q in chosen[i][0]] == [soft[i][k].tobytes() for k in members[i]]
+    # a member of the merged stack, solved alone
+    for i in players:
+        for k in members[i]:
+            for r, rho in enumerate((plain, rhos)):
+                (alone,) = _solve_stack(game, TOL, [rho], {i: opponents[i][k : k + 1]}).values()
+                assert alone.shape == (1, 1) + solved[i][r, k].shape
+                assert alone[0, 0].tobytes() == solved[i][r, k].tobytes()
 
 
 def _random_stack(rng, size, num_states, num_actions):
@@ -266,6 +275,109 @@ def test_value_iteration_matches_single_solves_at_eight_states():
         assert member.tobytes() == q_value_iteration_single(mdp, TOL)[0].tobytes()
 
 
+def _assert_in_place_matches(cost, kernel, beta):
+    # Bytes and stopping sweeps of the in-place stack against the allocating
+    # one; returns each member's stopping sweep.
+    expected, sweeps = value_iteration_stack(cost, kernel, beta, TOL)
+    assert _value_iteration(cost, kernel, beta, TOL).tobytes() == expected.tobytes()
+    return sweeps
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.8, 0.99])
+def test_in_place_value_iteration_matches_allocating_sweeps(beta):
+    # Every S in 1..8 with every A in 1..5, a stack whose members retire at
+    # different sweeps (costs scaled by 1e-6, 1e-3 or 1), with a zero-cost
+    # member that stops at sweep 1. Then its last member alone (K = 1) and
+    # three copies of it, which all retire at one sweep; at beta = 0.99,
+    # whose ~3000 sweeps make the allocating reference slow, for one A per S.
+    rng = np.random.default_rng(int(100 * beta))
+    for num_states in range(1, 9):
+        for num_actions in range(1, 6):
+            cost, kernel = _random_stack(rng, 4, num_states, num_actions)
+            cost *= np.array([0.0, 1e-6, 1e-3, 1.0])[:, None, None]
+            sweeps = _assert_in_place_matches(cost, kernel, beta)
+            assert sweeps[0] == 1 and len(set(sweeps.tolist())) == 4
+            if beta == 0.99 and num_actions != 1 + num_states % 5:
+                continue
+            _assert_in_place_matches(cost[3:], kernel[3:], beta)
+            copies = [np.repeat(a[3:], 3, axis=0) for a in (cost, kernel)]
+            assert len(set(_assert_in_place_matches(*copies, beta).tolist())) == 1
+
+
+@pytest.mark.parametrize("solver", [_value_iteration, _policy_iteration])
+def test_stack_solvers_refuse_non_finite_input(solver):
+    cost, kernel = _random_stack(np.random.default_rng(3), 5, 3, 2)
+    for name, value in itertools.product(("cost", "kernel"), (np.nan, np.inf)):
+        bad = {"cost": cost.copy(), "kernel": kernel.copy()}
+        bad[name][4, 2, 1, ...] = value
+        for beta in (0.0, 0.9):
+            with pytest.raises(ValueError, match="finite costs and kernels"):
+                solver(bad["cost"], bad["kernel"], beta, TOL)
+
+
+def test_analysis_and_labels_refuse_a_nan_cost():
+    # Value iteration would sweep a NaN gap up to _MAX_VALUE_ITERATIONS
+    # times, and policy iteration would fail its Bellman check.
+    game = build_benchmark_game()
+    cost = game.costs[1].copy()
+    cost[1, 2] = np.nan
+    game = dataclasses.replace(game, costs=(game.costs[0], cost))
+    with pytest.raises(ValueError, match="finite costs and kernels"):
+        ExactAnalysis(game, TOL).delta_bar
+    with pytest.raises(ValueError, match="finite costs and kernels"):
+        label_equilibria(game, [((0, 0), (0, 1))], TOL)
+
+
+def _grouped_games():
+    """Games whose players split into solver groups in different ways."""
+    rng = np.random.default_rng(23)
+    yield "one-group", _shaped_game(rng, 3, (2, 2), beta=0.8)
+    yield "unequal-actions", _shaped_game(rng, 2, (3, 2), beta=0.8)
+    three = _shaped_game(rng, 2, (2, 2, 2), beta=0.8)
+    yield "unequal-discounts", dataclasses.replace(three, discounts=(0.8, 0.9, 0.8))
+    mixed = _shaped_game(rng, 2, (2, 3, 2), beta=0.8)
+    yield "two-groups", dataclasses.replace(mixed, discounts=(0.8, 0.9, 0.8))
+
+
+GROUPED = dict(_grouped_games())
+
+
+@pytest.mark.parametrize("block", [3, exact_solver._SOLVE_MEMBERS])
+@pytest.mark.parametrize("solver", [_value_iteration, _policy_iteration])
+@pytest.mark.parametrize("name", sorted(GROUPED))
+def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatch):
+    # Each player's rows equal its own stacks solved one per rho set, by
+    # bytes; the group of each (discount, action count) goes to the solver in
+    # ceil(members / block) calls, and a block of 3 cuts across players and
+    # rho sets.
+    game = GROUPED[name]
+    players = range(game.num_players)
+    rho_sets = [(0.0,) * game.num_players, _rhos(game)]
+    opponents = {i: _opponents(game, i) for i in players}
+    calls = []
+
+    def counted(cost, kernel, beta, tol):
+        calls.append((len(cost), beta, cost.shape[-1]))
+        return solver(cost, kernel, beta, tol)
+
+    monkeypatch.setattr(exact_solver, "_SOLVE_MEMBERS", block)
+    got = _solve_stack(game, TOL, rho_sets, opponents, counted)
+    assert sorted(got) == list(players)
+    for i in players:
+        beta = game.discounts[i]
+        alone = [solver(*_softened_stack(game, i, rho, opponents[i]), beta, TOL) for rho in rho_sets]
+        assert got[i].tobytes() == np.stack(alone).tobytes()
+    groups: dict[tuple[float, int], int] = {}
+    for i in players:
+        key = (game.discounts[i], game.action_counts[i])
+        groups[key] = groups.get(key, 0) + len(rho_sets) * len(opponents[i])
+    assert len(groups) == (1 if name == "one-group" else 2)
+    assert len(calls) == sum(-(-members // block) for members in groups.values())
+    for key, members in groups.items():
+        sizes = [size for size, *rest in calls if tuple(rest) == key]
+        assert sum(sizes) == members and max(sizes) <= block
+
+
 def test_analysis_matches_broadcast_product(game, monkeypatch):
     # The exact analysis with each stack solved by the broadcast-product
     # reference: the same greedy masks, equilibria, path lengths and report
@@ -274,8 +386,8 @@ def test_analysis_matches_broadcast_product(game, monkeypatch):
     analysis = ExactAnalysis(game, TOL, rhos=rhos)
     solve = exact_solver._solve_stack
 
-    def broadcast(game, player, tol, rhos, opponents, _solver=None):
-        return solve(game, player, tol, rhos, opponents, value_iteration_4d)
+    def broadcast(game, tol, rhos, opponents, _solver=None):
+        return solve(game, tol, rhos, opponents, value_iteration_4d)
 
     with monkeypatch.context() as patch:
         patch.setattr(exact_solver, "_solve_stack", broadcast)
@@ -295,13 +407,15 @@ def test_analysis_matches_broadcast_product(game, monkeypatch):
 
 
 def test_decode_follows_product_order(game):
-    # Opponent joints (a (1, 0, S) array for a 1-player game) and nodes.
+    # Opponent joints (a (1, 0, S) array for a 1-player game, one byte per
+    # action id at these action counts) and nodes.
     analysis = ExactAnalysis(game, TOL)
     for i in range(game.num_players):
         others = [j for j in range(game.num_players) if j != i]
         opponents = _opponents(game, i)
         decoded = analysis._decode(others, np.arange(len(opponents)))
         assert decoded.shape == opponents.shape and np.array_equal(decoded, opponents)
+        assert decoded.itemsize == 1
     joints = _every_joint(game)
     assert analysis.choices(range(len(joints))) == joints
 
@@ -309,10 +423,12 @@ def test_decode_follows_product_order(game):
 def _assert_policy_iteration_matches(game):
     # Against every opponent joint, plain and softened: within tol of both
     # single-solve oracles, with the value-iteration stack's greedy masks.
+    opponents = {i: _opponents(game, i) for i in range(game.num_players)}
     for rhos in ((0.0,) * game.num_players, _rhos(game)):
+        by_pi = _solve_stack(game, TOL, [rhos], opponents, _policy_iteration)
+        by_vi = _solve_stack(game, TOL, [rhos], opponents)
         for i in range(game.num_players):
-            (pi,) = _solve_stack(game, i, TOL, [rhos], _opponents(game, i), _policy_iteration)
-            (vi,) = _solve_stack(game, i, TOL, [rhos], _opponents(game, i))
+            (pi,), (vi,) = by_pi[i], by_vi[i]
             mdps = [
                 induced_mdp_single(game, i, opponent_policies(game, i, opp, rhos))
                 for opp in opponent_joints(game, i)
@@ -349,7 +465,7 @@ def test_policy_iteration_refuses_unsettled_members(monkeypatch):
     game = _shaped_game(np.random.default_rng(0), 3, (3, 3), beta=0.9)
     monkeypatch.setattr(exact_solver, "_MAX_POLICY_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="policy iteration did not settle"):
-        _solve_stack(game, 0, TOL, [(0.0, 0.0)], _opponents(game, 0), _policy_iteration)
+        _solve_stack(game, TOL, [(0.0, 0.0)], {0: _opponents(game, 0)}, _policy_iteration)
 
 
 def _every_joint(game):

@@ -57,9 +57,9 @@ def _indicator(player, choice, num_actions=2):
 
 def _forbid_solves(monkeypatch):
     def fail(*args):
-        raise AssertionError("value iteration ran before the budget check")
+        raise AssertionError("a best-response solve ran before the budget check")
 
-    monkeypatch.setattr(exact_solver, "_value_iteration", fail)
+    monkeypatch.setattr(exact_solver, "_solve_stack", fail)
 
 
 # q_star against the unique-best-response structure of the benchmark game,
@@ -342,10 +342,10 @@ class TestDeltaBar:
         )
         assert math.isinf(delta_bar(game, 1e-9, budget=4096))
         assert perturbation_gap(game, (0.1, 0.1), budget=4096) == 0.0
-        # one stack per player for delta_bar's table, then one per player
-        # for the gap's plain and softened tables together
+        # one call for both players' tables behind delta_bar, then one for
+        # the gap's plain and softened tables together
         plain = (0.0, 0.0)
-        assert solve_calls == [(plain,)] * 2 + [(plain, (0.1, 0.1))] * 2
+        assert solve_calls == [((0, 1), (plain,)), ((0, 1), (plain, (0.1, 0.1)))]
 
 
 class TestPerturbation:
@@ -364,8 +364,8 @@ class TestPerturbation:
         game = random_game(np.random.default_rng(11), num_players=2, max_states=3)
         rhos, deltas = (0.05, 0.1), (0.3, 0.4)
         gap, bound, ok = perturbation_check(game, rhos, deltas)
-        # one stack per player, the table and the softened table together
-        assert solve_calls == [((0.0, 0.0), rhos)] * 2
+        # one call for both players, the table and the softened table together
+        assert solve_calls == [((0, 1), ((0.0, 0.0), rhos))]
         assert gap == perturbation_gap(game, rhos)
         dbar = delta_bar(game, 1e-10)
         assert bound == min(min(d, dbar - d) for d in deltas) / 4.0

@@ -241,8 +241,8 @@ class TestAnalyzeGame:
         assert "equilibria" not in report
 
     def test_solves_each_stack_once(self, solve_calls):
-        # N stacks, each holding the table and the softened table, whatever
-        # is derived
+        # one call for every player, holding the table and the softened
+        # table, whatever is derived
         analyze_game(
             "benchmark",
             rhos=(0.05, 0.05),
@@ -251,7 +251,7 @@ class TestAnalyzeGame:
             eps=0.1,
             ratio=3,
         )
-        assert solve_calls == [((0.0, 0.0), (0.05, 0.05))] * 2
+        assert solve_calls == [((0, 1), ((0.0, 0.0), (0.05, 0.05)))]
 
     @pytest.mark.parametrize(
         "deltas", [(0.5, 0.6, 0.7), (0.5,), (-1.0, -1.0), (0.5, 0.0), (0.5, math.inf), (math.nan, 0.5)]
