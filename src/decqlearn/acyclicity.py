@@ -22,7 +22,7 @@ from .exact_solver import (
     check_input,
     check_per_player,
 )
-from .game_model import StochasticGame
+from .game_model import StochasticGame, _check_count
 
 __all__ = [
     "BrGraph",
@@ -72,8 +72,7 @@ def p_min(
     """
     check_per_player(game, "lambda", lambdas)
     check_input("ratio", R)
-    if L < 1:
-        raise ValueError("L must be a positive integer")
+    _check_count("L", L)
     exponent = (R + 1) * L
     out = 1.0
     for j, lam in enumerate(lambdas):
@@ -128,8 +127,8 @@ def xi_bound(
     if theta <= 0.0:
         raise ValueError(f"theta must be positive, got {theta}")
     check_input("ratio", R)
-    if N < 1 or L < 1:
-        raise ValueError("N and L must be positive integers")
+    _check_count("N", N)
+    _check_count("L", L)
     for d in deltas:
         if not 0.0 < d < dbar:
             raise ValueError(f"delta {d} must lie strictly inside (0, {dbar})")

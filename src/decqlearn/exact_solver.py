@@ -16,7 +16,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -29,6 +28,7 @@ from .game_model import (
     StationaryPolicy,
     StochasticGame,
     _choice_for,
+    _is_id,
     _player_id,
     enumerate_deterministic_policies,
 )
@@ -72,7 +72,7 @@ _RULES = {
     "delta": (lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
     "lambda": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     "eps": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    "ratio": (lambda v: isinstance(v, numbers.Integral) and v >= 1, "be an integer >= 1"),
+    "ratio": (lambda v: _is_id(v) and v >= 1, "be an integer >= 1"),
 }
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import acyclicity, exact_solver
 from .agent import AgentConfig
-from .game_model import StochasticGame, load_game, validate_game
+from .game_model import StochasticGame, _is_id, load_game, validate_game
 from .orchestrator import (
     RandomnessStreams,
     draw_schedule,
@@ -81,10 +81,6 @@ def resolve_game(source: str | Path | StochasticGame) -> StochasticGame:
     return load_game(source)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
@@ -123,7 +119,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for key in ("min_phase", "ratio", "horizon", "trials", "master_seed", "workers"):
-            if not _is_int(getattr(self, key)):
+            if not _is_id(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
         for key in ("rho", "lam", "delta", "alpha"):
             value = getattr(self, key)
@@ -134,7 +130,7 @@ class ExperimentConfig:
             if isinstance(value, list):
                 object.__setattr__(self, key, tuple(value))
         if not isinstance(self.record_times, (list, tuple)) or not all(
-            map(_is_int, self.record_times)
+            map(_is_id, self.record_times)
         ):
             raise ValueError(f"record_times must be a list of integers, got {self.record_times!r}")
         if self.min_phase < 1 or self.ratio < 1:

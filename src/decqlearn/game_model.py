@@ -154,8 +154,9 @@ class StochasticGame:
 
 
 def _is_id(a: object) -> bool:
-    """The one rule for an action or player id: a Python or numpy integer,
-    not a bool."""
+    """The one rule for an integer input (an action or player id, a seed, a
+    trial index, a length or a count): a Python or numpy integer, not a bool
+    and not a float."""
     return isinstance(a, (int, np.integer)) and not isinstance(a, bool)
 
 
@@ -177,6 +178,14 @@ def _player_id(player: object) -> int:
     if player < 0:
         raise ValueError(f"player id {player!r} must be nonnegative")
     return int(player)
+
+
+def _check_count(name: str, value: object) -> None:
+    """A count input (a phase length, a ratio, a number of players, a path
+    bound) is an integer (see :func:`_is_id`) of at least 1; anything else is
+    a ValueError naming ``name``."""
+    if not _is_id(value) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _choice_for(game: StochasticGame, player: int, choice: Iterable) -> tuple[int, ...]:

@@ -30,7 +30,14 @@ import numpy as np
 
 from .agent import AgentConfig, end_phase_update
 from .exact_solver import QTable, check_reachability, label_equilibria
-from .game_model import StochasticGame, _choice_for, sample_initial_state, sample_transition
+from .game_model import (
+    StochasticGame,
+    _check_count,
+    _choice_for,
+    _is_id,
+    sample_initial_state,
+    sample_transition,
+)
 
 __all__ = [
     "RandomnessStreams",
@@ -72,10 +79,10 @@ class RandomnessStreams:
     """
 
     def __init__(self, master_seed: int, trial: int = 0) -> None:
-        if not 0 <= int(master_seed) < 2**64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if trial < 0:
-            raise ValueError("trial index must be nonnegative")
+        if not _is_id(master_seed) or not 0 <= master_seed < 2**64:
+            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
+        if not _is_id(trial) or trial < 0:
+            raise ValueError(f"trial must be a nonnegative integer, got {trial!r}")
         self.master_seed = int(master_seed)
         self.trial = int(trial)
 
@@ -165,8 +172,8 @@ class Schedule:
     phase_lengths: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.min_length < 1 or self.ratio < 1:
-            raise ValueError("min_length and ratio must be positive integers")
+        _check_count("min_length", self.min_length)
+        _check_count("ratio", self.ratio)
         object.__setattr__(
             self,
             "phase_lengths",
@@ -211,8 +218,8 @@ def draw_schedule(
 ) -> Schedule:
     """Draw every player's phase lengths uniformly from
     [min_length, ratio * min_length] until the boundaries cover the horizon."""
-    if min_length < 1 or ratio < 1:
-        raise ValueError("min_length and ratio must be positive integers")
+    _check_count("min_length", min_length)
+    _check_count("ratio", ratio)
     if horizon < 1:
         raise ValueError("horizon must be positive")
     lengths = tuple(
@@ -338,21 +345,21 @@ class SimulationTrace:
     def _event_times(self) -> list[int]:
         return [e.t for e in self.events]
 
-    def joint_at(self, t: int) -> tuple[tuple[int, ...], ...]:
+    def _last_event(self, t: int) -> PolicyChange | None:
+        """The last policy change at or before stage t, None before the
+        first; a t outside [0, horizon) is a ValueError."""
         if not 0 <= t < self.horizon:
             raise ValueError(f"time {t} is beyond the simulated horizon {self.horizon}")
         idx = bisect_right(self._event_times, t)
-        if idx == 0:
-            return self.initial_joint
-        return self.events[idx - 1].joint
+        return self.events[idx - 1] if idx else None
+
+    def joint_at(self, t: int) -> tuple[tuple[int, ...], ...]:
+        event = self._last_event(t)
+        return self.initial_joint if event is None else event.joint
 
     def at_equilibrium(self, t: int) -> bool:
-        if not 0 <= t < self.horizon:
-            raise ValueError(f"time {t} is beyond the simulated horizon {self.horizon}")
-        idx = bisect_right(self._event_times, t)
-        if idx == 0:
-            return self.initial_at_equilibrium
-        return self.events[idx - 1].at_equilibrium
+        event = self._last_event(t)
+        return self.initial_at_equilibrium if event is None else event.at_equilibrium
 
     def to_json_dict(self) -> dict:
         return {

@@ -11,8 +11,7 @@ Q-update formula; only the phase-end appraisal is the agent module's), a
 Q-factor recursion that scans each next row for its minimum instead of
 caching the row minima, and one value-iteration solve per opponent joint
 instead of the stacked best-response table (with the stack solvers' per-member
-product shape, so that tables compare by their bytes; ``value_iteration_4d``
-keeps the earlier, broadcast product shape as a tolerance reference), and a
+product shape, so that tables compare by their bytes), and a
 stacked value iteration that allocates its arrays every sweep and tests every
 member at every sweep (``value_iteration_stack``) instead of the in-place one.
 """
@@ -149,6 +148,20 @@ def random_game(rng: np.random.Generator, num_players=2, max_states=3, max_actio
         discounts=(beta,) * num_players,
         kernel=kernel,
         initial_dist=np.full(num_states, 1.0 / num_states),
+    )
+
+
+def matrix_game(cost0, cost1) -> StochasticGame:
+    """One-state two-player game at discount 0.5 in which both players have m
+    actions and player i pays cost_i[a_0][a_1] (each an m x m nested list)."""
+    m = len(cost0)
+    return StochasticGame(
+        states=("s0",),
+        action_sets=(tuple(f"a{k}" for k in range(m)),) * 2,
+        costs=tuple(np.array(c, dtype=float).reshape(1, -1) for c in (cost0, cost1)),
+        discounts=(0.5, 0.5),
+        kernel=np.ones((1, m * m, 1)),
+        initial_dist=np.array([1.0]),
     )
 
 
@@ -315,8 +328,7 @@ def q_value_iteration_single(mdp: InducedMdp, tol: float) -> tuple[np.ndarray, i
     The shape must match for the tables to be compared by their bytes: BLAS
     picks its summation order from the matrix's row count, so S products of
     (A, S) (or S dots at A = 1) can differ from one (S * A, S) product in the
-    last bits (seen with OpenBLAS at A = 1, and at S = 8 with A = 2, 3, 5).
-    ``value_iteration_4d`` keeps that other shape as a tolerance reference."""
+    last bits (seen with OpenBLAS at A = 1, and at S = 8 with A = 2, 3, 5)."""
     beta = mdp.discount
     if beta == 0.0:
         return mdp.cost.copy(), 0
@@ -332,29 +344,6 @@ def q_value_iteration_single(mdp: InducedMdp, tol: float) -> tuple[np.ndarray, i
         sweeps += 1
         if gap <= threshold:
             return q, sweeps
-
-
-def value_iteration_4d(cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float) -> np.ndarray:
-    """Stacked value iteration with the stopping rule of
-    ``exact_solver._value_iteration`` (cost (K, S, A), kernel (K, S, A, S)),
-    but each sweep's product broadcast over (member, state) as
-    ``kernel @ low[:, None, :, None]``: K * S products of an (A, S) block,
-    the library's earlier form. It sums in another order than one
-    (S * A, S) product per member, so it is a reference within a relative
-    tolerance, not by bytes."""
-    if beta == 0.0:
-        return cost.copy()
-    threshold = tol * (1.0 - beta) / (2.0 * beta)
-    out = np.empty_like(cost)
-    live = np.arange(len(cost))
-    q = np.zeros_like(cost)
-    while live.size:
-        low = q.min(axis=-1)
-        q_next = cost + beta * (kernel @ low[:, None, :, None])[..., 0]
-        done = np.abs(q_next - q).reshape(len(q), -1).max(axis=1) <= threshold
-        out[live[done]] = q_next[done]
-        live, cost, kernel, q = (a[~done] for a in (live, cost, kernel, q_next))
-    return out
 
 
 def value_iteration_stack(

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from decqlearn import cli
+from decqlearn.acyclicity import p_min, xi_bound
 from decqlearn.agent import AgentConfig
-from decqlearn.exact_solver import label_equilibria
+from decqlearn.exact_solver import check_input, label_equilibria
+from decqlearn.experiments import analyze_game
 from decqlearn.game_model import (
     DeterministicPolicy,
     JointDeterministicPolicy,
@@ -30,7 +32,7 @@ from decqlearn.game_model import (
     soften_policy,
     validate_game,
 )
-from decqlearn.orchestrator import RandomnessStreams, _first_baselines
+from decqlearn.orchestrator import RandomnessStreams, Schedule, _first_baselines, draw_schedule
 
 
 def _single_state_game(kernel_row, initial=(1.0,)):
@@ -253,6 +255,26 @@ class TestJointIndexing:
         assert benchmark_game.joint_tuple(1) == (0, 1)
 
 
+# Each integer input given a bool or a float, with the input its error names.
+_STREAMS = RandomnessStreams(0)
+_BAD_INTEGERS = {
+    "seed-float": ("master_seed", lambda g: RandomnessStreams(1.7)),
+    "seed-bool": ("master_seed", lambda g: RandomnessStreams(True)),
+    "seed-np-float": ("master_seed", lambda g: RandomnessStreams(np.float64(3.9))),
+    "trial-float": ("trial", lambda g: RandomnessStreams(0, trial=1.5)),
+    "schedule-min-length": ("min_length", lambda g: Schedule(2.5, 2, ((3,),))),
+    "schedule-ratio": ("ratio", lambda g: Schedule(2, 2.0, ((3,),))),
+    "draw-min-length": ("min_length", lambda g: draw_schedule(_STREAMS, 2, 2.5, 2, 10)),
+    "draw-min-length-bool": ("min_length", lambda g: draw_schedule(_STREAMS, 2, True, 2, 10)),
+    "draw-ratio": ("ratio", lambda g: draw_schedule(_STREAMS, 2, 2, 1.5, 10)),
+    "check-ratio-bool": ("ratio", lambda g: check_input("ratio", True)),
+    "analyze-ratio-bool": ("ratio", lambda g: analyze_game(g, ratio=True)),
+    "p-min-L": ("L", lambda g: p_min(g, (0.2, 0.2), 3, 2.5)),
+    "xi-N": ("N", lambda g: xi_bound(0.1, 3, 2.0, 2, (0.5, 0.5), 1.0)),
+    "xi-L-bool": ("L", lambda g: xi_bound(0.1, 3, 2, True, (0.5, 0.5), 1.0)),
+}
+
+
 class TestPolicies:
     def test_deterministic_validation(self, benchmark_game):
         with pytest.raises(ValueError):
@@ -310,9 +332,22 @@ class TestPolicies:
             label_equilibria(benchmark_game, [(choice, (0, 0))], 1e-9)
         assert _choice_for(benchmark_game, 1, (np.int64(1), np.uint8(0))) == (1, 0)
 
+    @pytest.mark.parametrize("case", sorted(_BAD_INTEGERS))
+    def test_integer_inputs_follow_the_id_rule(self, benchmark_game, case):
+        # A bool or a float is a ValueError naming the input, not an integer.
+        name, call = _BAD_INTEGERS[case]
+        with pytest.raises(ValueError, match=rf"^{name} must be "):
+            call(benchmark_game)
+
     def test_numpy_integer_action_ids(self):
         choice = DeterministicPolicy(0, (np.int64(1), np.uint8(0))).choice
         assert choice == (1, 0) and all(type(a) is int for a in choice)
+
+    def test_numpy_integer_seeds_and_lengths(self):
+        streams = RandomnessStreams(np.uint64(3), trial=np.int32(1))
+        assert (streams.master_seed, streams.trial) == (3, 1)
+        drawn = draw_schedule(streams, 2, np.int64(5), np.int8(2), 50)
+        assert drawn == draw_schedule(streams, 2, 5, 2, 50)
 
     def test_stationary_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -9,8 +10,10 @@ from decqlearn.agent import AgentConfig
 from decqlearn.exact_solver import equilibrium_set, q_star
 from decqlearn.game_model import DeterministicPolicy, StochasticGame, soften_policy
 from decqlearn.orchestrator import (
+    PolicyChange,
     RandomnessStreams,
     Schedule,
+    SimulationTrace,
     active_phases,
     draw_schedule,
     equilibrium_frequency,
@@ -673,6 +676,20 @@ class TestFrozenQRun:
             frozen_q_run(
                 benchmark_game, _configs(), ((0, 0), (0, 0)), RandomnessStreams(1), 0
             )
+
+
+class TestSimulationTrace:
+    def test_joint_at_follows_the_events(self):
+        # Player 0 switches at its boundary 5, player 1 at its boundary 7.
+        joints = [((0, 0), (1, 1)), ((1, 0), (1, 1)), ((1, 0), (0, 1))]
+        schedule = Schedule(min_length=3, ratio=2, phase_lengths=((5, 5), (3, 4, 3)))
+        events = (PolicyChange(5, 0, joints[1], True), PolicyChange(7, 1, joints[2], False))
+        trace = SimulationTrace(0, 0, 10, schedule, joints[0], False, events, (), (0.0, 0.0))
+        for t, k in {0: 0, 4: 0, 5: 1, 6: 1, 7: 2, 9: 2}.items():
+            assert (trace.joint_at(t), trace.at_equilibrium(t)) == (joints[k], k == 1)
+        for t, lookup in itertools.product((10, -1), (trace.joint_at, trace.at_equilibrium)):
+            with pytest.raises(ValueError, match=f"time {t} is beyond the simulated horizon 10"):
+                lookup(t)
 
 
 class TestEquilibriumFrequency:
