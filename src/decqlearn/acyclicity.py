@@ -73,7 +73,9 @@ def p_min(
     check_per_player(game, "lambda", lambdas)
     check_input("ratio", R)
     _check_count("L", L)
-    exponent = (R + 1) * L
+    # Python ints: no overflow, and the same bits whatever the caller's
+    # integer type
+    exponent = (int(R) + 1) * int(L)
     out = 1.0
     for j, lam in enumerate(lambdas):
         policy_count = game.action_counts[j] ** game.num_states
@@ -133,7 +135,7 @@ def xi_bound(
         if not 0.0 < d < dbar:
             raise ValueError(f"delta {d} must lie strictly inside (0, {dbar})")
     margin = 0.5 * min(min(d, dbar - d) for d in deltas)
-    return min(theta, margin) / ((R + 1) * N * L)
+    return min(theta, margin) / ((int(R) + 1) * int(N) * int(L))
 
 
 def theta_and_xi(

@@ -7,8 +7,10 @@ and the baseline and applies the update. At each phase boundary
 :func:`end_phase_update` re-appraises the baseline: if the baseline is
 delta-greedy for the current table it is kept; otherwise it is kept with the
 inertia probability and replaced by a uniform draw from the delta-greedy set
-otherwise. Randomness is injected by the caller, so a run is a pure function
-of the supplied draws.
+otherwise. Randomness is injected by the caller as draw callables, so a run
+is a pure function of the supplied draws. The inertia uniform is drawn only
+for a baseline that is not delta-greedy; the episode executor keys it by
+(trial, player, time), so skipping it changes no other draw.
 """
 
 from __future__ import annotations
@@ -75,19 +77,21 @@ def end_phase_update(
     config: AgentConfig,
     q: np.ndarray,
     baseline: Sequence[int],
-    lambda_draw: float,
+    inertia_draw: Callable[[], float],
     subset_draw: SubsetDraw,
 ) -> tuple[int, ...] | None:
     """Phase-boundary appraisal of a player's ``baseline`` (an action per
     state) against its current Q table ``q``, (state, action); returns the
     new baseline if it changed, else None.
 
-    Keeps a ``config.delta``-greedy baseline unconditionally; otherwise keeps
-    it when ``lambda_draw < config.lam`` (inertia) and else replaces it with
-    the supplied uniform draw from the realized delta-greedy set.
+    Keeps a ``config.delta``-greedy baseline unconditionally, without
+    calling ``inertia_draw``; otherwise calls it once for the inertia
+    uniform, keeps the baseline when that is ``< config.lam`` and else
+    replaces it with the supplied uniform draw from the realized
+    delta-greedy set.
     """
     greedy = _greedy_mask(q, config.delta)
-    if greedy[np.arange(len(baseline)), baseline].all() or lambda_draw < config.lam:
+    if greedy[np.arange(len(baseline)), baseline].all() or inertia_draw() < config.lam:
         return None
     candidate = tuple(subset_draw(tuple(tuple(np.flatnonzero(row).tolist()) for row in greedy)))
     return None if candidate == tuple(baseline) else candidate

@@ -141,16 +141,12 @@ class StochasticGame:
         return tuple(out)
 
     @cached_property
-    def cumulative_kernel(self) -> np.ndarray:
-        """Per (state, joint action): cumulative next-state masses, shape
-        (num_states, num_joint_actions, num_states)."""
-        return _readonly(np.cumsum(self.kernel, axis=2))
-
-    @cached_property
-    def last_positive_state(self) -> np.ndarray:
-        """Per (state, joint action): index of the last next-state with
-        positive mass (fallback target for w at the top of the CDF)."""
-        return _last_positive(self.kernel)
+    def cdf_columns(self) -> np.ndarray:
+        """The kernel's inverse-CDF table (see :func:`_cdf_columns`), shape
+        (num_states - 1, num_states * num_joint_actions): entry (j, state *
+        num_joint_actions + joint action) for next-state j."""
+        columns = _cdf_columns(self.kernel)
+        return _readonly(columns.reshape(len(columns), self.num_states * self.num_joint_actions))
 
 
 def _is_id(a: object) -> bool:
@@ -331,20 +327,39 @@ def soften_policy(policy: DeterministicPolicy, rho: float, num_actions: int) -> 
     return StationaryPolicy(policy.player, probs)
 
 
-def _last_positive(masses: np.ndarray) -> np.ndarray:
-    """Index of the last positive entry along the last axis (the last index
-    when there is none)."""
-    return masses.shape[-1] - 1 - (masses[..., ::-1] > 0.0).argmax(axis=-1)
+def _cdf_columns(masses: np.ndarray) -> np.ndarray:
+    """The inverse-CDF table of the distributions along the last axis of
+    ``masses`` (n outcomes each), that axis moved first and its last entry
+    dropped, (n - 1, ...): entry j is the cumulative mass of outcomes 0..j,
+    or +inf from the last outcome of positive mass on.
+
+    The draw for w in [0, 1] is the count of a distribution's entries <= w:
+    the first outcome whose cumulative mass strictly exceeds w (as
+    ``bisect_right`` would return), and the last outcome of positive mass
+    for w at the very top of the CDF, as the cumulative mass past that
+    outcome only adds zeros."""
+    n = masses.shape[-1]
+    cumulative = np.cumsum(masses, axis=-1)
+    last_positive = n - 1 - (masses[..., ::-1] > 0.0).argmax(axis=-1)
+    cumulative[np.arange(n) >= last_positive[..., None]] = np.inf
+    return np.moveaxis(cumulative[..., :-1], -1, 0).copy()
 
 
-def _inverse_cdf(cumulative: np.ndarray, w: np.ndarray, fallback: np.ndarray) -> np.ndarray:
-    """Per entry of ``w``, the first index along the last axis of
-    ``cumulative`` whose mass strictly exceeds it (the count of masses <= w,
-    as ``bisect_right`` would return); ``fallback`` (the last index of
-    positive mass) catches w at the very top of the CDF."""
-    # one comparison per index: a count along a short last axis is slow
-    below = sum(cumulative[..., j] <= w for j in range(cumulative.shape[-1]))
-    return np.where(below == cumulative.shape[-1], fallback, below)[()]
+def _inverse_cdf(columns: np.ndarray, row: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per entry of ``w``, the draw from distribution ``row`` (broadcasting
+    with ``w``) of the inverse-CDF table ``columns`` (see
+    :func:`_cdf_columns`), flattened after its first axis: the count of
+    entries <= w, one column gathered and compared at a time."""
+    below = np.zeros(np.broadcast_shapes(row.shape, w.shape), dtype=np.intp)
+    for column in columns:
+        below += column.take(row) <= w
+    return below[()]
+
+
+def _check_ids(name: str, ids: np.ndarray, stop: int) -> None:
+    """Every entry of ``ids`` in [0, stop); an empty array passes."""
+    if ids.size and not 0 <= ids.min() <= ids.max() < stop:
+        raise ValueError(f"{name} {ids} out of range")
 
 
 def sample_transition(
@@ -359,21 +374,17 @@ def sample_transition(
     exceeds ``w``; ``w`` exactly at the top of the CDF maps to the last state
     of positive mass. Under w ~ Unif[0, 1] the induced law is the kernel row.
     The arguments may be integers and a float or arrays that broadcast
-    together; the result is an integer or an array of that shape.
+    together; the result is an integer or an array of that shape. The
+    cumulative masses are gathered from :attr:`StochasticGame.cdf_columns`
+    by the flat (state, joint action) row, one next-state column at a time.
     """
     state, joint_action, w = np.asarray(state), np.asarray(joint_action), np.asarray(w)
-    if not np.all((0 <= state) & (state < game.num_states)):
-        raise ValueError(f"state id {state} out of range")
-    if not np.all((0 <= joint_action) & (joint_action < game.num_joint_actions)):
-        raise ValueError(f"joint action index {joint_action} out of range")
-    if not np.all((0.0 <= w) & (w <= 1.0)):
+    _check_ids("state id", state, game.num_states)
+    _check_ids("joint action index", joint_action, game.num_joint_actions)
+    if w.size and not 0.0 <= w.min() <= w.max() <= 1.0:
         raise ValueError(f"w must lie in [0, 1], got {w}")
-    row = state * game.num_joint_actions + joint_action
-    return _inverse_cdf(
-        game.cumulative_kernel.reshape(-1, game.num_states).take(row, axis=0),
-        w,
-        game.last_positive_state.take(row),
-    )
+    row = np.add(np.multiply(state, game.num_joint_actions, dtype=np.intp), joint_action)
+    return _inverse_cdf(game.cdf_columns, row, w)
 
 
 def sample_initial_state(game: StochasticGame, w: float) -> int:
@@ -381,8 +392,7 @@ def sample_initial_state(game: StochasticGame, w: float) -> int:
     tie rule as :func:`sample_transition`."""
     if not 0.0 <= w <= 1.0:
         raise ValueError(f"w must lie in [0, 1], got {w}")
-    dist = game.initial_dist
-    return int(_inverse_cdf(np.cumsum(dist), np.asarray(w), _last_positive(dist)))
+    return int(_inverse_cdf(_cdf_columns(game.initial_dist)[:, None], np.intp(0), np.asarray(w)))
 
 
 def enumerate_deterministic_policies(num_states: int, num_actions: int) -> list[tuple[int, ...]]:

@@ -540,14 +540,19 @@ class _QStack:
         # entry (state, k, t) of a (state, trial, stage) table is flat entry
         # path[t, k] * L + t
         cells = now * length + np.arange(length)[:, None]
-        joint_path = joint.take(cells)
-        states = now // batch
-        entries = np.concatenate(
-            [table.take(cells) * self.q[0].size + i * span + now for i, table in enumerate(tables)],
-            axis=1,
-        )
-        next_rows = np.concatenate([i * span + after for i in range(len(tables))], axis=1)
-        costs = np.concatenate([cost[states, joint_path] for cost in game.costs], axis=1)
+        # row (state, joint action) of a cost table, flattened
+        cost_cells = now // batch * game.num_joint_actions + joint.take(cells)
+        # column block i of each: player i's (stage, trial) entries
+        shape = (length, len(tables) * batch)
+        entries = np.empty(shape, dtype=np.intp)
+        next_rows = np.empty(shape, dtype=np.intp)
+        costs = np.empty(shape)
+        for i, (table, cost) in enumerate(zip(tables, game.costs)):
+            columns = slice(i * batch, (i + 1) * batch)
+            np.multiply(table.take(cells), self.q[0].size, out=entries[:, columns], dtype=np.intp)
+            entries[:, columns] += now + i * span
+            np.add(after, i * span, out=next_rows[:, columns])
+            costs[:, columns] = cost.take(cost_cells)
 
         flat = self.q.reshape(-1)
         first, *rest = self.q.reshape(len(self.q), -1)
@@ -681,17 +686,17 @@ def _play_segment(
     Q-factor recursions then run stage by stage on ``stack``: in lockstep
     for a batch of ``_LOCKSTEP_MIN`` trials or more, else trial by trial.
     """
-    num_states = game.num_states
-    batch, length = w.shape
-    tables = []
-    for base, (explore, uniform) in zip(baselines, draws):
-        table = np.empty((num_states, batch, length), dtype=np.int64)
-        table[...] = base.T[:, :, None]
-        np.copyto(table, uniform, where=explore)
-        tables.append(table)
-    joint = sum(table * stride for table, stride in zip(tables, game.joint_strides))
-    successor = sample_transition(game, np.arange(num_states)[:, None, None], joint, w)
-    play = stack.play if batch >= _LOCKSTEP_MIN else stack.play_each
+    # the tables in the draws' narrow integer type; the joint action, which
+    # may not fit it, in np.intp
+    tables = [
+        np.where(explore, uniform, base.T.astype(uniform.dtype)[:, :, None])
+        for base, (explore, uniform) in zip(baselines, draws)
+    ]
+    joint = np.multiply(tables[0], game.joint_strides[0], dtype=np.intp)
+    for table, stride in zip(tables[1:], game.joint_strides[1:]):
+        joint += np.multiply(table, stride, dtype=np.intp)
+    successor = sample_transition(game, np.arange(game.num_states)[:, None, None], joint, w)
+    play = stack.play if len(w) >= _LOCKSTEP_MIN else stack.play_each
     return play(game, tables, joint, successor, x)
 
 
@@ -721,8 +726,10 @@ def _simulate(
     lives on one :class:`_QStack` for the whole run. Player i of trial k
     appraises its baseline against its current table at each of its times
     after 0, players of a trial sharing a time in player order, through
-    :func:`decqlearn.agent.end_phase_update`. A player experiments at stage
-    t when its experimentation uniform is <= its rho. Every baseline
+    :func:`decqlearn.agent.end_phase_update`, which takes the inertia
+    uniform keyed by (trial, player, time) only for a baseline that is not
+    delta-greedy, so no other draw depends on it. A player experiments at
+    stage t when its experimentation uniform is <= its rho. Every baseline
     is frozen between two update times, so the stages up to the next update
     time of any trial, the next record time or the end of the current block
     of draws (``_DRAWS`` trial-stages, at least ``_DRAWS_MIN_STAGES``
@@ -776,12 +783,11 @@ def _simulate(
         while updates[next_update][0] == t:
             _, k, i = updates[next_update]
             next_update += 1
-            lam_draw = streams[k].inertia_uniform(i, t)
             new = end_phase_update(
                 configs[i],
                 stack.table(i, k),
                 baselines[i][k],
-                lam_draw,
+                partial(streams[k].inertia_uniform, i, t),
                 partial(streams[k].policy_draw, i, t),
             )
             if new is not None:

@@ -253,9 +253,10 @@ def _simulate_one_stepwise(
     for t in range(horizon):
         for i, row in enumerate(boundaries):
             if t > 0 and t in row:
+                # drawn at every boundary, read or not
                 lam_draw = streams.inertia_uniform(i, t)
                 new = end_phase_update(
-                    configs[i], np.array(q_tables[i]), baseline[i], lam_draw,
+                    configs[i], np.array(q_tables[i]), baseline[i], lambda: lam_draw,
                     partial(streams.policy_draw, i, t),
                 )
                 if new is not None:

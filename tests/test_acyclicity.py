@@ -154,6 +154,17 @@ class TestPMin:
             benchmark_game, (0.01, 0.01), R=3, L=2
         )
 
+    @pytest.mark.parametrize("kind", [np.int64, np.int16, np.int8])
+    def test_numpy_integer_counts_give_the_same_bits(self, benchmark_game, kind):
+        # the exponent (R + 1) L is Python-int arithmetic: no numpy power on a
+        # numpy exponent, and no overflow in a narrow type ((100 + 1) * 100)
+        for R, L in ((3, 2), (100, 100)):
+            expected = p_min(benchmark_game, (0.2, 0.2), R, L)
+            out = p_min(benchmark_game, (0.2, 0.2), kind(R), kind(L))
+            assert type(out) is float
+            assert out.hex() == expected.hex()
+        assert p_min(benchmark_game, (0.2, 0.2), 100, 100) == 0.0
+
     def test_lambda_range(self, benchmark_game):
         with pytest.raises(ValueError):
             p_min(benchmark_game, (0.0, 0.5), R=1, L=1)
@@ -179,6 +190,15 @@ class TestThetaAndXi:
         assert xi_bound(0.1, R=3, N=2, L=3, deltas=(0.5, 0.5), dbar=2.0) == pytest.approx(
             0.1 / 24.0, abs=1e-15
         )
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int16, np.int8])
+    def test_numpy_integer_counts_give_the_same_bits(self, kind):
+        for R, N, L in ((3, 2, 3), (3, 100, 100)):
+            expected = xi_bound(0.3, R, N, L, (0.5, 0.5), 2.0)
+            out = xi_bound(0.3, kind(R), kind(N), kind(L), (0.5, 0.5), 2.0)
+            assert type(out) is float
+            assert out.hex() == expected.hex()
+        assert xi_bound(0.3, 3, 100, 100, (0.5, 0.5), 2.0) == 0.25 / 40_000
 
     def test_delta_outside_range_rejected(self):
         with pytest.raises(ValueError):

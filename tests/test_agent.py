@@ -359,13 +359,26 @@ class TestEndPhaseUpdate:
     def _no_draw(self, allowed):
         raise AssertionError("subset draw must not be consulted")
 
+    def _no_inertia(self):
+        raise AssertionError("inertia draw must not be consulted")
+
     def test_greedy_baseline_kept_regardless_of_draws(self):
+        # kept outright: neither the inertia nor the policy draw is taken
         q = np.array([[0.0, 10.0], [0.0, 10.0]])
-        assert end_phase_update(_config(delta=0.5), q, [0, 0], 0.99, self._no_draw) is None
+        config = _config(delta=0.5)
+        assert end_phase_update(config, q, [0, 0], self._no_inertia, self._no_draw) is None
 
     def test_inertia_keeps_poor_baseline(self):
+        calls = []
+
+        def inertia():
+            calls.append(None)
+            return 0.1
+
         q = np.array([[0.0, 10.0], [0.0, 10.0]])
-        assert end_phase_update(_config(lam=0.2, delta=0.5), q, [1, 1], 0.1, self._no_draw) is None
+        config = _config(lam=0.2, delta=0.5)
+        assert end_phase_update(config, q, [1, 1], inertia, self._no_draw) is None
+        assert len(calls) == 1
 
     def test_switch_draws_from_greedy_set(self):
         seen = {}
@@ -375,12 +388,13 @@ class TestEndPhaseUpdate:
             return (0, 1)
 
         q = np.array([[0.0, 10.0], [0.0, 0.3]])
-        assert end_phase_update(_config(lam=0.2, delta=0.5), q, [1, 1], 0.9, draw) == (0, 1)
+        assert end_phase_update(_config(lam=0.2, delta=0.5), q, [1, 1], lambda: 0.9, draw) == (0, 1)
         assert seen["allowed"] == ((0,), (0, 1))
 
     def test_huge_delta_accepts_everything(self):
         q = np.array([[0.0, 10.0], [0.0, 10.0]])
-        assert end_phase_update(_config(delta=100.0), q, [1, 1], 0.99, self._no_draw) is None
+        config = _config(delta=100.0)
+        assert end_phase_update(config, q, [1, 1], self._no_inertia, self._no_draw) is None
 
     def test_keep_frequency_matches_inertia(self, rng):
         # forced-switch situation: keep happens iff draw < lam
@@ -390,7 +404,7 @@ class TestEndPhaseUpdate:
         keeps = 0
         config = _config(lam=lam, delta=0.5)
         for draw in draws.tolist():
-            if end_phase_update(config, q, [1, 1], draw, lambda allowed: (0, 0)) is None:
+            if end_phase_update(config, q, [1, 1], lambda: draw, lambda allowed: (0, 0)) is None:
                 keeps += 1
         se = np.sqrt(lam * (1 - lam) / draws.size)
         assert abs(keeps / draws.size - lam) <= 3 * se

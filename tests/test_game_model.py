@@ -33,6 +33,8 @@ from decqlearn.game_model import (
     validate_game,
 )
 from decqlearn.orchestrator import RandomnessStreams, Schedule, _first_baselines, draw_schedule
+from oracles import _inverse_cdf as bisect_inverse_cdf
+from oracles import _last_positive as last_positive
 
 
 def _single_state_game(kernel_row, initial=(1.0,)):
@@ -213,6 +215,73 @@ class TestSampleTransition:
             sample_transition(benchmark_game, 0, 99, 0.5)
         with pytest.raises(ValueError):
             sample_transition(benchmark_game, 0, 0, 1.5)
+
+    @pytest.mark.parametrize(
+        "state, joint_action, w, text",
+        [
+            (5, 0, 0.5, "state id 5 out of range"),
+            (-1, 0, 0.5, "state id -1 out of range"),
+            (np.array([0, 1, 2]), 0, 0.5, "state id [0 1 2] out of range"),
+            (0, 4, 0.5, "joint action index 4 out of range"),
+            (0, np.array([[0, -1]]), 0.5, "joint action index [[ 0 -1]] out of range"),
+            (0, 0, float("nan"), "w must lie in [0, 1], got nan"),
+            (0, 0, -1e-300, "w must lie in [0, 1], got -1e-300"),
+            (0, 0, 1.5, "w must lie in [0, 1], got 1.5"),
+            (0, 0, np.array([0.5, np.nan]), "w must lie in [0, 1], got [0.5 nan]"),
+            (0, 0, np.array([0.5, 1.0000000000000002]), "w must lie in [0, 1], got [0.5 1. ]"),
+            # the state is checked first, then the joint action, then w
+            (2, 9, 7.0, "state id 2 out of range"),
+            (0, 9, float("nan"), "joint action index 9 out of range"),
+        ],
+    )
+    def test_rejection_texts(self, benchmark_game, state, joint_action, w, text):
+        with pytest.raises(ValueError) as excinfo:
+            sample_transition(benchmark_game, state, joint_action, w)
+        assert str(excinfo.value) == text
+
+    def test_empty_and_zero_d_inputs(self, benchmark_game):
+        empty = sample_transition(benchmark_game, np.array([], dtype=int), 0, 0.5)
+        assert empty.shape == (0,) and empty.dtype == np.int64
+        wide = sample_transition(benchmark_game, 0, np.zeros((0, 3), dtype=int), np.zeros((2, 0, 1)))
+        assert wide.shape == (2, 0, 3)
+        scalar = sample_transition(benchmark_game, np.int64(1), np.intp(2), np.float64(0.3))
+        assert np.ndim(scalar) == 0 and scalar.dtype == np.int64
+        assert scalar == sample_transition(benchmark_game, 1, 2, 0.3) == 0
+        assert sample_transition(benchmark_game, 0, 0, -0.0) == 0
+
+    def test_matches_bisect_with_massless_next_states(self):
+        # zero masses inside and at the end of rows, and w on every CDF step,
+        # at 0 and at 1: the table's +inf tail must give the bisect rule and
+        # its fallback to the last next-state of positive mass
+        rng = np.random.default_rng(41)
+        for num_states in (1, 2, 3, 5):
+            kernel = rng.uniform(0.0, 1.0, size=(num_states, 3, num_states))
+            kernel[rng.random(kernel.shape) < 0.4] = 0.0
+            kernel[..., 0] += 0.01
+            kernel /= kernel.sum(axis=2, keepdims=True)
+            game = StochasticGame(
+                states=tuple(f"s{x}" for x in range(num_states)),
+                action_sets=(("a0", "a1", "a2"),),
+                costs=(np.zeros((num_states, 3)),),
+                discounts=(0.5,),
+                kernel=kernel,
+                initial_dist=np.full(num_states, 1.0 / num_states),
+            )
+            cumulative = np.cumsum(kernel, axis=2)
+            w = np.concatenate([cumulative.ravel(), [0.0, 1.0], rng.random(50)])
+            state = rng.integers(num_states, size=(w.size, 1))
+            joint = rng.integers(3, size=(1, 4))
+            expected = [
+                [
+                    bisect_inverse_cdf(
+                        cumulative[x, u].tolist(), v, last_positive(kernel[x, u].tolist())
+                    )
+                    for u in joint[0]
+                ]
+                for x, v in zip(state[:, 0], w)
+            ]
+            got = sample_transition(game, state, joint, w[:, None])
+            assert got.tolist() == expected
 
     def test_monte_carlo_matches_row(self, rng):
         game = _single_state_game((0.25, 0.75), initial=(1.0, 0.0))

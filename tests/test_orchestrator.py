@@ -372,6 +372,7 @@ class TestSegmentEngine:
         record_times=(),
         seed=0,
         configs=None,
+        batches=(1, 2, 7),
     ):
         if configs is None:
             configs = _configs(game.num_players, rho=0.2, alpha=0.1)
@@ -404,11 +405,11 @@ class TestSegmentEngine:
 
         with monkeypatch.context() as patch:
             patch.setattr(orchestrator, "_simulate", simulate_stepwise)
-            slow = outputs(7)
+            slow = outputs(max(batches))
         for lockstep_min in (1, 10**9):
             with monkeypatch.context() as patch:
                 patch.setattr(orchestrator, "_LOCKSTEP_MIN", lockstep_min)
-                for batch in (1, 2, 7):
+                for batch in batches:
                     assert outputs(batch) == slow[:batch], (lockstep_min, batch)
         return [json.loads(trace) for trace, _ in slow]
 
@@ -478,6 +479,29 @@ class TestSegmentEngine:
         self._assert_matches_stepwise(
             monkeypatch, game, 40, 3, 3000, (0, 1500, 2999), seed=11, configs=configs
         )
+
+    def test_wide_game_in_narrow_tables(self, monkeypatch):
+        # 7 actions fit the action tables' uint8, but 343 joint actions and
+        # the 3 x 3 x 32 = 288 entries of one action's block of the stack
+        # do not: the joint action, the stack entries and the transition
+        # rows must be computed in a wide type
+        rng = np.random.default_rng(37)
+        kernel = rng.uniform(0.1, 1.0, size=(3, 343, 3))
+        kernel /= kernel.sum(axis=2, keepdims=True)
+        game = StochasticGame(
+            states=("s0", "s1", "s2"),
+            action_sets=(tuple(f"a{a}" for a in range(7)),) * 3,
+            costs=tuple(rng.uniform(0.0, 10.0, size=(3, 343)) for _ in range(3)),
+            discounts=(0.8, 0.8, 0.8),
+            kernel=kernel,
+            initial_dist=np.full(3, 1.0 / 3.0),
+        )
+        assert game.num_players * game.num_states * 32 > 255
+        configs = _configs(3, rho=0.3, lam=0.3, delta=2.0, alpha=0.1)
+        traces = self._assert_matches_stepwise(
+            monkeypatch, game, 40, 3, 1500, (0, 1499), seed=12, configs=configs, batches=(1, 32)
+        )
+        assert sum(len(trace["events"]) for trace in traces) > 0
 
     def test_boundary_at_every_stage(self, monkeypatch, benchmark_game):
         self._assert_matches_stepwise(monkeypatch, benchmark_game, 1, 1, 300, (0, 150), seed=2)
@@ -567,6 +591,48 @@ def _tie_game() -> StochasticGame:
         kernel=np.tile(kernel, (1, 2, 1)),
         initial_dist=np.array([0.5, 0.5]),
     )
+
+
+class TestLazyInertia:
+    def test_inertia_drawn_only_for_non_greedy_baselines(self, monkeypatch, benchmark_game):
+        # the engine calls the keyed inertia draw only where the appraisal
+        # reads it, for a baseline that is not delta-greedy; the oracle
+        # draws it at every boundary, and the traces agree
+        configs = _configs(rho=0.1, delta=0.5)
+        streams = [RandomnessStreams(3, trial=k) for k in range(9)]
+        schedules = [draw_schedule(s, 2, 300, 3, 6000) for s in streams]
+        appraisals, non_greedy, draws = [], [], []
+        appraise = orchestrator.end_phase_update
+        inertia_uniform = RandomnessStreams.inertia_uniform
+
+        def counted_appraisal(config, q, baseline, inertia_draw, subset_draw):
+            values = q[np.arange(len(baseline)), baseline]
+            appraisals.append(None)
+            if not (values <= q.min(axis=1) + config.delta).all():
+                non_greedy.append(None)
+            return appraise(config, q, baseline, inertia_draw, subset_draw)
+
+        def counted_draw(streams, player, t):
+            draws.append((streams.trial, player, t))
+            return inertia_uniform(streams, player, t)
+
+        def traces():
+            out = run_episodes(
+                benchmark_game, configs, schedules, streams, 6000, (0, 2999), record_q=True
+            )
+            return [json.dumps(trace.to_json_dict()) for trace in out]
+
+        monkeypatch.setattr(RandomnessStreams, "inertia_uniform", counted_draw)
+        with monkeypatch.context() as patch:
+            patch.setattr(orchestrator, "end_phase_update", counted_appraisal)
+            lazy = traces()
+        assert len(draws) == len(set(draws)) == len(non_greedy)
+        assert 0 < len(non_greedy) < len(appraisals)
+        draws.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(orchestrator, "_simulate", simulate_stepwise)
+            assert traces() == lazy
+        assert len(draws) == len(appraisals)
 
 
 class TestLazyLabels:
