@@ -114,7 +114,9 @@ class RandomnessStreams:
         The draw is a deterministic function of (master seed, trial, player,
         t, canonical encoding of the set), so only the realized set has to be
         materialized while the outcome stays distributionally identical to
-        pre-drawing one policy per possible set.
+        pre-drawing one policy per possible set. A set of at most 2**63
+        policies is indexed by one integer draw; a larger one, whose index
+        a 64-bit draw cannot hold, by one draw per state, in state order.
         """
         if not allowed or any(len(acts) == 0 for acts in allowed):
             raise ValueError("every state needs at least one allowed action")
@@ -127,6 +129,8 @@ class RandomnessStreams:
         total = 1
         for acts in allowed:
             total *= len(acts)
+        if total > 2**63:
+            return tuple(acts[int(gen.integers(len(acts)))] for acts in allowed)
         index = int(gen.integers(total))
         picks = []
         for acts in reversed(allowed):
@@ -486,9 +490,10 @@ class _QStack:
     """Every Q table of a batch during a run, in one array, entry (action,
     player, state, trial), padded to the largest action count with +inf,
     which no min picks up, and each table's running max |Q|. The update has
-    two forms with the same float operations in the same order: :meth:`play`
-    gives every (player, trial) its update of a stage at once, and
-    :meth:`play_each` runs :func:`_learn` trial by trial.
+    two forms with the same float operations in the same order, and the same
+    tie rule as ``min()``: :meth:`play` gives every (player, trial) its
+    update of a stage at once, and :meth:`play_each` runs :func:`_learn`
+    trial by trial.
 
     Every trial starts from its player's ``initial_q`` (zeros if None) and
     learns with its player's alpha and discount."""
@@ -506,8 +511,9 @@ class _QStack:
             self.q[:m, i] = q.T[:, :, None]
         # one entry per (player, trial), player-major like the stack
         self.alpha = np.repeat([cfg.alpha for cfg in configs], batch)
-        self.keep = 1.0 - self.alpha
         self.beta = np.repeat(game.discounts, batch)
+        # the factors of the next row's minimum and of the old entry
+        self.scale = np.stack([self.beta, 1.0 - self.alpha])
         self.max_abs_q = np.repeat([np.abs(q).max(initial=0.0) for q in initial], batch)
 
     def table(self, player: int, trial: int) -> np.ndarray:
@@ -523,9 +529,15 @@ class _QStack:
         x: np.ndarray,
     ) -> np.ndarray:
         """Walk every trial's state path from states ``x`` with one gather per
-        stage, then give every (player, trial) its update of the stage with one
-        indexed update of the stack, in the float order of :func:`_learn`;
-        returns the states after the segment."""
+        stage, then give every (player, trial) its update of the stage in the
+        float order of :func:`_learn`; returns the states after the segment.
+
+        A stage of A actions makes 5 + A numpy calls: one gather of every
+        action plane's next-row entry and of the entry it writes, A - 1
+        folds of the minimum (the running minimum second, as ``min()``
+        keeps the first of tied values, 0.0 before -0.0), one multiply of
+        the minimum by beta and of the old entry by 1 - alpha, ``+ c`` and
+        ``* alpha`` on the minimum's row, the sum, and one scatter."""
         num_states, batch, length = successor.shape
         span = num_states * batch
         trials = np.arange(batch)
@@ -542,33 +554,39 @@ class _QStack:
         cells = now * length + np.arange(length)[:, None]
         # row (state, joint action) of a cost table, flattened
         cost_cells = now // batch * game.num_joint_actions + joint.take(cells)
-        # column block i of each: player i's (stage, trial) entries
-        shape = (length, len(tables) * batch)
-        entries = np.empty(shape, dtype=np.intp)
-        next_rows = np.empty(shape, dtype=np.intp)
-        costs = np.empty(shape)
+        # column block i of each: player i's (stage, trial) entries; rows
+        # 0..A-1 of a stage's entries hold the next row in each action
+        # plane, row A the entry the stage writes. Row t of ``written``
+        # holds stage t's costs until the stage writes its values over them
+        plane, width = self.q[0].size, len(self.q)
+        entries = np.empty((length, width + 1, len(tables) * batch), dtype=np.intp)
+        written = np.empty((length, len(tables) * batch))
         for i, (table, cost) in enumerate(zip(tables, game.costs)):
             columns = slice(i * batch, (i + 1) * batch)
-            np.multiply(table.take(cells), self.q[0].size, out=entries[:, columns], dtype=np.intp)
-            entries[:, columns] += now + i * span
-            np.add(after, i * span, out=next_rows[:, columns])
-            costs[:, columns] = cost.take(cost_cells)
+            np.add(after, i * span, out=entries[:, 0, columns])
+            np.multiply(table.take(cells), plane, out=entries[:, width, columns], dtype=np.intp)
+            entries[:, width, columns] += now + i * span
+            written[:, columns] = cost.take(cost_cells)
+        for a in range(1, width):
+            np.add(entries[:, 0], a * plane, out=entries[:, a])
 
         flat = self.q.reshape(-1)
-        first, *rest = self.q.reshape(len(self.q), -1)
-        keep, alpha, beta = self.keep, self.alpha, self.beta
-        written = np.empty(costs.shape)
-        for value, entry, next_row, cost in zip(written, entries, next_rows, costs):
+        alpha, scale = self.alpha, self.scale
+        read = np.empty(entries.shape[1:])
+        # the fold leaves the minimum in row A - 1, beside the old entry in
+        # row A, so one multiply scales both
+        folds = list(zip(read[1:width], read[: width - 1]))
+        pair, target, old = read[width - 1 :], read[width - 1], read[width]
+        for value, entry, write in zip(written, entries, entries[:, width]):
             # (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
-            target = first[next_row]
-            for column in rest:
-                np.minimum(target, column[next_row], out=target)
-            target *= beta
-            target += cost
+            flat.take(entry, None, read, "clip")
+            for later, running in folds:
+                np.minimum(later, running, out=later)
+            np.multiply(pair, scale, pair)
+            target += value  # the stage's costs
             target *= alpha
-            np.multiply(flat[entry], keep, out=value)
-            value += target
-            flat[entry] = value
+            np.add(old, target, value)
+            flat[write] = value
         np.maximum(self.max_abs_q, np.abs(written).max(axis=0), out=self.max_abs_q)
         return after[-1] // batch
 
@@ -635,7 +653,8 @@ def _learn(
     (states[k], actions[k]) per step, in order. Returns the running max |Q|,
     starting from ``max_abs_q``. The per-trial form of the update;
     :meth:`_QStack.play` is the lockstep form, with the same float operations
-    in the same order.
+    in the same order and the same minimum, signed zeros included: its fold
+    of a row keeps the first of tied values, as ``min`` does.
 
     ``mins[x]`` caches ``min(q[x])``, so a step reads its next row's minimum
     without scanning the row. After a step writes ``value`` over ``old`` in

@@ -151,6 +151,27 @@ def random_game(rng: np.random.Generator, num_players=2, max_states=3, max_actio
     )
 
 
+def seeded_game(rng, counts, num_states, costs=None, team=False) -> StochasticGame:
+    """A game of ``num_states`` states whose player i has ``counts[i]``
+    actions, at discount 0.8: per player, ``costs[i]`` or (drawn first, in
+    player order) costs uniform in [0, 10), player 0's for all if ``team``;
+    then kernel rows from a flat Dirichlet and a uniform initial
+    distribution."""
+    joint = int(np.prod(counts))
+    if costs is None:
+        costs = [rng.uniform(0.0, 10.0, size=(num_states, joint)) for _ in counts]
+        if team:
+            costs = costs[:1] * len(counts)
+    return StochasticGame(
+        states=tuple(f"s{x}" for x in range(num_states)),
+        action_sets=tuple(tuple(f"a{a}" for a in range(m)) for m in counts),
+        costs=tuple(costs),
+        discounts=(0.8,) * len(counts),
+        kernel=rng.dirichlet(np.ones(num_states), size=(num_states, joint)),
+        initial_dist=np.full(num_states, 1.0 / num_states),
+    )
+
+
 def matrix_game(cost0, cost1) -> StochasticGame:
     """One-state two-player game at discount 0.5 in which both players have m
     actions and player i pays cost_i[a_0][a_1] (each an m x m nested list)."""

@@ -21,7 +21,13 @@ from decqlearn.orchestrator import (
     run_episode,
     run_episodes,
 )
-from oracles import active_phases_bruteforce, random_game, simulate_stepwise
+from oracles import (
+    active_phases_bruteforce,
+    matrix_game,
+    random_game,
+    seeded_game,
+    simulate_stepwise,
+)
 
 
 def _configs(n=2, rho=0.05, lam=0.2, delta=0.5, alpha=0.08, **kwargs):
@@ -84,6 +90,25 @@ class TestRandomnessStreams:
         half = [streams.policy_draw(0, t, ((0, 1), (1,))) for t in range(200)]
         assert any(f != h for f, h in zip(full, half))
         assert all(h[1] == 1 for h in half)
+
+    def test_policy_draw_of_2_pow_63_policies_keeps_one_index(self):
+        # 63 states of two actions: the largest set one integer draw
+        # indexes; the pick is pinned to that draw's bits
+        pick = RandomnessStreams(7, trial=3).policy_draw(1, 500, ((0, 1),) * 63)
+        assert int("".join(map(str, pick)), 2) == 0x5551B5CE87C499A2
+
+    def test_policy_draw_past_2_pow_63_policies(self):
+        # 64 states of two actions (and a 128-state set of 3**128) overflow
+        # an int64 index: one draw per state, still keyed and uniform
+        streams = RandomnessStreams(7, trial=3)
+        allowed = ((0, 1),) * 64
+        picks = np.array([streams.policy_draw(1, t, allowed) for t in range(200)])
+        assert picks.shape == (200, 64)
+        assert abs(picks.mean() - 0.5) <= 4 * np.sqrt(0.25 / picks.size)
+        assert streams.policy_draw(1, 7, allowed) == tuple(picks[7])
+        wide = ((0, 2, 5),) * 128
+        pick = streams.policy_draw(0, 1, wide)
+        assert len(pick) == 128 and set(pick) <= {0, 2, 5}
 
     def test_rejects_bad_seed_and_empty_subset(self):
         with pytest.raises(ValueError):
@@ -503,6 +528,37 @@ class TestSegmentEngine:
         )
         assert sum(len(trace["events"]) for trace in traces) > 0
 
+    def test_signed_zero_ties(self, monkeypatch):
+        # every cost and initial Q entry is 0.0 or -0.0, so every value
+        # written is a signed zero and every next-row minimum a tie, which
+        # min() breaks by order: of 0.0 and -0.0 it keeps the first
+        rng = np.random.default_rng(41)
+
+        def signed_zeros(*shape):
+            return np.where(rng.random(shape) < 0.8, -0.0, 0.0)
+
+        game = seeded_game(rng, (2, 3), 3, costs=(signed_zeros(3, 6), signed_zeros(3, 6)))
+        configs = tuple(
+            AgentConfig(player=i, rho=0.2, lam=0.2, delta=0.5, alpha=0.1, initial_q=signed_zeros(3, m))
+            for i, m in enumerate(game.action_counts)
+        )
+        traces = self._assert_matches_stepwise(
+            monkeypatch, game, 20, 3, 300, (0, 30, 100, 299), seed=13, configs=configs
+        )
+        # -0.0 is written only where the cost, the old entry and the next
+        # row's minimum are all -0.0, so it dies out; records keep some
+        assert any("-0.0" in json.dumps(r["q_tables"]) for tr in traces for r in tr["records"][1:])
+
+    def test_one_action_each(self, monkeypatch):
+        # A = 1: the next row's minimum is its one entry, with no fold
+        game = seeded_game(np.random.default_rng(43), (1, 1), 3)
+        self._assert_matches_stepwise(monkeypatch, game, 40, 2, 1500, (0, 1499), seed=14)
+
+    def test_four_actions_beside_two(self, monkeypatch):
+        # A = 4: three folds of the minimum, over +inf padding for player 1
+        game = seeded_game(np.random.default_rng(47), (4, 2), 3)
+        self._assert_matches_stepwise(monkeypatch, game, 40, 3, 1500, (0, 700, 1499), seed=15)
+
     def test_boundary_at_every_stage(self, monkeypatch, benchmark_game):
         self._assert_matches_stepwise(monkeypatch, benchmark_game, 1, 1, 300, (0, 150), seed=2)
 
@@ -736,6 +792,21 @@ class TestFrozenQRun:
             soft = soften_policy(DeterministicPolicy(j, frozen[j]), 0.05, 2)
             target = q_star(benchmark_game, i, [soft], 1e-10)
             assert float(np.abs(tables[i].values - target.values).max()) < 1.0
+
+    def test_signed_zero_tie_in_both_forms(self, monkeypatch):
+        # row [0.0, -0.0], whose min() is 0.0: the update of entry 1 writes
+        # (1 - alpha) * -0.0 + alpha * (-0.0 + beta * 0.0) = 0.0, at every
+        # batch size
+        zeros = [[-0.0, -0.0], [-0.0, -0.0]]
+        game = matrix_game(zeros, zeros)
+        configs = _configs(initial_q=np.array([[0.0, -0.0]]))
+        streams = [RandomnessStreams(3, trial=k) for k in range(8)]
+        for lockstep_min in (1, 10**9):
+            monkeypatch.setattr(orchestrator, "_LOCKSTEP_MIN", lockstep_min)
+            tables = frozen_q_run(game, configs, ((1,), (1,)), streams, 5)
+            for trial in tables:
+                for table in trial:
+                    assert table.values.tobytes() == np.zeros((1, 2)).tobytes(), lockstep_min
 
     def test_steps_must_be_positive(self, benchmark_game):
         with pytest.raises(ValueError):
