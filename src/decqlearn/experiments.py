@@ -16,6 +16,7 @@ import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -227,10 +228,6 @@ def _run_trials(
     return [(tuple(r.at_equilibrium for r in tr.records), max(tr.max_abs_q)) for tr in traces]
 
 
-def _trials_worker(payload: tuple) -> list[tuple[tuple[bool, ...], float]]:
-    return _run_trials(*payload)
-
-
 def run_experiment(
     config: ExperimentConfig, out_dir: str | Path | None = None
 ) -> ExperimentResult:
@@ -256,12 +253,12 @@ def run_experiment(
     # one contiguous slice of trials per worker, played as one batch
     workers = min(config.workers, config.trials)
     cuts = [config.trials * w // workers for w in range(workers + 1)]
-    payloads = [(game, config, range(a, b)) for a, b in zip(cuts, cuts[1:])]
+    slices = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_trials_worker, payloads))
+            batches = list(pool.map(_run_trials, repeat(game), repeat(config), slices))
     else:
-        batches = [_trials_worker(p) for p in payloads]
+        batches = list(map(_run_trials, repeat(game), repeat(config), slices))
     outcomes = [outcome for batch in batches for outcome in batch]
 
     flags_by_trial = tuple(flags for flags, _ in outcomes)

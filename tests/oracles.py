@@ -151,12 +151,12 @@ def random_game(rng: np.random.Generator, num_players=2, max_states=3, max_actio
     )
 
 
-def seeded_game(rng, counts, num_states, costs=None, team=False) -> StochasticGame:
+def seeded_game(rng, counts, num_states, costs=None, team=False, discounts=None) -> StochasticGame:
     """A game of ``num_states`` states whose player i has ``counts[i]``
-    actions, at discount 0.8: per player, ``costs[i]`` or (drawn first, in
-    player order) costs uniform in [0, 10), player 0's for all if ``team``;
-    then kernel rows from a flat Dirichlet and a uniform initial
-    distribution."""
+    actions, at ``discounts[i]`` (0.8 by default): per player, ``costs[i]``
+    or (drawn first, in player order) costs uniform in [0, 10), player 0's
+    for all if ``team``; then kernel rows from a flat Dirichlet and a
+    uniform initial distribution."""
     joint = int(np.prod(counts))
     if costs is None:
         costs = [rng.uniform(0.0, 10.0, size=(num_states, joint)) for _ in counts]
@@ -166,7 +166,7 @@ def seeded_game(rng, counts, num_states, costs=None, team=False) -> StochasticGa
         states=tuple(f"s{x}" for x in range(num_states)),
         action_sets=tuple(tuple(f"a{a}" for a in range(m)) for m in counts),
         costs=tuple(costs),
-        discounts=(0.8,) * len(counts),
+        discounts=(0.8,) * len(counts) if discounts is None else discounts,
         kernel=rng.dirichlet(np.ones(num_states), size=(num_states, joint)),
         initial_dist=np.full(num_states, 1.0 / num_states),
     )

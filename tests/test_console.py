@@ -1,35 +1,67 @@
 """The console script end to end: ``python -m decqlearn.cli`` in a
-subprocess, on the contracts that only a whole run shows. A run's outputs do
-not depend on how its trials are split over workers, so a batch played in
-lockstep and the same trials played one by one write the same files; and a
-game whose greedy sets hold more than 2**63 policies simulates."""
+subprocess, on the contracts that only a whole run shows. Its exit codes
+reach the shell; a run's outputs do not depend on how its trials are split
+over workers, so a batch played in lockstep and the same trials played one
+by one write the same files; a game whose greedy sets hold more than 2**63
+policies simulates, and so does one at beta = 0.999; ``analyze`` prints the
+same bytes twice; and the README's library example prints what its
+comments say."""
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from decqlearn.game_model import save_game
+from decqlearn.experiments import build_benchmark_game
+from decqlearn.game_model import game_to_dict, save_game
 from oracles import seeded_game
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = _ROOT / "src"
 
 
-def _run(*args, timeout=300) -> subprocess.CompletedProcess:
+def _python(*args, code=0, timeout=300, cwd=None) -> subprocess.CompletedProcess:
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": str(_SRC) if not path else f"{_SRC}{os.pathsep}{path}"}
     done = subprocess.run(
-        [sys.executable, "-m", "decqlearn.cli", *map(str, args)],
+        [sys.executable, *map(str, args)],
         env=env,
         capture_output=True,
         text=True,
         timeout=timeout,
+        cwd=cwd,
     )
-    assert done.returncode == 0, done.stderr
+    assert done.returncode == code, done.stderr
     return done
+
+
+def _run(*args, **kwargs) -> subprocess.CompletedProcess:
+    return _python("-m", "decqlearn.cli", *args, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["analyze", "benchmark"], 0),
+        (["analyze", "nan-kernel.json"], 1),
+        (["simulate", "benchmark", "--config", "mistyped.json", "--out-dir", "run"], 2),
+    ],
+    ids=["analyze", "nan-kernel-analyze", "mistyped-config-simulate"],
+)
+def test_exit_codes_reach_the_shell(tmp_path, args, code):
+    # a NaN kernel entry is a violation (exit 1), a mistyped field a usage
+    # error (exit 2)
+    doc = game_to_dict(build_benchmark_game())
+    doc["kernel"][0][0] = [float("nan"), 1.0]
+    (tmp_path / "nan-kernel.json").write_text(json.dumps(doc))
+    (tmp_path / "mistyped.json").write_text('{"trials": "x"}')
+    _run(*args, code=code, cwd=tmp_path)
 
 
 def _assert_same_outputs(a: Path, b: Path) -> None:
@@ -76,3 +108,47 @@ def test_simulate_a_game_of_more_than_2_pow_63_greedy_policies(tmp_path):
     _run("simulate", tmp_path / "game.json", "--config", tmp_path / "config.json", "--out-dir", out)
     summary = json.loads((out / "summary.json").read_text())
     assert sorted(summary["frequencies"]) == ["0", "1999"]
+
+
+def test_simulate_a_seeded_beta_0_999_game(tmp_path):
+    game = seeded_game(np.random.default_rng(999), (2, 2), 3, discounts=(0.999, 0.999))
+    save_game(game, tmp_path / "game.json")
+    config = {"trials": 16, "horizon": 20_000, "record_times": [0, 19_999], "min_phase": 200}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "run"
+    _run(
+        "simulate", tmp_path / "game.json", "--config", tmp_path / "config.json",
+        "--out-dir", out, timeout=120,
+    )
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary["frequencies"]) == ["0", "19999"]
+
+
+@pytest.mark.parametrize(
+    "seed, counts, discounts, states",
+    [
+        # players 0 and 2 share a discount and an action count, player 1
+        # shares neither: two exact-solver groups
+        (7, (2, 3, 2), (0.8, 0.9, 0.8), 3),
+        (99, (3, 3), (0.99, 0.99), 4),
+    ],
+    ids=["two-groups", "beta-0.99"],
+)
+def test_analyze_is_repeatable(tmp_path, seed, counts, discounts, states):
+    game = seeded_game(np.random.default_rng(seed), counts, states, discounts=discounts)
+    save_game(game, tmp_path / "game.json")
+    reports = [
+        _run("analyze", tmp_path / "game.json", "--rho", 0.05, timeout=120).stdout
+        for _ in range(2)
+    ]
+    assert reports[0] == reports[1]
+    delta_bar = json.loads(reports[0])["delta_bar"]
+    assert isinstance(delta_bar, float) and math.isfinite(delta_bar)
+
+
+def test_readme_library_example_prints_its_commented_outputs():
+    readme = (_ROOT / "README.md").read_text()
+    block = re.search(r"## Library example\n\n```python\n(.*?)```", readme, re.S).group(1)
+    expected = re.findall(r"^print\(.*#\s*(.+?)\s*$", block, re.M)
+    assert len(expected) == len(re.findall(r"^print\(", block, re.M))
+    assert _python("-c", block).stdout.splitlines() == expected
