@@ -9,6 +9,7 @@ flows from ``--seed``; omitting it means seed 0, never wall-clock entropy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,10 @@ from .experiments import (
 )
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` keeps no state
+    between calls, so each call's options start from the defaults."""
     parser = argparse.ArgumentParser(
         prog="decqlearn",
         description="Decentralized Q-learning for finite stochastic games",
@@ -56,8 +60,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run the built-in benchmark with its standard parameters",
     )
     bench.add_argument("--trials", type=int, default=500)
-    bench.add_argument("--horizon", type=int, default=100_000)
-    bench.add_argument("--full", action="store_true", help="use the 10^6 stage horizon")
+    length = bench.add_mutually_exclusive_group()
+    length.add_argument("--horizon", type=int, default=100_000)
+    length.add_argument("--full", action="store_true", help="use the 10^6 stage horizon")
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--workers", type=int, default=1)
     bench.add_argument("--out-dir", type=Path, default=Path("out"))

@@ -3,8 +3,9 @@
 Fixing the other players' stationary policies turns one player's problem into
 a single-agent MDP; everything here is built on that reduction: optimal
 Q-functions (value iteration on Q-factors, and batched policy iteration for
-the labels of visited joints), policy evaluation, epsilon-greedy
-policy sets, equilibrium tests, a joint-reachability check, and one
+the labels of visited joints and, with value iteration again wherever its
+digits could reach a result, for the analysis), policy evaluation,
+epsilon-greedy policy sets, equilibrium tests, a joint-reachability check, and one
 :class:`ExactAnalysis` behind the equilibria, the best-response graph, the
 minimum nonzero Q-gap ``delta_bar`` and the experimentation perturbation gap.
 These are the ground-truth oracles the learning code is tested against.
@@ -258,7 +259,7 @@ def _value_iteration(
 
 def _policy_iteration(
     cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Howard policy iteration on the stacks ``_value_iteration`` takes. Each
     member starts from its greedy policy on cost, is evaluated by one batched
     linear solve of I - beta P_pi per step, and keeps each action unless
@@ -270,13 +271,14 @@ def _policy_iteration(
     count grows with the policies tried, not with 1 / (1 - beta). The
     evaluation's Q-factors and the Bellman check both take the product of
     ``_value_iteration``, one gemv per member (``_backup``). A non-finite
-    cost or kernel entry is a ValueError."""
+    cost or kernel entry is a ValueError. Returns the tables and each
+    member's Bellman residual max |T q - q| as computed (0 for beta = 0)."""
     _check_finite(cost, kernel)
     if beta == 0.0:
-        return cost.copy()
+        return cost.copy(), np.zeros(len(cost))
     num_states = cost.shape[1]
     states, eye = np.arange(num_states), np.eye(num_states)
-    out = np.empty_like(cost)
+    out, residuals = np.empty_like(cost), np.empty(len(cost))
     live = np.arange(len(cost))
     policy = cost.argmin(axis=-1)
     for _ in range(_MAX_POLICY_ITERATIONS):
@@ -297,12 +299,106 @@ def _policy_iteration(
                     f"policy iteration lost precision: Bellman residual "
                     f"{residual.max():.3g} above tol {tol:.3g} at discount {beta}"
                 )
-            out[settled] = q
+            out[settled], residuals[settled] = q, residual
             live, cost, kernel = (a[~done] for a in (live, cost, kernel))
             if not live.size:
-                return out
+                return out, residuals
         policy = np.where(better, best, policy)[~done]
     raise RuntimeError("policy iteration did not settle")
+
+
+def _policy_solve(
+    cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Policy iteration on a stack, with each member's margin (``_margin``)
+    from the table ``_value_iteration`` gives the same member. A stack on
+    which policy iteration raises RuntimeError is solved by value iteration
+    instead (``_value_solve``), with margin 0."""
+    try:
+        q, residual = _policy_iteration(cost, kernel, beta, tol)
+    except RuntimeError:
+        return _value_solve(cost, kernel, beta, tol)
+    if beta == 0.0:
+        return q, np.zeros(len(q))
+    return q, _margin(q, residual, kernel, beta, tol)
+
+
+def _up(x: np.ndarray | float) -> np.ndarray:
+    """The next float above x: an upper bound on the exact result of the
+    one rounded-to-nearest operation that gave x."""
+    return np.nextafter(x, np.inf)
+
+
+def _down(x: np.ndarray | float) -> np.ndarray:
+    """The next float below x: a lower bound, as ``_up`` is an upper one."""
+    return np.nextafter(x, -np.inf)
+
+
+def _margin(
+    q: np.ndarray, residual: np.ndarray, kernel: np.ndarray, beta: float, tol: float
+) -> np.ndarray:
+    """Per member of a policy-iteration stack, from its table p (K, S, A),
+    its computed Bellman residual and its kernel: a margin m such that every
+    test ``ExactAnalysis`` reads off two entries decides on p as on the
+    table v of ``_value_iteration`` unless the test's operand lies within 2m
+    of its threshold (m + m' for entries of two members).
+
+    Derivation, with u = eps / 2 the unit roundoff, gamma = (S + 1) u /
+    (1 - (S + 1) u) (Higham's gamma_{S+1}), |.| the max norm of a member's
+    table, P = |p| and T the exact Bellman operator of the stored cost c and
+    kernel, T q = c + beta K min q (min over actions):
+    - T is a kappa-contraction, kappa = beta rho with rho the largest row
+      mass of K, whose float sum of S terms is within gamma of it.
+    - One float backup fl(T) q, a sum of S products (BLAS, any order), a
+      scale and an add, satisfies |fl(T) q - T q| <= gamma (|q| + |fl(T) q|).
+    - Value iteration stops at v = fl(T) w once its computed gap is at most
+      its computed threshold th, so the exact gap g = |v - w| <= th / (1 - u).
+      From |v - q*| <= |fl(T) w - T w| + kappa |w - q*| and
+      |w - q*| <= g + |v - q*|: (1 - kappa) |v - q*| <= kappa g
+      + gamma (2 |v| + g).
+    - Policy iteration's computed residual r bounds the exact
+      |fl(T) p - p| by r / (1 - u), so (1 - kappa) |p - q*| <= r / (1 - u)
+      + gamma (2 P + r / (1 - u)).
+    - With |v| <= P + D, the distance D = |v - p| satisfies
+      D <= (kappa th' + r' + gamma (4 P + th' + r')) / (1 - kappa - 2 gamma),
+      th' = th / (1 - u), r' = r / (1 - u).
+    The tests take float differences of two entries, each operation moving
+    its result by at most u times its magnitude:
+    - greedy, v_a <= fl(v_b + tol) (``_greedy_mask``, whose min + tol is the
+      least of these): if v and p decide it apart, |(p_a - p_b) - tol| <=
+      2 D + u (P + D + tol), and ``_reaching`` reads that through
+      fl(|fl(|fl(p_a - p_b)|) - tol|), within u (4 P + tol) (1 + u) more;
+    - ``delta_bar``, the least gap fl(|v_a - v_b|) >= 10 tol: the two
+      tables' gaps differ by at most 2 D + u (4 P + 2 D), and ``_reaching``
+      adds 2m to or takes it from a gap, one rounding of u (2 P + 2 m);
+    - ``gap``, the largest shift fl(|v - v'|) of a plain and a softened
+      member: the two readings differ by at most D + D' + u (2 P + 2 P' +
+      D + D'), and the sum m + m' and the bounds round by u (P + P' +
+      2 m + 2 m').
+    So m = D + 4 u (P + D + tol) covers each: 2m (m + m' for two members)
+    exceeds every sum above. Every operation here is evaluated in float and
+    stepped one float outwards (``_up``, ``_down``), so the computed m bounds
+    the exact one. With 1 - kappa - 2 gamma <= 0 the margin is inf."""
+    u = np.finfo(float).eps / 2.0
+    n = kernel.shape[-1] + 1
+    gamma = _up(n * u / (1.0 - n * u))
+    rho = _up(kernel.sum(axis=-1).reshape(len(q), -1).max(axis=1) * _up(1.0 + 2.0 * gamma))
+    kappa = _up(beta * rho)
+    room = _down(_down(1.0 - kappa) - 2.0 * gamma)
+    th = _up(tol * (1.0 - beta) / (2.0 * beta) / (1.0 - u))
+    r = _up(residual / (1.0 - u))
+    size = np.abs(q).reshape(len(q), -1).max(axis=1)
+    spread = _up(gamma * _up(_up(4.0 * size + th) + r))
+    dist = _up(_up(_up(kappa * th) + r) + spread)
+    dist = np.where(room > 0.0, _up(dist / np.maximum(room, u)), np.inf)
+    return _up(dist + _up(4.0 * u * _up(_up(size + dist) + tol)))
+
+
+def _value_solve(
+    cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_value_iteration`` in the form of ``_policy_solve``: margin 0."""
+    return _value_iteration(cost, kernel, beta, tol), np.zeros(len(cost))
 
 
 def q_star(
@@ -379,12 +475,15 @@ def label_equilibria(
     A joint without one policy per player, or with a policy that breaks the
     choice rule (``game_model._choice_for``), is a ValueError naming it.
 
-    The stacks are solved by policy iteration (``_policy_iteration``), which
-    stays fast at discounts near 1 where value iteration needs ~1 / (1 - beta)
-    sweeps; ``ExactAnalysis``, behind ``equilibrium_set``, keeps value
-    iteration. The two solvers differ by solver error only, so a label equals
-    membership in ``equilibrium_set(game, tol)`` except where some Q-gap lies
-    within that error of the tol slack."""
+    The stacks are solved by policy iteration alone (``_policy_iteration``),
+    which stays fast at discounts near 1 where value iteration needs
+    ~1 / (1 - beta) sweeps, and raises where it loses precision, where value
+    iteration would need more sweeps still. Unlike ``ExactAnalysis``, behind
+    ``equilibrium_set``, no member is solved again by value iteration: every
+    member of a game with exactly tied Q-values would be. So a label equals
+    membership in ``equilibrium_set(game, tol)`` except where some Q-gap
+    lies within the member's margin (``_margin``) of the tol slack, where
+    the analysis reads value iteration's digits."""
     check_input("tol", tol)
     if eps < 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
@@ -405,7 +504,7 @@ def label_equilibria(
         opponents[i] = np.array(list(distinct), dtype=np.intp).reshape(
             len(distinct), num_players - 1, num_states
         )
-    solved = _solve_stack(game, tol, [(0.0,) * num_players], opponents, _policy_iteration)
+    solved, _ = _solve_stack(game, tol, [(0.0,) * num_players], opponents, _policy_iteration)
     labels = np.ones(len(checked), dtype=bool)
     for i, rows_i in enumerate(rows):
         own = np.array([joint[i] for joint in checked], dtype=np.intp).reshape(-1, num_states)
@@ -415,40 +514,54 @@ def label_equilibria(
     return labels.tolist()
 
 
+def _action_gaps(q: np.ndarray) -> np.ndarray:
+    """|q[..., a] - q[..., b]| over the action pairs a < b of each state:
+    (..., A (A - 1) / 2). A float difference only changes sign when its
+    operands swap, so these hold every gap between two distinct actions."""
+    a, b = np.triu_indices(q.shape[-1], 1)
+    return np.abs(q[..., a] - q[..., b])
+
+
 def _solve_stack(
     game: StochasticGame,
     tol: float,
     rhos: Sequence[Sequence[float]],
     opponents: Mapping[int, np.ndarray],
-    _solver: Callable[..., np.ndarray] = _value_iteration,
-) -> dict[int, np.ndarray]:
+    _solver: Callable[..., tuple[np.ndarray, np.ndarray]] = _policy_solve,
+) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Q* of each player i of ``opponents`` against its deterministic opponent
     joints ``opponents[i]``, a (K_i, N - 1, S) int array of the opponents'
     action ids (joint, opponent in id order, state), once per rho set of
     ``rhos``, each opponent j softened by rho[j] as ``soften_policy`` does:
-    ``{i: (R, K_i, S, A_i)}``, one row per rho set and per joint.
+    ``{i: (R, K_i, S, A_i)}``, one row per rho set and per joint, and the
+    solver's second output per row, ``{i: (R, K_i)}``: the margin from value
+    iteration's table for ``_policy_solve`` and ``_value_solve``, the
+    Bellman residual for ``_policy_iteration``.
 
     Players that share a discount and an action count form one group, whose
     members (player, then rho set, then joint) go to the stack solver
-    ``_solver`` in calls of at most _SOLVE_MEMBERS, so a game whose players
-    all share both makes one call. Each member's result does not depend on
-    the others in its call.
+    ``_solver`` in calls of at most
+    _SOLVE_MEMBERS, so a game whose players all share both makes one call.
+    Each member's result does not depend on the others in its call.
 
     ``ExactAnalysis`` solves its plain and softened tables (``table``,
-    ``softened``) in one call with the default, ``_value_iteration``: the
-    digits of ``delta_bar`` and of the perturbation gap that ``analyze``
-    prints are those of value iteration. ``label_equilibria`` passes one rho
-    set and ``_policy_iteration``, whose cost does not grow like
-    1 / (1 - beta) with the discount."""
+    ``softened``) in one call, and ``label_equilibria`` its one rho set
+    (``_policy_iteration``), both by policy iteration, whose cost does not
+    grow like 1 / (1 - beta) with the discount. Its tables differ from value iteration's in the last
+    digits, within the margin, so ``ExactAnalysis`` then passes the members
+    whose value-iteration digits can reach a result to ``_refine``: every
+    digit it reports is value iteration's, whichever solver ran first."""
     counts, num_states = game.action_counts, game.num_states
     out = {i: np.empty((len(rhos), len(opp), num_states, counts[i])) for i, opp in opponents.items()}
+    margins = {i: np.empty((len(rhos), len(opp))) for i, opp in opponents.items()}
     groups: dict[tuple[float, int], list[int]] = {}
     for i in opponents:
         groups.setdefault((game.discounts[i], counts[i]), []).append(i)
     for (beta, _), players in groups.items():
-        # the group's members, run by run: (player, rho set, its output rows)
-        runs = [(i, rho, out[i][r]) for i in players for r, rho in enumerate(rhos)]
-        starts = list(itertools.accumulate((len(rows) for _, _, rows in runs), initial=0))
+        # the group's members, run by run: (player, rho set, its output rows
+        # and margins)
+        runs = [(i, rho, (out[i][r], margins[i][r])) for i in players for r, rho in enumerate(rhos)]
+        starts = list(itertools.accumulate((len(rows) for *_, (rows, _) in runs), initial=0))
         for lo in range(0, starts[-1], _SOLVE_MEMBERS):
             hi = lo + _SOLVE_MEMBERS
             # each run's joints [a, b) among the call's members [lo, hi)
@@ -461,9 +574,35 @@ def _solve_stack(
             solved = _solver(*(np.concatenate(parts) for parts in zip(*stacks)), beta, tol)
             first = 0
             for *_, rows, a, b in pieces:
-                rows[a:b] = solved[first : first + b - a]
+                for part, result in zip(rows, solved):
+                    part[a:b] = result[first : first + b - a]
                 first += b - a
-    return out
+    return out, margins
+
+
+def _refine(
+    game: StochasticGame,
+    tol: float,
+    rhos: Sequence[Sequence[float]],
+    opponents: Mapping[int, np.ndarray],
+    tables: Mapping[int, np.ndarray],
+    margins: Mapping[int, np.ndarray],
+    chosen: Mapping[int, np.ndarray],
+) -> None:
+    """Solve again by value iteration, in place, the members of
+    ``_solve_stack``'s ``tables`` that ``chosen`` marks ({i: (R, K_i) bool})
+    and whose margin is not 0 (a margin of 0 marks value iteration's bytes
+    already). Each such joint is solved at every rho set, so all of them go
+    to one ``_solve_stack`` call. Neither a member's induced MDP
+    (``_softened_stack``) nor its value-iteration table depends on the other
+    members of its call, so each row it writes holds exactly the bytes of a
+    solve of every member by value iteration."""
+    rows = {i: np.flatnonzero((pick & (margins[i] > 0.0)).any(axis=0)) for i, pick in chosen.items()}
+    rows = {i: k for i, k in rows.items() if k.size}
+    if rows:
+        solved, _ = _solve_stack(game, tol, rhos, {i: opponents[i][k] for i, k in rows.items()}, _value_solve)
+        for i, k in rows.items():
+            tables[i][:, k] = solved[i]
 
 
 def _softened_stack(
@@ -521,14 +660,27 @@ class ExactAnalysis:
     ``deltas``; the constructor checks each one given, whatever else is
     given. Each attribute is built on first use and cached:
     ``table`` (per player, Q* against every deterministic opponent joint in
-    ``itertools.product`` order, each best response solved once), the greedy
-    ``grids``, ``equilibria``, ``delta_bar``, ``softened`` (the table against
-    opponents softened by ``rhos``), ``gap`` and ``bound``. Each player's
-    opponent joints are decoded once, and every player's are solved in one
-    ``_solve_stack`` call: one value-iteration stack per group of players
-    that share a discount and an action count, holding the plain and, when
-    ``rhos`` are given, the softened members together, so ``table`` and
-    ``softened`` share one cached solve.
+    ``itertools.product`` order), the greedy ``grids``, ``equilibria``,
+    ``delta_bar``, ``softened`` (the table against opponents softened by
+    ``rhos``), ``gap`` and ``bound``. Each player's opponent joints are
+    decoded once, and every player's are solved in one ``_solve_stack``
+    call: one policy-iteration stack per group of players that share a
+    discount and an action count, holding the plain and, when ``rhos`` are
+    given, the softened members together, so ``table`` and ``softened``
+    share one cached solve. A stack on which policy iteration raises is
+    solved by value iteration instead.
+
+    The digits the results read are value iteration's. Policy iteration
+    costs a few linear solves per member where value iteration sweeps about
+    log(tol) / log(beta) times, but its tables differ from value
+    iteration's in the last digits, within each member's margin
+    (``_margin``). So the members whose value-iteration digits can
+    reach a result (``_reaching``: a greedy test, the ``delta_bar`` minimum
+    or the ``gap`` maximum within the margin) are solved again by value
+    iteration (``_refine``), and the grids, ``equilibria``, path lengths,
+    ``delta_bar`` and ``gap`` equal, bit for bit, those of a solve of every
+    member by value iteration. ``table`` and ``softened`` hold value
+    iteration's bytes on those members and policy iteration's elsewhere.
 
     The best-response graph is held as arrays over the nodes, the joint
     policies in ``itertools.product`` order (the flat (C) order of the
@@ -562,8 +714,9 @@ class ExactAnalysis:
     @functools.cached_property
     def _solved(self) -> list[np.ndarray]:
         """Per player, Q* against every opponent joint, from one grouped
-        solve: (1, K, S, A), the plain table, or (2, K, S, A) with the
-        softened one."""
+        policy-iteration solve, with value iteration again on the members
+        ``_reaching`` marks: (1, K, S, A), the plain table, or (2, K, S, A)
+        with the softened one."""
         sizes = self._sizes
         solves = sum(math.prod(sizes[:i] + sizes[i + 1 :]) for i in range(len(sizes)))
         if solves > self.budget:
@@ -579,8 +732,45 @@ class ExactAnalysis:
         for i in players:
             others = [j for j in players if j != i]
             opponents[i] = self._decode(others, np.arange(math.prod(sizes[j] for j in others)))
-        solved = _solve_stack(self.game, self.tol, rhos, opponents)
+        solved, margins = _solve_stack(self.game, self.tol, rhos, opponents)
+        _refine(self.game, self.tol, rhos, opponents, solved, margins, self._reaching(solved, margins))
         return [solved[i] for i in players]
+
+    def _reaching(
+        self, solved: Mapping[int, np.ndarray], margins: Mapping[int, np.ndarray]
+    ) -> dict[int, np.ndarray]:
+        """Per player, the (R, K) members whose value-iteration digits can
+        reach a result, with m each member's margin (``_margin``), whose
+        derivation covers the float operations here:
+        - a member with a gap within 2m of tol, where a greedy test of
+          ``grids`` may flip;
+        - a member with a gap that may count for ``delta_bar`` (at least
+          10 * tol - 2m) and may be its minimum (at most 2m below the least
+          upper end among the gaps that surely count);
+        - with rhos, the plain and softened members of a joint whose shift
+          may be the ``gap`` maximum (at most m_plain + m_soft above the
+          greatest lower end).
+        Once these hold value iteration's bytes, each of those results
+        equals, bit for bit, the one read off a table solved by value
+        iteration alone: its deciding entries carry those bytes, and every
+        other entry lies on the same side of every test."""
+        tol = self.tol
+        chosen = {i: np.zeros(m.shape, dtype=bool) for i, m in margins.items()}
+        gaps = {i: _action_gaps(q[0]) for i, q in solved.items()}
+        reach = {i: 2.0 * m[0][:, None, None] for i, m in margins.items()}
+        sure = [(g + reach[i])[g - reach[i] >= 10.0 * tol] for i, g in gaps.items()]
+        upper = min(s.min(initial=math.inf) for s in sure)
+        for i, g in gaps.items():
+            may_be_least = (g + reach[i] >= 10.0 * tol) & (g - reach[i] <= upper)
+            near = np.abs(g - tol) <= reach[i]
+            chosen[i][0] = (near | may_be_least).any(axis=(1, 2))
+        if self.rhos is not None:
+            shift = {i: np.abs(q[0] - q[1]).reshape(q.shape[1], -1) for i, q in solved.items()}
+            both = {i: m.sum(axis=0)[:, None] for i, m in margins.items()}
+            lower = max((s - both[i]).max(initial=-math.inf) for i, s in shift.items())
+            for i, s in shift.items():
+                chosen[i] |= (s + both[i] >= lower).any(axis=1)
+        return chosen
 
     @functools.cached_property
     def table(self) -> list[np.ndarray]:
@@ -707,9 +897,7 @@ class ExactAnalysis:
 
     @functools.cached_property
     def delta_bar(self) -> float:
-        gaps = np.concatenate(
-            [np.abs(q[..., :, None] - q[..., None, :]).ravel() for q in self.table]
-        )
+        gaps = np.concatenate([_action_gaps(q).ravel() for q in self.table])
         nonzero = gaps[gaps >= 10.0 * self.tol]
         return float(nonzero.min()) if nonzero.size else math.inf
 

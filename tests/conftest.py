@@ -33,14 +33,16 @@ def pennies_game():
 @pytest.fixture()
 def solve_calls(monkeypatch):
     """Every best-response solve ``exact_solver`` makes during the test, in
-    call order: per ``_solve_stack`` call, the players it solves and its rho
-    sets, as (tuple of players, tuple of rho tuples). Any further argument
-    goes to ``_solve_stack`` unchanged."""
+    call order: per ``_solve_stack`` call, the players it solves, its rho
+    sets and each player's number of opponent joints, as (tuple of players,
+    tuple of rho tuples, tuple of counts). Any further argument goes to
+    ``_solve_stack`` unchanged."""
     solve = exact_solver._solve_stack
     calls = []
 
     def counted(game, tol, rhos, opponents, *args, **kwargs):
-        calls.append((tuple(opponents), tuple(map(tuple, rhos))))
+        counts = tuple(len(opp) for opp in opponents.values())
+        calls.append((tuple(opponents), tuple(map(tuple, rhos)), counts))
         return solve(game, tol, rhos, opponents, *args, **kwargs)
 
     monkeypatch.setattr(exact_solver, "_solve_stack", counted)

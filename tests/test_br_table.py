@@ -10,8 +10,8 @@ on every object read off the masks.
 """
 
 import dataclasses
-import functools
 import itertools
+import json
 import math
 import re
 
@@ -27,9 +27,11 @@ from decqlearn.exact_solver import (
     InducedMdp,
     _greedy_mask,
     _policy_iteration,
+    _policy_solve,
     _softened_stack,
     _solve_stack,
     _value_iteration,
+    _value_solve,
     delta_bar,
     equilibrium_set,
     label_equilibria,
@@ -57,6 +59,7 @@ from oracles import (
     q_value_iteration_single,
     random_game,
     random_stationary,
+    seeded_game,
     value_iteration_stack,
 )
 
@@ -161,7 +164,17 @@ def _opponents(game, i):
     return np.array(joints, dtype=np.intp).reshape(shape)
 
 
+def _solver_bound(beta):
+    """Sup distance between a policy- and a value-iteration table of one
+    MDP: value iteration's bound tol / 2 plus policy iteration's, its
+    Bellman residual (at most tol) over 1 - beta."""
+    return TOL * (0.5 + 1.0 / (1.0 - beta))
+
+
 def test_tables_match_single_solves(game, monkeypatch):
+    # The value-iteration stack against single solves by bytes; the
+    # analysis's tables, policy iteration's but where value iteration's
+    # digits reach a result, within the solver bound.
     rhos, plain = _rhos(game), (0.0,) * game.num_players
     rng = np.random.default_rng(game.num_states)
     analysis = ExactAnalysis(game, TOL, rhos=rhos)
@@ -174,14 +187,15 @@ def test_tables_match_single_solves(game, monkeypatch):
         soft[i] = [
             q_star_single(game, i, opponent_policies(game, i, opp, rhos), TOL) for opp in joints
         ]
-        assert [q.tobytes() for q in analysis.table[i]] == [q.tobytes() for q in base[i]]
-        assert [q.tobytes() for q in analysis.softened[i]] == [q.tobytes() for q in soft[i]]
+        bound = _solver_bound(game.discounts[i])
+        assert np.abs(analysis.table[i] - base[i]).max() <= bound
+        assert np.abs(analysis.softened[i] - soft[i]).max() <= bound
     # chosen rows, out of order and repeated, solve to the same rows
     members = {i: rng.integers(0, len(opponents[i]), size=11).tolist() for i in players}
     for block in BLOCKS:
         monkeypatch.setattr(exact_solver, "_SOLVE_MEMBERS", block)
-        solved = _solve_stack(game, TOL, [plain, rhos], opponents)
-        chosen = _solve_stack(game, TOL, [rhos], {i: opponents[i][members[i]] for i in players})
+        solved, _ = _solve_stack(game, TOL, [plain, rhos], opponents, _value_solve)
+        chosen, _ = _solve_stack(game, TOL, [rhos], {i: opponents[i][members[i]] for i in players}, _value_solve)
         for i in players:
             table, softened = solved[i]
             assert [q.tobytes() for q in table] == [q.tobytes() for q in base[i]]
@@ -191,7 +205,7 @@ def test_tables_match_single_solves(game, monkeypatch):
     for i in players:
         for k in members[i]:
             for r, rho in enumerate((plain, rhos)):
-                (alone,) = _solve_stack(game, TOL, [rho], {i: opponents[i][k : k + 1]}).values()
+                (alone,) = _solve_stack(game, TOL, [rho], {i: opponents[i][k : k + 1]}, _value_solve)[0].values()
                 assert alone.shape == (1, 1) + solved[i][r, k].shape
                 assert alone[0, 0].tobytes() == solved[i][r, k].tobytes()
 
@@ -313,10 +327,11 @@ GROUPED = dict(_grouped_games())
 @pytest.mark.parametrize("solver", [_value_iteration, _policy_iteration])
 @pytest.mark.parametrize("name", sorted(GROUPED))
 def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatch):
-    # Each player's rows equal its own stacks solved one per rho set, by
-    # bytes; the group of each (discount, action count) goes to the solver in
-    # ceil(members / block) calls, and a block of 3 cuts across players and
-    # rho sets.
+    # Each player's rows and margins equal its own stacks solved one per rho
+    # set, by bytes; the group of each (discount, action count) goes to the
+    # solver in ceil(members / block) calls, and a block of 3 cuts across
+    # players and rho sets.
+    solver = {_value_iteration: _value_solve, _policy_iteration: _policy_solve}[solver]
     game = GROUPED[name]
     players = range(game.num_players)
     rho_sets = [(0.0,) * game.num_players, _rhos(game)]
@@ -328,12 +343,13 @@ def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatc
         return solver(cost, kernel, beta, tol)
 
     monkeypatch.setattr(exact_solver, "_SOLVE_MEMBERS", block)
-    got = _solve_stack(game, TOL, rho_sets, opponents, counted)
-    assert sorted(got) == list(players)
+    got, margins = _solve_stack(game, TOL, rho_sets, opponents, counted)
+    assert sorted(got) == sorted(margins) == list(players)
     for i in players:
         beta = game.discounts[i]
         alone = [solver(*_softened_stack(game, i, rho, opponents[i]), beta, TOL) for rho in rho_sets]
-        assert got[i].tobytes() == np.stack(alone).tobytes()
+        assert got[i].tobytes() == np.stack([q for q, _ in alone]).tobytes()
+        assert margins[i].tobytes() == np.stack([m for _, m in alone]).tobytes()
     groups: dict[tuple[float, int], int] = {}
     for i in players:
         key = (game.discounts[i], game.action_counts[i])
@@ -346,18 +362,18 @@ def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatc
 
 
 def test_analysis_matches_broadcast_product(game, monkeypatch):
-    # The exact analysis against one whose stacks policy iteration solves, at
-    # the game's own discounts and with each nonzero discount at 0.99: the
-    # same greedy masks, equilibria, path lengths and report fields, and
-    # delta_bar and the gap within twice the sum of the two solvers' error
-    # bounds, tol + tol / (1 - beta).
-    by_policy_iteration = functools.partial(exact_solver._solve_stack, _solver=_policy_iteration)
+    # The exact analysis against one whose stacks policy iteration alone
+    # solves (no member solved again by value iteration), at the game's own
+    # discounts and with each nonzero discount at 0.99: the same greedy
+    # masks, equilibria, path lengths and report fields, and delta_bar and
+    # the gap within twice the sum of the two solvers' error bounds,
+    # tol + tol / (1 - beta).
     at_099 = tuple(0.99 if beta else 0.0 for beta in game.discounts)
     for variant in (game, dataclasses.replace(game, discounts=at_099)):
         rhos = _rhos(variant)
         analysis = ExactAnalysis(variant, TOL, rhos=rhos)
         with monkeypatch.context() as patch:
-            patch.setattr(exact_solver, "_solve_stack", by_policy_iteration)
+            patch.setattr(exact_solver, "_refine", lambda *args: None)
             reference = ExactAnalysis(variant, TOL, rhos=rhos)
             reference.path_len, reference.gap, reference.delta_bar
         for table in ("table", "softened"):
@@ -372,6 +388,188 @@ def test_analysis_matches_broadcast_product(game, monkeypatch):
         bound = 2.0 * TOL * (1.0 + 1.0 / (1.0 - max(variant.discounts)))
         assert analysis.delta_bar == pytest.approx(reference.delta_bar, rel=0.0, abs=bound)
         assert analysis.gap == pytest.approx(reference.gap, rel=0.0, abs=bound)
+
+
+def _report(game, rhos=None, deltas=None) -> str:
+    """The ``analyze`` report as the console prints it, with the
+    ``exact-grid`` benchmark's lambda, eps and ratio."""
+    lambdas = (0.2,) * game.num_players
+    report = analyze_game(game, rhos=rhos, deltas=deltas, lambdas=lambdas, eps=0.1, ratio=3, tol=TOL)
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def _solved(game, rhos=None) -> ExactAnalysis:
+    """The analysis with its tables solved, so that no later read solves."""
+    analysis = ExactAnalysis(game, TOL, rhos=rhos)
+    analysis._solved
+    return analysis
+
+
+def _by_value_iteration(monkeypatch, build):
+    """``build()`` with every stack of the analysis solved by value iteration
+    alone, as a full solve gives it: policy iteration raises, so each stack
+    falls back, and with no margin no member is solved again."""
+
+    def refuse(*args):
+        raise RuntimeError("policy iteration refused")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exact_solver, "_policy_iteration", refuse)
+        return build()
+
+
+def _assert_value_iteration_bytes(game, monkeypatch, rhos=None, deltas=None) -> None:
+    """The report of ``game`` equals, byte for byte, the report of a full
+    value-iteration solve; so do the grids and path lengths, and every table
+    entry lies within the solver bound of value iteration's."""
+    report = _report(game, rhos, deltas)
+    assert report == _by_value_iteration(monkeypatch, lambda: _report(game, rhos, deltas))
+    analysis = ExactAnalysis(game, TOL, rhos=rhos)
+    reference = _by_value_iteration(monkeypatch, lambda: _solved(game, rhos))
+    for grid, expected in zip(analysis.grids, reference.grids):
+        assert np.array_equal(grid, expected)
+    assert np.array_equal(analysis.path_len, reference.path_len)
+    for i, (q, r) in enumerate(zip(analysis._solved, reference._solved)):
+        assert np.abs(q - r).max() <= _solver_bound(game.discounts[i])
+
+
+def test_report_matches_value_iteration(game, monkeypatch):
+    # Policy iteration, with value iteration again for the members whose
+    # digits reach the report, at the game's own discounts and with each
+    # nonzero discount at 0.99.
+    at_099 = tuple(0.99 if beta else 0.0 for beta in game.discounts)
+    deltas = (0.5,) * game.num_players
+    for variant in (game, dataclasses.replace(game, discounts=at_099)):
+        _assert_value_iteration_bytes(variant, monkeypatch, _rhos(variant), deltas)
+        _assert_value_iteration_bytes(variant, monkeypatch)
+
+
+def test_report_matches_value_iteration_at_0_999(monkeypatch):
+    # value iteration needs about 2.5e4 sweeps here, policy iteration a few steps
+    game = _shaped_game(np.random.default_rng(999), 2, (2, 2), beta=0.999)
+    _assert_value_iteration_bytes(game, monkeypatch, _rhos(game), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("tag, counts, states", [(1, (3, 3), 4), (2, (2, 2, 2), 3), (3, (3, 3), 5)])
+def test_exact_grid_reports_match_value_iteration(seed, tag, counts, states, monkeypatch):
+    # The random games of the exact-grid benchmark workload at its seeds 0
+    # and 1, with its arguments (the benchmark game is in GAMES).
+    game = seeded_game(np.random.default_rng([seed, tag]), counts, states)
+    _assert_value_iteration_bytes(game, monkeypatch, (0.05,) * len(counts))
+
+
+def test_benchmark_report_matches_value_iteration(monkeypatch):
+    # the exact-grid workload's benchmark arguments, and the README's
+    game = build_benchmark_game()
+    _assert_value_iteration_bytes(game, monkeypatch, (0.05, 0.05), (0.5, 0.5))
+
+
+def _near_tie_game(seed, player, scale) -> StochasticGame:
+    """A 2-player x 2-state x 2-action game at discount 0.9 with spiky
+    kernel rows (a flat Dirichlet at 0.2, so value iteration's error differs
+    from entry to entry), ``player``'s costs scaled by ``scale``. The scales
+    below put a tested quantity halfway between its policy- and its
+    value-iteration reading, a few 1e-12 to 1e-10 from each, far above
+    rounding."""
+    rng = np.random.default_rng(seed)
+    costs = [rng.uniform(0.0, 10.0, size=(2, 4)) for _ in range(2)]
+    costs[player] = costs[player] * scale
+    return StochasticGame(
+        states=("s0", "s1"),
+        action_sets=(("a0", "a1"),) * 2,
+        costs=tuple(costs),
+        discounts=(0.9, 0.9),
+        kernel=rng.dirichlet(np.full(2, 0.2), size=(2, 4)),
+        initial_dist=np.full(2, 0.5),
+    )
+
+
+def _policy_iteration_alone(monkeypatch, build):
+    """``build()`` with no member solved again by value iteration."""
+    with monkeypatch.context() as patch:
+        patch.setattr(exact_solver, "_refine", lambda *args: None)
+        return build()
+
+
+def _least_gaps(analysis):
+    """Per player, the least gap of its table that counts for delta_bar."""
+    gaps = [exact_solver._action_gaps(q) for q in analysis.table]
+    return [g[g >= 10.0 * TOL].min() for g in gaps]
+
+
+def _largest_shifts(analysis):
+    return [np.abs(q - s).max() for q, s in zip(analysis.table, analysis.softened)]
+
+
+def test_greedy_test_inside_the_margin(monkeypatch):
+    # Player 0's costs scaled so that one gap lies 6e-12 below tol by policy
+    # iteration and 6e-12 above it by value iteration: the two solvers alone
+    # give other grids.
+    game = _near_tie_game(14, 0, 4.531003489959477e-09)
+    alone = _policy_iteration_alone(monkeypatch, lambda: _solved(game))
+    reference = _by_value_iteration(monkeypatch, lambda: _solved(game))
+    assert not np.array_equal(alone.grids[0], reference.grids[0])
+    _assert_value_iteration_bytes(game, monkeypatch)
+    # the labels, by policy iteration alone, read its side of the test
+    joints = _every_joint(game)
+    assert label_equilibria(game, joints, TOL) == [joint in alone.equilibria for joint in joints]
+
+
+def test_delta_bar_minimum_inside_the_margin(monkeypatch):
+    # Player 1's costs scaled so that its least gap lies 2e-12 above player
+    # 0's by policy iteration and 2e-12 below it by value iteration: the
+    # minimum sits on another member by each solver.
+    game = _near_tie_game(16, 1, 0.5522554979532047)
+    alone = _policy_iteration_alone(monkeypatch, lambda: _solved(game))
+    reference = _by_value_iteration(monkeypatch, lambda: _solved(game))
+    assert np.argmin(_least_gaps(alone)) != np.argmin(_least_gaps(reference))
+    _assert_value_iteration_bytes(game, monkeypatch)
+
+
+def test_gap_maximum_inside_the_margin(monkeypatch):
+    # Player 1's costs scaled so that its largest shift lies 1e-10 below
+    # player 0's by policy iteration and 1e-10 above it by value iteration.
+    game, rhos = _near_tie_game(12, 1, 0.5573583366584419), (0.1, 0.1)
+    alone = _policy_iteration_alone(monkeypatch, lambda: _solved(game, rhos))
+    reference = _by_value_iteration(monkeypatch, lambda: _solved(game, rhos))
+    assert np.argmax(_largest_shifts(alone)) != np.argmax(_largest_shifts(reference))
+    _assert_value_iteration_bytes(game, monkeypatch, rhos)
+
+
+@pytest.mark.parametrize("beta", [0.5, 0.9, 0.99, 0.999])
+@pytest.mark.parametrize("scale", [1.0, 1e3])
+def test_margin_bounds_the_distance_from_value_iteration(beta, scale):
+    # Every entry of a policy-iteration table lies within its member's margin
+    # of value iteration's. At beta = 0.5 and costs in [0, 10] the bound is
+    # within 0.1% of tight. With costs to 1e4 at beta >= 0.99 the distance
+    # exceeds the margin's terms without rounding, the stopping bound and
+    # the residual's, (beta th + r) / (1 - beta), by 10x or more: the
+    # rounding terms decide there.
+    cost, kernel = _random_stack(np.random.default_rng(7), 64, 4, 3)
+    cost = cost * scale
+    q, margin = _policy_solve(cost, kernel, beta, TOL)
+    _, residual = _policy_iteration(cost, kernel, beta, TOL)
+    distance = np.abs(_value_iteration(cost, kernel, beta, TOL) - q).reshape(64, -1).max(axis=1)
+    assert (distance <= margin).all()
+    threshold = TOL * (1.0 - beta) / (2.0 * beta)
+    without_rounding = (beta * threshold + residual) / (1.0 - beta)
+    if beta >= 0.99 and scale > 1.0:
+        assert (distance > 10.0 * without_rounding).any()
+    if beta == 0.5 and scale == 1.0:
+        assert (distance / margin).max() > 0.999
+
+
+def test_stacks_fall_back_where_policy_iteration_raises(monkeypatch):
+    # With one step allowed, policy iteration leaves members unsettled and
+    # raises: the analysis solves those stacks by value iteration, while the
+    # labels, by policy iteration alone, raise
+    # (test_policy_iteration_refuses_unsettled_members).
+    game = _shaped_game(np.random.default_rng(0), 3, (3, 3), beta=0.9)
+    expected = _report(game, _rhos(game))
+    monkeypatch.setattr(exact_solver, "_MAX_POLICY_ITERATIONS", 1)
+    assert _report(game, _rhos(game)) == expected
+    _assert_value_iteration_bytes(game, monkeypatch, _rhos(game))
 
 
 def test_decode_follows_product_order(game):
@@ -393,8 +591,8 @@ def _assert_policy_iteration_matches(game):
     # single-solve oracles, with the value-iteration stack's greedy masks.
     opponents = {i: _opponents(game, i) for i in range(game.num_players)}
     for rhos in ((0.0,) * game.num_players, _rhos(game)):
-        by_pi = _solve_stack(game, TOL, [rhos], opponents, _policy_iteration)
-        by_vi = _solve_stack(game, TOL, [rhos], opponents)
+        by_pi, _ = _solve_stack(game, TOL, [rhos], opponents, _policy_iteration)
+        by_vi, _ = _solve_stack(game, TOL, [rhos], opponents, _value_solve)
         for i in range(game.num_players):
             (pi,), (vi,) = by_pi[i], by_vi[i]
             mdps = [
@@ -434,6 +632,8 @@ def test_policy_iteration_refuses_unsettled_members(monkeypatch):
     monkeypatch.setattr(exact_solver, "_MAX_POLICY_ITERATIONS", 1)
     with pytest.raises(RuntimeError, match="policy iteration did not settle"):
         _solve_stack(game, TOL, [(0.0, 0.0)], {0: _opponents(game, 0)}, _policy_iteration)
+    with pytest.raises(RuntimeError, match="policy iteration did not settle"):
+        label_equilibria(game, _every_joint(game), TOL)
 
 
 def _every_joint(game):

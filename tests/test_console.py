@@ -1,11 +1,13 @@
 """The console script end to end: ``python -m decqlearn.cli`` in a
 subprocess, on the contracts that only a whole run shows. Its exit codes
-reach the shell; a run's outputs do not depend on how its trials are split
-over workers, so a batch played in lockstep and the same trials played one
-by one write the same files; a game whose greedy sets hold more than 2**63
-policies simulates, and so does one at beta = 0.999; ``analyze`` prints the
-same bytes twice; and the README's library example prints what its
-comments say."""
+reach the shell; one process runs every command in turn, with no option
+outliving its call; a run's outputs do not depend on how its trials are
+split over workers, so a batch played in lockstep and the same trials
+played one by one write the same files; a game whose greedy sets hold more
+than 2**63 policies simulates, and so does one at beta = 0.999;
+``analyze`` prints the same bytes twice, and the same discrete fields
+under two OpenBLAS kernels; and the README's library example prints what
+its comments say."""
 
 import json
 import math
@@ -18,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from decqlearn import cli
 from decqlearn.experiments import build_benchmark_game
 from decqlearn.game_model import game_to_dict, save_game
 from oracles import seeded_game
@@ -26,9 +29,11 @@ _ROOT = Path(__file__).resolve().parents[1]
 _SRC = _ROOT / "src"
 
 
-def _python(*args, code=0, timeout=300, cwd=None) -> subprocess.CompletedProcess:
+def _python(*args, code=0, timeout=300, cwd=None, env=None) -> subprocess.CompletedProcess:
+    """Run the interpreter on ``args`` with the sources first on its path and
+    ``env`` added to this process's environment."""
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": str(_SRC) if not path else f"{_SRC}{os.pathsep}{path}"}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(_SRC) if not path else f"{_SRC}{os.pathsep}{path}"}
     done = subprocess.run(
         [sys.executable, *map(str, args)],
         env=env,
@@ -51,17 +56,39 @@ def _run(*args, **kwargs) -> subprocess.CompletedProcess:
         (["analyze", "benchmark"], 0),
         (["analyze", "nan-kernel.json"], 1),
         (["simulate", "benchmark", "--config", "mistyped.json", "--out-dir", "run"], 2),
+        (["reproduce-benchmark", "--full", "--horizon", "5", "--out-dir", "run"], 2),
     ],
-    ids=["analyze", "nan-kernel-analyze", "mistyped-config-simulate"],
+    ids=["analyze", "nan-kernel-analyze", "mistyped-config-simulate", "full-and-horizon-benchmark"],
 )
 def test_exit_codes_reach_the_shell(tmp_path, args, code):
-    # a NaN kernel entry is a violation (exit 1), a mistyped field a usage
-    # error (exit 2)
+    # a NaN kernel entry is a violation (exit 1); a mistyped field, and
+    # --full (10^6 stages) with --horizon, are usage errors (exit 2)
     doc = game_to_dict(build_benchmark_game())
     doc["kernel"][0][0] = [float("nan"), 1.0]
     (tmp_path / "nan-kernel.json").write_text(json.dumps(doc))
     (tmp_path / "mistyped.json").write_text('{"trials": "x"}')
     _run(*args, code=code, cwd=tmp_path)
+
+
+def test_one_process_runs_every_command_in_turn(tmp_path, capsys):
+    # The parser is built once per process: after an analyze with every
+    # option, a simulate and a reproduce-benchmark, a bare analyze prints
+    # what a fresh process prints, so no option outlives its call.
+    (tmp_path / "config.json").write_text(json.dumps({"trials": 2, "horizon": 200, "record_times": [0, 199]}))
+    calls = [
+        ["analyze", "benchmark", "--rho", "0.1", "--delta", "0.7", "--lam", "0.3", "--eps", "0.2",
+         "--ratio", "2", "--tol", "1e-8", "--out", str(tmp_path / "report.json")],
+        ["simulate", "benchmark", "--config", str(tmp_path / "config.json"), "--seed", "3",
+         "--workers", "1", "--out-dir", str(tmp_path / "sim")],
+        ["reproduce-benchmark", "--trials", "2", "--horizon", "300", "--seed", "5",
+         "--out-dir", str(tmp_path / "bench")],
+        ["analyze", "benchmark"],
+    ]
+    for argv in calls:
+        assert cli.main(argv) == 0
+        last = capsys.readouterr().out
+    assert last == _run("analyze", "benchmark").stdout
+    assert cli._build_parser() is cli._build_parser()
 
 
 def _assert_same_outputs(a: Path, b: Path) -> None:
@@ -144,6 +171,27 @@ def test_analyze_is_repeatable(tmp_path, seed, counts, discounts, states):
     assert reports[0] == reports[1]
     delta_bar = json.loads(reports[0])["delta_bar"]
     assert isinstance(delta_bar, float) and math.isfinite(delta_bar)
+
+
+def test_analyze_under_two_blas_kernels(tmp_path):
+    # OPENBLAS_CORETYPE picks the OpenBLAS kernel of the one process it is
+    # given to; the kernels sum products in other orders, and LAPACK's solve
+    # lies on the report's path. On the exact-grid benchmark's seed-0
+    # 2p x 4s x 3a game the gap differs in its last digits between these
+    # two. The discrete fields agree, delta_bar and the gap within twice the
+    # two solvers' bounds, 2 tol (1 + 1 / (1 - beta)).
+    game = seeded_game(np.random.default_rng([0, 1]), (3, 3), 4)
+    save_game(game, tmp_path / "game.json")
+    reports = []
+    for kernel in ("Haswell", "Sandybridge"):
+        out = _run("analyze", tmp_path / "game.json", "--rho", 0.05, env={"OPENBLAS_CORETYPE": kernel})
+        reports.append(json.loads(out.stdout))
+    first, second = reports
+    for field in ("equilibria", "num_equilibria", "weakly_acyclic", "path_bound_L"):
+        assert first[field] == second[field]
+    bound = 2 * 1e-9 * (1 + 1 / (1 - 0.8))
+    assert abs(first["delta_bar"] - second["delta_bar"]) <= bound
+    assert abs(first["perturbation"]["gap"] - second["perturbation"]["gap"]) <= bound
 
 
 def test_readme_library_example_prints_its_commented_outputs():

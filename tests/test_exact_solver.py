@@ -343,9 +343,12 @@ class TestDeltaBar:
         assert math.isinf(delta_bar(game, 1e-9, budget=4096))
         assert perturbation_gap(game, (0.1, 0.1), budget=4096) == 0.0
         # one call for both players' tables behind delta_bar, then one for
-        # the gap's plain and softened tables together
-        plain = (0.0, 0.0)
-        assert solve_calls == [((0, 1), (plain,)), ((0, 1), (plain, (0.1, 0.1)))]
+        # the gap's plain and softened tables together; each by policy
+        # iteration, then once more by value iteration for the members
+        # whose digits can reach the result: here every member, as every
+        # Q-value is 0 and so every gap lies at 0, within the margin of tol
+        plain, rhos, joints = (0.0, 0.0), (0.1, 0.1), (1024, 1024)
+        assert solve_calls == [((0, 1), (plain,), joints)] * 2 + [((0, 1), (plain, rhos), joints)] * 2
 
 
 class TestPerturbation:
@@ -364,8 +367,11 @@ class TestPerturbation:
         game = random_game(np.random.default_rng(11), num_players=2, max_states=3)
         rhos, deltas = (0.05, 0.1), (0.3, 0.4)
         gap, bound, ok = perturbation_check(game, rhos, deltas)
-        # one call for both players, the table and the softened table together
-        assert solve_calls == [((0, 1), ((0.0, 0.0), rhos))]
+        # one call for both players, the table and the softened table
+        # together (one state: player 0 has one action against three opponent
+        # policies), then one for the joints whose value-iteration digits
+        # reach the report: delta_bar's and the gap's, one per player
+        assert solve_calls == [((0, 1), ((0.0, 0.0), rhos), (3, 1)), ((0, 1), ((0.0, 0.0), rhos), (1, 1))]
         assert gap == perturbation_gap(game, rhos)
         dbar = delta_bar(game, 1e-10)
         assert bound == min(min(d, dbar - d) for d in deltas) / 4.0
