@@ -129,29 +129,40 @@ class InducedMdp:
 
 
 def _weights(
-    game: StochasticGame, factors: Sequence[tuple[int, np.ndarray]], size: int
+    game: StochasticGame, factors: Sequence[tuple[int, np.ndarray]], size: int, num_states: int
 ) -> np.ndarray:
-    """Product of (player, probs (size, S, m_player)) factors in the given
-    order, shaped (size, S, m0, ..., m_{N-1}); absent players' axes stay whole."""
+    """Product of (player, probs (size, num_states, m_player)) factors in the
+    given order, shaped (size, num_states, m0, ..., m_{N-1}); absent players'
+    axes stay whole."""
     counts = game.action_counts
-    w = np.ones((size, game.num_states) + counts)
+    w = np.ones((size, num_states) + counts)
     for j, probs in factors:
-        shape = [size, game.num_states] + [1] * game.num_players
+        shape = [size, num_states] + [1] * game.num_players
         shape[j + 2] = counts[j]
         w = w * probs.reshape(shape)
     return w
 
 
 def _induced_stack(
-    game: StochasticGame, player: int, factors: Sequence[tuple[int, np.ndarray]], size: int
+    game: StochasticGame,
+    player: int,
+    factors: Sequence[tuple[int, np.ndarray]],
+    size: int,
+    states: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Costs (size, S, A) and kernels (size, S, A, S) of the MDPs the player
-    faces against a stack of opponent profiles (see ``_weights``)."""
-    counts = game.action_counts
-    w = _weights(game, factors, size)
+    faces against a stack of opponent profiles (see ``_weights``): the one
+    construction behind ``induced_mdp`` and every row ``_solve_stack``
+    gathers (``_row_stack``). With ``states`` (size,), member k is built at
+    state states[k] alone, from factors (size, 1, m_j): costs (size, 1, A)
+    and kernels (size, 1, A, S), each entry the same product and sum."""
+    counts, num_states = game.action_counts, game.num_states
+    cost_full = game.costs[player].reshape((num_states,) + counts)
+    kernel_full = game.kernel.reshape((num_states,) + counts + (num_states,))
+    if states is not None:
+        cost_full, kernel_full = cost_full[states, None], kernel_full[states, None]
+    w = _weights(game, factors, size, num_states if states is None else 1)
     opp_axes = tuple(j + 2 for j in range(game.num_players) if j != player)
-    cost_full = game.costs[player].reshape((game.num_states,) + counts)
-    kernel_full = game.kernel.reshape((game.num_states,) + counts + (game.num_states,))
     return (cost_full * w).sum(axis=opp_axes), (kernel_full * w[..., None]).sum(axis=opp_axes)
 
 
@@ -425,7 +436,7 @@ def policy_value(
     seen = sorted(pol.player for pol in joint)
     if seen != list(range(game.num_players)):
         raise ValueError("joint policy must contain exactly one policy per player")
-    w = _weights(game, [(pol.player, pol.probs[None]) for pol in joint], 1)
+    w = _weights(game, [(pol.player, pol.probs[None]) for pol in joint], 1, game.num_states)
     w_flat = w.reshape(game.num_states, game.num_joint_actions)
     cost = (game.costs[player] * w_flat).sum(axis=1)
     transition = np.einsum("sa,sat->st", w_flat, game.kernel)
@@ -518,8 +529,18 @@ def _action_gaps(q: np.ndarray) -> np.ndarray:
     """|q[..., a] - q[..., b]| over the action pairs a < b of each state:
     (..., A (A - 1) / 2). A float difference only changes sign when its
     operands swap, so these hold every gap between two distinct actions."""
-    a, b = np.triu_indices(q.shape[-1], 1)
+    a, b = _action_pairs(q.shape[-1])
     return np.abs(q[..., a] - q[..., b])
+
+
+@functools.cache
+def _action_pairs(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The action pairs a < b of ``count`` actions (``np.triu_indices``),
+    computed once per count and read-only, as they are shared."""
+    pairs = np.triu_indices(count, 1)
+    for half in pairs:
+        half.setflags(write=False)
+    return pairs
 
 
 def _solve_stack(
@@ -528,6 +549,7 @@ def _solve_stack(
     rhos: Sequence[Sequence[float]],
     opponents: Mapping[int, np.ndarray],
     _solver: Callable[..., tuple[np.ndarray, np.ndarray]] = _policy_solve,
+    rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
 ) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
     """Q* of each player i of ``opponents`` against its deterministic opponent
     joints ``opponents[i]``, a (K_i, N - 1, S) int array of the opponents'
@@ -544,6 +566,18 @@ def _solve_stack(
     _SOLVE_MEMBERS, so a game whose players all share both makes one call.
     Each member's result does not depend on the others in its call.
 
+    A member's cost and kernel row at state s depend only on its opponents'
+    actions at s, so each run (one player and one rho set) has at most
+    S * C distinct rows, C the product of the opponents' action counts,
+    however many joints it solves. Each player builds the rows its members
+    use once (``_row_stack``, by ``_row_codes``), and each call's stacks are
+    one gather from the group's row tables, with the bytes of a product per
+    member: 15 rows per run on a 2p5s3a game, whose 243 joints hold 1 215
+    member rows, and never more rows than the members hold. ``rows``, when
+    given, keeps each player's rows, so that a later call on some of the
+    same members (``_refine``) gathers from them instead of building them
+    again.
+
     ``ExactAnalysis`` solves its plain and softened tables (``table``,
     ``softened``) in one call, and ``label_equilibria`` its one rho set
     (``_policy_iteration``), both by policy iteration, whose cost does not
@@ -551,32 +585,37 @@ def _solve_stack(
     digits, within the margin, so ``ExactAnalysis`` then passes the members
     whose value-iteration digits can reach a result to ``_refine``: every
     digit it reports is value iteration's, whichever solver ran first."""
-    counts, num_states = game.action_counts, game.num_states
-    out = {i: np.empty((len(rhos), len(opp), num_states, counts[i])) for i, opp in opponents.items()}
-    margins = {i: np.empty((len(rhos), len(opp))) for i, opp in opponents.items()}
+    num_states = game.num_states
+    rows = {} if rows is None else rows
+    out, margins = dict.fromkeys(opponents), dict.fromkeys(opponents)
     groups: dict[tuple[float, int], list[int]] = {}
     for i in opponents:
-        groups.setdefault((game.discounts[i], counts[i]), []).append(i)
-    for (beta, _), players in groups.items():
-        # the group's members, run by run: (player, rho set, its output rows
-        # and margins)
-        runs = [(i, rho, (out[i][r], margins[i][r])) for i in players for r, rho in enumerate(rhos)]
-        starts = list(itertools.accumulate((len(rows) for *_, (rows, _) in runs), initial=0))
-        for lo in range(0, starts[-1], _SOLVE_MEMBERS):
-            hi = lo + _SOLVE_MEMBERS
-            # each run's joints [a, b) among the call's members [lo, hi)
-            pieces = [
-                (i, rho, rows, max(lo, start) - start, min(hi, end) - start)
-                for (i, rho, rows), start, end in zip(runs, starts, starts[1:])
-                if max(lo, start) < min(hi, end)
-            ]
-            stacks = [_softened_stack(game, i, rho, opponents[i][a:b]) for i, rho, _, a, b in pieces]
-            solved = _solver(*(np.concatenate(parts) for parts in zip(*stacks)), beta, tol)
-            first = 0
-            for *_, rows, a, b in pieces:
-                for part, result in zip(rows, solved):
-                    part[a:b] = result[first : first + b - a]
-                first += b - a
+        groups.setdefault((game.discounts[i], game.action_counts[i]), []).append(i)
+    for (beta, count), players in groups.items():
+        # the group's row tables, player by player, and each member's row
+        # per state: its player's offset plus its pair's row at its rho set
+        tables, index, offset = [], [], 0
+        for i in players:
+            codes = _row_codes(game, i, opponents[i])
+            if i not in rows:
+                rows[i] = _row_stack(game, i, rhos, codes)
+            lookup, cost, kernel = rows[i]
+            runs = offset + np.arange(len(rhos))[:, None, None]
+            index.append((runs + lookup[codes] * len(rhos)).reshape(-1, num_states))
+            tables.append((cost, kernel))
+            offset += len(cost)
+        cost_rows, kernel_rows = (np.concatenate(parts) for parts in zip(*tables))
+        index = np.concatenate(index)
+        q, m = np.empty((len(index), num_states, count)), np.empty(len(index))
+        for lo in range(0, len(index), _SOLVE_MEMBERS):
+            call = slice(lo, lo + _SOLVE_MEMBERS)
+            q[call], m[call] = _solver(cost_rows[index[call]], kernel_rows[index[call]], beta, tol)
+        first = 0
+        for i in players:
+            size = len(rhos) * len(opponents[i])
+            out[i] = q[first : first + size].reshape(len(rhos), -1, num_states, count)
+            margins[i] = m[first : first + size].reshape(len(rhos), -1)
+            first += size
     return out, margins
 
 
@@ -585,6 +624,7 @@ def _refine(
     tol: float,
     rhos: Sequence[Sequence[float]],
     opponents: Mapping[int, np.ndarray],
+    rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
     tables: Mapping[int, np.ndarray],
     margins: Mapping[int, np.ndarray],
     chosen: Mapping[int, np.ndarray],
@@ -593,30 +633,62 @@ def _refine(
     ``_solve_stack``'s ``tables`` that ``chosen`` marks ({i: (R, K_i) bool})
     and whose margin is not 0 (a margin of 0 marks value iteration's bytes
     already). Each such joint is solved at every rho set, so all of them go
-    to one ``_solve_stack`` call. Neither a member's induced MDP
-    (``_softened_stack``) nor its value-iteration table depends on the other
-    members of its call, so each row it writes holds exactly the bytes of a
-    solve of every member by value iteration."""
-    rows = {i: np.flatnonzero((pick & (margins[i] > 0.0)).any(axis=0)) for i, pick in chosen.items()}
-    rows = {i: k for i, k in rows.items() if k.size}
-    if rows:
-        solved, _ = _solve_stack(game, tol, rhos, {i: opponents[i][k] for i, k in rows.items()}, _value_solve)
-        for i, k in rows.items():
+    to one ``_solve_stack`` call, which gathers them from the first solve's
+    ``rows``. Neither a member's induced MDP nor its value-iteration table
+    depends on the other members of its call, so each row it writes holds
+    exactly the bytes of a solve of every member by value iteration."""
+    picked = {i: np.flatnonzero((pick & (margins[i] > 0.0)).any(axis=0)) for i, pick in chosen.items()}
+    picked = {i: k for i, k in picked.items() if k.size}
+    if picked:
+        solved, _ = _solve_stack(
+            game, tol, rhos, {i: opponents[i][k] for i, k in picked.items()}, _value_solve, rows
+        )
+        for i, k in picked.items():
             tables[i][:, k] = solved[i]
 
 
-def _softened_stack(
-    game: StochasticGame, player: int, rho: Sequence[float], opponents: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_induced_stack`` against (K, N - 1, S) opponent choice arrays, each
-    opponent j softened by rho[j]."""
-    counts = game.action_counts
+def _row_stack(
+    game: StochasticGame, player: int, rhos: Sequence[Sequence[float]], codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows among ``codes`` (``_row_codes``) at each rho set of
+    ``rhos``, each opponent j softened by rho[j] as ``soften_policy`` does:
+    one ``_induced_stack`` whose members are the U (state, combination)
+    pairs that occur, each at each rho set and built at its state alone.
+    Returns the (S * C,) index of each pair among the U (``lookup``), costs
+    (U * R, A) and kernels (U * R, A, S); pair p's row at rho set r is
+    lookup[p] * R + r, with the bytes of the product of any member that
+    plays p, whose weights at that state are the same factors multiplied
+    and summed in the same order."""
+    counts, num_states = game.action_counts, game.num_states
     others = [j for j in range(game.num_players) if j != player]
-    factors = [
-        (j, rho[j] / counts[j] + (opponents[:, k, :, None] == np.arange(counts[j])) * (1.0 - rho[j]))
-        for k, j in enumerate(others)
-    ]
-    return _induced_stack(game, player, factors, len(opponents))
+    combos = math.prod(counts[j] for j in others)
+    present = np.zeros(num_states * combos, dtype=bool)
+    present[codes] = True
+    states, combo = np.divmod(np.flatnonzero(present), combos)
+    size = len(states) * len(rhos)
+    rho = np.array(rhos, dtype=float).T[:, None, :, None]
+    factors = []
+    for j in reversed(others):
+        combo, digit = np.divmod(combo, counts[j])
+        probs = rho[j] / counts[j] + (digit[:, None, None] == np.arange(counts[j])) * (1.0 - rho[j])
+        factors.append((j, probs.reshape(size, 1, counts[j])))
+    cost, kernel = _induced_stack(game, player, factors[::-1], size, states.repeat(len(rhos)))
+    lookup = np.cumsum(present, dtype=np.intp) - 1
+    return lookup, cost.reshape(size, counts[player]), kernel.reshape(size, counts[player], num_states)
+
+
+def _row_codes(game: StochasticGame, player: int, opponents: np.ndarray) -> np.ndarray:
+    """The (K, S) row code of each of the (K, N - 1, S) opponent choice
+    arrays at each state: the state times C plus the opponents' combination
+    there (mixed radix in id order, the first slowest; C the product of
+    their action counts). Computed in ``np.intp``: the choice arrays may be
+    one byte wide, and a narrow product would wrap."""
+    code = np.zeros((len(opponents), game.num_states), dtype=np.intp)
+    code += np.arange(game.num_states)
+    for k, j in enumerate(j for j in range(game.num_players) if j != player):
+        code *= game.action_counts[j]
+        code += opponents[:, k]
+    return code
 
 
 @dataclass(frozen=True)
@@ -716,7 +788,8 @@ class ExactAnalysis:
         """Per player, Q* against every opponent joint, from one grouped
         policy-iteration solve, with value iteration again on the members
         ``_reaching`` marks: (1, K, S, A), the plain table, or (2, K, S, A)
-        with the softened one."""
+        with the softened one. Both solves gather from one build of each
+        player's rows (``_row_stack``)."""
         sizes = self._sizes
         solves = sum(math.prod(sizes[:i] + sizes[i + 1 :]) for i in range(len(sizes)))
         if solves > self.budget:
@@ -732,8 +805,9 @@ class ExactAnalysis:
         for i in players:
             others = [j for j in players if j != i]
             opponents[i] = self._decode(others, np.arange(math.prod(sizes[j] for j in others)))
-        solved, margins = _solve_stack(self.game, self.tol, rhos, opponents)
-        _refine(self.game, self.tol, rhos, opponents, solved, margins, self._reaching(solved, margins))
+        rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        solved, margins = _solve_stack(self.game, self.tol, rhos, opponents, rows=rows)
+        _refine(self.game, self.tol, rhos, opponents, rows, solved, margins, self._reaching(solved, margins))
         return [solved[i] for i in players]
 
     def _reaching(

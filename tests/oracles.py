@@ -395,6 +395,27 @@ def value_iteration_stack(
     return out, sweeps
 
 
+def softened_stack(game: StochasticGame, player: int, rho, opponents: np.ndarray):
+    """Costs (K, S, A) and kernels (K, S, A, S) of the MDPs the player faces
+    against (K, N - 1, S) opponent choice arrays, each opponent j softened
+    by rho[j]: one broadcast product per joint over every state, with the
+    opponents' one-hot factors multiplied in id order and marginalized, as
+    the library once built its stacks; the library's gathered rows must
+    match these by their bytes."""
+    counts, num_states = game.action_counts, game.num_states
+    others = [j for j in range(game.num_players) if j != player]
+    w = np.ones((len(opponents), num_states) + counts)
+    for k, j in enumerate(others):
+        probs = rho[j] / counts[j] + (opponents[:, k, :, None] == np.arange(counts[j])) * (1.0 - rho[j])
+        shape = [len(opponents), num_states] + [1] * game.num_players
+        shape[j + 2] = counts[j]
+        w = w * probs.reshape(shape)
+    opp_axes = tuple(j + 2 for j in others)
+    cost_full = game.costs[player].reshape((num_states,) + counts)
+    kernel_full = game.kernel.reshape((num_states,) + counts + (num_states,))
+    return (cost_full * w).sum(axis=opp_axes), (kernel_full * w[..., None]).sum(axis=opp_axes)
+
+
 def q_star_single(game: StochasticGame, player: int, others, tol: float) -> np.ndarray:
     return q_value_iteration_single(induced_mdp_single(game, player, others), tol)[0]
 

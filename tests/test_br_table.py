@@ -28,7 +28,6 @@ from decqlearn.exact_solver import (
     _greedy_mask,
     _policy_iteration,
     _policy_solve,
-    _softened_stack,
     _solve_stack,
     _value_iteration,
     _value_solve,
@@ -60,6 +59,7 @@ from oracles import (
     random_game,
     random_stationary,
     seeded_game,
+    softened_stack,
     value_iteration_stack,
 )
 
@@ -347,7 +347,7 @@ def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatc
     assert sorted(got) == sorted(margins) == list(players)
     for i in players:
         beta = game.discounts[i]
-        alone = [solver(*_softened_stack(game, i, rho, opponents[i]), beta, TOL) for rho in rho_sets]
+        alone = [solver(*softened_stack(game, i, rho, opponents[i]), beta, TOL) for rho in rho_sets]
         assert got[i].tobytes() == np.stack([q for q, _ in alone]).tobytes()
         assert margins[i].tobytes() == np.stack([m for _, m in alone]).tobytes()
     groups: dict[tuple[float, int], int] = {}
@@ -359,6 +359,103 @@ def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatc
     for key, members in groups.items():
         sizes = [size for size, *rest in calls if tuple(rest) == key]
         assert sum(sizes) == members and max(sizes) <= block
+
+
+def _row_cases():
+    """Games for the gathered stacks: 1 to 3 players, 1 to 5 states, 12
+    actions for two players (past numpy's 8-term pairwise-sum block), -0.0
+    costs and kernel rows whose tail states have zero mass."""
+    rng = np.random.default_rng(24)
+    shapes = [
+        ((4,), 3), ((12, 12), 1), ((12, 5), 2), ((3, 12), 3), ((2, 3), 5),
+        ((2, 3, 2), 4), ((4, 4, 4), 2), ((6, 5, 4), 1), ((3, 1, 2), 3),
+    ]
+    for counts, num_states in shapes:
+        game = seeded_game(rng, counts, num_states)
+        costs = [np.where(rng.random(c.shape) < 0.3, -0.0, c) for c in game.costs]
+        kernel = game.kernel.copy()
+        if num_states > 1:
+            tail = rng.random(kernel.shape[:2]) < 0.5
+            kernel[tail, num_states // 2 :] = 0.0
+            kernel[tail] /= kernel[tail].sum(axis=-1, keepdims=True)
+        game = dataclasses.replace(game, costs=tuple(costs), kernel=kernel)
+        yield f"{len(counts)}p{num_states}s{'x'.join(map(str, counts))}", game
+
+
+ROW_CASES = dict(_row_cases())
+
+
+@pytest.mark.parametrize("name", sorted(ROW_CASES))
+def test_gathered_stacks_match_per_member_product(name, monkeypatch):
+    # Every stack a solver call receives against the per-member broadcast
+    # product (oracles.softened_stack), by bytes: 40 drawn opponent joints
+    # per player in the analysis's one-byte choice arrays, at an all-zero
+    # and a mixed rho set, in calls of 7 members that cut across rho sets
+    # and players.
+    game = ROW_CASES[name]
+    rho_sets = [(0.0,) * game.num_players, (0.3, 0.0, 0.05)[: game.num_players]]
+    rng = np.random.default_rng(len(name))
+    players = range(game.num_players)
+    dtype = np.min_scalar_type(max(game.action_counts) - 1)
+    opponents = {}
+    for i in players:
+        others = [j for j in players if j != i]
+        opponents[i] = np.empty((40, len(others), game.num_states), dtype=dtype)
+        for k, j in enumerate(others):
+            opponents[i][:, k] = rng.integers(0, game.action_counts[j], size=(40, game.num_states))
+    calls: dict[tuple[float, int], list] = {}
+
+    def recorded(cost, kernel, beta, tol):
+        calls.setdefault((beta, cost.shape[-1]), []).append((cost, kernel))
+        return np.zeros(cost.shape), np.zeros(len(cost))
+
+    monkeypatch.setattr(exact_solver, "_SOLVE_MEMBERS", 7)
+    rows = {}
+    _solve_stack(game, TOL, rho_sets, opponents, recorded, rows)
+    for i in players:
+        # one row per (state, opponents' actions there) pair the joints play
+        pairs = {(x, tuple(opp[:, x])) for opp in opponents[i] for x in range(game.num_states)}
+        assert len(rows[i][1]) == len(rho_sets) * len(pairs)
+    expected: dict[tuple[float, int], list] = {}
+    for i in players:
+        key = (game.discounts[i], game.action_counts[i])
+        expected.setdefault(key, []).extend(softened_stack(game, i, rho, opponents[i]) for rho in rho_sets)
+    assert sorted(calls) == sorted(expected)
+    for key, stacks in expected.items():
+        for got, want in zip(zip(*calls[key]), zip(*stacks)):
+            got, want = np.concatenate(got), np.concatenate(want)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_rows_per_run_against_every_joint():
+    # Every opponent joint of a 2p5s3a game: 243 joints, 1 215 member rows
+    # per run, built from 5 * 3 = 15 distinct rows.
+    game = _shaped_game(np.random.default_rng(5), 5, (3, 3))
+    rows = {}
+    _solve_stack(
+        game, TOL, [(0.0, 0.0), (0.05, 0.05)], {i: _opponents(game, i) for i in range(2)},
+        lambda cost, kernel, beta, tol: (np.zeros(cost.shape), np.zeros(len(cost))), rows,
+    )
+    assert [len(rows[i][1]) for i in range(2)] == [2 * 15] * 2
+
+
+def _wide_game(counts):
+    """A one-state team game at discount 0.8 with the given action counts."""
+    return seeded_game(np.random.default_rng(sum(counts)), counts, 1, team=True)
+
+
+@pytest.mark.parametrize("counts", [(17, 17, 17), (5,)])
+def test_row_index_does_not_wrap(counts):
+    # Seventeen actions fit the analysis's one-byte choice arrays, but a
+    # member's row index reaches 16 * 17 + 16 = 288, past a byte: the index
+    # is computed in np.intp. One player faces no opponents (one row).
+    game = _wide_game(counts)
+    joints = _every_joint(game)
+    expected = equilibrium_set_enumerated(game, TOL)
+    assert 0 < len(expected) < len(joints)
+    assert ExactAnalysis(game, TOL).equilibria == expected
+    assert label_equilibria(game, joints, TOL) == [joint in expected for joint in joints]
+    assert label_equilibria(game, [], TOL) == []
 
 
 def test_analysis_matches_broadcast_product(game, monkeypatch):
