@@ -9,6 +9,7 @@ flows from ``--seed``; omitting it means seed 0, never wall-clock entropy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -103,7 +104,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         overrides["master_seed"] = args.seed
     if args.workers is not None:
         overrides["workers"] = args.workers
-    config = ExperimentConfig.from_json_dict({**config.to_json_dict(), **overrides})
+    config = dataclasses.replace(config, **overrides)
     result = run_experiment(config, out_dir=args.out_dir)
     for t in sorted(result.frequencies):
         print(f"t={t}: equilibrium frequency {result.frequencies[t]:.4f}")

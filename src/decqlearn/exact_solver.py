@@ -2,13 +2,15 @@
 
 Fixing the other players' stationary policies turns one player's problem into
 a single-agent MDP; everything here is built on that reduction: optimal
-Q-functions (value iteration on Q-factors, and batched policy iteration for
-the labels of visited joints and, with value iteration again wherever its
-digits could reach a result, for the analysis), policy evaluation,
-epsilon-greedy policy sets, equilibrium tests, a joint-reachability check, and one
-:class:`ExactAnalysis` behind the equilibria, the best-response graph, the
-minimum nonzero Q-gap ``delta_bar`` and the experimentation perturbation gap.
-These are the ground-truth oracles the learning code is tested against.
+Q-functions (value iteration on Q-factors, and one batched solve,
+``_solve_stack``, by policy iteration with value iteration where it raises,
+behind both the labels of visited joints and the analysis, which solves
+again by value iteration wherever its digits could reach a result), policy
+evaluation, epsilon-greedy policy sets, equilibrium tests, a
+joint-reachability check, and one :class:`ExactAnalysis` behind the
+equilibria, the best-response graph, the minimum nonzero Q-gap
+``delta_bar`` and the experimentation perturbation gap. These are the
+ground-truth oracles the learning code is tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -318,22 +320,6 @@ def _policy_iteration(
     raise RuntimeError("policy iteration did not settle")
 
 
-def _policy_solve(
-    cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Policy iteration on a stack, with each member's margin (``_margin``)
-    from the table ``_value_iteration`` gives the same member. A stack on
-    which policy iteration raises RuntimeError is solved by value iteration
-    instead (``_value_solve``), with margin 0."""
-    try:
-        q, residual = _policy_iteration(cost, kernel, beta, tol)
-    except RuntimeError:
-        return _value_solve(cost, kernel, beta, tol)
-    if beta == 0.0:
-        return q, np.zeros(len(q))
-    return q, _margin(q, residual, kernel, beta, tol)
-
-
 def _up(x: np.ndarray | float) -> np.ndarray:
     """The next float above x: an upper bound on the exact result of the
     one rounded-to-nearest operation that gave x."""
@@ -389,7 +375,10 @@ def _margin(
     So m = D + 4 u (P + D + tol) covers each: 2m (m + m' for two members)
     exceeds every sum above. Every operation here is evaluated in float and
     stepped one float outwards (``_up``, ``_down``), so the computed m bounds
-    the exact one. With 1 - kappa - 2 gamma <= 0 the margin is inf."""
+    the exact one. With 1 - kappa - 2 gamma <= 0 the margin is inf.
+    ``_solve_stack`` takes it, with ``refine``, for each call that policy
+    iteration solves at beta > 0; every other member keeps margin 0, as its
+    table is value iteration's."""
     u = np.finfo(float).eps / 2.0
     n = kernel.shape[-1] + 1
     gamma = _up(n * u / (1.0 - n * u))
@@ -403,13 +392,6 @@ def _margin(
     dist = _up(_up(_up(kappa * th) + r) + spread)
     dist = np.where(room > 0.0, _up(dist / np.maximum(room, u)), np.inf)
     return _up(dist + _up(4.0 * u * _up(_up(size + dist) + tol)))
-
-
-def _value_solve(
-    cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``_value_iteration`` in the form of ``_policy_solve``: margin 0."""
-    return _value_iteration(cost, kernel, beta, tol), np.zeros(len(cost))
 
 
 def q_star(
@@ -486,15 +468,15 @@ def label_equilibria(
     A joint without one policy per player, or with a policy that breaks the
     choice rule (``game_model._choice_for``), is a ValueError naming it.
 
-    The stacks are solved by policy iteration alone (``_policy_iteration``),
+    The stacks are solved as the analysis solves them: by policy iteration,
     which stays fast at discounts near 1 where value iteration needs
-    ~1 / (1 - beta) sweeps, and raises where it loses precision, where value
-    iteration would need more sweeps still. Unlike ``ExactAnalysis``, behind
-    ``equilibrium_set``, no member is solved again by value iteration: every
-    member of a game with exactly tied Q-values would be. So a label equals
-    membership in ``equilibrium_set(game, tol)`` except where some Q-gap
-    lies within the member's margin (``_margin``) of the tol slack, where
-    the analysis reads value iteration's digits."""
+    ~1 / (1 - beta) sweeps, and by value iteration where policy iteration
+    raises (lost precision, or a member not settled). Unlike
+    ``ExactAnalysis``, behind ``equilibrium_set``, no member is solved again
+    by value iteration: every member of a game with exactly tied Q-values
+    would be. So a label equals membership in ``equilibrium_set(game, tol)``
+    except where some Q-gap lies within the member's margin (``_margin``)
+    of the tol slack, where the analysis reads value iteration's digits."""
     check_input("tol", tol)
     if eps < 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
@@ -515,7 +497,7 @@ def label_equilibria(
         opponents[i] = np.array(list(distinct), dtype=np.intp).reshape(
             len(distinct), num_players - 1, num_states
         )
-    solved, _ = _solve_stack(game, tol, [(0.0,) * num_players], opponents, _policy_iteration)
+    solved = _solve_stack(game, tol, [(0.0,) * num_players], opponents)
     labels = np.ones(len(checked), dtype=bool)
     for i, rows_i in enumerate(rows):
         own = np.array([joint[i] for joint in checked], dtype=np.intp).reshape(-1, num_states)
@@ -548,23 +530,21 @@ def _solve_stack(
     tol: float,
     rhos: Sequence[Sequence[float]],
     opponents: Mapping[int, np.ndarray],
-    _solver: Callable[..., tuple[np.ndarray, np.ndarray]] = _policy_solve,
-    rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None,
-) -> tuple[dict[int, np.ndarray], dict[int, np.ndarray]]:
+    refine: bool = False,
+) -> dict[int, np.ndarray]:
     """Q* of each player i of ``opponents`` against its deterministic opponent
     joints ``opponents[i]``, a (K_i, N - 1, S) int array of the opponents'
     action ids (joint, opponent in id order, state), once per rho set of
     ``rhos``, each opponent j softened by rho[j] as ``soften_policy`` does:
-    ``{i: (R, K_i, S, A_i)}``, one row per rho set and per joint, and the
-    solver's second output per row, ``{i: (R, K_i)}``: the margin from value
-    iteration's table for ``_policy_solve`` and ``_value_solve``, the
-    Bellman residual for ``_policy_iteration``.
+    ``{i: (R, K_i, S, A_i)}``, one row per rho set and per joint.
 
     Players that share a discount and an action count form one group, whose
-    members (player, then rho set, then joint) go to the stack solver
-    ``_solver`` in calls of at most
-    _SOLVE_MEMBERS, so a game whose players all share both makes one call.
-    Each member's result does not depend on the others in its call.
+    members (player, then rho set, then joint) are solved in calls of at
+    most _SOLVE_MEMBERS, so a game whose players all share both makes one
+    call. Each call is solved by policy iteration (``_policy_iteration``),
+    whose cost does not grow like 1 / (1 - beta) with the discount, and by
+    value iteration (``_value_iteration``) instead where policy iteration
+    raises. Each member's result does not depend on the others in its call.
 
     A member's cost and kernel row at state s depend only on its opponents'
     actions at s, so each run (one player and one rho set) has at most
@@ -573,21 +553,19 @@ def _solve_stack(
     use once (``_row_stack``, by ``_row_codes``), and each call's stacks are
     one gather from the group's row tables, with the bytes of a product per
     member: 15 rows per run on a 2p5s3a game, whose 243 joints hold 1 215
-    member rows, and never more rows than the members hold. ``rows``, when
-    given, keeps each player's rows, so that a later call on some of the
-    same members (``_refine``) gathers from them instead of building them
-    again.
+    member rows, and never more rows than the members hold.
 
-    ``ExactAnalysis`` solves its plain and softened tables (``table``,
-    ``softened``) in one call, and ``label_equilibria`` its one rho set
-    (``_policy_iteration``), both by policy iteration, whose cost does not
-    grow like 1 / (1 - beta) with the discount. Its tables differ from value iteration's in the last
-    digits, within the margin, so ``ExactAnalysis`` then passes the members
-    whose value-iteration digits can reach a result to ``_refine``: every
-    digit it reports is value iteration's, whichever solver ran first."""
+    Policy iteration's tables differ from value iteration's in the last
+    digits, within each member's margin (``_margin``; 0 at beta = 0 and for
+    a call value iteration solved). With ``refine`` (``ExactAnalysis``),
+    the joints whose value-iteration digits can reach a result
+    (``_reaching``) are solved again by value iteration at every rho set,
+    gathered from the same rows, so every digit the analysis reports is
+    value iteration's, whichever solver ran first: neither a member's
+    induced MDP nor its value-iteration table depends on the other members
+    of its call."""
     num_states = game.num_states
-    rows = {} if rows is None else rows
-    out, margins = dict.fromkeys(opponents), dict.fromkeys(opponents)
+    out, margins, solved = {}, {}, []
     groups: dict[tuple[float, int], list[int]] = {}
     for i in opponents:
         groups.setdefault((game.discounts[i], game.action_counts[i]), []).append(i)
@@ -597,54 +575,80 @@ def _solve_stack(
         tables, index, offset = [], [], 0
         for i in players:
             codes = _row_codes(game, i, opponents[i])
-            if i not in rows:
-                rows[i] = _row_stack(game, i, rhos, codes)
-            lookup, cost, kernel = rows[i]
+            lookup, cost, kernel = _row_stack(game, i, rhos, codes)
             runs = offset + np.arange(len(rhos))[:, None, None]
             index.append((runs + lookup[codes] * len(rhos)).reshape(-1, num_states))
             tables.append((cost, kernel))
             offset += len(cost)
         cost_rows, kernel_rows = (np.concatenate(parts) for parts in zip(*tables))
         index = np.concatenate(index)
-        q, m = np.empty((len(index), num_states, count)), np.empty(len(index))
+        q, m = np.empty((len(index), num_states, count)), np.zeros(len(index))
         for lo in range(0, len(index), _SOLVE_MEMBERS):
             call = slice(lo, lo + _SOLVE_MEMBERS)
-            q[call], m[call] = _solver(cost_rows[index[call]], kernel_rows[index[call]], beta, tol)
+            cost, kernel = cost_rows[index[call]], kernel_rows[index[call]]
+            try:
+                q[call], residual = _policy_iteration(cost, kernel, beta, tol)
+            except RuntimeError:
+                q[call] = _value_iteration(cost, kernel, beta, tol)
+            else:
+                if refine and beta > 0.0:
+                    m[call] = _margin(q[call], residual, kernel, beta, tol)
         first = 0
         for i in players:
             size = len(rhos) * len(opponents[i])
             out[i] = q[first : first + size].reshape(len(rhos), -1, num_states, count)
             margins[i] = m[first : first + size].reshape(len(rhos), -1)
             first += size
-    return out, margins
+        solved.append((beta, players, q, cost_rows, kernel_rows, index))
+    if refine:
+        marked = _reaching(out, margins, tol)
+        for beta, players, q, cost_rows, kernel_rows, index in solved:
+            # each marked joint at every rho set, written into the group's
+            # flat table, of which out[i] are views
+            picked = np.flatnonzero(np.concatenate([np.tile(marked[i], len(rhos)) for i in players]))
+            for lo in range(0, len(picked), _SOLVE_MEMBERS):
+                call = picked[lo : lo + _SOLVE_MEMBERS]
+                q[call] = _value_iteration(cost_rows[index[call]], kernel_rows[index[call]], beta, tol)
+    return out
 
 
-def _refine(
-    game: StochasticGame,
-    tol: float,
-    rhos: Sequence[Sequence[float]],
-    opponents: Mapping[int, np.ndarray],
-    rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]],
-    tables: Mapping[int, np.ndarray],
-    margins: Mapping[int, np.ndarray],
-    chosen: Mapping[int, np.ndarray],
-) -> None:
-    """Solve again by value iteration, in place, the members of
-    ``_solve_stack``'s ``tables`` that ``chosen`` marks ({i: (R, K_i) bool})
-    and whose margin is not 0 (a margin of 0 marks value iteration's bytes
-    already). Each such joint is solved at every rho set, so all of them go
-    to one ``_solve_stack`` call, which gathers them from the first solve's
-    ``rows``. Neither a member's induced MDP nor its value-iteration table
-    depends on the other members of its call, so each row it writes holds
-    exactly the bytes of a solve of every member by value iteration."""
-    picked = {i: np.flatnonzero((pick & (margins[i] > 0.0)).any(axis=0)) for i, pick in chosen.items()}
-    picked = {i: k for i, k in picked.items() if k.size}
-    if picked:
-        solved, _ = _solve_stack(
-            game, tol, rhos, {i: opponents[i][k] for i, k in picked.items()}, _value_solve, rows
-        )
-        for i, k in picked.items():
-            tables[i][:, k] = solved[i]
+def _reaching(
+    tables: Mapping[int, np.ndarray], margins: Mapping[int, np.ndarray], tol: float
+) -> dict[int, np.ndarray]:
+    """Per player, the (K,) opponent joints of ``_solve_stack``'s ``tables``
+    ({i: (R, K, S, A)}, R = 1 or 2) whose value-iteration digits can reach
+    a result of ``ExactAnalysis``, with m each member's margin (``margins``,
+    {i: (R, K)}; see ``_margin``, whose derivation covers the float
+    operations here), a member holding value iteration's bytes already
+    (m = 0) never marking its joint:
+    - a member with a gap within 2m of tol, where a greedy test of
+      ``grids`` may flip;
+    - a member with a gap that may count for ``delta_bar`` (at least
+      10 * tol - 2m) and may be its minimum (at most 2m below the least
+      upper end among the gaps that surely count);
+    - with R = 2 (the softened table), the plain and softened members of a
+      joint whose shift may be the ``gap`` maximum (at most m_plain + m_soft
+      above the greatest lower end).
+    Once these hold value iteration's bytes, each of those results
+    equals, bit for bit, the one read off a table solved by value
+    iteration alone: its deciding entries carry those bytes, and every
+    other entry lies on the same side of every test."""
+    marked = {}
+    gaps = {i: _action_gaps(q[0]) for i, q in tables.items()}
+    reach = {i: 2.0 * m[0][:, None, None] for i, m in margins.items()}
+    sure = [(g + reach[i])[g - reach[i] >= 10.0 * tol] for i, g in gaps.items()]
+    upper = min(s.min(initial=math.inf) for s in sure)
+    for i, g in gaps.items():
+        may_be_least = (g + reach[i] >= 10.0 * tol) & (g - reach[i] <= upper)
+        near = np.abs(g - tol) <= reach[i]
+        marked[i] = (near | may_be_least).any(axis=(1, 2)) & (margins[i][0] > 0.0)
+    shift = {i: np.abs(q[0] - q[1]).reshape(q.shape[1], -1) for i, q in tables.items() if len(q) == 2}
+    if shift:
+        both = {i: margins[i].sum(axis=0)[:, None] for i in shift}
+        lower = max((s - both[i]).max(initial=-math.inf) for i, s in shift.items())
+        for i, s in shift.items():
+            marked[i] |= (s + both[i] >= lower).any(axis=1) & (margins[i] > 0.0).any(axis=0)
+    return marked
 
 
 def _row_stack(
@@ -746,10 +750,10 @@ class ExactAnalysis:
     costs a few linear solves per member where value iteration sweeps about
     log(tol) / log(beta) times, but its tables differ from value
     iteration's in the last digits, within each member's margin
-    (``_margin``). So the members whose value-iteration digits can
-    reach a result (``_reaching``: a greedy test, the ``delta_bar`` minimum
-    or the ``gap`` maximum within the margin) are solved again by value
-    iteration (``_refine``), and the grids, ``equilibria``, path lengths,
+    (``_margin``). So the same call (``refine``) solves again by value
+    iteration the joints whose value-iteration digits can reach a result
+    (``_reaching``: a greedy test, the ``delta_bar`` minimum or the ``gap``
+    maximum within the margin), and the grids, ``equilibria``, path lengths,
     ``delta_bar`` and ``gap`` equal, bit for bit, those of a solve of every
     member by value iteration. ``table`` and ``softened`` hold value
     iteration's bytes on those members and policy iteration's elsewhere.
@@ -786,7 +790,7 @@ class ExactAnalysis:
     @functools.cached_property
     def _solved(self) -> list[np.ndarray]:
         """Per player, Q* against every opponent joint, from one grouped
-        policy-iteration solve, with value iteration again on the members
+        ``_solve_stack`` call, with value iteration again on the joints
         ``_reaching`` marks: (1, K, S, A), the plain table, or (2, K, S, A)
         with the softened one. Both solves gather from one build of each
         player's rows (``_row_stack``)."""
@@ -805,46 +809,8 @@ class ExactAnalysis:
         for i in players:
             others = [j for j in players if j != i]
             opponents[i] = self._decode(others, np.arange(math.prod(sizes[j] for j in others)))
-        rows: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        solved, margins = _solve_stack(self.game, self.tol, rhos, opponents, rows=rows)
-        _refine(self.game, self.tol, rhos, opponents, rows, solved, margins, self._reaching(solved, margins))
+        solved = _solve_stack(self.game, self.tol, rhos, opponents, refine=True)
         return [solved[i] for i in players]
-
-    def _reaching(
-        self, solved: Mapping[int, np.ndarray], margins: Mapping[int, np.ndarray]
-    ) -> dict[int, np.ndarray]:
-        """Per player, the (R, K) members whose value-iteration digits can
-        reach a result, with m each member's margin (``_margin``), whose
-        derivation covers the float operations here:
-        - a member with a gap within 2m of tol, where a greedy test of
-          ``grids`` may flip;
-        - a member with a gap that may count for ``delta_bar`` (at least
-          10 * tol - 2m) and may be its minimum (at most 2m below the least
-          upper end among the gaps that surely count);
-        - with rhos, the plain and softened members of a joint whose shift
-          may be the ``gap`` maximum (at most m_plain + m_soft above the
-          greatest lower end).
-        Once these hold value iteration's bytes, each of those results
-        equals, bit for bit, the one read off a table solved by value
-        iteration alone: its deciding entries carry those bytes, and every
-        other entry lies on the same side of every test."""
-        tol = self.tol
-        chosen = {i: np.zeros(m.shape, dtype=bool) for i, m in margins.items()}
-        gaps = {i: _action_gaps(q[0]) for i, q in solved.items()}
-        reach = {i: 2.0 * m[0][:, None, None] for i, m in margins.items()}
-        sure = [(g + reach[i])[g - reach[i] >= 10.0 * tol] for i, g in gaps.items()]
-        upper = min(s.min(initial=math.inf) for s in sure)
-        for i, g in gaps.items():
-            may_be_least = (g + reach[i] >= 10.0 * tol) & (g - reach[i] <= upper)
-            near = np.abs(g - tol) <= reach[i]
-            chosen[i][0] = (near | may_be_least).any(axis=(1, 2))
-        if self.rhos is not None:
-            shift = {i: np.abs(q[0] - q[1]).reshape(q.shape[1], -1) for i, q in solved.items()}
-            both = {i: m.sum(axis=0)[:, None] for i, m in margins.items()}
-            lower = max((s - both[i]).max(initial=-math.inf) for i, s in shift.items())
-            for i, s in shift.items():
-                chosen[i] |= (s + both[i] >= lower).any(axis=1)
-        return chosen
 
     @functools.cached_property
     def table(self) -> list[np.ndarray]:

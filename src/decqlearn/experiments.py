@@ -15,7 +15,7 @@ import math
 import numbers
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import repeat
 from pathlib import Path
 from typing import Sequence
@@ -177,12 +177,10 @@ class ExperimentConfig:
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":
-        import dataclasses
-
         if not isinstance(data, dict):
             raise ValueError(f"experiment config must be a JSON object, got {type(data).__name__}")
         kwargs = dict(data)
-        known = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        known = {f.name for f in fields(ExperimentConfig)}
         unknown = sorted(set(kwargs) - known)
         if unknown:
             raise ValueError(f"unknown experiment config keys: {', '.join(unknown)}")

@@ -26,11 +26,10 @@ from decqlearn.exact_solver import (
     ExactAnalysis,
     InducedMdp,
     _greedy_mask,
+    _margin,
     _policy_iteration,
-    _policy_solve,
     _solve_stack,
     _value_iteration,
-    _value_solve,
     delta_bar,
     equilibrium_set,
     label_equilibria,
@@ -194,8 +193,10 @@ def test_tables_match_single_solves(game, monkeypatch):
     members = {i: rng.integers(0, len(opponents[i]), size=11).tolist() for i in players}
     for block in BLOCKS:
         monkeypatch.setattr(exact_solver, "_SOLVE_MEMBERS", block)
-        solved, _ = _solve_stack(game, TOL, [plain, rhos], opponents, _value_solve)
-        chosen, _ = _solve_stack(game, TOL, [rhos], {i: opponents[i][members[i]] for i in players}, _value_solve)
+        solved, chosen = _by_value_iteration(monkeypatch, lambda: (
+            _solve_stack(game, TOL, [plain, rhos], opponents),
+            _solve_stack(game, TOL, [rhos], {i: opponents[i][members[i]] for i in players}),
+        ))
         for i in players:
             table, softened = solved[i]
             assert [q.tobytes() for q in table] == [q.tobytes() for q in base[i]]
@@ -205,7 +206,8 @@ def test_tables_match_single_solves(game, monkeypatch):
     for i in players:
         for k in members[i]:
             for r, rho in enumerate((plain, rhos)):
-                (alone,) = _solve_stack(game, TOL, [rho], {i: opponents[i][k : k + 1]}, _value_solve)[0].values()
+                solve = lambda: _solve_stack(game, TOL, [rho], {i: opponents[i][k : k + 1]})
+                (alone,) = _by_value_iteration(monkeypatch, solve).values()
                 assert alone.shape == (1, 1) + solved[i][r, k].shape
                 assert alone[0, 0].tobytes() == solved[i][r, k].tobytes()
 
@@ -330,26 +332,44 @@ def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatc
     # Each player's rows and margins equal its own stacks solved one per rho
     # set, by bytes; the group of each (discount, action count) goes to the
     # solver in ceil(members / block) calls, and a block of 3 cuts across
-    # players and rho sets.
-    solver = {_value_iteration: _value_solve, _policy_iteration: _policy_solve}[solver]
+    # players and rho sets. For value iteration, policy iteration raises,
+    # so every call falls back, with margin 0. The margins are those
+    # _reaching receives, made to mark no joint.
     game = GROUPED[name]
     players = range(game.num_players)
     rho_sets = [(0.0,) * game.num_players, _rhos(game)]
     opponents = {i: _opponents(game, i) for i in players}
-    calls = []
+    calls, seen = [], {}
 
     def counted(cost, kernel, beta, tol):
         calls.append((len(cost), beta, cost.shape[-1]))
         return solver(cost, kernel, beta, tol)
 
+    def unmarked(tables, margins, tol):
+        seen.update(margins)
+        return _unmarked(tables, margins, tol)
+
     monkeypatch.setattr(exact_solver, "_SOLVE_MEMBERS", block)
-    got, margins = _solve_stack(game, TOL, rho_sets, opponents, counted)
-    assert sorted(got) == sorted(margins) == list(players)
+    monkeypatch.setattr(exact_solver, "_reaching", unmarked)
+    monkeypatch.setattr(exact_solver, solver.__name__, counted)
+    if solver is _value_iteration:
+        monkeypatch.setattr(exact_solver, "_policy_iteration", _refuse)
+    got = _solve_stack(game, TOL, rho_sets, opponents, refine=True)
+    assert sorted(got) == sorted(seen) == list(players)
     for i in players:
         beta = game.discounts[i]
-        alone = [solver(*softened_stack(game, i, rho, opponents[i]), beta, TOL) for rho in rho_sets]
-        assert got[i].tobytes() == np.stack([q for q, _ in alone]).tobytes()
-        assert margins[i].tobytes() == np.stack([m for _, m in alone]).tobytes()
+        tables, margins = [], []
+        for rho in rho_sets:
+            cost, kernel = softened_stack(game, i, rho, opponents[i])
+            if solver is _value_iteration:
+                tables.append(solver(cost, kernel, beta, TOL))
+                margins.append(np.zeros(len(cost)))
+            else:
+                q, residual = solver(cost, kernel, beta, TOL)
+                tables.append(q)
+                margins.append(_margin(q, residual, kernel, beta, TOL))
+        assert got[i].tobytes() == np.stack(tables).tobytes()
+        assert seen[i].tobytes() == np.stack(margins).tobytes()
     groups: dict[tuple[float, int], int] = {}
     for i in players:
         key = (game.discounts[i], game.action_counts[i])
@@ -359,6 +379,24 @@ def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatc
     for key, members in groups.items():
         sizes = [size for size, *rest in calls if tuple(rest) == key]
         assert sum(sizes) == members and max(sizes) <= block
+
+
+def _built_rows(monkeypatch) -> list:
+    """Each later ``_row_stack`` call as (player, its rows), in call order."""
+    built = []
+    row_stack = exact_solver._row_stack
+
+    def kept(game, player, rhos, codes):
+        built.append((player, row_stack(game, player, rhos, codes)))
+        return built[-1][1]
+
+    monkeypatch.setattr(exact_solver, "_row_stack", kept)
+    return built
+
+
+def _unsolved(cost, kernel, beta, tol):
+    """A stand-in for ``_policy_iteration`` that solves nothing."""
+    return np.zeros(cost.shape), np.zeros(len(cost))
 
 
 def _row_cases():
@@ -407,11 +445,14 @@ def test_gathered_stacks_match_per_member_product(name, monkeypatch):
 
     def recorded(cost, kernel, beta, tol):
         calls.setdefault((beta, cost.shape[-1]), []).append((cost, kernel))
-        return np.zeros(cost.shape), np.zeros(len(cost))
+        return _unsolved(cost, kernel, beta, tol)
 
     monkeypatch.setattr(exact_solver, "_SOLVE_MEMBERS", 7)
-    rows = {}
-    _solve_stack(game, TOL, rho_sets, opponents, recorded, rows)
+    monkeypatch.setattr(exact_solver, "_policy_iteration", recorded)
+    built = _built_rows(monkeypatch)
+    _solve_stack(game, TOL, rho_sets, opponents)
+    rows = dict(built)
+    assert len(built) == len(rows) == game.num_players
     for i in players:
         # one row per (state, opponents' actions there) pair the joints play
         pairs = {(x, tuple(opp[:, x])) for opp in opponents[i] for x in range(game.num_states)}
@@ -427,16 +468,35 @@ def test_gathered_stacks_match_per_member_product(name, monkeypatch):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_rows_per_run_against_every_joint():
+def test_rows_per_run_against_every_joint(monkeypatch):
     # Every opponent joint of a 2p5s3a game: 243 joints, 1 215 member rows
     # per run, built from 5 * 3 = 15 distinct rows.
     game = _shaped_game(np.random.default_rng(5), 5, (3, 3))
-    rows = {}
-    _solve_stack(
-        game, TOL, [(0.0, 0.0), (0.05, 0.05)], {i: _opponents(game, i) for i in range(2)},
-        lambda cost, kernel, beta, tol: (np.zeros(cost.shape), np.zeros(len(cost))), rows,
-    )
-    assert [len(rows[i][1]) for i in range(2)] == [2 * 15] * 2
+    monkeypatch.setattr(exact_solver, "_policy_iteration", _unsolved)
+    built = _built_rows(monkeypatch)
+    _solve_stack(game, TOL, [(0.0, 0.0), (0.05, 0.05)], {i: _opponents(game, i) for i in range(2)})
+    assert [(i, len(rows[1])) for i, rows in built] == [(0, 2 * 15), (1, 2 * 15)]
+
+
+def test_analysis_builds_each_players_rows_once(monkeypatch):
+    # The benchmark game with rhos, whose tied gaps send all 16 members
+    # (2 players x 4 joints x 2 rho sets) to the value-iteration re-solve:
+    # that re-solve gathers from the rows of the first solve, and so one
+    # analysis builds each player's rows once. So do the labels.
+    game = build_benchmark_game()
+    built = _built_rows(monkeypatch)
+    resolved = []
+    value_iteration = exact_solver._value_iteration
+
+    def counted(cost, kernel, beta, tol):
+        resolved.append(len(cost))
+        return value_iteration(cost, kernel, beta, tol)
+
+    monkeypatch.setattr(exact_solver, "_value_iteration", counted)
+    _solved(game, (0.05, 0.05))
+    assert [i for i, _ in built] == [0, 1] and resolved == [16]
+    label_equilibria(game, _every_joint(game), TOL)
+    assert [i for i, _ in built] == [0, 1, 0, 1]
 
 
 def _wide_game(counts):
@@ -470,7 +530,7 @@ def test_analysis_matches_broadcast_product(game, monkeypatch):
         rhos = _rhos(variant)
         analysis = ExactAnalysis(variant, TOL, rhos=rhos)
         with monkeypatch.context() as patch:
-            patch.setattr(exact_solver, "_refine", lambda *args: None)
+            patch.setattr(exact_solver, "_reaching", _unmarked)
             reference = ExactAnalysis(variant, TOL, rhos=rhos)
             reference.path_len, reference.gap, reference.delta_bar
         for table in ("table", "softened"):
@@ -502,16 +562,24 @@ def _solved(game, rhos=None) -> ExactAnalysis:
     return analysis
 
 
+def _refuse(*args):
+    raise RuntimeError("solver refused")
+
+
 def _by_value_iteration(monkeypatch, build):
     """``build()`` with every stack of the analysis solved by value iteration
     alone, as a full solve gives it: policy iteration raises, so each stack
     falls back, and with no margin no member is solved again."""
-
-    def refuse(*args):
-        raise RuntimeError("policy iteration refused")
-
     with monkeypatch.context() as patch:
-        patch.setattr(exact_solver, "_policy_iteration", refuse)
+        patch.setattr(exact_solver, "_policy_iteration", _refuse)
+        return build()
+
+
+def _by_policy_iteration(monkeypatch, build):
+    """``build()`` with value iteration refused, so that a stack policy
+    iteration cannot solve raises instead of falling back."""
+    with monkeypatch.context() as patch:
+        patch.setattr(exact_solver, "_value_iteration", _refuse)
         return build()
 
 
@@ -582,10 +650,15 @@ def _near_tie_game(seed, player, scale) -> StochasticGame:
     )
 
 
+def _unmarked(tables, margins, tol):
+    """A stand-in for ``_reaching`` that marks no joint."""
+    return {i: np.zeros(m.shape[1], dtype=bool) for i, m in margins.items()}
+
+
 def _policy_iteration_alone(monkeypatch, build):
     """``build()`` with no member solved again by value iteration."""
     with monkeypatch.context() as patch:
-        patch.setattr(exact_solver, "_refine", lambda *args: None)
+        patch.setattr(exact_solver, "_reaching", _unmarked)
         return build()
 
 
@@ -608,7 +681,8 @@ def test_greedy_test_inside_the_margin(monkeypatch):
     reference = _by_value_iteration(monkeypatch, lambda: _solved(game))
     assert not np.array_equal(alone.grids[0], reference.grids[0])
     _assert_value_iteration_bytes(game, monkeypatch)
-    # the labels, by policy iteration alone, read its side of the test
+    # the labels, not solved again by value iteration, read policy
+    # iteration's side of the test
     joints = _every_joint(game)
     assert label_equilibria(game, joints, TOL) == [joint in alone.equilibria for joint in joints]
 
@@ -645,8 +719,8 @@ def test_margin_bounds_the_distance_from_value_iteration(beta, scale):
     # rounding terms decide there.
     cost, kernel = _random_stack(np.random.default_rng(7), 64, 4, 3)
     cost = cost * scale
-    q, margin = _policy_solve(cost, kernel, beta, TOL)
-    _, residual = _policy_iteration(cost, kernel, beta, TOL)
+    q, residual = _policy_iteration(cost, kernel, beta, TOL)
+    margin = _margin(q, residual, kernel, beta, TOL)
     distance = np.abs(_value_iteration(cost, kernel, beta, TOL) - q).reshape(64, -1).max(axis=1)
     assert (distance <= margin).all()
     threshold = TOL * (1.0 - beta) / (2.0 * beta)
@@ -659,9 +733,8 @@ def test_margin_bounds_the_distance_from_value_iteration(beta, scale):
 
 def test_stacks_fall_back_where_policy_iteration_raises(monkeypatch):
     # With one step allowed, policy iteration leaves members unsettled and
-    # raises: the analysis solves those stacks by value iteration, while the
-    # labels, by policy iteration alone, raise
-    # (test_policy_iteration_refuses_unsettled_members).
+    # raises: the analysis solves those stacks by value iteration, and so do
+    # the labels (test_policy_iteration_refuses_unsettled_members).
     game = _shaped_game(np.random.default_rng(0), 3, (3, 3), beta=0.9)
     expected = _report(game, _rhos(game))
     monkeypatch.setattr(exact_solver, "_MAX_POLICY_ITERATIONS", 1)
@@ -683,13 +756,14 @@ def test_decode_follows_product_order(game):
     assert analysis.choices(range(len(joints))) == joints
 
 
-def _assert_policy_iteration_matches(game):
+def _assert_policy_iteration_matches(game, monkeypatch):
     # Against every opponent joint, plain and softened: within tol of both
     # single-solve oracles, with the value-iteration stack's greedy masks.
     opponents = {i: _opponents(game, i) for i in range(game.num_players)}
     for rhos in ((0.0,) * game.num_players, _rhos(game)):
-        by_pi, _ = _solve_stack(game, TOL, [rhos], opponents, _policy_iteration)
-        by_vi, _ = _solve_stack(game, TOL, [rhos], opponents, _value_solve)
+        solve = lambda: _solve_stack(game, TOL, [rhos], opponents)
+        by_pi = _by_policy_iteration(monkeypatch, solve)
+        by_vi = _by_value_iteration(monkeypatch, solve)
         for i in range(game.num_players):
             (pi,), (vi,) = by_pi[i], by_vi[i]
             mdps = [
@@ -701,36 +775,59 @@ def _assert_policy_iteration_matches(game):
             assert np.array_equal(_greedy_mask(pi, TOL), _greedy_mask(vi, TOL))
 
 
-def test_policy_iteration_matches_oracles(game):
-    _assert_policy_iteration_matches(game)
+def test_policy_iteration_matches_oracles(game, monkeypatch):
+    _assert_policy_iteration_matches(game, monkeypatch)
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 0.99])
 @pytest.mark.parametrize("num_states, counts", [(3, (2, 2)), (2, (3, 2)), (2, (2, 2, 2))])
-def test_policy_iteration_matches_oracles_across_discounts(beta, num_states, counts):
+def test_policy_iteration_matches_oracles_across_discounts(beta, num_states, counts, monkeypatch):
     rng = np.random.default_rng(int(100 * beta) + num_states)
-    _assert_policy_iteration_matches(_shaped_game(rng, num_states, counts, beta=beta))
+    _assert_policy_iteration_matches(_shaped_game(rng, num_states, counts, beta=beta), monkeypatch)
+
+
+def _assert_labels_match_analysis(game, joints, tol):
+    equilibria = ExactAnalysis(game, tol).equilibria
+    assert label_equilibria(game, joints, tol) == [joint in equilibria for joint in joints]
 
 
 def test_policy_iteration_refuses_lost_precision():
     # At beta = 0.9999 the evaluation solves round far above 1e-15, so the
-    # Bellman check fails and the labels raise instead of passing.
+    # Bellman check fails and policy iteration raises instead of passing;
+    # the labels, like the analysis, fall back to value iteration.
     game = _shaped_game(np.random.default_rng(5), 3, (2, 2), beta=0.9999)
     joints = _every_joint(game)
     assert len(label_equilibria(game, joints, TOL)) == len(joints)
+    cost, kernel = softened_stack(game, 0, (0.0, 0.0), _opponents(game, 0))
     with pytest.raises(RuntimeError, match="Bellman residual .* above tol 1e-15"):
-        label_equilibria(game, joints, 1e-15)
+        _policy_iteration(cost, kernel, 0.9999, 1e-15)
+    _assert_labels_match_analysis(game, joints, 1e-15)
 
 
 def test_policy_iteration_refuses_unsettled_members(monkeypatch):
     # Greedy on cost is not optimal against every opponent joint here, so a
-    # one-step cap leaves members unsettled.
+    # one-step cap leaves members unsettled; the labels fall back as the
+    # analysis does.
     game = _shaped_game(np.random.default_rng(0), 3, (3, 3), beta=0.9)
     monkeypatch.setattr(exact_solver, "_MAX_POLICY_ITERATIONS", 1)
+    cost, kernel = softened_stack(game, 0, (0.0, 0.0), _opponents(game, 0))
     with pytest.raises(RuntimeError, match="policy iteration did not settle"):
-        _solve_stack(game, TOL, [(0.0, 0.0)], {0: _opponents(game, 0)}, _policy_iteration)
-    with pytest.raises(RuntimeError, match="policy iteration did not settle"):
-        label_equilibria(game, _every_joint(game), TOL)
+        _policy_iteration(cost, kernel, 0.9, TOL)
+    _assert_labels_match_analysis(game, _every_joint(game), TOL)
+
+
+def test_labels_fall_back_where_policy_iteration_loses_precision():
+    # At beta = 0.999 with costs to 1e4, policy iteration's Bellman residual
+    # (7.45e-9) exceeds tol 1e-9: the labels a simulation of this game
+    # takes after play are value iteration's, as in the analysis.
+    game = seeded_game(np.random.default_rng(0), (2, 2), 3, discounts=(0.999, 0.999))
+    game = dataclasses.replace(game, costs=tuple(c * 1e4 for c in game.costs))
+    cost, kernel = softened_stack(game, 0, (0.0, 0.0), _opponents(game, 0))
+    with pytest.raises(RuntimeError, match="Bellman residual .* above tol 1e-09"):
+        _policy_iteration(cost, kernel, 0.999, TOL)
+    joints = [((0, 0, 0), (0, 0, 0)), ((1, 0, 1), (0, 1, 1))]
+    assert label_equilibria(game, joints, TOL) == [False, False]
+    _assert_labels_match_analysis(game, joints, TOL)
 
 
 def _every_joint(game):

@@ -4,11 +4,13 @@ reach the shell; one process runs every command in turn, with no option
 outliving its call; a run's outputs do not depend on how its trials are
 split over workers, so a batch played in lockstep and the same trials
 played one by one write the same files; a game whose greedy sets hold more
-than 2**63 policies simulates, and so does one at beta = 0.999;
+than 2**63 policies simulates, and so do one at beta = 0.999 and one
+whose labels policy iteration cannot solve to tol;
 ``analyze`` prints the same bytes twice, and the same discrete fields
 under two OpenBLAS kernels; and the README's library example prints what
 its comments say."""
 
+import dataclasses
 import json
 import math
 import os
@@ -149,6 +151,21 @@ def test_simulate_a_seeded_beta_0_999_game(tmp_path):
     )
     summary = json.loads((out / "summary.json").read_text())
     assert sorted(summary["frequencies"]) == ["0", "19999"]
+
+
+def test_simulate_where_policy_iteration_loses_precision(tmp_path):
+    # At beta = 0.999 with costs to 1e4, policy iteration loses precision on
+    # the labels taken after play; they fall back to value iteration, as
+    # analyze does on the same file.
+    game = seeded_game(np.random.default_rng(0), (2, 2), 3, discounts=(0.999, 0.999))
+    save_game(dataclasses.replace(game, costs=tuple(c * 1e4 for c in game.costs)), tmp_path / "game.json")
+    config = {"trials": 2, "horizon": 100, "record_times": [0], "min_phase": 10}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "run"
+    _run("simulate", tmp_path / "game.json", "--config", tmp_path / "config.json", "--out-dir", out)
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary["frequencies"]) == ["0"]
+    _run("analyze", tmp_path / "game.json")
 
 
 @pytest.mark.parametrize(

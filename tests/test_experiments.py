@@ -242,9 +242,9 @@ class TestAnalyzeGame:
 
     def test_solves_each_stack_once(self, solve_calls):
         # one call for every player, holding the table and the softened
-        # table, whatever is derived; then one more for the members whose
-        # value-iteration digits reach the report, here all four joints of
-        # each player, whose delta_bar gaps tie
+        # table, whatever is derived; the same call solves again by value
+        # iteration the members whose digits reach the report, here all four
+        # joints of each player, whose delta_bar gaps tie
         analyze_game(
             "benchmark",
             rhos=(0.05, 0.05),
@@ -253,7 +253,7 @@ class TestAnalyzeGame:
             eps=0.1,
             ratio=3,
         )
-        assert solve_calls == [((0, 1), ((0.0, 0.0), (0.05, 0.05)), (4, 4))] * 2
+        assert solve_calls == [((0, 1), ((0.0, 0.0), (0.05, 0.05)), (4, 4))]
 
     @pytest.mark.parametrize(
         "deltas", [(0.5, 0.6, 0.7), (0.5,), (-1.0, -1.0), (0.5, 0.0), (0.5, math.inf), (math.nan, 0.5)]
