@@ -3,12 +3,11 @@
 Fixing the other players' stationary policies turns one player's problem into
 a single-agent MDP; everything here is built on that reduction: optimal
 Q-functions (value iteration on Q-factors, and one batched solve,
-``_solve_stack``, by policy iteration with value iteration where it raises,
-behind both the labels of visited joints and the analysis, which solves
-again by value iteration wherever its digits could reach a result), policy
-evaluation, epsilon-greedy policy sets, equilibrium tests, a
-joint-reachability check, and one :class:`ExactAnalysis` behind the
-equilibria, the best-response graph, the minimum nonzero Q-gap
+``_solve_stack``, by policy iteration, behind both the labels of visited
+joints and the analysis, which solves again by value iteration wherever its
+digits could reach a result), policy evaluation, epsilon-greedy policy sets,
+equilibrium tests, a joint-reachability check, and one :class:`ExactAnalysis`
+behind the equilibria, the best-response graph, the minimum nonzero Q-gap
 ``delta_bar`` and the experimentation perturbation gap. These are the
 ground-truth oracles the learning code is tested against.
 """
@@ -273,24 +272,40 @@ def _value_iteration(
 def _policy_iteration(
     cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Howard policy iteration on the stacks ``_value_iteration`` takes. Each
-    member starts from its greedy policy on cost, is evaluated by one batched
-    linear solve of I - beta P_pi per step, and keeps each action unless
-    another is strictly lower, so ties cannot cycle. A member leaves the stack
-    once its policy is stable and must then pass one Bellman check,
-    max |T q - q| <= tol (which bounds its sup error by tol / (1 - beta)), so
-    precision lost near beta = 1 raises RuntimeError instead of passing; so
-    does a member not settled within _MAX_POLICY_ITERATIONS steps. The step
-    count grows with the policies tried, not with 1 / (1 - beta). The
-    evaluation's Q-factors and the Bellman check both take the product of
-    ``_value_iteration``, one gemv per member (``_backup``). A non-finite
-    cost or kernel entry is a ValueError. Returns the tables and each
-    member's Bellman residual max |T q - q| as computed (0 for beta = 0)."""
+    """Howard policy iteration on the stacks ``_value_iteration`` takes, with
+    its product (``_backup``, one gemv per member). Each member starts from
+    its greedy policy on cost, is evaluated by one batched linear solve of
+    I - beta P_pi per step, and keeps each action unless another is lower by
+    more than gamma Q (below), so neither ties nor their rounding can cycle;
+    the steps grow with the policies tried, not with 1 / (1 - beta). A stable
+    member leaves the stack and must pass one Bellman check,
+    max |T q - q| <= max(tol, floor), which bounds its sup error by that over
+    1 - beta, or raise RuntimeError (precision lost), as does a member not
+    settled within _MAX_POLICY_ITERATIONS steps. A non-finite cost or kernel
+    entry is a ValueError. Returns the tables and each member's Bellman
+    residual as computed (0 for beta = 0).
+
+    The floor is 5 gamma Q, with gamma = (S + 2) u, u = eps / 2,
+    Q = M / (1 - beta) and M = max |c| of the member: what rounding alone
+    leaves. Q bounds every policy's value (M + beta Q = Q), and a backup
+    fl(c + beta K w), S products summed in any order, a scale and an add,
+    lies within gamma Q of c + beta K w for |w| <= Q. At a stable policy pi
+    the member holds the solve's v and p = fl(c + beta K v), with
+    p_pi = v + s + e, s = c_pi + beta K_pi v - v the solve's residual,
+    |e| <= gamma Q, and min p >= p_pi - gamma Q. The check's backup of min p
+    lies within beta (|s| + 2 gamma Q) + gamma Q of c + beta K v, and p
+    within gamma Q, so the computed residual is at most
+    (1 + u) (|s| + 4 gamma Q). The fifth gamma Q is room for |s|, which LU
+    with partial pivoting keeps to a few u |v| on these diagonally dominant
+    matrices (``test_residuals_stay_below_the_floor`` scans for it)."""
     _check_finite(cost, kernel)
     if beta == 0.0:
         return cost.copy(), np.zeros(len(cost))
     num_states = cost.shape[1]
     states, eye = np.arange(num_states), np.eye(num_states)
+    # gamma Q per member (see above): the switching slack and the floor's unit
+    slack = (num_states + 2) * (np.finfo(float).eps / 2.0) / (1.0 - beta)
+    slack = slack * np.abs(cost).reshape(len(cost), -1).max(axis=1)
     out, residuals = np.empty_like(cost), np.empty(len(cost))
     live = np.arange(len(cost))
     policy = cost.argmin(axis=-1)
@@ -301,19 +316,21 @@ def _policy_iteration(
         )
         q = _backup(cost, kernel, beta, chosen[..., 0])
         best = q.argmin(axis=-1)
-        better = q[rows, states, best] < q[rows, states, policy]
+        better = q[rows, states, best] < q[rows, states, policy] - slack[:, None]
         done = ~better.any(axis=1)
         if done.any():
             q, settled = q[done], live[done]
             backup = _backup(cost[done], kernel[done], beta, q.min(axis=-1))
             residual = np.abs(backup - q).reshape(len(q), -1).max(axis=1)
-            if not (residual <= tol).all():
+            bound = np.maximum(tol, 5.0 * slack[done])
+            if not (residual <= bound).all():
+                k = np.argmax(residual - bound)
                 raise RuntimeError(
-                    f"policy iteration lost precision: Bellman residual "
-                    f"{residual.max():.3g} above tol {tol:.3g} at discount {beta}"
+                    f"policy iteration lost precision: Bellman residual {residual[k]:.3g} "
+                    f"above {bound[k]:.3g} (tol {tol:.3g} or its float floor) at discount {beta}"
                 )
             out[settled], residuals[settled] = q, residual
-            live, cost, kernel = (a[~done] for a in (live, cost, kernel))
+            live, cost, kernel, slack = (a[~done] for a in (live, cost, kernel, slack))
             if not live.size:
                 return out, residuals
         policy = np.where(better, best, policy)[~done]
@@ -376,9 +393,8 @@ def _margin(
     exceeds every sum above. Every operation here is evaluated in float and
     stepped one float outwards (``_up``, ``_down``), so the computed m bounds
     the exact one. With 1 - kappa - 2 gamma <= 0 the margin is inf.
-    ``_solve_stack`` takes it, with ``refine``, for each call that policy
-    iteration solves at beta > 0; every other member keeps margin 0, as its
-    table is value iteration's."""
+    ``_solve_stack`` takes it, with ``refine``, for each call at beta > 0;
+    at beta = 0 both solvers return the costs, and the margin is 0."""
     u = np.finfo(float).eps / 2.0
     n = kernel.shape[-1] + 1
     gamma = _up(n * u / (1.0 - n * u))
@@ -410,11 +426,10 @@ def q_star(
 
 
 def policy_value(
-    game: StochasticGame, player: int, joint: Sequence[StationaryPolicy], tol: float
+    game: StochasticGame, player: int, joint: Sequence[StationaryPolicy]
 ) -> np.ndarray:
     """Player's expected discounted cost per initial state when everyone
-    (player included) follows the given joint stationary policy."""
-    check_input("tol", tol)
+    (player included) follows the given joint stationary policy (a direct solve)."""
     seen = sorted(pol.player for pol in joint)
     if seen != list(range(game.num_players)):
         raise ValueError("joint policy must contain exactly one policy per player")
@@ -422,9 +437,7 @@ def policy_value(
     w_flat = w.reshape(game.num_states, game.num_joint_actions)
     cost = (game.costs[player] * w_flat).sum(axis=1)
     transition = np.einsum("sa,sat->st", w_flat, game.kernel)
-    beta = game.discounts[player]
-    eye = np.eye(game.num_states)
-    return np.linalg.solve(eye - beta * transition, cost)
+    return np.linalg.solve(np.eye(game.num_states) - game.discounts[player] * transition, cost)
 
 
 def _greedy_mask(values: np.ndarray, eps: float) -> np.ndarray:
@@ -437,7 +450,7 @@ def _greedy_mask(values: np.ndarray, eps: float) -> np.ndarray:
 def br_hat(q: QTable, eps: float) -> list[DeterministicPolicy]:
     """All deterministic policies that are eps-greedy with respect to q
     in every state. Nonempty for eps >= 0."""
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     allowed = [np.flatnonzero(row).tolist() for row in _greedy_mask(q.values, eps)]
     return [DeterministicPolicy(q.player, combo) for combo in itertools.product(*allowed)]
@@ -468,17 +481,14 @@ def label_equilibria(
     A joint without one policy per player, or with a policy that breaks the
     choice rule (``game_model._choice_for``), is a ValueError naming it.
 
-    The stacks are solved as the analysis solves them: by policy iteration,
-    which stays fast at discounts near 1 where value iteration needs
-    ~1 / (1 - beta) sweeps, and by value iteration where policy iteration
-    raises (lost precision, or a member not settled). Unlike
-    ``ExactAnalysis``, behind ``equilibrium_set``, no member is solved again
-    by value iteration: every member of a game with exactly tied Q-values
-    would be. So a label equals membership in ``equilibrium_set(game, tol)``
-    except where some Q-gap lies within the member's margin (``_margin``)
-    of the tol slack, where the analysis reads value iteration's digits."""
+    The stacks are solved as the analysis solves them, by policy iteration
+    (``_solve_stack``), but no member is solved again by value iteration:
+    every member of a game with exactly tied Q-values would be. So a label
+    equals membership in ``equilibrium_set(game, tol)`` except where some
+    Q-gap lies within the member's margin (``_margin``) of the tol slack,
+    where the analysis reads value iteration's digits."""
     check_input("tol", tol)
-    if eps < 0.0:
+    if not eps >= 0.0:
         raise ValueError(f"eps must be nonnegative, got {eps}")
     num_players, num_states = game.num_players, game.num_states
     checked = []
@@ -542,9 +552,9 @@ def _solve_stack(
     members (player, then rho set, then joint) are solved in calls of at
     most _SOLVE_MEMBERS, so a game whose players all share both makes one
     call. Each call is solved by policy iteration (``_policy_iteration``),
-    whose cost does not grow like 1 / (1 - beta) with the discount, and by
-    value iteration (``_value_iteration``) instead where policy iteration
-    raises. Each member's result does not depend on the others in its call.
+    whose cost does not grow like 1 / (1 - beta) with the discount and whose
+    Bellman check reads tol, or the float floor where tol lies below it.
+    Each member's result does not depend on the others in its call.
 
     A member's cost and kernel row at state s depend only on its opponents'
     actions at s, so each run (one player and one rho set) has at most
@@ -556,14 +566,13 @@ def _solve_stack(
     member rows, and never more rows than the members hold.
 
     Policy iteration's tables differ from value iteration's in the last
-    digits, within each member's margin (``_margin``; 0 at beta = 0 and for
-    a call value iteration solved). With ``refine`` (``ExactAnalysis``),
-    the joints whose value-iteration digits can reach a result
-    (``_reaching``) are solved again by value iteration at every rho set,
-    gathered from the same rows, so every digit the analysis reports is
-    value iteration's, whichever solver ran first: neither a member's
-    induced MDP nor its value-iteration table depends on the other members
-    of its call."""
+    digits, within each member's margin (``_margin``; 0 at beta = 0). With
+    ``refine`` (``ExactAnalysis``), the joints whose value-iteration digits
+    can reach a result (``_reaching``) are solved again by value iteration
+    at every rho set, gathered from the same rows, so every digit the
+    analysis reports is value iteration's, whichever solver ran first:
+    neither a member's induced MDP nor its value-iteration table depends on
+    the other members of its call."""
     num_states = game.num_states
     out, margins, solved = {}, {}, []
     groups: dict[tuple[float, int], list[int]] = {}
@@ -586,13 +595,9 @@ def _solve_stack(
         for lo in range(0, len(index), _SOLVE_MEMBERS):
             call = slice(lo, lo + _SOLVE_MEMBERS)
             cost, kernel = cost_rows[index[call]], kernel_rows[index[call]]
-            try:
-                q[call], residual = _policy_iteration(cost, kernel, beta, tol)
-            except RuntimeError:
-                q[call] = _value_iteration(cost, kernel, beta, tol)
-            else:
-                if refine and beta > 0.0:
-                    m[call] = _margin(q[call], residual, kernel, beta, tol)
+            q[call], residual = _policy_iteration(cost, kernel, beta, tol)
+            if refine and beta > 0.0:
+                m[call] = _margin(q[call], residual, kernel, beta, tol)
         first = 0
         for i in players:
             size = len(rhos) * len(opponents[i])
@@ -619,8 +624,8 @@ def _reaching(
     ({i: (R, K, S, A)}, R = 1 or 2) whose value-iteration digits can reach
     a result of ``ExactAnalysis``, with m each member's margin (``margins``,
     {i: (R, K)}; see ``_margin``, whose derivation covers the float
-    operations here), a member holding value iteration's bytes already
-    (m = 0) never marking its joint:
+    operations here), a member at beta = 0 (m = 0, value iteration's bytes
+    already) never marking its joint:
     - a member with a gap within 2m of tol, where a greedy test of
       ``grids`` may flip;
     - a member with a gap that may count for ``delta_bar`` (at least
@@ -743,19 +748,13 @@ class ExactAnalysis:
     call: one policy-iteration stack per group of players that share a
     discount and an action count, holding the plain and, when ``rhos`` are
     given, the softened members together, so ``table`` and ``softened``
-    share one cached solve. A stack on which policy iteration raises is
-    solved by value iteration instead.
+    share one cached solve.
 
-    The digits the results read are value iteration's. Policy iteration
-    costs a few linear solves per member where value iteration sweeps about
-    log(tol) / log(beta) times, but its tables differ from value
-    iteration's in the last digits, within each member's margin
-    (``_margin``). So the same call (``refine``) solves again by value
-    iteration the joints whose value-iteration digits can reach a result
-    (``_reaching``: a greedy test, the ``delta_bar`` minimum or the ``gap``
-    maximum within the margin), and the grids, ``equilibria``, path lengths,
-    ``delta_bar`` and ``gap`` equal, bit for bit, those of a solve of every
-    member by value iteration. ``table`` and ``softened`` hold value
+    The digits the results read are value iteration's: the same call
+    (``refine``) solves again by value iteration the joints whose digits can
+    reach a result (``_reaching``), so the grids, ``equilibria``, path
+    lengths, ``delta_bar`` and ``gap`` equal, bit for bit, those of a solve of
+    every member by value iteration. ``table`` and ``softened`` hold value
     iteration's bytes on those members and policy iteration's elsewhere.
 
     The best-response graph is held as arrays over the nodes, the joint

@@ -332,18 +332,19 @@ def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatc
     # Each player's rows and margins equal its own stacks solved one per rho
     # set, by bytes; the group of each (discount, action count) goes to the
     # solver in ceil(members / block) calls, and a block of 3 cuts across
-    # players and rho sets. For value iteration, policy iteration raises,
-    # so every call falls back, with margin 0. The margins are those
-    # _reaching receives, made to mark no joint.
+    # players and rho sets. For value iteration, a stand-in for policy
+    # iteration solves each call (_as_policy_iteration, residual 0). The
+    # margins are those _reaching receives, made to mark no joint.
     game = GROUPED[name]
     players = range(game.num_players)
     rho_sets = [(0.0,) * game.num_players, _rhos(game)]
     opponents = {i: _opponents(game, i) for i in players}
     calls, seen = [], {}
+    solve = _as_policy_iteration if solver is _value_iteration else solver
 
     def counted(cost, kernel, beta, tol):
         calls.append((len(cost), beta, cost.shape[-1]))
-        return solver(cost, kernel, beta, tol)
+        return solve(cost, kernel, beta, tol)
 
     def unmarked(tables, margins, tol):
         seen.update(margins)
@@ -351,9 +352,7 @@ def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatc
 
     monkeypatch.setattr(exact_solver, "_SOLVE_MEMBERS", block)
     monkeypatch.setattr(exact_solver, "_reaching", unmarked)
-    monkeypatch.setattr(exact_solver, solver.__name__, counted)
-    if solver is _value_iteration:
-        monkeypatch.setattr(exact_solver, "_policy_iteration", _refuse)
+    monkeypatch.setattr(exact_solver, "_policy_iteration", counted)
     got = _solve_stack(game, TOL, rho_sets, opponents, refine=True)
     assert sorted(got) == sorted(seen) == list(players)
     for i in players:
@@ -361,13 +360,9 @@ def test_grouped_solve_matches_per_player_solves(name, solver, block, monkeypatc
         tables, margins = [], []
         for rho in rho_sets:
             cost, kernel = softened_stack(game, i, rho, opponents[i])
-            if solver is _value_iteration:
-                tables.append(solver(cost, kernel, beta, TOL))
-                margins.append(np.zeros(len(cost)))
-            else:
-                q, residual = solver(cost, kernel, beta, TOL)
-                tables.append(q)
-                margins.append(_margin(q, residual, kernel, beta, TOL))
+            q, residual = solve(cost, kernel, beta, TOL)
+            tables.append(q)
+            margins.append(_margin(q, residual, kernel, beta, TOL))
         assert got[i].tobytes() == np.stack(tables).tobytes()
         assert seen[i].tobytes() == np.stack(margins).tobytes()
     groups: dict[tuple[float, int], int] = {}
@@ -562,24 +557,19 @@ def _solved(game, rhos=None) -> ExactAnalysis:
     return analysis
 
 
-def _refuse(*args):
-    raise RuntimeError("solver refused")
+def _as_policy_iteration(cost, kernel, beta, tol):
+    """A stand-in for ``_policy_iteration`` that solves by value iteration,
+    with residual 0."""
+    return _value_iteration(cost, kernel, beta, tol), np.zeros(len(cost))
 
 
 def _by_value_iteration(monkeypatch, build):
     """``build()`` with every stack of the analysis solved by value iteration
-    alone, as a full solve gives it: policy iteration raises, so each stack
-    falls back, and with no margin no member is solved again."""
+    alone, as a full solve gives it: value iteration stands in for policy
+    iteration, and no member is solved again."""
     with monkeypatch.context() as patch:
-        patch.setattr(exact_solver, "_policy_iteration", _refuse)
-        return build()
-
-
-def _by_policy_iteration(monkeypatch, build):
-    """``build()`` with value iteration refused, so that a stack policy
-    iteration cannot solve raises instead of falling back."""
-    with monkeypatch.context() as patch:
-        patch.setattr(exact_solver, "_value_iteration", _refuse)
+        patch.setattr(exact_solver, "_policy_iteration", _as_policy_iteration)
+        patch.setattr(exact_solver, "_reaching", _unmarked)
         return build()
 
 
@@ -731,17 +721,6 @@ def test_margin_bounds_the_distance_from_value_iteration(beta, scale):
         assert (distance / margin).max() > 0.999
 
 
-def test_stacks_fall_back_where_policy_iteration_raises(monkeypatch):
-    # With one step allowed, policy iteration leaves members unsettled and
-    # raises: the analysis solves those stacks by value iteration, and so do
-    # the labels (test_policy_iteration_refuses_unsettled_members).
-    game = _shaped_game(np.random.default_rng(0), 3, (3, 3), beta=0.9)
-    expected = _report(game, _rhos(game))
-    monkeypatch.setattr(exact_solver, "_MAX_POLICY_ITERATIONS", 1)
-    assert _report(game, _rhos(game)) == expected
-    _assert_value_iteration_bytes(game, monkeypatch, _rhos(game))
-
-
 def test_decode_follows_product_order(game):
     # Opponent joints (a (1, 0, S) array for a 1-player game, one byte per
     # action id at these action counts) and nodes.
@@ -762,8 +741,7 @@ def _assert_policy_iteration_matches(game, monkeypatch):
     opponents = {i: _opponents(game, i) for i in range(game.num_players)}
     for rhos in ((0.0,) * game.num_players, _rhos(game)):
         solve = lambda: _solve_stack(game, TOL, [rhos], opponents)
-        by_pi = _by_policy_iteration(monkeypatch, solve)
-        by_vi = _by_value_iteration(monkeypatch, solve)
+        by_pi, by_vi = solve(), _by_value_iteration(monkeypatch, solve)
         for i in range(game.num_players):
             (pi,), (vi,) = by_pi[i], by_vi[i]
             mdps = [
@@ -791,43 +769,99 @@ def _assert_labels_match_analysis(game, joints, tol):
     assert label_equilibria(game, joints, tol) == [joint in equilibria for joint in joints]
 
 
-def test_policy_iteration_refuses_lost_precision():
-    # At beta = 0.9999 the evaluation solves round far above 1e-15, so the
-    # Bellman check fails and policy iteration raises instead of passing;
-    # the labels, like the analysis, fall back to value iteration.
+def _floor(cost, beta):
+    """The float floor of ``_policy_iteration``'s Bellman check per member:
+    5 (S + 2) u max |c| / (1 - beta), u = eps / 2."""
+    size = np.abs(cost).reshape(len(cost), -1).max(axis=1)
+    return 5.0 * (cost.shape[1] + 2) * (np.finfo(float).eps / 2.0) * size / (1.0 - beta)
+
+
+def test_policy_iteration_refuses_lost_precision(monkeypatch):
+    # At beta = 0.9999 no float table meets tol 1e-15: policy iteration
+    # passes each member within its float floor instead, and the labels
+    # equal the analysis. A residual above the floor, from an evaluation
+    # made to err by 1e-6, still raises.
     game = _shaped_game(np.random.default_rng(5), 3, (2, 2), beta=0.9999)
-    joints = _every_joint(game)
-    assert len(label_equilibria(game, joints, TOL)) == len(joints)
     cost, kernel = softened_stack(game, 0, (0.0, 0.0), _opponents(game, 0))
-    with pytest.raises(RuntimeError, match="Bellman residual .* above tol 1e-15"):
+    _, residual = _policy_iteration(cost, kernel, 0.9999, 1e-15)
+    assert residual.max() > 1e-15 and (residual <= _floor(cost, 0.9999)).all()
+    _assert_labels_match_analysis(game, _every_joint(game), 1e-15)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solve(a, b) * (1.0 + 1e-6))
+    with pytest.raises(RuntimeError, match="Bellman residual .* above"):
         _policy_iteration(cost, kernel, 0.9999, 1e-15)
-    _assert_labels_match_analysis(game, joints, 1e-15)
 
 
 def test_policy_iteration_refuses_unsettled_members(monkeypatch):
     # Greedy on cost is not optimal against every opponent joint here, so a
-    # one-step cap leaves members unsettled; the labels fall back as the
-    # analysis does.
+    # one-step cap leaves members unsettled: policy iteration, the labels
+    # and the analysis all raise.
     game = _shaped_game(np.random.default_rng(0), 3, (3, 3), beta=0.9)
     monkeypatch.setattr(exact_solver, "_MAX_POLICY_ITERATIONS", 1)
     cost, kernel = softened_stack(game, 0, (0.0, 0.0), _opponents(game, 0))
     with pytest.raises(RuntimeError, match="policy iteration did not settle"):
         _policy_iteration(cost, kernel, 0.9, TOL)
-    _assert_labels_match_analysis(game, _every_joint(game), TOL)
+    with pytest.raises(RuntimeError, match="policy iteration did not settle"):
+        label_equilibria(game, _every_joint(game), TOL)
+    with pytest.raises(RuntimeError, match="policy iteration did not settle"):
+        ExactAnalysis(game, TOL).equilibria
 
 
-def test_labels_fall_back_where_policy_iteration_loses_precision():
+def test_labels_where_the_float_floor_binds():
     # At beta = 0.999 with costs to 1e4, policy iteration's Bellman residual
-    # (7.45e-9) exceeds tol 1e-9: the labels a simulation of this game
-    # takes after play are value iteration's, as in the analysis.
+    # (7.45e-9, 1 ulp of |Q| = 4.4e7) exceeds tol 1e-9 but not the float
+    # floor: the labels a simulation of this game takes after play are
+    # policy iteration's, and equal the analysis.
     game = seeded_game(np.random.default_rng(0), (2, 2), 3, discounts=(0.999, 0.999))
     game = dataclasses.replace(game, costs=tuple(c * 1e4 for c in game.costs))
     cost, kernel = softened_stack(game, 0, (0.0, 0.0), _opponents(game, 0))
-    with pytest.raises(RuntimeError, match="Bellman residual .* above tol 1e-09"):
-        _policy_iteration(cost, kernel, 0.999, TOL)
+    _, residual = _policy_iteration(cost, kernel, 0.999, TOL)
+    assert residual.max() > TOL and (residual <= _floor(cost, 0.999)).all()
     joints = [((0, 0, 0), (0, 0, 0)), ((1, 0, 1), (0, 1, 1))]
     assert label_equilibria(game, joints, TOL) == [False, False]
     _assert_labels_match_analysis(game, joints, TOL)
+
+
+def _scan_stack(rng):
+    """A random stack for the floor scan: S 1-32, A 2-5, K 1-8, beta 0.5 to
+    0.99999, costs of either sign and of magnitude 1e-2 to 1e6. Some take
+    three cost levels with the least at action 0, so that the optimal values
+    are constant and every least action ties exactly, through other kernel
+    rows; some give actions 0 and 1 equal costs or equal kernel rows, and
+    some have deterministic kernels."""
+    num_states, num_actions = int(rng.integers(1, 33)), int(rng.integers(2, 6))
+    size = int(rng.integers(1, 9))
+    beta = float(rng.choice([0.5, 0.9, 0.99, 0.999, 0.9999, 0.99999]))
+    scale = 10.0 ** rng.uniform(-2.0, 6.0)
+    cost = rng.uniform(-scale, scale, size=(size, num_states, num_actions))
+    if rng.random() < 0.3:
+        cost = scale * rng.integers(-1, 2, size=cost.shape)
+        cost[..., 0] = -scale
+    if rng.random() < 0.3:
+        cost[..., 1] = cost[..., 0]
+    if rng.random() < 0.3:
+        kernel = np.zeros((size, num_states, num_actions, num_states))
+        successor = rng.integers(0, num_states, size=(size, num_states, num_actions))
+        np.put_along_axis(kernel, successor[..., None], 1.0, axis=-1)
+    else:
+        kernel = rng.dirichlet(np.full(num_states, rng.choice([0.2, 1.0])), size=(size, num_states, num_actions))
+        if rng.random() < 0.3:
+            kernel[..., 1, :] = kernel[..., 0, :]
+    return cost, kernel, beta
+
+
+def test_residuals_stay_below_the_floor():
+    # 1 000 seeded random stacks: every member settles within
+    # _MAX_POLICY_ITERATIONS, and at a tol below any float resolution each
+    # Bellman residual lies within its member's float floor. On about half
+    # the stacks with constant optimal values, switching wherever another
+    # action is strictly lower cycles on the rounding of the exact ties;
+    # the switching slack of policy iteration keeps them from cycling.
+    rng = np.random.default_rng(26)
+    for _ in range(1000):
+        cost, kernel, beta = _scan_stack(rng)
+        _, residual = _policy_iteration(cost, kernel, beta, 1e-300)
+        assert (residual <= np.maximum(1e-300, _floor(cost, beta))).all()
 
 
 def _every_joint(game):

@@ -153,10 +153,10 @@ def test_simulate_a_seeded_beta_0_999_game(tmp_path):
     assert sorted(summary["frequencies"]) == ["0", "19999"]
 
 
-def test_simulate_where_policy_iteration_loses_precision(tmp_path):
-    # At beta = 0.999 with costs to 1e4, policy iteration loses precision on
-    # the labels taken after play; they fall back to value iteration, as
-    # analyze does on the same file.
+def test_simulate_where_the_float_floor_binds(tmp_path):
+    # At beta = 0.999 with costs to 1e4, policy iteration's Bellman residual
+    # on the labels taken after play exceeds tol 1e-9 but not its float
+    # floor; analyze passes on the same file.
     game = seeded_game(np.random.default_rng(0), (2, 2), 3, discounts=(0.999, 0.999))
     save_game(dataclasses.replace(game, costs=tuple(c * 1e4 for c in game.costs)), tmp_path / "game.json")
     config = {"trials": 2, "horizon": 100, "record_times": [0], "min_phase": 10}

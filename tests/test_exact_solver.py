@@ -15,6 +15,7 @@ from decqlearn.exact_solver import (
     equilibrium_set,
     induced_mdp,
     is_equilibrium,
+    label_equilibria,
     perturbation_check,
     perturbation_gap,
     policy_value,
@@ -119,11 +120,8 @@ class TestQStar:
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_tol_must_be_finite(self, benchmark_game, tol):
-        joint = [_indicator(0, (0, 0)), _indicator(1, (0, 0))]
         with pytest.raises(ValueError, match="tol"):
-            q_star(benchmark_game, 0, joint[1:], tol)
-        with pytest.raises(ValueError, match="tol"):
-            policy_value(benchmark_game, 0, joint, tol)
+            q_star(benchmark_game, 0, [_indicator(1, (0, 0))], tol)
 
     def test_opponents_must_cover_everybody_else(self, benchmark_game):
         with pytest.raises(ValueError):
@@ -141,11 +139,11 @@ class TestPolicyValue:
             initial_dist=benchmark_game.initial_dist,
         )
         joint = [_indicator(0, (0, 0)), _indicator(1, (1, 1))]
-        assert_allclose(policy_value(game, 0, joint, 1e-10), 0.0, atol=1e-12)
+        assert_allclose(policy_value(game, 0, joint), 0.0, atol=1e-12)
 
     def test_constant_cost_geometric_series(self):
         game = _single_player_game([[3.0, 3.0]], beta=0.8)
-        value = policy_value(game, 0, [_indicator(0, (0,))], 1e-10)
+        value = policy_value(game, 0, [_indicator(0, (0,))])
         assert_allclose(value, [15.0], atol=1e-9)
 
     def test_benchmark_equilibrium_values_match_iterative_oracle(self, benchmark_game):
@@ -156,7 +154,7 @@ class TestPolicyValue:
         }
         joint = [_indicator(0, (0, 0)), _indicator(1, (0, 1))]
         for player in range(2):
-            mine = policy_value(benchmark_game, player, joint, 1e-10)
+            mine = policy_value(benchmark_game, player, joint)
             reference = policy_value_iterative(benchmark_game, player, probs, 1e-10)
             assert_allclose(mine, reference, atol=1e-8)
 
@@ -198,8 +196,10 @@ class TestBrHat:
             assert mine == br_hat_bruteforce(values, eps)
 
     def test_negative_eps(self):
-        with pytest.raises(ValueError):
-            br_hat(QTable(0, np.zeros((1, 2))), -0.1)
+        # NaN, too: it fails eps < 0 and would give no policy at all
+        for eps in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="eps must be nonnegative"):
+                br_hat(QTable(0, np.zeros((1, 2))), eps)
 
 
 class TestIsEquilibrium:
@@ -217,6 +217,15 @@ class TestIsEquilibrium:
         greedy = tuple(int(a) for a in q.values.argmin(axis=1))
         joint = JointDeterministicPolicy.from_choices([greedy])
         assert is_equilibrium(game, joint, 0.0, 1e-9)
+
+    @pytest.mark.parametrize("eps", [-0.1, float("nan")])
+    def test_eps_must_be_nonnegative(self, benchmark_game, eps):
+        # ((0, 0), (0, 1)) is an equilibrium, which a NaN eps labelled False
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            label_equilibria(benchmark_game, [((0, 0), (0, 1))], 1e-9, eps)
+        joint = JointDeterministicPolicy.from_choices([(0, 0), (0, 1)])
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            is_equilibrium(benchmark_game, joint, eps, 1e-9)
 
     def test_monotone_in_eps(self, benchmark_game):
         joint = JointDeterministicPolicy.from_choices([(0, 0), (0, 0)])
