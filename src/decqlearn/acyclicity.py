@@ -1,11 +1,12 @@
 """Structural analysis of the deterministic joint-policy space.
 
-The strict best-response graph (``BrGraph``, built by ``exact_solver``):
-nodes are deterministic joint policies, and an edge changes exactly one
-player's policy to a different 0-best-response. A game is weakly acyclic when
-every node has a path into the (nonempty) equilibrium set; the certificate
-also yields the shortest-path profile used by the convergence diagnostics
-(the path bound L, the inertia floor p_min, and the theta/xi tolerance split).
+The strict best-response graph (``BrGraph``, a view of the arrays of
+``exact_solver.ExactAnalysis``): nodes are deterministic joint policies, and
+an edge changes exactly one player's policy to a different 0-best-response.
+A game is weakly acyclic when every node has a path into the (nonempty)
+equilibrium set; the certificate also yields the shortest-path profile used
+by the convergence diagnostics (the path bound L, the inertia floor p_min,
+and the theta/xi tolerance split).
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ __all__ = [
 def build_br_graph(
     game: StochasticGame, tol: float, budget: int = DEFAULT_SOLVE_BUDGET
 ) -> BrGraph:
-    """Enumerate the joint-policy space and its strict best-response edges.
+    """The strict best-response graph over the joint-policy space.
 
     Best-response membership is judged on exact Q-values with slack ``tol``;
     shortest path lengths are computed by reverse breadth-first search from
-    the equilibrium set.
+    the equilibrium set. The result is ``ExactAnalysis.graph``, a view of the
+    analysis's arrays (its grids and one path length per joint policy): it
+    builds a node's ``JointDeterministicPolicy`` only when that node is read,
+    and the edge array only when ``edges`` is first read.
     """
     return ExactAnalysis(game, tol, budget).graph
 

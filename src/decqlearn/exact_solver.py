@@ -18,9 +18,10 @@ import functools
 import itertools
 import json
 import math
+import operator
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -700,33 +701,100 @@ def _row_codes(game: StochasticGame, player: int, opponents: np.ndarray) -> np.n
     return code
 
 
-@dataclass(frozen=True)
+class _Nodes(Sequence):
+    """The nodes of an analysis's graph, the joint policies in flat order:
+    a read-only sequence that decodes a node (``ExactAnalysis.choices``) and
+    builds its ``JointDeterministicPolicy`` only when it is read."""
+
+    _CHUNK = 4096  # nodes decoded at once while iterating
+
+    def __init__(self, analysis: ExactAnalysis) -> None:
+        self._analysis = analysis
+        self._len = math.prod(analysis._sizes)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k) -> JointDeterministicPolicy:
+        k = operator.index(k)
+        if not -self._len <= k < self._len:
+            raise IndexError(f"node {k} out of range for {self._len} nodes")
+        return JointDeterministicPolicy.from_choices(self._analysis.choices([k % self._len])[0])
+
+    def __iter__(self):
+        for lo in range(0, self._len, self._CHUNK):
+            flat = np.arange(lo, min(lo + self._CHUNK, self._len))
+            yield from map(JointDeterministicPolicy.from_choices, self._analysis.choices(flat))
+
+    def lists(self) -> list[list[list[int]]]:
+        """Every node's per-player choice lists, from one decode."""
+        players = range(self._analysis.game.num_players)
+        return self._analysis._decode(players, np.arange(self._len)).tolist()
+
+
+def _choice_lists(nodes: Sequence[JointDeterministicPolicy]) -> list[list[list[int]]]:
+    """Per node, its per-player choice lists: one decode of an analysis's
+    nodes, else read node by node."""
+    if isinstance(nodes, _Nodes):
+        return nodes.lists()
+    return [list(map(list, node.choices)) for node in nodes]
+
+
 class BrGraph:
     """Strict best-response graph over all deterministic joint policies.
 
-    ``edges`` are (source index, target index, deviating player); ``path_len``
-    maps each node to the length of a shortest strict best-response path into
-    the equilibrium set (0 exactly on equilibria, ``math.inf`` if none is
-    reachable). This is the materialized export of ``ExactAnalysis``'s
-    arrays (one object per node, one tuple per edge), for callers and tools
-    that want the graph itself; only this export builds the edge array, and
-    the analysis reads the grids, ``equilibrium_mask`` and ``path_len``.
+    ``nodes`` are the joint policies; ``edges`` are (source index, target
+    index, deviating player) rows; ``equilibria`` the node indices of the
+    equilibria; ``path_len`` maps each node to the length of a shortest
+    strict best-response path into the equilibrium set (0 exactly on
+    equilibria, ``math.inf`` if none is reachable).
+
+    ``ExactAnalysis.graph`` is a view of the analysis's arrays, for callers
+    and tools that want the graph itself: ``path_len`` its read-only float
+    array, ``edges`` its sorted (E, 3) ``edges`` array, built the first time
+    it is read, and ``nodes`` a read-only sequence that builds a node's
+    ``JointDeterministicPolicy`` only when that node is read. Any other
+    containers may be given (a callable for ``edges`` is called each time
+    they are read); two graphs are equal when their fields hold the same
+    values, whatever the containers.
     """
 
-    nodes: tuple[JointDeterministicPolicy, ...]
-    edges: tuple[tuple[int, int, int], ...]
-    equilibria: frozenset[int]
-    path_len: tuple[float, ...]
+    def __init__(
+        self,
+        nodes: Sequence[JointDeterministicPolicy],
+        edges: Sequence[Sequence[int]] | np.ndarray | Callable[[], np.ndarray],
+        equilibria: frozenset[int],
+        path_len: Sequence[float] | np.ndarray,
+    ) -> None:
+        self.nodes, self.equilibria, self.path_len = nodes, equilibria, path_len
+        self._edges = edges
+
+    @property
+    def edges(self) -> Sequence[Sequence[int]] | np.ndarray:
+        return self._edges() if callable(self._edges) else self._edges
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BrGraph):
+            return NotImplemented
+        return (
+            self.equilibria == other.equilibria
+            and np.array_equal(np.asarray(self.path_len, float), np.asarray(other.path_len, float))
+            and np.array_equal(np.reshape(self.edges, (-1, 3)), np.reshape(other.edges, (-1, 3)))
+            and _choice_lists(self.nodes) == _choice_lists(other.nodes)
+        )
 
     def to_json_dict(self) -> dict:
         """Export for external visualization tools."""
         return {
-            "nodes": [list(map(list, node.choices)) for node in self.nodes],
+            "nodes": _choice_lists(self.nodes),
             "edges": [
-                {"source": s, "target": t, "deviator": i} for s, t, i in self.edges
+                {"source": s, "target": t, "deviator": i}
+                for s, t, i in np.reshape(self.edges, (-1, 3)).tolist()
             ],
             "equilibria": sorted(self.equilibria),
-            "path_len": [None if math.isinf(v) else int(v) for v in self.path_len],
+            "path_len": [
+                None if math.isinf(v) else int(v) for v in np.asarray(self.path_len, float).tolist()
+            ],
         }
 
     def save_json(self, path: str | Path) -> None:
@@ -762,8 +830,9 @@ class ExactAnalysis:
     grids): ``equilibrium_mask`` and the float ``path_len``, both read off
     the grids. One decode turns flat indices into choice arrays, both for
     the opponent joints the table solves and for ``choices`` of nodes.
-    ``graph`` is the ``BrGraph`` export, one Python object per node and edge,
-    and the only reader of the sorted ``edges`` array.
+    ``graph`` is the ``BrGraph`` export, a view of these arrays that decodes
+    a node only when it is read, and the only reader of the sorted ``edges``
+    array, which it builds the first time its edges are read.
 
     ``table`` and ``softened`` refuse, before any solve, more solves than
     ``budget``; ``grids`` (behind the equilibria and the graph arrays) hold
@@ -884,8 +953,8 @@ class ExactAnalysis:
     @functools.cached_property
     def edges(self) -> np.ndarray:
         """Strict best-response edges as (source, target, deviator) rows,
-        sorted by source, then deviator, then target; built only for the
-        ``graph`` export."""
+        sorted by source, then deviator, then target, read-only; built only
+        when the ``graph`` export's edges are read."""
         grids = self.grids
         sizes = self._sizes
         num_nodes = grids[0].size
@@ -899,14 +968,17 @@ class ExactAnalysis:
             rows = np.stack(np.broadcast_arrays(source, target, i), axis=-1)
             edges.append(rows[source != target])
         edges = np.concatenate(edges)
-        return edges[np.lexsort((edges[:, 1], edges[:, 2], edges[:, 0]))]
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 2], edges[:, 0]))]
+        edges.setflags(write=False)
+        return edges
 
     @functools.cached_property
     def path_len(self) -> np.ndarray:
         """Per node, the length of a shortest strict best-response path into
         the equilibria (``math.inf`` if none), by reverse breadth-first search
         on the grids: a frontier node where ``grids[i]`` is True is the target
-        of an edge from every other node on its player-i line."""
+        of an edge from every other node on its player-i line. Read-only, as
+        the ``graph`` export shares it."""
         grids = self.grids
         frontier = self.equilibrium_mask.reshape(grids[0].shape)
         path_len, level = np.where(frontier, 0.0, math.inf), 0.0
@@ -917,21 +989,20 @@ class ExactAnalysis:
                 reached |= (frontier & grid).any(axis=i, keepdims=True)
             frontier = reached & np.isinf(path_len)
             path_len[frontier] = level
-        return path_len.ravel()
+        path_len = path_len.ravel()
+        path_len.setflags(write=False)
+        return path_len
 
     @functools.cached_property
     def graph(self) -> BrGraph:
-        """The export view of ``edges``, ``equilibrium_mask`` and ``path_len``:
-        one ``JointDeterministicPolicy`` per node and one tuple per edge."""
-        policies = [
-            [DeterministicPolicy(i, c) for c in choices.tolist()]
-            for i, choices in enumerate(self._policies)
-        ]
+        """The ``BrGraph`` view of ``edges``, ``equilibrium_mask`` and
+        ``path_len``: it builds no ``JointDeterministicPolicy`` until a node
+        is read, and ``edges`` only when the graph's edges are read."""
         return BrGraph(
-            nodes=tuple(JointDeterministicPolicy(joint) for joint in itertools.product(*policies)),
-            edges=tuple(map(tuple, self.edges.tolist())),
+            nodes=_Nodes(self),
+            edges=lambda: self.edges,
             equilibria=frozenset(np.flatnonzero(self.equilibrium_mask).tolist()),
-            path_len=tuple(self.path_len.tolist()),
+            path_len=self.path_len,
         )
 
     @functools.cached_property

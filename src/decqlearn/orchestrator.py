@@ -30,11 +30,15 @@ import numpy as np
 
 from .agent import AgentConfig, end_phase_update
 from .exact_solver import QTable, check_reachability, label_equilibria
+# sample_transition is not called here: the segment engine draws through
+# _inverse_cdf on rows it has built. The name stays importable from this
+# module, where benchmarks/selftest.py reaches it.
 from .game_model import (
     StochasticGame,
     _check_count,
     _choice_for,
     _is_id,
+    _inverse_cdf,
     sample_initial_state,
     sample_transition,
 )
@@ -524,7 +528,7 @@ class _QStack:
         self,
         game: StochasticGame,
         tables: list[np.ndarray],
-        joint: np.ndarray,
+        rows: np.ndarray,
         successor: np.ndarray,
         x: np.ndarray,
     ) -> np.ndarray:
@@ -552,8 +556,7 @@ class _QStack:
         # entry (state, k, t) of a (state, trial, stage) table is flat entry
         # path[t, k] * L + t
         cells = now * length + np.arange(length)[:, None]
-        # row (state, joint action) of a cost table, flattened
-        cost_cells = now // batch * game.num_joint_actions + joint.take(cells)
+        cost_cells = rows.take(cells)
         # column block i of each: player i's (stage, trial) entries; rows
         # 0..A-1 of a stage's entries hold the next row in each action
         # plane, row A the entry the stage writes. Row t of ``written``
@@ -594,7 +597,7 @@ class _QStack:
         self,
         game: StochasticGame,
         tables: list[np.ndarray],
-        joint: np.ndarray,
+        rows: np.ndarray,
         successor: np.ndarray,
         x: np.ndarray,
     ) -> np.ndarray:
@@ -615,9 +618,9 @@ class _QStack:
         visited = np.array(paths)
         # cell (trial k, stage t) of a (state, trial, stage) table along the paths
         cells = (visited[:, :-1], np.arange(batch)[:, None], np.arange(length))
-        joint_path = joint[cells]
+        cost_cells = rows[cells]
         for i, (table, costs) in enumerate(zip(tables, game.costs)):
-            actions, path_costs = table[cells].tolist(), costs[cells[0], joint_path].tolist()
+            actions, path_costs = table[cells].tolist(), costs.take(cost_cells).tolist()
             for k, path in enumerate(paths):
                 row = i * batch + k
                 q = self.table(i, k)
@@ -705,18 +708,20 @@ def _play_segment(
     Q-factor recursions then run stage by stage on ``stack``: in lockstep
     for a batch of ``_LOCKSTEP_MIN`` trials or more, else trial by trial.
     """
-    # the tables in the draws' narrow integer type; the joint action, which
-    # may not fit it, in np.intp
+    # the tables in the draws' narrow integer type; the (state, joint action)
+    # rows of the kernel and cost tables, state * J + joint action, which may
+    # not fit it, in np.intp
     tables = [
         np.where(explore, uniform, base.T.astype(uniform.dtype)[:, :, None])
         for base, (explore, uniform) in zip(baselines, draws)
     ]
-    joint = np.multiply(tables[0], game.joint_strides[0], dtype=np.intp)
+    rows = np.multiply(tables[0], game.joint_strides[0], dtype=np.intp)
     for table, stride in zip(tables[1:], game.joint_strides[1:]):
-        joint += np.multiply(table, stride, dtype=np.intp)
-    successor = sample_transition(game, np.arange(game.num_states)[:, None, None], joint, w)
+        rows += np.multiply(table, stride, dtype=np.intp)
+    rows += np.arange(game.num_states, dtype=np.intp)[:, None, None] * game.num_joint_actions
+    successor = _inverse_cdf(game.cdf_columns, rows, w)
     play = stack.play if len(w) >= _LOCKSTEP_MIN else stack.play_each
-    return play(game, tables, joint, successor, x)
+    return play(game, tables, rows, successor, x)
 
 
 def _simulate(

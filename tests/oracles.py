@@ -40,10 +40,14 @@ from decqlearn.game_model import (
 
 def q_star_policy_iteration(mdp: InducedMdp, max_iter: int = 1000) -> np.ndarray:
     """Exact optimal Q-factors by policy iteration with linear-solve
-    evaluation; keeps the incumbent action on ties so the loop terminates."""
+    evaluation; keeps the incumbent action unless another is lower by more
+    than (S + 2) u max|c| / (1 - beta), u the unit roundoff (the rounding of
+    a backup of values near max|c| / (1 - beta)), so neither ties nor their
+    rounding can cycle."""
     num_states, _ = mdp.cost.shape
     beta = mdp.discount
     idx = np.arange(num_states)
+    slack = (num_states + 2) * (np.finfo(float).eps / 2.0) * np.abs(mdp.cost).max() / (1.0 - beta)
     policy = np.zeros(num_states, dtype=int)
     for _ in range(max_iter):
         transition = mdp.kernel[idx, policy]
@@ -51,7 +55,7 @@ def q_star_policy_iteration(mdp: InducedMdp, max_iter: int = 1000) -> np.ndarray
         values = np.linalg.solve(np.eye(num_states) - beta * transition, cost)
         q = mdp.cost + beta * (mdp.kernel @ values)
         greedy = q.argmin(axis=1)
-        keep = q[idx, policy] <= q[idx, greedy] + 1e-12
+        keep = q[idx, policy] <= q[idx, greedy] + slack
         new_policy = np.where(keep, policy, greedy)
         if np.array_equal(new_policy, policy):
             return q

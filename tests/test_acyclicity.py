@@ -115,6 +115,23 @@ class TestBrGraph:
                 assert steps <= longest
             assert steps <= longest
 
+    @pytest.mark.parametrize("kind", [int, np.int64, np.intp, np.uint8, np.int8])
+    def test_nodes_index_by_python_and_numpy_ints(self, benchmark_graph, kind):
+        # the rows of ``edges`` are numpy ints, and they index ``nodes``
+        nodes = benchmark_graph.nodes
+        listed = list(nodes)
+        assert len(listed) == len(nodes) == 16
+        for k in range(16):
+            assert nodes[kind(k)] == listed[k]
+        assert nodes[-1] == nodes[np.int8(-1)] == listed[15]
+        assert nodes[np.int64(-16)] == listed[0]
+        for s, t, _ in benchmark_graph.edges:
+            assert nodes[s] == listed[int(s)] and nodes[t] == listed[int(t)]
+        with pytest.raises(IndexError):
+            nodes[kind(16)]
+        with pytest.raises(TypeError):
+            nodes[1.0]
+
     def test_budget_guard(self, benchmark_game):
         with pytest.raises(EnumerationBudgetError):
             build_br_graph(benchmark_game, 1e-9, budget=4)

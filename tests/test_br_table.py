@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -943,22 +944,28 @@ def test_derived_objects_match_enumeration(game):
     assert equilibrium_set(game, TOL) == expected_eq
     assert delta_bar(game, TOL) == expected_dbar
     assert perturbation_gap(game, rhos, TOL) == expected_gap
-    assert build_br_graph(game, TOL) == expected_graph
+    # the export, a view of the analysis's arrays, against the oracle's tuples
+    graph = build_br_graph(game, TOL)
+    assert graph == expected_graph
+    assert graph.to_json_dict() == expected_graph.to_json_dict()
     report = analyze_game(game, rhos=rhos, tol=TOL)
     assert report["equilibria"] == sorted([list(c) for c in joint] for joint in expected_eq)
-    assert report["num_joint_policies"] == len(expected_graph.nodes)
+    assert report["num_joint_policies"] == len(expected_graph.nodes) == len(graph.nodes)
     assert report["delta_bar"] == (None if np.isinf(expected_dbar) else expected_dbar)
     assert report["perturbation"]["gap"] == expected_gap
     path_len = expected_graph.path_len
     weakly = bool(expected_graph.equilibria) and all(map(math.isfinite, path_len))
-    assert report["weakly_acyclic"] is weakly
+    assert report["weakly_acyclic"] is weakly is is_weakly_acyclic(graph)
     assert report["path_bound_L"] == (1 + int(max(path_len)) if weakly else None)
+    if weakly:
+        assert path_bound_L(graph) == report["path_bound_L"]
 
 
 def test_analyze_builds_no_joint_policy_per_node(monkeypatch):
     # 6561 joint policies, four of them equilibria. The report decodes only
     # the equilibria and reads the path lengths off the grids, never the edge
-    # array; the graph export still holds one object per joint policy and edge.
+    # array; the graph export builds neither a node's policy until the node
+    # is read nor the edge array until its edges are read.
     game = _shaped_game(np.random.default_rng(17), 4, (3, 3))
     built = 0
     post_init = JointDeterministicPolicy.__post_init__
@@ -969,16 +976,42 @@ def test_analyze_builds_no_joint_policy_per_node(monkeypatch):
         post_init(self)
 
     def no_edges(self):
-        raise AssertionError("analyze built the edge array")
+        raise AssertionError("the edge array was built")
 
     monkeypatch.setattr(JointDeterministicPolicy, "__post_init__", counted)
     with monkeypatch.context() as patch:
         patch.setattr(exact_solver.ExactAnalysis, "edges", property(no_edges))
         report = analyze_game(game, rhos=RHOS[:2], lambdas=(0.2, 0.2), eps=0.1, tol=TOL)
+        assert built <= 4
+        built = 0
+        graph = build_br_graph(game, TOL)
+        assert (len(graph.nodes), len(graph.equilibria)) == (6561, 4)
+        assert is_weakly_acyclic(graph)
+        assert built == 0
+        node = graph.nodes[6560]
+        assert built == 1
     assert (report["num_joint_policies"], report["num_equilibria"]) == (6561, 4)
     assert report["path_bound_L"] is not None
-    assert built <= 4
-    assert build_br_graph(game, TOL) == br_graph_enumerated(game, TOL)
+    assert node.choices == ((2, 2, 2, 2), (2, 2, 2, 2))
+    assert len(graph.edges) == 12960
+    assert graph == br_graph_enumerated(game, TOL)
+
+
+def test_graph_export_allocates_no_object_per_node():
+    # 59 049 joint policies and 117 612 edges: one Python object per node
+    # and edge would take about 36 MB here; the export holds the analysis's
+    # arrays, under half a megabyte for its path lengths, until a node or
+    # the edges are read.
+    game = _shaped_game(np.random.default_rng(5), 5, (3, 3))
+    build_br_graph(_shaped_game(np.random.default_rng(4), 2, (3, 3)), TOL)
+    tracemalloc.start()
+    try:
+        graph = build_br_graph(game, TOL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.nodes) == 59049
+    assert peak <= 4 * 2**20
 
 
 def test_staggered_members_stop_at_their_own_sweep():

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from decqlearn import exact_solver
 from decqlearn.exact_solver import (
     EnumerationBudgetError,
+    InducedMdp,
     QTable,
     br_hat,
     check_reachability,
@@ -101,6 +102,31 @@ class TestQStar:
         reference = q_star_policy_iteration(induced_mdp(benchmark_game, 0, [opponent]))
         assert_allclose(q.values, reference, atol=1e-8)
         assert_allclose(q.values, BENCH_Q_VS_FIXED_OPPONENT, atol=1e-8)
+
+    def test_policy_iteration_oracle_settles_on_high_discount_ties(self):
+        # At beta = 0.9999 every state's least cost -M sits at action 0 (and
+        # ties elsewhere), so V* = -M / (1 - beta) in every state: Q-values
+        # near 1e8 whose ties round apart by far more than 1e-12. The oracle
+        # keeps its incumbent within the rounding of such values, settles,
+        # and lands on Q* = c - beta M / (1 - beta).
+        rng = np.random.default_rng(2026)
+        beta = 0.9999
+        for _ in range(200):
+            num_states, num_actions = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+            scale = 10.0 ** rng.uniform(0.0, 4.0)
+            cost = rng.integers(-1, 2, size=(num_states, num_actions)) * scale
+            cost[:, 0] = -scale
+            kernel = rng.dirichlet(np.ones(num_states), size=(num_states, num_actions))
+            mdp = InducedMdp(
+                tuple(map(str, range(num_states))),
+                tuple(map(str, range(num_actions))),
+                cost,
+                kernel,
+                beta,
+            )
+            value = scale / (1.0 - beta)
+            q = q_star_policy_iteration(mdp)
+            assert np.abs(q - (cost - beta * value)).max() <= 1e-10 * value
 
     def test_bellman_residual(self, rng):
         for _ in range(10):
