@@ -33,6 +33,7 @@ from .game_model import (
     _choice_for,
     _is_id,
     _player_id,
+    _softened,
     enumerate_deterministic_policies,
 )
 
@@ -130,48 +131,34 @@ class InducedMdp:
             raise ValueError("induced kernel rows must sum to 1")
 
 
-def _weights(
-    game: StochasticGame, factors: Sequence[tuple[int, np.ndarray]], size: int, num_states: int
-) -> np.ndarray:
-    """Product of (player, probs (size, num_states, m_player)) factors in the
-    given order, shaped (size, num_states, m0, ..., m_{N-1}); absent players'
-    axes stay whole."""
-    counts = game.action_counts
-    w = np.ones((size, num_states) + counts)
-    for j, probs in factors:
-        shape = [size, num_states] + [1] * game.num_players
-        shape[j + 2] = counts[j]
-        w = w * probs.reshape(shape)
-    return w
-
-
 def _induced_stack(
-    game: StochasticGame,
-    player: int,
-    factors: Sequence[tuple[int, np.ndarray]],
-    size: int,
-    states: np.ndarray | None = None,
+    game: StochasticGame, player: int, states: np.ndarray, factors: Sequence[tuple[int, np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Costs (size, S, A) and kernels (size, S, A, S) of the MDPs the player
-    faces against a stack of opponent profiles (see ``_weights``): the one
-    construction behind ``induced_mdp`` and every row ``_solve_stack``
-    gathers (``_row_stack``). With ``states`` (size,), member k is built at
-    state states[k] alone, from factors (size, 1, m_j): costs (size, 1, A)
-    and kernels (size, 1, A, S), each entry the same product and sum."""
-    counts, num_states = game.action_counts, game.num_states
-    cost_full = game.costs[player].reshape((num_states,) + counts)
-    kernel_full = game.kernel.reshape((num_states,) + counts + (num_states,))
-    if states is not None:
-        cost_full, kernel_full = cost_full[states, None], kernel_full[states, None]
-    w = _weights(game, factors, size, num_states if states is None else 1)
-    opp_axes = tuple(j + 2 for j in range(game.num_players) if j != player)
-    return (cost_full * w).sum(axis=opp_axes), (kernel_full * w[..., None]).sum(axis=opp_axes)
+    """The player's induced cost rows (K, A) and kernel rows (K, A, S), row k
+    at state states[k] against the opponents' action probabilities there,
+    given per opponent j as (j, probs (K, m_j)): the one construction behind
+    ``induced_mdp`` (every state once) and every row ``_solve_stack``
+    gathers (``_row_stack``). Each entry is the product of the factors in
+    the given order, times the game's entry, summed over the opponents'
+    actions."""
+    counts, num_players = game.action_counts, game.num_players
+    cost = game.costs[player].reshape((game.num_states,) + counts)[states]
+    kernel = game.kernel.reshape((game.num_states,) + counts + (game.num_states,))[states]
+    w = np.ones((len(states),) + counts)
+    for j, probs in factors:
+        shape = [len(states)] + [1] * num_players
+        shape[j + 1] = counts[j]
+        w = w * probs.reshape(shape)
+    opp_axes = tuple(j + 1 for j in range(num_players) if j != player)
+    return (cost * w).sum(axis=opp_axes), (kernel * w[..., None]).sum(axis=opp_axes)
 
 
 def induced_mdp(
     game: StochasticGame, player: int, others: Sequence[StationaryPolicy]
 ) -> InducedMdp:
-    """Marginalize the opponents' stationary policies out of the game."""
+    """Marginalize the opponents' stationary policies out of the game: the
+    rows of ``_induced_stack`` at every state, one factor per opponent in
+    the order of ``others``."""
     if not 0 <= player < game.num_players:
         raise ValueError(f"player id {player} out of range")
     seen = sorted(pol.player for pol in others)
@@ -181,14 +168,13 @@ def induced_mdp(
     for pol in others:
         if pol.probs.shape != (game.num_states, game.action_counts[pol.player]):
             raise ValueError(f"policy for player {pol.player} has the wrong shape")
-    cost, kernel = _induced_stack(
-        game, player, [(pol.player, pol.probs[None]) for pol in others], 1
-    )
+    factors = [(pol.player, pol.probs) for pol in others]
+    cost, kernel = _induced_stack(game, player, np.arange(game.num_states), factors)
     return InducedMdp(
         states=game.states,
         actions=game.action_sets[player],
-        cost=cost[0],
-        kernel=kernel[0],
+        cost=cost,
+        kernel=kernel,
         discount=game.discounts[player],
     )
 
@@ -430,15 +416,19 @@ def policy_value(
     game: StochasticGame, player: int, joint: Sequence[StationaryPolicy]
 ) -> np.ndarray:
     """Player's expected discounted cost per initial state when everyone
-    (player included) follows the given joint stationary policy (a direct solve)."""
+    (player included) follows the given joint stationary policy: the player's
+    own policy evaluated on ``induced_mdp``'s rows against the others, by a
+    direct solve."""
     seen = sorted(pol.player for pol in joint)
     if seen != list(range(game.num_players)):
         raise ValueError("joint policy must contain exactly one policy per player")
-    w = _weights(game, [(pol.player, pol.probs[None]) for pol in joint], 1, game.num_states)
-    w_flat = w.reshape(game.num_states, game.num_joint_actions)
-    cost = (game.costs[player] * w_flat).sum(axis=1)
-    transition = np.einsum("sa,sat->st", w_flat, game.kernel)
-    return np.linalg.solve(np.eye(game.num_states) - game.discounts[player] * transition, cost)
+    mdp = induced_mdp(game, player, [pol for pol in joint if pol.player != player])
+    (own,) = (pol.probs for pol in joint if pol.player == player)
+    if own.shape != mdp.cost.shape:
+        raise ValueError(f"policy for player {player} has the wrong shape")
+    cost = (mdp.cost * own).sum(axis=1)
+    transition = (mdp.kernel * own[..., None]).sum(axis=1)
+    return np.linalg.solve(np.eye(game.num_states) - mdp.discount * transition, cost)
 
 
 def _greedy_mask(values: np.ndarray, eps: float) -> np.ndarray:
@@ -661,30 +651,27 @@ def _row_stack(
     game: StochasticGame, player: int, rhos: Sequence[Sequence[float]], codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct rows among ``codes`` (``_row_codes``) at each rho set of
-    ``rhos``, each opponent j softened by rho[j] as ``soften_policy`` does:
-    one ``_induced_stack`` whose members are the U (state, combination)
-    pairs that occur, each at each rho set and built at its state alone.
-    Returns the (S * C,) index of each pair among the U (``lookup``), costs
-    (U * R, A) and kernels (U * R, A, S); pair p's row at rho set r is
-    lookup[p] * R + r, with the bytes of the product of any member that
-    plays p, whose weights at that state are the same factors multiplied
-    and summed in the same order."""
-    counts, num_states = game.action_counts, game.num_states
+    ``rhos``: one ``_induced_stack`` at the U (state, combination) pairs
+    that occur, each at each rho set, opponent j's factor its action there
+    softened by rho[j] (``game_model._softened``, the rule of
+    ``soften_policy``). Returns the (S * C,) index of each pair among the U
+    (``lookup``), costs (U * R, A) and kernels (U * R, A, S); pair p's row
+    at rho set r is lookup[p] * R + r, with the bytes of ``induced_mdp``'s
+    row at p's state against any such softened opponents that play p: the
+    same factors, multiplied and summed in the same order."""
+    counts = game.action_counts
     others = [j for j in range(game.num_players) if j != player]
     combos = math.prod(counts[j] for j in others)
-    present = np.zeros(num_states * combos, dtype=bool)
+    present = np.zeros(game.num_states * combos, dtype=bool)
     present[codes] = True
     states, combo = np.divmod(np.flatnonzero(present), combos)
-    size = len(states) * len(rhos)
-    rho = np.array(rhos, dtype=float).T[:, None, :, None]
+    rho = np.array(rhos, dtype=float).T[:, :, None]
     factors = []
     for j in reversed(others):
         combo, digit = np.divmod(combo, counts[j])
-        probs = rho[j] / counts[j] + (digit[:, None, None] == np.arange(counts[j])) * (1.0 - rho[j])
-        factors.append((j, probs.reshape(size, 1, counts[j])))
-    cost, kernel = _induced_stack(game, player, factors[::-1], size, states.repeat(len(rhos)))
-    lookup = np.cumsum(present, dtype=np.intp) - 1
-    return lookup, cost.reshape(size, counts[player]), kernel.reshape(size, counts[player], num_states)
+        factors.append((j, _softened(digit[:, None], rho[j], counts[j]).reshape(-1, counts[j])))
+    cost, kernel = _induced_stack(game, player, states.repeat(len(rhos)), factors[::-1])
+    return np.cumsum(present, dtype=np.intp) - 1, cost, kernel
 
 
 def _row_codes(game: StochasticGame, player: int, opponents: np.ndarray) -> np.ndarray:

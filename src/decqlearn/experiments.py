@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -101,9 +102,10 @@ class ExperimentConfig:
     byte-identical outputs regardless of worker count.
 
     Construction checks each field's type and range and raises a ValueError
-    naming the key: the counts, the seed and each record time are integers
-    (not bools), and rho, lam, delta and alpha are numbers or lists of
-    numbers (one per player), held as tuples."""
+    naming the key: ``game`` is a name or a path, held as a str; the counts,
+    the seed and each record time are integers (not bools); and rho, lam,
+    delta and alpha are numbers or lists of numbers (one per player), held
+    as tuples."""
 
     game: str = BENCHMARK_NAME
     rho: float | tuple[float, ...] = 0.05
@@ -119,6 +121,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        game = os.fspath(self.game) if isinstance(self.game, os.PathLike) else self.game
+        if not isinstance(game, str):
+            raise ValueError(f"game must be a name or a path, got {self.game!r}")
+        object.__setattr__(self, "game", game)
         for key in ("min_phase", "ratio", "horizon", "trials", "master_seed", "workers"):
             if not _is_id(getattr(self, key)):
                 raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
@@ -233,9 +239,10 @@ def run_experiment(
 
     Trial k draws all of its randomness from (master_seed, trial=k), so the
     aggregate is independent of scheduling and worker count. When ``out_dir``
-    is given, writes ``frequencies.csv`` (time, frequency, trials) and
-    ``summary.json`` (parameter echo plus results). No joint-policy space
-    is enumerated: each worker labels only the joints its trials visit.
+    is given, creates it before any trial is played, then writes
+    ``frequencies.csv`` (time, frequency, trials) and ``summary.json``
+    (parameter echo plus results). No joint-policy space is enumerated:
+    each worker labels only the joints its trials visit.
     """
     game = resolve_game(config.game)
     violations = validate_game(game)
@@ -248,6 +255,9 @@ def run_experiment(
             stacklevel=2,
         )
 
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:  # before any play, so that an unusable one fails fast
+        out.mkdir(parents=True, exist_ok=True)
     # one contiguous slice of trials per worker, played as one batch
     workers = min(config.workers, config.trials)
     cuts = [config.trials * w // workers for w in range(workers + 1)]
@@ -268,9 +278,7 @@ def run_experiment(
     }
 
     csv_path = summary_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         csv_path = out / "frequencies.csv"
         lines = ["time,frequency,trials"]
         for t in times:

@@ -311,20 +311,24 @@ def validate_game(game: StochasticGame) -> list[str]:
     return violations
 
 
+def _softened(choice: np.ndarray, rho, m: int) -> np.ndarray:
+    """The one softening rule, rho / m + [a == choice] * (1 - rho) for the m
+    actions a on a new last axis, ``rho`` broadcast against the int ``choice``."""
+    return rho / m + (choice[..., None] == np.arange(m)) * (1.0 - rho)
+
+
 def soften_policy(policy: DeterministicPolicy, rho: float, num_actions: int) -> StationaryPolicy:
-    """Mix a deterministic policy with uniform experimentation.
+    """Mix a deterministic policy with uniform experimentation (``_softened``).
 
     The result plays the chosen action with probability (1 - rho) + rho / m
     and every other action with probability rho / m, where m = num_actions.
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must lie in [0, 1], got {rho}")
-    probs = np.full((len(policy.choice), num_actions), rho / num_actions)
-    for x, a in enumerate(policy.choice):
+    for a in policy.choice:
         if not 0 <= a < num_actions:
             raise ValueError(f"action id {a} out of range for {num_actions} actions")
-        probs[x, a] += 1.0 - rho
-    return StationaryPolicy(policy.player, probs)
+    return StationaryPolicy(policy.player, _softened(np.array(policy.choice), rho, num_actions))
 
 
 def _cdf_columns(masses: np.ndarray) -> np.ndarray:

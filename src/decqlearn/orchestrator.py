@@ -228,8 +228,7 @@ def draw_schedule(
     [min_length, ratio * min_length] until the boundaries cover the horizon."""
     _check_count("min_length", min_length)
     _check_count("ratio", ratio)
-    if horizon < 1:
-        raise ValueError("horizon must be positive")
+    _check_count("horizon", horizon)
     lengths = tuple(
         tuple(streams.phase_lengths(i, min_length, ratio, horizon))
         for i in range(num_players)
@@ -775,9 +774,10 @@ def _simulate(
     )
     updates.append((horizon, -1, -1))
     next_update = 0
-    sorted_records = sorted(set(int(t) for t in record_times))
-    if sorted_records and not 0 <= sorted_records[0] <= sorted_records[-1] < horizon:
-        raise ValueError("record times must lie in [0, horizon)")
+    times = tuple(record_times)
+    if not all(_is_id(t) and 0 <= t < horizon for t in times):
+        raise ValueError(f"record times must be integers in [0, horizon), got {times!r}")
+    sorted_records = sorted(set(int(t) for t in times))
     sorted_records.append(horizon)
     next_record = 0
 
@@ -872,8 +872,8 @@ def run_episodes(
     which solves only the opponent joints the trials visited, by policy
     iteration, and agrees with membership in ``equilibrium_set(game, 1e-9)``
     except where a Q-gap lies within solver error of the 1e-9 slack."""
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    _check_count("horizon", horizon)
+    horizon = int(horizon)  # a numpy integer would reach the trace and its JSON
     _check_configs(game, configs)
     if not streams or len(schedules) != len(streams):
         raise ValueError("need one schedule per trial and at least one trial")
@@ -971,8 +971,7 @@ def frozen_q_run(
     of streams, plays one trial per entry as one batch and returns one such
     list per trial.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps}")
+    _check_count("steps", steps)
     _check_configs(game, configs)
     if len(frozen_joint) != game.num_players:
         raise ValueError("frozen_joint needs one policy per player")

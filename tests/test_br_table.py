@@ -33,15 +33,18 @@ from decqlearn.exact_solver import (
     _value_iteration,
     delta_bar,
     equilibrium_set,
+    induced_mdp,
     label_equilibria,
     perturbation_gap,
     q_star,
 )
 from decqlearn.experiments import analyze_game, build_benchmark_game
 from decqlearn.game_model import (
+    DeterministicPolicy,
     JointDeterministicPolicy,
     StochasticGame,
     enumerate_deterministic_policies,
+    soften_policy,
 )
 from oracles import (
     _choice_is_greedy,
@@ -472,6 +475,26 @@ def test_rows_per_run_against_every_joint(monkeypatch):
     built = _built_rows(monkeypatch)
     _solve_stack(game, TOL, [(0.0, 0.0), (0.05, 0.05)], {i: _opponents(game, i) for i in range(2)})
     assert [(i, len(rows[1])) for i, rows in built] == [(0, 2 * 15), (1, 2 * 15)]
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.05])
+def test_induced_mdp_holds_the_gathered_rows(game, rho):
+    # One builder: induced_mdp against each deterministic opponent joint,
+    # softened by soften_policy, holds the bytes of the rows _row_stack
+    # builds for that joint.
+    for i in range(game.num_players):
+        others = [j for j in range(game.num_players) if j != i]
+        opponents = _opponents(game, i)
+        codes = exact_solver._row_codes(game, i, opponents)
+        lookup, cost, kernel = exact_solver._row_stack(game, i, [(rho,) * game.num_players], codes)
+        for opp, code in zip(opponents, codes):
+            policies = [
+                soften_policy(DeterministicPolicy(j, opp[k].tolist()), rho, game.action_counts[j])
+                for k, j in enumerate(others)
+            ]
+            mdp = induced_mdp(game, i, policies)
+            assert mdp.cost.tobytes() == cost[lookup[code]].tobytes()
+            assert mdp.kernel.tobytes() == kernel[lookup[code]].tobytes()
 
 
 def test_analysis_builds_each_players_rows_once(monkeypatch):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from decqlearn import acyclicity, orchestrator
+from decqlearn import acyclicity, experiments, orchestrator
 from decqlearn.cli import main
 from decqlearn.exact_solver import equilibrium_set
 from decqlearn.experiments import (
@@ -79,6 +79,18 @@ class TestExperimentConfig:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: experiment config must be a JSON object")
         assert not (tmp_path / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "game", [5, None, b"benchmark", build_benchmark_game()], ids=["int", "None", "bytes", "game"]
+    )
+    def test_game_must_be_a_name_or_a_path(self, game):
+        with pytest.raises(ValueError, match="game must be a name or a path"):
+            ExperimentConfig(game=game)
+
+    def test_a_game_path_is_held_as_a_str(self, tmp_path):
+        path = tmp_path / "game.json"
+        assert ExperimentConfig(game=path) == ExperimentConfig(game=str(path))
+        assert ExperimentConfig(game=path).game == str(path)
 
     def test_lists_are_held_as_tuples(self):
         config = ExperimentConfig(rho=[0.05, 0.1], record_times=[0, 10])
@@ -373,6 +385,20 @@ class TestCli:
         assert code == 0
         assert "frequency" in out
         assert (tmp_path / "frequencies.csv").exists()
+
+    def test_unusable_out_dir_fails_before_play(self, tmp_path, capsys, monkeypatch):
+        # an existing file where the output directory should be: exit 2
+        # before any trial is played
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+
+        def no_play(*args):
+            raise AssertionError("trials played before the output directory was made")
+
+        monkeypatch.setattr(experiments, "_run_trials", no_play)
+        code = main(["reproduce-benchmark", "--trials", "2", "--horizon", "1500", "--out-dir", str(blocker)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_simulate_past_the_enumeration_budget(self, tmp_path, capsys, monkeypatch):
         # 2 players x 16 states x 2 actions: 2**32 joint policies, past the

@@ -23,6 +23,7 @@ from decqlearn.game_model import (
     StationaryPolicy,
     StochasticGame,
     _choice_for,
+    _softened,
     game_from_dict,
     game_to_dict,
     load_game,
@@ -190,6 +191,19 @@ class TestSoftenPolicy:
             rho = float(rng.uniform(0.0, (m - 1) / m - 1e-9))
             soft = soften_policy(DeterministicPolicy(0, choice), rho, m)
             assert tuple(np.argmax(soft.probs, axis=1)) == choice
+
+    def test_one_softening_rule(self, rng):
+        # soften_policy holds the bytes of the shared rule, and of the
+        # per-entry form: rho / m everywhere, then 1 - rho added at the choice
+        for _ in range(2000):
+            m = int(rng.integers(1, 6))
+            choice = tuple(int(a) for a in rng.integers(0, m, size=int(rng.integers(1, 5))))
+            rho = float(rng.choice([0.0, 1.0, rng.uniform()]))
+            probs = soften_policy(DeterministicPolicy(0, choice), rho, m).probs
+            assert probs.tobytes() == _softened(np.array(choice), rho, m).tobytes()
+            entries = np.full((len(choice), m), rho / m)
+            entries[np.arange(len(choice)), choice] += 1.0 - rho
+            assert probs.tobytes() == entries.tobytes()
 
 
 class TestSampleTransition:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -285,6 +286,30 @@ class TestRunEpisode:
             run_episode(
                 benchmark_game, _configs(), schedule, streams, 500, record_times=(600,)
             )
+
+    @pytest.mark.parametrize("value", [100.0, 100.5, True, "100"], ids=repr)
+    def test_lengths_must_be_integers(self, benchmark_game, value):
+        # a run's length goes through the one count rule at every entry point
+        streams = RandomnessStreams(1)
+        schedule = draw_schedule(streams, 2, 100, 2, 1000)
+        with pytest.raises(ValueError, match="horizon must be a positive integer"):
+            draw_schedule(streams, 2, 100, 2, value)
+        with pytest.raises(ValueError, match="horizon must be a positive integer"):
+            run_episode(benchmark_game, _configs(), schedule, streams, value)
+        with pytest.raises(ValueError, match="steps must be a positive integer"):
+            frozen_q_run(benchmark_game, _configs(), ((0, 0), (0, 0)), streams, value)
+
+    def test_record_times_must_be_integers(self, benchmark_game):
+        streams = RandomnessStreams(1)
+        schedule = draw_schedule(streams, 2, 100, 2, 1000)
+        with pytest.raises(ValueError, match=re.escape("must be integers in [0, horizon), got (0, 50.5)")):
+            run_episode(benchmark_game, _configs(), schedule, streams, 100, record_times=(0, 50.5))
+        # numpy integers are integers, and give the JSON of Python ints
+        wide = run_episode(
+            benchmark_game, _configs(), schedule, streams, np.int64(100), record_times=(np.int32(50),)
+        )
+        plain = run_episode(benchmark_game, _configs(), schedule, streams, 100, record_times=(50,))
+        assert json.dumps(wide.to_json_dict()) == json.dumps(plain.to_json_dict())
 
     def test_batch_argument_validation(self, benchmark_game):
         streams = [RandomnessStreams(1, trial=k) for k in range(2)]
