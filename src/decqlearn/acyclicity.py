@@ -23,7 +23,7 @@ from .exact_solver import (
     check_input,
     check_per_player,
 )
-from .game_model import StochasticGame, _check_count
+from .game_model import StochasticGame, _check
 
 __all__ = [
     "BrGraph",
@@ -76,7 +76,7 @@ def p_min(
     """
     check_per_player(game, "lambda", lambdas)
     check_input("ratio", R)
-    _check_count("L", L)
+    _check("count", "L", L)
     # Python ints: no overflow, and the same bits whatever the caller's
     # integer type
     exponent = (int(R) + 1) * int(L)
@@ -130,11 +130,10 @@ def xi_bound(
 ) -> float:
     """Learning-accuracy requirement paired with theta:
     min(theta, min_i min(delta_i, dbar - delta_i) / 2) / ((R+1) N L)."""
-    if theta <= 0.0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    _check("positive", "theta", theta)
     check_input("ratio", R)
-    _check_count("N", N)
-    _check_count("L", L)
+    _check("count", "N", N)
+    _check("count", "L", L)
     for d in deltas:
         if not 0.0 < d < dbar:
             raise ValueError(f"delta {d} must lie strictly inside (0, {dbar})")

@@ -15,14 +15,13 @@ for a baseline that is not delta-greedy; the episode executor keys it by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .exact_solver import QTable, _greedy_mask
-from .game_model import DeterministicPolicy, _player_id
+from .game_model import DeterministicPolicy, _check, _player_id
 
 __all__ = ["AgentConfig", "end_phase_update"]
 
@@ -37,8 +36,9 @@ class AgentConfig:
 
     ``player`` is an integer id (not a bool), nonnegative.
     ``rho`` (experimentation), ``lam`` (inertia), and ``alpha`` (step size)
-    must lie in (0, 1); ``delta`` (greedy tolerance) must be finite and
-    positive.
+    are real numbers in (0, 1); ``delta`` (greedy tolerance) is a finite
+    positive real. Each goes through its rule in ``game_model._RULES``, so a
+    string, a bool or a NaN is a ValueError naming the field.
     ``initial_policy`` may be None, meaning the episode driver draws one
     uniformly; ``initial_q`` defaults to the all-zero table. An
     ``initial_policy``, and an ``initial_q`` given as a ``QTable``, must
@@ -56,11 +56,8 @@ class AgentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "player", _player_id(self.player))
         for name in ("rho", "lam", "alpha"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in the open interval (0, 1), got {value}")
-        if not (math.isfinite(self.delta) and self.delta > 0.0):
-            raise ValueError(f"delta must be finite and positive, got {self.delta}")
+            _check("unit", name, getattr(self, name))
+        _check("positive", "delta", self.delta)
         if self.initial_policy is not None and self.initial_policy.player != self.player:
             raise ValueError("initial_policy belongs to a different player")
         if isinstance(self.initial_q, QTable) and self.initial_q.player != self.player:

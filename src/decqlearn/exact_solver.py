@@ -30,8 +30,8 @@ from .game_model import (
     JointDeterministicPolicy,
     StationaryPolicy,
     StochasticGame,
+    _check,
     _choice_for,
-    _is_id,
     _player_id,
     _softened,
     enumerate_deterministic_policies,
@@ -69,22 +69,15 @@ class EnumerationBudgetError(RuntimeError):
     """Raised when an exhaustive computation would exceed its solve budget."""
 
 
-# The range of each analysis input: (test, wording for the error).
-_RULES = {
-    "tol": (lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
-    "rho": (lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
-    "delta": (lambda v: math.isfinite(v) and v > 0.0, "be finite and positive"),
-    "lambda": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    "eps": (lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
-    "ratio": (lambda v: _is_id(v) and v >= 1, "be an integer >= 1"),
+# The kind of each analysis input (its range rule in ``game_model._RULES``).
+_KINDS = {
+    "tol": "positive", "rho": "rho", "delta": "positive", "lambda": "unit", "eps": "unit", "ratio": "count"
 }
 
 
 def check_input(name: str, value) -> None:
     """Raise ValueError unless ``value`` lies in the range of input ``name``."""
-    ok, wording = _RULES[name]
-    if not ok(value):
-        raise ValueError(f"{name} must {wording}, got {value}")
+    _check(_KINDS[name], name, value)
 
 
 def check_per_player(game: StochasticGame, name: str, values: Sequence[float]) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +24,7 @@ import numpy as np
 
 from . import acyclicity, exact_solver
 from .agent import AgentConfig
-from .game_model import StochasticGame, _is_id, load_game, validate_game
+from .game_model import StochasticGame, _check, _is_id, _is_real, load_game, validate_game
 from .orchestrator import (
     RandomnessStreams,
     draw_schedule,
@@ -83,12 +82,8 @@ def resolve_game(source: str | Path | StochasticGame) -> StochasticGame:
     return load_game(source)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _per_player(value: float | Sequence[float], n: int, name: str) -> tuple[float, ...]:
-    if _is_number(value):
+    if _is_real(value):
         return (float(value),) * n
     out = tuple(float(v) for v in value)
     if len(out) != n:
@@ -102,10 +97,13 @@ class ExperimentConfig:
     byte-identical outputs regardless of worker count.
 
     Construction checks each field's type and range and raises a ValueError
-    naming the key: ``game`` is a name or a path, held as a str; the counts,
-    the seed and each record time are integers (not bools); and rho, lam,
-    delta and alpha are numbers or lists of numbers (one per player), held
-    as tuples."""
+    naming the key: ``game`` is a name or a path, held as a str; the counts
+    (``min_phase``, ``ratio``, ``horizon``, ``trials``, ``workers``) are
+    positive integers, ``master_seed`` a 64-bit unsigned integer and each
+    record time an integer in [0, horizon), all by the rules of
+    ``game_model._RULES`` (a bool or a float is no integer); and rho, lam,
+    delta and alpha are real numbers or lists of them (one per player),
+    held as tuples, whose ranges ``AgentConfig`` checks."""
 
     game: str = BENCHMARK_NAME
     rho: float | tuple[float, ...] = 0.05
@@ -125,13 +123,13 @@ class ExperimentConfig:
         if not isinstance(game, str):
             raise ValueError(f"game must be a name or a path, got {self.game!r}")
         object.__setattr__(self, "game", game)
-        for key in ("min_phase", "ratio", "horizon", "trials", "master_seed", "workers"):
-            if not _is_id(getattr(self, key)):
-                raise ValueError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        for key in ("min_phase", "ratio", "horizon", "trials", "workers"):
+            _check("count", key, getattr(self, key))
+        _check("seed", "master_seed", self.master_seed)
         for key in ("rho", "lam", "delta", "alpha"):
             value = getattr(self, key)
-            if not _is_number(value) and not (
-                isinstance(value, (list, tuple)) and all(map(_is_number, value))
+            if not _is_real(value) and not (
+                isinstance(value, (list, tuple)) and all(map(_is_real, value))
             ):
                 raise ValueError(f"{key} must be a number or a list of numbers, got {value!r}")
             if isinstance(value, list):
@@ -140,12 +138,6 @@ class ExperimentConfig:
             map(_is_id, self.record_times)
         ):
             raise ValueError(f"record_times must be a list of integers, got {self.record_times!r}")
-        if self.min_phase < 1 or self.ratio < 1:
-            raise ValueError("min_phase and ratio must be positive integers")
-        if self.horizon < 1 or self.trials < 1:
-            raise ValueError("horizon and trials must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
         object.__setattr__(self, "record_times", tuple(int(t) for t in self.record_times))
         for t in self.record_times:
             if not 0 <= t < self.horizon:
@@ -163,23 +155,9 @@ class ExperimentConfig:
         )
 
     def to_json_dict(self) -> dict:
-        def scalar_or_list(v):
-            return list(v) if isinstance(v, tuple) else v
-
-        return {
-            "game": str(self.game),
-            "rho": scalar_or_list(self.rho),
-            "lam": scalar_or_list(self.lam),
-            "delta": scalar_or_list(self.delta),
-            "alpha": scalar_or_list(self.alpha),
-            "min_phase": self.min_phase,
-            "ratio": self.ratio,
-            "horizon": self.horizon,
-            "trials": self.trials,
-            "record_times": list(self.record_times),
-            "master_seed": self.master_seed,
-            "workers": self.workers,
-        }
+        """Every field in declaration order, tuples as lists."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
 
     @staticmethod
     def from_json_dict(data: dict) -> "ExperimentConfig":

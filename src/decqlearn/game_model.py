@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -156,6 +158,34 @@ def _is_id(a: object) -> bool:
     return isinstance(a, (int, np.integer)) and not isinstance(a, bool)
 
 
+def _is_real(a: object) -> bool:
+    """The one rule for a real input (a rate, a tolerance): a Python or numpy
+    real number, integers included, not a bool."""
+    return isinstance(a, numbers.Real) and not isinstance(a, bool)
+
+
+# The range of each kind of scalar input: (test, wording for the error).
+# "unit" holds a learner's rates and eps, "rho" an analysis's experimentation
+# (0 allowed: no softening), "positive" a tolerance such as tol, delta or theta.
+_RULES = {
+    "count": (lambda v: _is_id(v) and v >= 1, "be a positive integer"),
+    "index": (lambda v: _is_id(v) and v >= 0, "be a nonnegative integer"),
+    "seed": (lambda v: _is_id(v) and 0 <= v < 2**64, "be a 64-bit unsigned integer"),
+    "unit": (lambda v: _is_real(v) and 0.0 < v < 1.0, "lie in (0, 1)"),
+    "rho": (lambda v: _is_real(v) and 0.0 <= v < 1.0, "lie in [0, 1)"),
+    "positive": (lambda v: _is_real(v) and 0.0 < v < math.inf, "be finite and positive"),
+}
+
+
+def _check(kind: str, name: str, value: object) -> None:
+    """The one range check of a scalar input: ``value`` passes the rule of
+    ``kind`` in ``_RULES``, else a ValueError "{name} must {wording}, got
+    {value!r}"."""
+    test, wording = _RULES[kind]
+    if not test(value):
+        raise ValueError(f"{name} must {wording}, got {value!r}")
+
+
 def _action_ids(choice: Iterable) -> tuple[int, ...]:
     """``choice`` as Python ints; an entry that is not an id (see
     :func:`_is_id`) is a ValueError naming it."""
@@ -174,14 +204,6 @@ def _player_id(player: object) -> int:
     if player < 0:
         raise ValueError(f"player id {player!r} must be nonnegative")
     return int(player)
-
-
-def _check_count(name: str, value: object) -> None:
-    """A count input (a phase length, a ratio, a number of players, a path
-    bound) is an integer (see :func:`_is_id`) of at least 1; anything else is
-    a ValueError naming ``name``."""
-    if not _is_id(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
 def _choice_for(game: StochasticGame, player: int, choice: Iterable) -> tuple[int, ...]:
@@ -221,11 +243,9 @@ class DeterministicPolicy:
         _choice_for(game, self.player, self.choice)
 
     def as_stationary(self, num_actions: int) -> StationaryPolicy:
-        """Indicator (point-mass) representation of this policy."""
-        probs = np.zeros((len(self.choice), num_actions))
-        for x, a in enumerate(self.choice):
-            probs[x, a] = 1.0
-        return StationaryPolicy(self.player, probs)
+        """Indicator (point-mass) representation of this policy: the policy
+        softened with rho = 0 (``soften_policy``)."""
+        return soften_policy(self, 0.0, num_actions)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .exact_solver import QTable, check_reachability, label_equilibria
 # module, where benchmarks/selftest.py reaches it.
 from .game_model import (
     StochasticGame,
-    _check_count,
+    _check,
     _choice_for,
     _is_id,
     _inverse_cdf,
@@ -80,13 +80,15 @@ class RandomnessStreams:
     (inertia, policy draws, phase lengths) are drawn lazily from their own
     keyed sub-streams, so a draw never depends on which other draws were
     consumed first.
+
+    ``master_seed`` is a 64-bit unsigned integer and ``trial`` a nonnegative
+    integer, and the phase-length arguments are counts, each by its rule in
+    ``game_model._RULES``.
     """
 
     def __init__(self, master_seed: int, trial: int = 0) -> None:
-        if not _is_id(master_seed) or not 0 <= master_seed < 2**64:
-            raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed!r}")
-        if not _is_id(trial) or trial < 0:
-            raise ValueError(f"trial must be a nonnegative integer, got {trial!r}")
+        _check("seed", "master_seed", master_seed)
+        _check("index", "trial", trial)
         self.master_seed = int(master_seed)
         self.trial = int(trial)
 
@@ -147,6 +149,8 @@ class RandomnessStreams:
     ) -> list[int]:
         """Uniform integer lengths in [min_length, ratio * min_length] until
         the cumulative boundaries cover the horizon."""
+        for name, value in (("min_length", min_length), ("ratio", ratio), ("horizon", horizon)):
+            _check("count", name, value)
         gen = self._generator(_FAMILY_PHASE, player)
         lengths: list[int] = []
         total = 0
@@ -180,8 +184,8 @@ class Schedule:
     phase_lengths: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check_count("min_length", self.min_length)
-        _check_count("ratio", self.ratio)
+        _check("count", "min_length", self.min_length)
+        _check("count", "ratio", self.ratio)
         object.__setattr__(
             self,
             "phase_lengths",
@@ -225,10 +229,9 @@ def draw_schedule(
     horizon: int,
 ) -> Schedule:
     """Draw every player's phase lengths uniformly from
-    [min_length, ratio * min_length] until the boundaries cover the horizon."""
-    _check_count("min_length", min_length)
-    _check_count("ratio", ratio)
-    _check_count("horizon", horizon)
+    [min_length, ratio * min_length] until the boundaries cover the horizon
+    (``RandomnessStreams.phase_lengths`` checks the three counts)."""
+    _check("count", "num_players", num_players)
     lengths = tuple(
         tuple(streams.phase_lengths(i, min_length, ratio, horizon))
         for i in range(num_players)
@@ -354,7 +357,10 @@ class SimulationTrace:
 
     def _last_event(self, t: int) -> PolicyChange | None:
         """The last policy change at or before stage t, None before the
-        first; a t outside [0, horizon) is a ValueError."""
+        first; a t that is not an integer (``game_model._is_id``, the rule
+        of record times) or lies outside [0, horizon) is a ValueError."""
+        if not _is_id(t):
+            raise ValueError(f"time {t!r} is not an integer")
         if not 0 <= t < self.horizon:
             raise ValueError(f"time {t} is beyond the simulated horizon {self.horizon}")
         idx = bisect_right(self._event_times, t)
@@ -872,7 +878,7 @@ def run_episodes(
     which solves only the opponent joints the trials visited, by policy
     iteration, and agrees with membership in ``equilibrium_set(game, 1e-9)``
     except where a Q-gap lies within solver error of the 1e-9 slack."""
-    _check_count("horizon", horizon)
+    _check("count", "horizon", horizon)
     horizon = int(horizon)  # a numpy integer would reach the trace and its JSON
     _check_configs(game, configs)
     if not streams or len(schedules) != len(streams):
@@ -971,7 +977,7 @@ def frozen_q_run(
     of streams, plays one trial per entry as one batch and returns one such
     list per trial.
     """
-    _check_count("steps", steps)
+    _check("count", "steps", steps)
     _check_configs(game, configs)
     if len(frozen_joint) != game.num_players:
         raise ValueError("frozen_joint needs one policy per player")

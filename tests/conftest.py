@@ -1,9 +1,36 @@
+import signal
+
 import numpy as np
 import pytest
 
 from decqlearn import exact_solver
 from decqlearn.experiments import build_benchmark_game
 from oracles import matrix_game
+
+
+# Wall-clock seconds one test may run: the slowest takes seconds, so a test
+# past this limit hangs, and it fails instead of stalling the whole run.
+_TEST_SECONDS = 300
+
+
+@pytest.fixture(autouse=True)
+def _wall_clock_limit():
+    """Raise TimeoutError in a test still running after ``_TEST_SECONDS``,
+    by SIGALRM; a platform without SIGALRM runs tests without a limit."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"test still running after {_TEST_SECONDS} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, _TEST_SECONDS)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -59,17 +59,26 @@ def _run(*args, **kwargs) -> subprocess.CompletedProcess:
         (["analyze", "nan-kernel.json"], 1),
         (["simulate", "benchmark", "--config", "mistyped.json", "--out-dir", "run"], 2),
         (["reproduce-benchmark", "--full", "--horizon", "5", "--out-dir", "run"], 2),
+        (["reproduce-benchmark", "--seed", "-1", "--out-dir", "run"], 2),
     ],
-    ids=["analyze", "nan-kernel-analyze", "mistyped-config-simulate", "full-and-horizon-benchmark"],
+    ids=[
+        "analyze",
+        "nan-kernel-analyze",
+        "mistyped-config-simulate",
+        "full-and-horizon-benchmark",
+        "negative-seed-benchmark",
+    ],
 )
 def test_exit_codes_reach_the_shell(tmp_path, args, code):
-    # a NaN kernel entry is a violation (exit 1); a mistyped field, and
-    # --full (10^6 stages) with --horizon, are usage errors (exit 2)
+    # a NaN kernel entry is a violation (exit 1); a mistyped field, --full
+    # (10^6 stages) with --horizon, and a seed outside 64 bits are usage
+    # errors (exit 2), refused before the output directory is made
     doc = game_to_dict(build_benchmark_game())
     doc["kernel"][0][0] = [float("nan"), 1.0]
     (tmp_path / "nan-kernel.json").write_text(json.dumps(doc))
     (tmp_path / "mistyped.json").write_text('{"trials": "x"}')
     _run(*args, code=code, cwd=tmp_path)
+    assert not (tmp_path / "run").exists()
 
 
 def test_one_process_runs_every_command_in_turn(tmp_path, capsys):

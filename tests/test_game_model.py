@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -16,7 +17,7 @@ from decqlearn import cli
 from decqlearn.acyclicity import p_min, xi_bound
 from decqlearn.agent import AgentConfig
 from decqlearn.exact_solver import check_input, label_equilibria
-from decqlearn.experiments import analyze_game
+from decqlearn.experiments import ExperimentConfig, analyze_game
 from decqlearn.game_model import (
     DeterministicPolicy,
     JointDeterministicPolicy,
@@ -338,7 +339,8 @@ class TestJointIndexing:
         assert benchmark_game.joint_tuple(1) == (0, 1)
 
 
-# Each integer input given a bool or a float, with the input its error names.
+# Each integer input given a bool, a float or a value out of its range, with
+# the input its error names.
 _STREAMS = RandomnessStreams(0)
 _BAD_INTEGERS = {
     "seed-float": ("master_seed", lambda g: RandomnessStreams(1.7)),
@@ -355,6 +357,28 @@ _BAD_INTEGERS = {
     "p-min-L": ("L", lambda g: p_min(g, (0.2, 0.2), 3, 2.5)),
     "xi-N": ("N", lambda g: xi_bound(0.1, 3, 2.0, 2, (0.5, 0.5), 1.0)),
     "xi-L-bool": ("L", lambda g: xi_bound(0.1, 3, 2, True, (0.5, 0.5), 1.0)),
+    # min_length 0 drew zero-length phases forever, ratio 0 reached numpy's
+    # "low > high", horizon 0 drew no phase
+    "phase-lengths-min-length": ("min_length", lambda g: _STREAMS.phase_lengths(0, 0, 3, 10)),
+    "phase-lengths-ratio": ("ratio", lambda g: _STREAMS.phase_lengths(0, 2, 0, 10)),
+    "phase-lengths-horizon": ("horizon", lambda g: _STREAMS.phase_lengths(0, 2, 3, 0)),
+    "draw-no-players": ("num_players", lambda g: draw_schedule(_STREAMS, 0, 2, 2, 10)),
+    "config-seed-negative": ("master_seed", lambda g: ExperimentConfig(master_seed=-1)),
+    "config-seed-past-64-bits": ("master_seed", lambda g: ExperimentConfig(master_seed=2**64)),
+}
+
+# Each real input, as a call on one value, with the input its error names.
+_BAD_REALS = {
+    "agent-rho": ("rho", lambda g, v: AgentConfig(0, v, 0.2, 0.5, 0.1)),
+    "agent-lam": ("lam", lambda g, v: AgentConfig(0, 0.05, v, 0.5, 0.1)),
+    "agent-delta": ("delta", lambda g, v: AgentConfig(0, 0.05, 0.2, v, 0.1)),
+    "agent-alpha": ("alpha", lambda g, v: AgentConfig(0, 0.05, 0.2, 0.5, v)),
+    "xi-theta": ("theta", lambda g, v: xi_bound(v, 3, 2, 2, (0.5, 0.5), 1.0)),
+    "analyze-tol": ("tol", lambda g, v: analyze_game(g, tol=v)),
+    "analyze-rho": ("rho", lambda g, v: analyze_game(g, rhos=(0.05, v))),
+    "analyze-delta": ("delta", lambda g, v: analyze_game(g, rhos=(0.05, 0.05), deltas=(0.5, v))),
+    "analyze-lambda": ("lambda", lambda g, v: analyze_game(g, lambdas=(0.2, v))),
+    "analyze-eps": ("eps", lambda g, v: analyze_game(g, eps=v)),
 }
 
 
@@ -362,6 +386,8 @@ class TestPolicies:
     def test_deterministic_validation(self, benchmark_game):
         with pytest.raises(ValueError):
             DeterministicPolicy(0, (0, 5)).validate_for(benchmark_game)
+        with pytest.raises(ValueError, match="action id 5 out of range for 2 actions"):
+            DeterministicPolicy(0, (0, 5)).as_stationary(2)
         with pytest.raises(ValueError):
             DeterministicPolicy(0, (0,)).validate_for(benchmark_game)
 
@@ -421,6 +447,15 @@ class TestPolicies:
         name, call = _BAD_INTEGERS[case]
         with pytest.raises(ValueError, match=rf"^{name} must be "):
             call(benchmark_game)
+
+    @pytest.mark.parametrize("case", sorted(_BAD_REALS))
+    def test_real_inputs_follow_their_range_rule(self, benchmark_game, case):
+        # NaN, infinity, a string and a bool are each a ValueError naming the
+        # input, not a TypeError, a NaN result or a run with the bool's value.
+        name, call = _BAD_REALS[case]
+        for value in (math.nan, math.inf, "0.1", True):
+            with pytest.raises(ValueError, match=rf"^{name} must .*, got {re.escape(repr(value))}$"):
+                call(benchmark_game, value)
 
     def test_numpy_integer_action_ids(self):
         choice = DeterministicPolicy(0, (np.int64(1), np.uint8(0))).choice

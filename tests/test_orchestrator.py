@@ -852,6 +852,12 @@ class TestSimulationTrace:
         for t, lookup in itertools.product((10, -1), (trace.joint_at, trace.at_equilibrium)):
             with pytest.raises(ValueError, match=f"time {t} is beyond the simulated horizon 10"):
                 lookup(t)
+        # a time that is not an integer is refused, as a record time is, not
+        # truncated to the stage before it
+        lookups = (trace.joint_at, trace.at_equilibrium, lambda t: equilibrium_frequency([trace], [t]))
+        for t, lookup in itertools.product((5.5, 9.9, True, np.float64(3.0)), lookups):
+            with pytest.raises(ValueError, match=re.escape(f"time {t!r} is not an integer")):
+                lookup(t)
 
 
 class TestEquilibriumFrequency:
