@@ -1,8 +1,9 @@
 """Decentralized Q-learning for finite stochastic games.
 
 Library layers: ``game_model`` (games, policies, transition sampling),
-``exact_solver`` (model-based Q-functions, values, equilibrium tests),
-``acyclicity`` (best-response graph and weak-acyclicity certificate),
+``exact_solver`` (model-based Q-functions, values, equilibrium tests, and
+``ExactAnalysis``, the one exact analysis of a game),
+``acyclicity`` (best-response graph view and weak-acyclicity certificate),
 ``agent`` (a learner's parameters and phase-end appraisal),
 ``orchestrator`` (seeded episodes), and ``experiments``/``cli`` (batch
 runs and the command line).
@@ -21,17 +22,14 @@ from .acyclicity import (
 from .agent import AgentConfig
 from .exact_solver import (
     EnumerationBudgetError,
+    ExactAnalysis,
     InducedMdp,
     QTable,
     br_hat,
     check_reachability,
-    delta_bar,
-    equilibrium_set,
     induced_mdp,
     is_equilibrium,
     label_equilibria,
-    perturbation_check,
-    perturbation_gap,
     policy_value,
     q_star,
 )

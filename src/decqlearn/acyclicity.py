@@ -1,29 +1,30 @@
 """Structural analysis of the deterministic joint-policy space.
 
-The strict best-response graph (``BrGraph``, a view of the arrays of
-``exact_solver.ExactAnalysis``): nodes are deterministic joint policies, and
-an edge changes exactly one player's policy to a different 0-best-response.
-A game is weakly acyclic when every node has a path into the (nonempty)
-equilibrium set; the certificate also yields the shortest-path profile used
-by the convergence diagnostics (the path bound L, the inertia floor p_min,
-and the theta/xi tolerance split).
+The strict best-response graph is held by ``exact_solver.ExactAnalysis`` as
+arrays: nodes are deterministic joint policies, and an edge changes exactly
+one player's policy to a different 0-best-response. A game is weakly acyclic
+when every node has a path into the (nonempty) equilibrium set; the
+certificate also yields the shortest-path profile used by the convergence
+diagnostics (the path bound L, the inertia floor p_min, and the theta/xi
+tolerance split). ``BrGraph`` (``build_br_graph``) is a view of those arrays
+for tools that want the graph itself.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
 
 from .exact_solver import (
     DEFAULT_SOLVE_BUDGET,
-    BrGraph,
     ExactAnalysis,
     check_input,
     check_per_player,
 )
-from .game_model import StochasticGame, _check
+from .game_model import JointDeterministicPolicy, StochasticGame, _check
 
 __all__ = [
     "BrGraph",
@@ -37,6 +38,50 @@ __all__ = [
 ]
 
 
+class _Nodes(Sequence):
+    """The nodes of a ``BrGraph``, the joint policies in flat order: a
+    read-only sequence that decodes a node (``ExactAnalysis.choices``) and
+    builds its ``JointDeterministicPolicy`` only when it is read."""
+
+    def __init__(self, analysis: ExactAnalysis) -> None:
+        self._analysis = analysis
+        self._len = len(analysis.path_len)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k) -> JointDeterministicPolicy:
+        k = operator.index(k)
+        if not -self._len <= k < self._len:
+            raise IndexError(f"node {k} out of range for {self._len} nodes")
+        return JointDeterministicPolicy.from_choices(self._analysis.choices([k % self._len])[0])
+
+
+class BrGraph:
+    """Strict best-response graph over all deterministic joint policies, a
+    view of one ``ExactAnalysis``'s arrays.
+
+    ``nodes`` are the joint policies in ``itertools.product`` order, a
+    read-only sequence that builds a node's ``JointDeterministicPolicy`` only
+    when that node is read; ``equilibria`` the node indices of the
+    equilibria; ``path_len`` the analysis's read-only float array, per node
+    the length of a shortest strict best-response path into the equilibria
+    (0 exactly on equilibria, ``math.inf`` if none is reachable); ``edges``
+    the analysis's sorted (source, target, deviator) (E, 3) array, built the
+    first time it is read.
+    """
+
+    def __init__(self, analysis: ExactAnalysis) -> None:
+        self._analysis = analysis
+        self.nodes = _Nodes(analysis)
+        self.equilibria = frozenset(np.flatnonzero(analysis.equilibrium_mask).tolist())
+        self.path_len = analysis.path_len
+
+    @property
+    def edges(self) -> np.ndarray:
+        return self._analysis.edges
+
+
 def build_br_graph(
     game: StochasticGame, tol: float, budget: int = DEFAULT_SOLVE_BUDGET
 ) -> BrGraph:
@@ -44,27 +89,26 @@ def build_br_graph(
 
     Best-response membership is judged on exact Q-values with slack ``tol``;
     shortest path lengths are computed by reverse breadth-first search from
-    the equilibrium set. The result is ``ExactAnalysis.graph``, a view of the
-    analysis's arrays (its grids and one path length per joint policy): it
-    builds a node's ``JointDeterministicPolicy`` only when that node is read,
-    and the edge array only when ``edges`` is first read.
+    the equilibrium set. The result is a view of ``ExactAnalysis(game, tol,
+    budget)``'s arrays (its grids and one path length per joint policy).
     """
-    return ExactAnalysis(game, tol, budget).graph
+    return BrGraph(ExactAnalysis(game, tol, budget))
 
 
-def is_weakly_acyclic(graph: BrGraph | ExactAnalysis) -> bool:
-    """True iff equilibria exist and every joint policy can reach one along
-    strict best-response edges. Reads only ``path_len``, which a ``BrGraph``
-    and an ``ExactAnalysis`` both have: when every path length is finite,
-    some node sits at 0, so an equilibrium exists."""
-    return bool(np.isfinite(graph.path_len).all())
+def is_weakly_acyclic(analysis: ExactAnalysis) -> bool:
+    """True iff equilibria exist and every joint policy of the analysed game
+    can reach one along strict best-response edges. Reads only
+    ``path_len`` (so a ``BrGraph`` view serves too): when every path length
+    is finite, some node sits at 0, so an equilibrium exists."""
+    return bool(np.isfinite(analysis.path_len).all())
 
 
-def path_bound_L(graph: BrGraph | ExactAnalysis) -> int:
-    """One plus the largest shortest-path length to equilibrium."""
-    if not is_weakly_acyclic(graph):
+def path_bound_L(analysis: ExactAnalysis) -> int:
+    """One plus the largest shortest-path length to equilibrium, read off
+    the analysis's ``path_len``."""
+    if not is_weakly_acyclic(analysis):
         raise ValueError("path bound is only defined for weakly acyclic games")
-    return 1 + int(np.max(graph.path_len))
+    return 1 + int(np.max(analysis.path_len))
 
 
 def p_min(

@@ -6,22 +6,19 @@ Q-functions (value iteration on Q-factors, and one batched solve,
 ``_solve_stack``, by policy iteration, behind both the labels of visited
 joints and the analysis, which solves again by value iteration wherever its
 digits could reach a result), policy evaluation, epsilon-greedy policy sets,
-equilibrium tests, a joint-reachability check, and one :class:`ExactAnalysis`
-behind the equilibria, the best-response graph, the minimum nonzero Q-gap
-``delta_bar`` and the experimentation perturbation gap. These are the
-ground-truth oracles the learning code is tested against.
+equilibrium tests, a joint-reachability check, and one :class:`ExactAnalysis`,
+the one entry point for the equilibria, the best-response graph's arrays, the
+minimum nonzero Q-gap ``delta_bar`` and the experimentation perturbation gap.
+These are the ground-truth oracles the learning code is tested against.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
-import operator
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -46,12 +43,7 @@ __all__ = [
     "br_hat",
     "is_equilibrium",
     "label_equilibria",
-    "BrGraph",
     "ExactAnalysis",
-    "equilibrium_set",
-    "delta_bar",
-    "perturbation_gap",
-    "perturbation_check",
     "check_reachability",
     "EnumerationBudgetError",
 ]
@@ -434,8 +426,7 @@ def _greedy_mask(values: np.ndarray, eps: float) -> np.ndarray:
 def br_hat(q: QTable, eps: float) -> list[DeterministicPolicy]:
     """All deterministic policies that are eps-greedy with respect to q
     in every state. Nonempty for eps >= 0."""
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    _check("nonnegative", "eps", eps)
     allowed = [np.flatnonzero(row).tolist() for row in _greedy_mask(q.values, eps)]
     return [DeterministicPolicy(q.player, combo) for combo in itertools.product(*allowed)]
 
@@ -468,12 +459,11 @@ def label_equilibria(
     The stacks are solved as the analysis solves them, by policy iteration
     (``_solve_stack``), but no member is solved again by value iteration:
     every member of a game with exactly tied Q-values would be. So a label
-    equals membership in ``equilibrium_set(game, tol)`` except where some
-    Q-gap lies within the member's margin (``_margin``) of the tol slack,
-    where the analysis reads value iteration's digits."""
+    equals membership in ``ExactAnalysis(game, tol).equilibria`` except
+    where some Q-gap lies within the member's margin (``_margin``) of the tol
+    slack, where the analysis reads value iteration's digits."""
     check_input("tol", tol)
-    if not eps >= 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    _check("nonnegative", "eps", eps)
     num_players, num_states = game.num_players, game.num_states
     checked = []
     for joint in joints:
@@ -681,106 +671,6 @@ def _row_codes(game: StochasticGame, player: int, opponents: np.ndarray) -> np.n
     return code
 
 
-class _Nodes(Sequence):
-    """The nodes of an analysis's graph, the joint policies in flat order:
-    a read-only sequence that decodes a node (``ExactAnalysis.choices``) and
-    builds its ``JointDeterministicPolicy`` only when it is read."""
-
-    _CHUNK = 4096  # nodes decoded at once while iterating
-
-    def __init__(self, analysis: ExactAnalysis) -> None:
-        self._analysis = analysis
-        self._len = math.prod(analysis._sizes)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __getitem__(self, k) -> JointDeterministicPolicy:
-        k = operator.index(k)
-        if not -self._len <= k < self._len:
-            raise IndexError(f"node {k} out of range for {self._len} nodes")
-        return JointDeterministicPolicy.from_choices(self._analysis.choices([k % self._len])[0])
-
-    def __iter__(self):
-        for lo in range(0, self._len, self._CHUNK):
-            flat = np.arange(lo, min(lo + self._CHUNK, self._len))
-            yield from map(JointDeterministicPolicy.from_choices, self._analysis.choices(flat))
-
-    def lists(self) -> list[list[list[int]]]:
-        """Every node's per-player choice lists, from one decode."""
-        players = range(self._analysis.game.num_players)
-        return self._analysis._decode(players, np.arange(self._len)).tolist()
-
-
-def _choice_lists(nodes: Sequence[JointDeterministicPolicy]) -> list[list[list[int]]]:
-    """Per node, its per-player choice lists: one decode of an analysis's
-    nodes, else read node by node."""
-    if isinstance(nodes, _Nodes):
-        return nodes.lists()
-    return [list(map(list, node.choices)) for node in nodes]
-
-
-class BrGraph:
-    """Strict best-response graph over all deterministic joint policies.
-
-    ``nodes`` are the joint policies; ``edges`` are (source index, target
-    index, deviating player) rows; ``equilibria`` the node indices of the
-    equilibria; ``path_len`` maps each node to the length of a shortest
-    strict best-response path into the equilibrium set (0 exactly on
-    equilibria, ``math.inf`` if none is reachable).
-
-    ``ExactAnalysis.graph`` is a view of the analysis's arrays, for callers
-    and tools that want the graph itself: ``path_len`` its read-only float
-    array, ``edges`` its sorted (E, 3) ``edges`` array, built the first time
-    it is read, and ``nodes`` a read-only sequence that builds a node's
-    ``JointDeterministicPolicy`` only when that node is read. Any other
-    containers may be given (a callable for ``edges`` is called each time
-    they are read); two graphs are equal when their fields hold the same
-    values, whatever the containers.
-    """
-
-    def __init__(
-        self,
-        nodes: Sequence[JointDeterministicPolicy],
-        edges: Sequence[Sequence[int]] | np.ndarray | Callable[[], np.ndarray],
-        equilibria: frozenset[int],
-        path_len: Sequence[float] | np.ndarray,
-    ) -> None:
-        self.nodes, self.equilibria, self.path_len = nodes, equilibria, path_len
-        self._edges = edges
-
-    @property
-    def edges(self) -> Sequence[Sequence[int]] | np.ndarray:
-        return self._edges() if callable(self._edges) else self._edges
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BrGraph):
-            return NotImplemented
-        return (
-            self.equilibria == other.equilibria
-            and np.array_equal(np.asarray(self.path_len, float), np.asarray(other.path_len, float))
-            and np.array_equal(np.reshape(self.edges, (-1, 3)), np.reshape(other.edges, (-1, 3)))
-            and _choice_lists(self.nodes) == _choice_lists(other.nodes)
-        )
-
-    def to_json_dict(self) -> dict:
-        """Export for external visualization tools."""
-        return {
-            "nodes": _choice_lists(self.nodes),
-            "edges": [
-                {"source": s, "target": t, "deviator": i}
-                for s, t, i in np.reshape(self.edges, (-1, 3)).tolist()
-            ],
-            "equilibria": sorted(self.equilibria),
-            "path_len": [
-                None if math.isinf(v) else int(v) for v in np.asarray(self.path_len, float).tolist()
-            ],
-        }
-
-    def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n")
-
-
 class ExactAnalysis:
     """The exact analysis of one game at one tolerance.
 
@@ -809,10 +699,9 @@ class ExactAnalysis:
     policies in ``itertools.product`` order (the flat (C) order of the
     grids): ``equilibrium_mask`` and the float ``path_len``, both read off
     the grids. One decode turns flat indices into choice arrays, both for
-    the opponent joints the table solves and for ``choices`` of nodes.
-    ``graph`` is the ``BrGraph`` export, a view of these arrays that decodes
-    a node only when it is read, and the only reader of the sorted ``edges``
-    array, which it builds the first time its edges are read.
+    the opponent joints the table solves and for ``choices`` of nodes. The
+    sorted ``edges`` array is built only when it is read; the report never
+    reads it (``acyclicity.build_br_graph`` is a view of these arrays).
 
     ``table`` and ``softened`` refuse, before any solve, more solves than
     ``budget``; ``grids`` (behind the equilibria and the graph arrays) hold
@@ -934,7 +823,7 @@ class ExactAnalysis:
     def edges(self) -> np.ndarray:
         """Strict best-response edges as (source, target, deviator) rows,
         sorted by source, then deviator, then target, read-only; built only
-        when the ``graph`` export's edges are read."""
+        when read."""
         grids = self.grids
         sizes = self._sizes
         num_nodes = grids[0].size
@@ -958,7 +847,7 @@ class ExactAnalysis:
         the equilibria (``math.inf`` if none), by reverse breadth-first search
         on the grids: a frontier node where ``grids[i]`` is True is the target
         of an edge from every other node on its player-i line. Read-only, as
-        the ``graph`` export shares it."""
+        ``acyclicity.build_br_graph`` shares it."""
         grids = self.grids
         frontier = self.equilibrium_mask.reshape(grids[0].shape)
         path_len, level = np.where(frontier, 0.0, math.inf), 0.0
@@ -974,81 +863,26 @@ class ExactAnalysis:
         return path_len
 
     @functools.cached_property
-    def graph(self) -> BrGraph:
-        """The ``BrGraph`` view of ``edges``, ``equilibrium_mask`` and
-        ``path_len``: it builds no ``JointDeterministicPolicy`` until a node
-        is read, and ``edges`` only when the graph's edges are read."""
-        return BrGraph(
-            nodes=_Nodes(self),
-            edges=lambda: self.edges,
-            equilibria=frozenset(np.flatnonzero(self.equilibrium_mask).tolist()),
-            path_len=self.path_len,
-        )
-
-    @functools.cached_property
     def delta_bar(self) -> float:
+        """Minimum nonzero same-state gap between optimal Q-factors, over all
+        players and opponent joints; gaps below 10 * tol count as exact ties
+        (solver noise), and ``math.inf`` means no nonzero gap remains."""
         gaps = np.concatenate([_action_gaps(q).ravel() for q in self.table])
         nonzero = gaps[gaps >= 10.0 * self.tol]
         return float(nonzero.min()) if nonzero.size else math.inf
 
     @functools.cached_property
     def gap(self) -> float:
+        """Largest sup-norm shift of any player's optimal Q-function when
+        every opponent joint is softened by ``rhos``."""
         return max(float(np.abs(q - s).max()) for q, s in zip(self.table, self.softened))
 
     @functools.cached_property
     def bound(self) -> float:
+        """The gap's tolerance margin, min_i min(delta_i, delta_bar - delta_i) / 4."""
         if self.deltas is None:
             raise ValueError("the perturbation bound needs deltas")
         return min(min(d, self.delta_bar - d) for d in self.deltas) / 4.0
-
-
-def equilibrium_set(
-    game: StochasticGame, tol: float, budget: int = DEFAULT_SOLVE_BUDGET
-) -> frozenset[tuple[tuple[int, ...], ...]]:
-    """Encodings (per-player choice tuples) of all deterministic
-    0-equilibria, using slack tol on exact Q-values. The search holds a
-    boolean per joint policy, so both the joint policies and the solves
-    must fit ``budget``."""
-    return ExactAnalysis(game, tol, budget).equilibria
-
-
-def delta_bar(
-    game: StochasticGame, tol: float, budget: int = DEFAULT_SOLVE_BUDGET
-) -> float:
-    """Minimum nonzero same-state gap between optimal Q-factors, over all
-    players and all deterministic opponent joint policies.
-
-    Gaps below 10 * tol are treated as exact ties (solver noise); returns
-    ``math.inf`` when no nonzero gap remains.
-    """
-    return ExactAnalysis(game, tol, budget).delta_bar
-
-
-def perturbation_gap(
-    game: StochasticGame,
-    rhos: Sequence[float],
-    tol: float = 1e-10,
-    budget: int = DEFAULT_SOLVE_BUDGET,
-) -> float:
-    """Largest sup-norm shift of any player's optimal Q-function when every
-    deterministic opponent joint is softened by its experimentation rate."""
-    return ExactAnalysis(game, tol, budget, rhos=rhos).gap
-
-
-def perturbation_check(
-    game: StochasticGame,
-    rhos: Sequence[float],
-    deltas: Sequence[float],
-    tol: float = 1e-10,
-    budget: int = DEFAULT_SOLVE_BUDGET,
-) -> tuple[float, float, bool]:
-    """Evaluate the perturbation gap against the tolerance margin
-    min_i min(delta_i, delta_bar - delta_i) / 4.
-
-    Returns (gap, bound, gap < bound).
-    """
-    analysis = ExactAnalysis(game, tol, budget, rhos=rhos, deltas=deltas)
-    return analysis.gap, analysis.bound, analysis.gap < analysis.bound
 
 
 def check_reachability(game: StochasticGame) -> bool:

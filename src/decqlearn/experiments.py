@@ -100,10 +100,13 @@ class ExperimentConfig:
     naming the key: ``game`` is a name or a path, held as a str; the counts
     (``min_phase``, ``ratio``, ``horizon``, ``trials``, ``workers``) are
     positive integers, ``master_seed`` a 64-bit unsigned integer and each
-    record time an integer in [0, horizon), all by the rules of
-    ``game_model._RULES`` (a bool or a float is no integer); and rho, lam,
-    delta and alpha are real numbers or lists of them (one per player),
-    held as tuples, whose ranges ``AgentConfig`` checks."""
+    record time an integer in [0, horizon), all held as Python ints; and
+    rho, lam, delta and alpha are real numbers or lists of them (one per
+    player), held as Python numbers or tuples of them, each value in its
+    ``AgentConfig`` range (rho, lam and alpha in (0, 1), delta finite and
+    positive). Every check is a rule of ``game_model._RULES`` (a bool or a
+    float is no integer, a bool or a string no real), so a bad value is
+    refused before any run, and a numpy scalar reaches no output."""
 
     game: str = BENCHMARK_NAME
     rho: float | tuple[float, ...] = 0.05
@@ -123,17 +126,21 @@ class ExperimentConfig:
         if not isinstance(game, str):
             raise ValueError(f"game must be a name or a path, got {self.game!r}")
         object.__setattr__(self, "game", game)
-        for key in ("min_phase", "ratio", "horizon", "trials", "workers"):
-            _check("count", key, getattr(self, key))
-        _check("seed", "master_seed", self.master_seed)
+        for key in ("min_phase", "ratio", "horizon", "trials", "workers", "master_seed"):
+            value = getattr(self, key)
+            _check("seed" if key == "master_seed" else "count", key, value)
+            # a numpy integer would reach summary.json, which cannot hold it
+            object.__setattr__(self, key, int(value))
         for key in ("rho", "lam", "delta", "alpha"):
             value = getattr(self, key)
-            if not _is_real(value) and not (
-                isinstance(value, (list, tuple)) and all(map(_is_real, value))
-            ):
+            entries = value if isinstance(value, (list, tuple)) else (value,)
+            if not all(map(_is_real, entries)):
                 raise ValueError(f"{key} must be a number or a list of numbers, got {value!r}")
-            if isinstance(value, list):
-                object.__setattr__(self, key, tuple(value))
+            for entry in entries:
+                _check("positive" if key == "delta" else "unit", key, entry)
+            # numpy scalars as Python numbers, which summary.json can hold
+            held = tuple(e.item() if isinstance(e, np.generic) else e for e in entries)
+            object.__setattr__(self, key, held if isinstance(value, (list, tuple)) else held[0])
         if not isinstance(self.record_times, (list, tuple)) or not all(
             map(_is_id, self.record_times)
         ):

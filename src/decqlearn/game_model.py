@@ -166,13 +166,17 @@ def _is_real(a: object) -> bool:
 
 # The range of each kind of scalar input: (test, wording for the error).
 # "unit" holds a learner's rates and eps, "rho" an analysis's experimentation
-# (0 allowed: no softening), "positive" a tolerance such as tol, delta or theta.
+# (0 allowed: no softening), "probability" the rho of ``soften_policy`` (1 too:
+# uniform play), "nonnegative" a greedy slack eps, "positive" a tolerance such
+# as tol, delta or theta.
 _RULES = {
     "count": (lambda v: _is_id(v) and v >= 1, "be a positive integer"),
     "index": (lambda v: _is_id(v) and v >= 0, "be a nonnegative integer"),
     "seed": (lambda v: _is_id(v) and 0 <= v < 2**64, "be a 64-bit unsigned integer"),
     "unit": (lambda v: _is_real(v) and 0.0 < v < 1.0, "lie in (0, 1)"),
     "rho": (lambda v: _is_real(v) and 0.0 <= v < 1.0, "lie in [0, 1)"),
+    "probability": (lambda v: _is_real(v) and 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "nonnegative": (lambda v: _is_real(v) and v >= 0.0, "be nonnegative"),
     "positive": (lambda v: _is_real(v) and 0.0 < v < math.inf, "be finite and positive"),
 }
 
@@ -343,8 +347,7 @@ def soften_policy(policy: DeterministicPolicy, rho: float, num_actions: int) -> 
     The result plays the chosen action with probability (1 - rho) + rho / m
     and every other action with probability rho / m, where m = num_actions.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must lie in [0, 1], got {rho}")
+    _check("probability", "rho", rho)
     for a in policy.choice:
         if not 0 <= a < num_actions:
             raise ValueError(f"action id {a} out of range for {num_actions} actions")

@@ -876,8 +876,9 @@ def run_episodes(
     The joints are labelled after play, the distinct ones of the whole batch
     at once, by :func:`decqlearn.exact_solver.label_equilibria` at tol 1e-9,
     which solves only the opponent joints the trials visited, by policy
-    iteration, and agrees with membership in ``equilibrium_set(game, 1e-9)``
-    except where a Q-gap lies within solver error of the 1e-9 slack."""
+    iteration, and agrees with membership in
+    ``ExactAnalysis(game, 1e-9).equilibria`` except where a Q-gap lies
+    within solver error of the 1e-9 slack."""
     _check("count", "horizon", horizon)
     horizon = int(horizon)  # a numpy integer would reach the trace and its JSON
     _check_configs(game, configs)

@@ -23,15 +23,14 @@ import itertools
 import math
 from bisect import bisect_right
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from decqlearn.acyclicity import BrGraph
 from decqlearn.agent import end_phase_update
 from decqlearn.exact_solver import InducedMdp
 from decqlearn.game_model import (
     DeterministicPolicy,
-    JointDeterministicPolicy,
     StochasticGame,
     enumerate_deterministic_policies,
     soften_policy,
@@ -502,7 +501,18 @@ def perturbation_gap_enumerated(game: StochasticGame, rhos, tol: float) -> float
     return worst
 
 
-def br_graph_enumerated(game: StochasticGame, tol: float) -> BrGraph:
+class EnumeratedGraph(NamedTuple):
+    """The strict best-response graph as plain fields: per node its
+    per-player choice tuples, the (E, 3) (source, target, deviator) edge
+    array, the equilibrium node indices and the float path lengths."""
+
+    nodes: tuple
+    edges: np.ndarray
+    equilibria: frozenset
+    path_len: np.ndarray
+
+
+def br_graph_enumerated(game: StochasticGame, tol: float) -> EnumeratedGraph:
     """Node-by-node construction: per-state allowed-action lists cached per
     (player, opponent joint), edges from their product, then a reverse
     breadth-first search from the equilibria."""
@@ -557,9 +567,9 @@ def br_graph_enumerated(game: StochasticGame, tol: float) -> BrGraph:
                     nxt.append(s)
         frontier = nxt
 
-    return BrGraph(
-        nodes=tuple(JointDeterministicPolicy.from_choices(joint) for joint in joints),
-        edges=tuple(edges),
+    return EnumeratedGraph(
+        nodes=tuple(joints),
+        edges=np.array(edges, dtype=np.intp).reshape(-1, 3),
         equilibria=frozenset(equilibria),
-        path_len=tuple(path_len),
+        path_len=np.array(path_len),
     )

@@ -119,11 +119,11 @@ def test_criterion_4_benchmark_exact_structure(benchmark_game):
         ((1, 0), (1, 1)),
         ((1, 1), (1, 0)),
     }
-    found = dq.equilibrium_set(benchmark_game, 1e-9)
-    graph = dq.build_br_graph(benchmark_game, 1e-9)
-    weakly = dq.is_weakly_acyclic(graph)
-    d8 = dq.delta_bar(benchmark_game, 1e-8)
-    d10 = dq.delta_bar(benchmark_game, 1e-10)
+    analysis = dq.ExactAnalysis(benchmark_game, 1e-9)
+    found = analysis.equilibria
+    weakly = dq.is_weakly_acyclic(analysis)
+    d8 = dq.ExactAnalysis(benchmark_game, 1e-8).delta_bar
+    d10 = dq.ExactAnalysis(benchmark_game, 1e-10).delta_bar
     ok = (
         found == expected_equilibria
         and weakly

@@ -136,16 +136,6 @@ class TestBrGraph:
         with pytest.raises(EnumerationBudgetError):
             build_br_graph(benchmark_game, 1e-9, budget=4)
 
-    def test_json_export(self, benchmark_graph, tmp_path):
-        path = tmp_path / "graph.json"
-        benchmark_graph.save_json(path)
-        import json
-
-        data = json.loads(path.read_text())
-        assert len(data["nodes"]) == 16
-        assert sorted(data["equilibria"]) == sorted(benchmark_graph.equilibria)
-        assert all(e["deviator"] in (0, 1) for e in data["edges"])
-
 
 class TestPMin:
     def test_single_player_tabulated_example(self):

@@ -31,11 +31,8 @@ from decqlearn.exact_solver import (
     _policy_iteration,
     _solve_stack,
     _value_iteration,
-    delta_bar,
-    equilibrium_set,
     induced_mdp,
     label_equilibria,
-    perturbation_gap,
     q_star,
 )
 from decqlearn.experiments import analyze_game, build_benchmark_game
@@ -964,13 +961,17 @@ def test_derived_objects_match_enumeration(game):
     expected_dbar = delta_bar_enumerated(game, TOL)
     expected_gap = perturbation_gap_enumerated(game, rhos, TOL)
     expected_graph = br_graph_enumerated(game, TOL)
-    assert equilibrium_set(game, TOL) == expected_eq
-    assert delta_bar(game, TOL) == expected_dbar
-    assert perturbation_gap(game, rhos, TOL) == expected_gap
-    # the export, a view of the analysis's arrays, against the oracle's tuples
+    analysis = ExactAnalysis(game, TOL)
+    assert analysis.equilibria == expected_eq
+    assert analysis.delta_bar == expected_dbar
+    assert ExactAnalysis(game, TOL, rhos=rhos).gap == expected_gap
+    # the analysis's graph arrays, and the export, a view of them, against
+    # the oracle's node-by-node fields
+    assert np.array_equal(analysis.edges, expected_graph.edges)
+    assert np.array_equal(analysis.path_len, expected_graph.path_len)
+    assert analysis.equilibria == {expected_graph.nodes[k] for k in expected_graph.equilibria}
     graph = build_br_graph(game, TOL)
-    assert graph == expected_graph
-    assert graph.to_json_dict() == expected_graph.to_json_dict()
+    _assert_graph_equals(graph, expected_graph)
     report = analyze_game(game, rhos=rhos, tol=TOL)
     assert report["equilibria"] == sorted([list(c) for c in joint] for joint in expected_eq)
     assert report["num_joint_policies"] == len(expected_graph.nodes) == len(graph.nodes)
@@ -982,6 +983,16 @@ def test_derived_objects_match_enumeration(game):
     assert report["path_bound_L"] == (1 + int(max(path_len)) if weakly else None)
     if weakly:
         assert path_bound_L(graph) == report["path_bound_L"]
+
+
+def _assert_graph_equals(graph, expected):
+    """A ``build_br_graph`` view against ``br_graph_enumerated``'s fields:
+    equal node choices, edge rows in the same order, equilibrium node ints
+    and path lengths."""
+    assert [node.choices for node in graph.nodes] == list(expected.nodes)
+    assert np.array_equal(graph.edges, expected.edges)
+    assert graph.equilibria == expected.equilibria
+    assert np.array_equal(graph.path_len, expected.path_len)
 
 
 def test_analyze_builds_no_joint_policy_per_node(monkeypatch):
@@ -1017,7 +1028,7 @@ def test_analyze_builds_no_joint_policy_per_node(monkeypatch):
     assert report["path_bound_L"] is not None
     assert node.choices == ((2, 2, 2, 2), (2, 2, 2, 2))
     assert len(graph.edges) == 12960
-    assert graph == br_graph_enumerated(game, TOL)
+    _assert_graph_equals(graph, br_graph_enumerated(game, TOL))
 
 
 def test_graph_export_allocates_no_object_per_node():

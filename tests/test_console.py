@@ -58,6 +58,7 @@ def _run(*args, **kwargs) -> subprocess.CompletedProcess:
         (["analyze", "benchmark"], 0),
         (["analyze", "nan-kernel.json"], 1),
         (["simulate", "benchmark", "--config", "mistyped.json", "--out-dir", "run"], 2),
+        (["simulate", "benchmark", "--config", "rate.json", "--out-dir", "run"], 2),
         (["reproduce-benchmark", "--full", "--horizon", "5", "--out-dir", "run"], 2),
         (["reproduce-benchmark", "--seed", "-1", "--out-dir", "run"], 2),
     ],
@@ -65,18 +66,21 @@ def _run(*args, **kwargs) -> subprocess.CompletedProcess:
         "analyze",
         "nan-kernel-analyze",
         "mistyped-config-simulate",
+        "rate-out-of-range-simulate",
         "full-and-horizon-benchmark",
         "negative-seed-benchmark",
     ],
 )
 def test_exit_codes_reach_the_shell(tmp_path, args, code):
-    # a NaN kernel entry is a violation (exit 1); a mistyped field, --full
-    # (10^6 stages) with --horizon, and a seed outside 64 bits are usage
-    # errors (exit 2), refused before the output directory is made
+    # a NaN kernel entry is a violation (exit 1); a mistyped field, a rate
+    # outside its range, --full (10^6 stages) with --horizon, and a seed
+    # outside 64 bits are usage errors (exit 2), refused before the output
+    # directory is made
     doc = game_to_dict(build_benchmark_game())
     doc["kernel"][0][0] = [float("nan"), 1.0]
     (tmp_path / "nan-kernel.json").write_text(json.dumps(doc))
     (tmp_path / "mistyped.json").write_text('{"trials": "x"}')
+    (tmp_path / "rate.json").write_text('{"rho": 5, "trials": 2, "horizon": 100, "record_times": [0]}')
     _run(*args, code=code, cwd=tmp_path)
     assert not (tmp_path / "run").exists()
 

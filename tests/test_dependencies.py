@@ -1,8 +1,10 @@
 """The library's one runtime dependency is numpy: every module of
 ``src/decqlearn`` imports only the standard library, numpy and the package
-itself, and ``pyproject.toml`` declares numpy alone."""
+itself, and ``pyproject.toml`` declares numpy alone. Every name a module
+exports, and every name the package imports, resolves."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -46,3 +48,27 @@ def test_pyproject_depends_on_numpy_alone():
     project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", spec).group(0).lower() for spec in project["dependencies"]]
     assert names == ["numpy"]
+
+
+@pytest.mark.parametrize("path", _MODULES, ids=lambda path: path.name)
+def test_every_name_in_all_resolves(path):
+    module = importlib.import_module("decqlearn" if path.stem == "__init__" else f"decqlearn.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert not missing, f"{path.name} lists {missing} in __all__ but does not define them"
+
+
+def test_every_name_the_package_imports_resolves():
+    # a stale name in __init__.py fails the import itself; each imported
+    # name must also be the one its module defines
+    tree = ast.parse((_ROOT / "src" / "decqlearn" / "__init__.py").read_text())
+    package = importlib.import_module("decqlearn")
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert ("exact_solver", "ExactAnalysis") in imported
+    for module, name in imported:
+        source = importlib.import_module(f"decqlearn.{module}")
+        assert getattr(package, name) is getattr(source, name), f"{module}.{name}"

@@ -8,20 +8,18 @@ from numpy.testing import assert_allclose
 from decqlearn import exact_solver
 from decqlearn.exact_solver import (
     EnumerationBudgetError,
+    ExactAnalysis,
     InducedMdp,
     QTable,
     br_hat,
     check_reachability,
-    delta_bar,
-    equilibrium_set,
     induced_mdp,
     is_equilibrium,
     label_equilibria,
-    perturbation_check,
-    perturbation_gap,
     policy_value,
     q_star,
 )
+from decqlearn.experiments import analyze_game
 from decqlearn.game_model import (
     DeterministicPolicy,
     JointDeterministicPolicy,
@@ -271,7 +269,7 @@ class TestEquilibriumSet:
             ((1, 0), (1, 1)),
             ((1, 1), (1, 0)),
         }
-        assert equilibrium_set(benchmark_game, 1e-9) == expected
+        assert ExactAnalysis(benchmark_game, 1e-9).equilibria == expected
 
     def test_agrees_with_is_equilibrium(self, benchmark_game):
         from decqlearn.game_model import enumerate_deterministic_policies
@@ -281,7 +279,7 @@ class TestEquilibriumSet:
             enumerate_deterministic_policies(2, 2),
             enumerate_deterministic_policies(2, 2),
         ]
-        eqs = equilibrium_set(benchmark_game, 1e-9)
+        eqs = ExactAnalysis(benchmark_game, 1e-9).equilibria
         for joint in itertools.product(*per_player):
             direct = is_equilibrium(
                 benchmark_game, JointDeterministicPolicy.from_choices(joint), 0.0, 1e-9
@@ -291,7 +289,7 @@ class TestEquilibriumSet:
     def test_budget_guard(self, benchmark_game, monkeypatch):
         _forbid_solves(monkeypatch)
         with pytest.raises(EnumerationBudgetError):
-            equilibrium_set(benchmark_game, 1e-9, budget=7)
+            ExactAnalysis(benchmark_game, 1e-9, budget=7).equilibria
 
     def test_node_budget_guard(self, monkeypatch):
         # 2 players, 2 actions, 10 states: the 2048 solves fit a budget of
@@ -306,21 +304,21 @@ class TestEquilibriumSet:
         )
         _forbid_solves(monkeypatch)
         with pytest.raises(EnumerationBudgetError, match="1048576 nodes"):
-            equilibrium_set(game, 1e-9, budget=4096)
+            ExactAnalysis(game, 1e-9, budget=4096).equilibria
 
 
 class TestDeltaBar:
     def test_two_costs_single_state(self):
         game = _single_player_game([[0.0, 1.0]], beta=0.0)
-        assert delta_bar(game, 1e-10) == pytest.approx(1.0, abs=1e-9)
+        assert ExactAnalysis(game, 1e-10).delta_bar == pytest.approx(1.0, abs=1e-9)
 
     def test_identical_costs_give_infinity(self):
         game = _single_player_game([[2.0, 2.0]], beta=0.5)
-        assert math.isinf(delta_bar(game, 1e-10))
+        assert math.isinf(ExactAnalysis(game, 1e-10).delta_bar)
 
     def test_benchmark_value_and_tolerance_stability(self, benchmark_game):
-        d8 = delta_bar(benchmark_game, 1e-8)
-        d10 = delta_bar(benchmark_game, 1e-10)
+        d8 = ExactAnalysis(benchmark_game, 1e-8).delta_bar
+        d10 = ExactAnalysis(benchmark_game, 1e-10).delta_bar
         assert d8 > 0.0
         assert abs(d8 - d10) <= 1e-6
         assert d10 == pytest.approx(2.0, abs=1e-8)
@@ -355,13 +353,13 @@ class TestDeltaBar:
             kernel=kernel,
             initial_dist=benchmark_game.initial_dist,
         )
-        assert delta_bar(relabeled, 1e-10) == pytest.approx(
-            delta_bar(benchmark_game, 1e-10), abs=1e-6
+        assert ExactAnalysis(relabeled, 1e-10).delta_bar == pytest.approx(
+            ExactAnalysis(benchmark_game, 1e-10).delta_bar, abs=1e-6
         )
 
     def test_budget_guard(self, benchmark_game):
         with pytest.raises(EnumerationBudgetError):
-            delta_bar(benchmark_game, 1e-9, budget=3)
+            ExactAnalysis(benchmark_game, 1e-9, budget=3).delta_bar
 
     def test_needs_the_solve_budget_only(self, solve_calls):
         # The 2p2a10s game of test_node_budget_guard: its 2048 solves fit a
@@ -375,8 +373,8 @@ class TestDeltaBar:
             kernel=np.full((10, 4, 10), 0.1),
             initial_dist=np.full(10, 0.1),
         )
-        assert math.isinf(delta_bar(game, 1e-9, budget=4096))
-        assert perturbation_gap(game, (0.1, 0.1), budget=4096) == 0.0
+        assert math.isinf(ExactAnalysis(game, 1e-9, budget=4096).delta_bar)
+        assert ExactAnalysis(game, 1e-10, budget=4096, rhos=(0.1, 0.1)).gap == 0.0
         # one call for both players' tables behind delta_bar, then one for
         # the gap's plain and softened tables together; each call solves by
         # policy iteration, then again by value iteration the members whose
@@ -388,38 +386,39 @@ class TestDeltaBar:
 
 class TestPerturbation:
     def test_zero_rho_zero_gap(self, benchmark_game):
-        assert perturbation_gap(benchmark_game, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-8)
+        gap = ExactAnalysis(benchmark_game, 1e-10, rhos=(0.0, 0.0)).gap
+        assert gap == pytest.approx(0.0, abs=1e-8)
 
     def test_benchmark_gap_and_predicate(self, benchmark_game):
-        gap, bound, ok = perturbation_check(
-            benchmark_game, (0.05, 0.05), (0.5, 0.5), tol=1e-10
-        )
+        analysis = ExactAnalysis(benchmark_game, 1e-10, rhos=(0.05, 0.05), deltas=(0.5, 0.5))
+        gap, bound = analysis.gap, analysis.bound
         assert np.isfinite(gap) and gap > 0.0
         assert bound == pytest.approx(min(0.5, 2.0 - 0.5) / 4.0, abs=1e-9)
-        assert ok == (gap < bound)
+        report = analyze_game(benchmark_game, rhos=(0.05, 0.05), deltas=(0.5, 0.5), tol=1e-10)
+        assert report["perturbation"]["within_bound"] == (gap < bound)
 
     def test_check_builds_the_table_once(self, solve_calls):
         game = random_game(np.random.default_rng(11), num_players=2, max_states=3)
         rhos, deltas = (0.05, 0.1), (0.3, 0.4)
-        gap, bound, ok = perturbation_check(game, rhos, deltas)
+        analysis = ExactAnalysis(game, 1e-10, rhos=rhos, deltas=deltas)
+        gap, bound = analysis.gap, analysis.bound
         # one call for both players, the table and the softened table
         # together (one state: player 0 has one action against three opponent
         # policies), which also solves again by value iteration the joints
         # whose digits reach the report: delta_bar's and the gap's
         assert solve_calls == [((0, 1), ((0.0, 0.0), rhos), (3, 1))]
-        assert gap == perturbation_gap(game, rhos)
-        dbar = delta_bar(game, 1e-10)
+        assert gap == ExactAnalysis(game, 1e-10, rhos=rhos).gap
+        dbar = ExactAnalysis(game, 1e-10).delta_bar
         assert bound == min(min(d, dbar - d) for d in deltas) / 4.0
-        assert ok == (gap < bound)
 
     def test_check_rejects_bad_deltas(self, benchmark_game):
         for deltas in ((0.5,), (0.5, -0.1)):
             with pytest.raises(ValueError, match="delta"):
-                perturbation_check(benchmark_game, (0.05, 0.05), deltas)
+                ExactAnalysis(benchmark_game, 1e-10, rhos=(0.05, 0.05), deltas=deltas)
 
     def test_monotone_on_benchmark(self, benchmark_game):
-        small = perturbation_gap(benchmark_game, (0.01, 0.01))
-        large = perturbation_gap(benchmark_game, (0.30, 0.30))
+        small = ExactAnalysis(benchmark_game, 1e-10, rhos=(0.01, 0.01)).gap
+        large = ExactAnalysis(benchmark_game, 1e-10, rhos=(0.30, 0.30)).gap
         assert small <= large
 
     def test_softening_consistency(self, benchmark_game):
@@ -428,13 +427,13 @@ class TestPerturbation:
         soft = soften_policy(pol, 0.05, 2)
         direct = q_star(benchmark_game, 0, [soft], 1e-10)
         base = q_star(benchmark_game, 0, [_indicator(1, (0, 1))], 1e-10)
-        gap = perturbation_gap(benchmark_game, (0.05, 0.05))
+        gap = ExactAnalysis(benchmark_game, 1e-10, rhos=(0.05, 0.05)).gap
         assert float(np.abs(direct.values - base.values).max()) <= gap + 1e-9
 
     def test_budget_guard(self, benchmark_game, monkeypatch):
         _forbid_solves(monkeypatch)
         with pytest.raises(EnumerationBudgetError):
-            perturbation_gap(benchmark_game, (0.05, 0.05), budget=7)
+            ExactAnalysis(benchmark_game, 1e-10, budget=7, rhos=(0.05, 0.05)).gap
 
 
 class TestReachability:

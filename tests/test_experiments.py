@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from decqlearn import acyclicity, experiments, orchestrator
 from decqlearn.cli import main
-from decqlearn.exact_solver import equilibrium_set
+from decqlearn.exact_solver import ExactAnalysis
 from decqlearn.experiments import (
     ExperimentConfig,
     analyze_game,
@@ -31,7 +32,7 @@ class TestBenchmarkGame:
         assert game.costs[1][1, game.joint_index((1, 0))] == 11.0
 
     def test_equilibrium_count(self):
-        assert len(equilibrium_set(build_benchmark_game(), 1e-9)) == 4
+        assert len(ExactAnalysis(build_benchmark_game(), 1e-9).equilibria) == 4
 
 
 class TestExperimentConfig:
@@ -92,6 +93,23 @@ class TestExperimentConfig:
         assert ExperimentConfig(game=path) == ExperimentConfig(game=str(path))
         assert ExperimentConfig(game=path).game == str(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rho", 5),
+            ("lam", 0.0),
+            ("alpha", 1.0),
+            ("delta", -0.5),
+            ("rho", [0.05, 1.5]),
+            ("delta", (0.5, math.inf)),
+            ("lam", math.nan),
+        ],
+    )
+    def test_rates_are_checked_at_construction(self, key, value):
+        # each value, or each list entry, by the learner's rule, before any run
+        with pytest.raises(ValueError, match=rf"^{key} must "):
+            ExperimentConfig(**{key: value})
+
     def test_lists_are_held_as_tuples(self):
         config = ExperimentConfig(rho=[0.05, 0.1], record_times=[0, 10])
         assert config == ExperimentConfig(rho=(0.05, 0.1), record_times=(0, 10))
@@ -123,6 +141,37 @@ class TestRunExperiment:
         assert summary["config"] == config.to_json_dict()
         assert "num_equilibria" not in summary
         assert result.frequencies.keys() == {0, 5, 9}
+
+    def test_numpy_counts_write_the_python_int_bytes(self, tmp_path):
+        # numpy integers for the counts and the seed are held as Python ints,
+        # so summary.json can hold them, with the bytes of a plain-int run
+        counts = dict(min_phase=20, ratio=2, horizon=100, trials=2, workers=1, master_seed=3)
+        plain = ExperimentConfig(record_times=(0, 50), **counts)
+        run_experiment(plain, out_dir=tmp_path / "int")
+        kinds = (np.int64, np.int32, np.uint16, np.int64, np.int8, np.uint64)
+        config = ExperimentConfig(
+            record_times=(0, 50), **{k: kind(v) for kind, (k, v) in zip(kinds, counts.items())}
+        )
+        assert all(type(getattr(config, key)) is int for key in counts)
+        run_experiment(config, out_dir=tmp_path / "numpy")
+        for name in ("frequencies.csv", "summary.json"):
+            assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+    def test_numpy_rates_write_the_python_number_bytes(self, tmp_path):
+        # a numpy rate is held as the Python number it equals: a float32 or
+        # an int64 would not reach summary.json, a float64 would as itself
+        rates = dict(rho=0.25, lam=(0.5, 0.125), delta=1, alpha=0.0625)
+        base = dict(trials=2, horizon=100, record_times=(0, 50), min_phase=20)
+        run_experiment(ExperimentConfig(**base, **rates), out_dir=tmp_path / "plain")
+        config = ExperimentConfig(
+            **base, rho=np.float32(0.25), lam=[np.float64(0.5), np.float16(0.125)],
+            delta=np.int64(1), alpha=np.float64(0.0625),
+        )
+        assert config == ExperimentConfig(**base, **rates)
+        assert type(config.delta) is int and type(config.lam[1]) is float
+        run_experiment(config, out_dir=tmp_path / "numpy")
+        for name in ("frequencies.csv", "summary.json"):
+            assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
     def test_identical_seeds_identical_outputs(self, tmp_path):
         config = ExperimentConfig(trials=4, horizon=3000, record_times=(0, 1500), min_phase=500)

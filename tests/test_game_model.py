@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from decqlearn import cli
 from decqlearn.acyclicity import p_min, xi_bound
 from decqlearn.agent import AgentConfig
-from decqlearn.exact_solver import check_input, label_equilibria
+from decqlearn.exact_solver import QTable, br_hat, check_input, label_equilibria
 from decqlearn.experiments import ExperimentConfig, analyze_game
 from decqlearn.game_model import (
     DeterministicPolicy,
@@ -379,7 +379,13 @@ _BAD_REALS = {
     "analyze-delta": ("delta", lambda g, v: analyze_game(g, rhos=(0.05, 0.05), deltas=(0.5, v))),
     "analyze-lambda": ("lambda", lambda g, v: analyze_game(g, lambdas=(0.2, v))),
     "analyze-eps": ("eps", lambda g, v: analyze_game(g, eps=v)),
+    "config-rho": ("rho", lambda g, v: ExperimentConfig(rho=v)),
+    "soften-rho": ("rho", lambda g, v: soften_policy(DeterministicPolicy(0, (0, 1)), v, 2)),
+    "br-hat-eps": ("eps", lambda g, v: br_hat(QTable(0, np.zeros((2, 2))), v)),
+    "label-eps": ("eps", lambda g, v: label_equilibria(g, [((0, 0), (0, 1))], 1e-9, v)),
 }
+# Cases whose range has no upper end (eps >= 0): infinity passes them.
+_UNBOUNDED = {"br-hat-eps", "label-eps"}
 
 
 class TestPolicies:
@@ -451,9 +457,14 @@ class TestPolicies:
     @pytest.mark.parametrize("case", sorted(_BAD_REALS))
     def test_real_inputs_follow_their_range_rule(self, benchmark_game, case):
         # NaN, infinity, a string and a bool are each a ValueError naming the
-        # input, not a TypeError, a NaN result or a run with the bool's value.
+        # input, not a TypeError, a NaN result or a run with the bool's value;
+        # infinity is the one exception, and passes, where no upper end bounds
+        # the range (the greedy slack eps).
         name, call = _BAD_REALS[case]
         for value in (math.nan, math.inf, "0.1", True):
+            if value == math.inf and case in _UNBOUNDED:
+                call(benchmark_game, value)
+                continue
             with pytest.raises(ValueError, match=rf"^{name} must .*, got {re.escape(repr(value))}$"):
                 call(benchmark_game, value)
 

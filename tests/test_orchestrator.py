@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from decqlearn import orchestrator
 from decqlearn.agent import AgentConfig
-from decqlearn.exact_solver import equilibrium_set, q_star
+from decqlearn.exact_solver import ExactAnalysis, q_star
 from decqlearn.game_model import DeterministicPolicy, StochasticGame, soften_policy
 from decqlearn.orchestrator import (
     PolicyChange,
@@ -261,7 +261,7 @@ class TestRunEpisode:
         assert max(trace.max_abs_q) <= 55.0
 
     def test_equilibrium_flag_matches_exact_solver(self, benchmark_game):
-        eq = equilibrium_set(benchmark_game, 1e-9)
+        eq = ExactAnalysis(benchmark_game, 1e-9).equilibria
         streams = RandomnessStreams(19, trial=0)
         schedule = draw_schedule(streams, 2, 500, 3, 10_000)
         trace = run_episode(
@@ -727,7 +727,7 @@ class TestLazyLabels:
             for n in (1, 2, 2, 3, 3)
         ]
         # labels by policy iteration at a discount where value iteration,
-        # behind equilibrium_set, needs thousands of sweeps
+        # behind the analysis, needs thousands of sweeps
         games += [
             random_game(rng, num_players=2, max_states=3, max_actions=3, beta=0.99)
             for _ in range(2)
@@ -735,7 +735,7 @@ class TestLazyLabels:
         games += [pennies_game, _tie_game()]
         labels = set()
         for game in games:
-            eq = equilibrium_set(game, 1e-9)
+            eq = ExactAnalysis(game, 1e-9).equilibria
             streams = [RandomnessStreams(7, trial=k) for k in range(9)]
             schedules = [draw_schedule(s, game.num_players, 30, 3, 3000) for s in streams]
             traces = run_episodes(
