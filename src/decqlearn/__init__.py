@@ -16,7 +16,6 @@ from .acyclicity import (
     p_min,
     path_bound_L,
     solve_theta,
-    theta_and_xi,
     xi_bound,
 )
 from .agent import AgentConfig
@@ -65,7 +64,6 @@ from .orchestrator import (
     draw_schedule,
     equilibrium_frequency,
     frozen_q_run,
-    run_episode,
     run_episodes,
 )
 

@@ -5,9 +5,10 @@ arrays: nodes are deterministic joint policies, and an edge changes exactly
 one player's policy to a different 0-best-response. A game is weakly acyclic
 when every node has a path into the (nonempty) equilibrium set; the
 certificate also yields the shortest-path profile used by the convergence
-diagnostics (the path bound L, the inertia floor p_min, and the theta/xi
-tolerance split). ``BrGraph`` (``build_br_graph``) is a view of those arrays
-for tools that want the graph itself.
+diagnostics: the path bound L, the inertia floor p_min, and the theta/xi
+tolerance split (``solve_theta``, then ``xi_bound``). ``BrGraph``
+(``build_br_graph``) is a view of those arrays for tools that want the graph
+itself.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "p_min",
     "solve_theta",
     "xi_bound",
-    "theta_and_xi",
 ]
 
 
@@ -118,12 +118,10 @@ def p_min(
     equilibrium through inertia and correct updates:
     prod_j min((1 - lambda_j) / |policy space of j|, lambda_j) ** ((R+1) L).
     """
-    check_per_player(game, "lambda", lambdas)
-    check_input("ratio", R)
-    _check("count", "L", L)
+    lambdas = check_per_player(game, "lambda", lambdas)
     # Python ints: no overflow, and the same bits whatever the caller's
     # integer type
-    exponent = (int(R) + 1) * int(L)
+    exponent = (check_input("ratio", R) + 1) * _check("count", "L", L)
     out = 1.0
     for j, lam in enumerate(lambdas):
         policy_count = game.action_counts[j] ** game.num_states
@@ -150,10 +148,8 @@ def solve_theta(p: float, eps: float) -> float:
     bisection applies; it runs on the logit scale because the root is of
     order p when p is tiny.
     """
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p_min must lie in (0, 1], got {p}")
-    check_input("eps", eps)
-    target = 1.0 - eps
+    p = _check("chance", "p_min", p)
+    target = 1.0 - check_input("eps", eps)
     lo, hi = -745.0, 36.7  # logit bounds: theta from ~5e-324 to ~1 - 1e-16
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -174,26 +170,11 @@ def xi_bound(
 ) -> float:
     """Learning-accuracy requirement paired with theta:
     min(theta, min_i min(delta_i, dbar - delta_i) / 2) / ((R+1) N L)."""
-    _check("positive", "theta", theta)
-    check_input("ratio", R)
-    _check("count", "N", N)
-    _check("count", "L", L)
+    theta = _check("positive", "theta", theta)
+    R, N, L = check_input("ratio", R), _check("count", "N", N), _check("count", "L", L)
+    deltas = [_check("positive", "delta", d) for d in deltas]
     for d in deltas:
-        if not 0.0 < d < dbar:
+        if not d < dbar:
             raise ValueError(f"delta {d} must lie strictly inside (0, {dbar})")
     margin = 0.5 * min(min(d, dbar - d) for d in deltas)
-    return min(theta, margin) / ((int(R) + 1) * int(N) * int(L))
-
-
-def theta_and_xi(
-    p: float,
-    eps: float,
-    R: int,
-    N: int,
-    L: int,
-    deltas: Sequence[float],
-    dbar: float,
-) -> tuple[float, float]:
-    """Solve for theta and derive the paired xi tolerance."""
-    theta = solve_theta(p, eps)
-    return theta, xi_bound(theta, R, N, L, deltas, dbar)
+    return min(theta, margin) / ((R + 1) * N * L)

@@ -38,7 +38,8 @@ class AgentConfig:
     ``rho`` (experimentation), ``lam`` (inertia), and ``alpha`` (step size)
     are real numbers in (0, 1); ``delta`` (greedy tolerance) is a finite
     positive real. Each goes through its rule in ``game_model._RULES``, so a
-    string, a bool or a NaN is a ValueError naming the field.
+    string, a bool or a NaN is a ValueError naming the field, and is held as
+    the Python number it equals.
     ``initial_policy`` may be None, meaning the episode driver draws one
     uniformly; ``initial_q`` defaults to the all-zero table. An
     ``initial_policy``, and an ``initial_q`` given as a ``QTable``, must
@@ -55,9 +56,9 @@ class AgentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "player", _player_id(self.player))
-        for name in ("rho", "lam", "alpha"):
-            _check("unit", name, getattr(self, name))
-        _check("positive", "delta", self.delta)
+        for name in ("rho", "lam", "alpha", "delta"):
+            kind = "positive" if name == "delta" else "unit"
+            object.__setattr__(self, name, _check(kind, name, getattr(self, name)))
         if self.initial_policy is not None and self.initial_policy.player != self.player:
             raise ValueError("initial_policy belongs to a different player")
         if isinstance(self.initial_q, QTable) and self.initial_q.player != self.player:

@@ -67,17 +67,17 @@ _KINDS = {
 }
 
 
-def check_input(name: str, value) -> None:
-    """Raise ValueError unless ``value`` lies in the range of input ``name``."""
-    _check(_KINDS[name], name, value)
+def check_input(name: str, value):
+    """``value`` as a Python number (``game_model._check``); a ValueError
+    unless it lies in the range of input ``name``."""
+    return _check(_KINDS[name], name, value)
 
 
-def check_per_player(game: StochasticGame, name: str, values: Sequence[float]) -> None:
-    """One value of input ``name`` per player, each in its range."""
+def check_per_player(game: StochasticGame, name: str, values: Sequence[float]) -> tuple:
+    """One value of input ``name`` per player, each in its range, as Python numbers."""
     if len(values) != game.num_players:
         raise ValueError(f"need one {name} per player")
-    for value in values:
-        check_input(name, value)
+    return tuple(check_input(name, value) for value in values)
 
 
 @dataclass(frozen=True)
@@ -320,6 +320,8 @@ def _down(x: np.ndarray | float) -> np.ndarray:
     return np.nextafter(x, -np.inf)
 
 
+# a tol near the float maximum overflows the margin to inf, which is its value
+@np.errstate(over="ignore")
 def _margin(
     q: np.ndarray, residual: np.ndarray, kernel: np.ndarray, beta: float, tol: float
 ) -> np.ndarray:
@@ -391,7 +393,7 @@ def q_star(
     rule (successive gap <= tol * (1 - beta) / (2 * beta), direct pass for
     beta = 0) guarantees a sup-norm error of at most ``tol``.
     """
-    check_input("tol", tol)
+    tol = check_input("tol", tol)
     mdp = induced_mdp(game, player, others)
     values = _value_iteration(mdp.cost[None], mdp.kernel[None], mdp.discount, tol)
     return QTable(player, values[0])
@@ -426,7 +428,7 @@ def _greedy_mask(values: np.ndarray, eps: float) -> np.ndarray:
 def br_hat(q: QTable, eps: float) -> list[DeterministicPolicy]:
     """All deterministic policies that are eps-greedy with respect to q
     in every state. Nonempty for eps >= 0."""
-    _check("nonnegative", "eps", eps)
+    eps = _check("nonnegative", "eps", eps)
     allowed = [np.flatnonzero(row).tolist() for row in _greedy_mask(q.values, eps)]
     return [DeterministicPolicy(q.player, combo) for combo in itertools.product(*allowed)]
 
@@ -462,8 +464,7 @@ def label_equilibria(
     equals membership in ``ExactAnalysis(game, tol).equilibria`` except
     where some Q-gap lies within the member's margin (``_margin``) of the tol
     slack, where the analysis reads value iteration's digits."""
-    check_input("tol", tol)
-    _check("nonnegative", "eps", eps)
+    tol, eps = check_input("tol", tol), _check("nonnegative", "eps", eps)
     num_players, num_states = game.num_players, game.num_states
     checked = []
     for joint in joints:
@@ -676,8 +677,9 @@ class ExactAnalysis:
 
     It takes only the inputs it reads: the game, ``tol``, ``budget`` and,
     for the softened table and the perturbation bound, ``rhos`` and
-    ``deltas``; the constructor checks each one given, whatever else is
-    given. Each attribute is built on first use and cached:
+    ``deltas``; the constructor checks each one given (``budget`` is a
+    count), whatever else is given, and holds it as Python numbers. Each
+    attribute is built on first use and cached:
     ``table`` (per player, Q* against every deterministic opponent joint in
     ``itertools.product`` order), the greedy ``grids``, ``equilibria``,
     ``delta_bar``, ``softened`` (the table against opponents softened by
@@ -716,12 +718,12 @@ class ExactAnalysis:
         rhos: Sequence[float] | None = None,
         deltas: Sequence[float] | None = None,
     ) -> None:
-        check_input("tol", tol)
-        for name, values in (("rho", rhos), ("delta", deltas)):
-            if values is not None:
-                check_per_player(game, name, values)
-        self.game, self.tol, self.budget = game, tol, budget
-        self.rhos, self.deltas = rhos, deltas
+        self.game, self.tol = game, check_input("tol", tol)
+        self.budget = _check("count", "budget", budget)
+        self.rhos, self.deltas = (
+            None if values is None else check_per_player(game, name, values)
+            for name, values in (("rho", rhos), ("delta", deltas))
+        )
         self._sizes = [count**game.num_states for count in game.action_counts]
 
     @functools.cached_property

@@ -43,6 +43,8 @@ __all__ = [
 
 BENCHMARK_NAME = "benchmark"
 DEFAULT_RECORD_TIMES = (0, 10_000, 20_000, 30_000, 40_000)
+# The learners' rates, each an ExperimentConfig field and an AgentConfig one.
+_RATES = ("rho", "lam", "delta", "alpha")
 
 
 def build_benchmark_game() -> StochasticGame:
@@ -99,8 +101,9 @@ class ExperimentConfig:
     Construction checks each field's type and range and raises a ValueError
     naming the key: ``game`` is a name or a path, held as a str; the counts
     (``min_phase``, ``ratio``, ``horizon``, ``trials``, ``workers``) are
-    positive integers, ``master_seed`` a 64-bit unsigned integer and each
-    record time an integer in [0, horizon), all held as Python ints; and
+    positive integers, with ``ratio * min_phase``, the longest phase, below
+    2**63, ``master_seed`` a 64-bit unsigned integer and each record time an
+    integer in [0, horizon), all held as Python ints; and
     rho, lam, delta and alpha are real numbers or lists of them (one per
     player), held as Python numbers or tuples of them, each value in its
     ``AgentConfig`` range (rho, lam and alpha in (0, 1), delta finite and
@@ -126,20 +129,19 @@ class ExperimentConfig:
         if not isinstance(game, str):
             raise ValueError(f"game must be a name or a path, got {self.game!r}")
         object.__setattr__(self, "game", game)
+        # each value as a Python number: summary.json cannot hold a numpy one
         for key in ("min_phase", "ratio", "horizon", "trials", "workers", "master_seed"):
-            value = getattr(self, key)
-            _check("seed" if key == "master_seed" else "count", key, value)
-            # a numpy integer would reach summary.json, which cannot hold it
-            object.__setattr__(self, key, int(value))
-        for key in ("rho", "lam", "delta", "alpha"):
+            kind = "seed" if key == "master_seed" else "count"
+            object.__setattr__(self, key, _check(kind, key, getattr(self, key)))
+        if self.ratio * self.min_phase >= 2**63:  # the longest phase, one 64-bit draw
+            raise ValueError(f"ratio * min_phase must be below 2**63, got {self.ratio * self.min_phase}")
+        for key in _RATES:
             value = getattr(self, key)
             entries = value if isinstance(value, (list, tuple)) else (value,)
             if not all(map(_is_real, entries)):
                 raise ValueError(f"{key} must be a number or a list of numbers, got {value!r}")
-            for entry in entries:
-                _check("positive" if key == "delta" else "unit", key, entry)
-            # numpy scalars as Python numbers, which summary.json can hold
-            held = tuple(e.item() if isinstance(e, np.generic) else e for e in entries)
+            kind = "positive" if key == "delta" else "unit"
+            held = tuple(_check(kind, key, entry) for entry in entries)
             object.__setattr__(self, key, held if isinstance(value, (list, tuple)) else held[0])
         if not isinstance(self.record_times, (list, tuple)) or not all(
             map(_is_id, self.record_times)
@@ -151,14 +153,10 @@ class ExperimentConfig:
                 raise ValueError(f"record time {t} outside [0, horizon)")
 
     def agent_configs(self, game: StochasticGame) -> tuple[AgentConfig, ...]:
-        n = game.num_players
-        rhos = _per_player(self.rho, n, "rho")
-        lams = _per_player(self.lam, n, "lam")
-        deltas = _per_player(self.delta, n, "delta")
-        alphas = _per_player(self.alpha, n, "alpha")
+        rates = {key: _per_player(getattr(self, key), game.num_players, key) for key in _RATES}
         return tuple(
-            AgentConfig(player=i, rho=rhos[i], lam=lams[i], delta=deltas[i], alpha=alphas[i])
-            for i in range(n)
+            AgentConfig(player=i, **{key: values[i] for key, values in rates.items()})
+            for i in range(game.num_players)
         )
 
     def to_json_dict(self) -> dict:
@@ -212,7 +210,6 @@ def _run_trials(
         streams,
         config.horizon,
         record_times=config.record_times,
-        warn_unreachable=False,
     )
     return [(tuple(r.at_equilibrium for r in tr.records), max(tr.max_abs_q)) for tr in traces]
 
@@ -304,13 +301,15 @@ def analyze_game(
     report: dict = {"violations": validate_game(game)}
     if report["violations"]:
         return report
-    exact_solver.check_input("tol", tol)
-    for name, value in (("eps", eps), ("ratio", ratio)):
-        if value is not None:
-            exact_solver.check_input(name, value)
+    # every input as the Python number it equals, which the report can hold
+    eps, ratio = (
+        None if value is None else exact_solver.check_input(name, value)
+        for name, value in (("eps", eps), ("ratio", ratio))
+    )
     analysis = exact_solver.ExactAnalysis(game, tol, budget, rhos, deltas)
+    rhos, deltas = analysis.rhos, analysis.deltas
     if lambdas is not None:
-        exact_solver.check_per_player(game, "lambda", lambdas)
+        lambdas = exact_solver.check_per_player(game, "lambda", lambdas)
     # the grids first: they refuse an over-budget joint-policy space before
     # any solve, where delta_bar would solve the whole table first
     weakly = acyclicity.is_weakly_acyclic(analysis)

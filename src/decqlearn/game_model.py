@@ -167,8 +167,9 @@ def _is_real(a: object) -> bool:
 # The range of each kind of scalar input: (test, wording for the error).
 # "unit" holds a learner's rates and eps, "rho" an analysis's experimentation
 # (0 allowed: no softening), "probability" the rho of ``soften_policy`` (1 too:
-# uniform play), "nonnegative" a greedy slack eps, "positive" a tolerance such
-# as tol, delta or theta.
+# uniform play) and a uniform w, "chance" the inertia floor p_min,
+# "nonnegative" a greedy slack eps, "positive" a tolerance such as tol, delta
+# or theta.
 _RULES = {
     "count": (lambda v: _is_id(v) and v >= 1, "be a positive integer"),
     "index": (lambda v: _is_id(v) and v >= 0, "be a nonnegative integer"),
@@ -176,18 +177,21 @@ _RULES = {
     "unit": (lambda v: _is_real(v) and 0.0 < v < 1.0, "lie in (0, 1)"),
     "rho": (lambda v: _is_real(v) and 0.0 <= v < 1.0, "lie in [0, 1)"),
     "probability": (lambda v: _is_real(v) and 0.0 <= v <= 1.0, "lie in [0, 1]"),
+    "chance": (lambda v: _is_real(v) and 0.0 < v <= 1.0, "lie in (0, 1]"),
     "nonnegative": (lambda v: _is_real(v) and v >= 0.0, "be nonnegative"),
     "positive": (lambda v: _is_real(v) and 0.0 < v < math.inf, "be finite and positive"),
 }
 
 
-def _check(kind: str, name: str, value: object) -> None:
+def _check(kind: str, name: str, value):
     """The one range check of a scalar input: ``value`` passes the rule of
     ``kind`` in ``_RULES``, else a ValueError "{name} must {wording}, got
-    {value!r}"."""
+    {value!r}". Returns ``value`` as the Python number it equals (``item()``
+    of a numpy scalar), so that no numpy type reaches a result."""
     test, wording = _RULES[kind]
     if not test(value):
         raise ValueError(f"{name} must {wording}, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _action_ids(choice: Iterable) -> tuple[int, ...]:
@@ -347,7 +351,8 @@ def soften_policy(policy: DeterministicPolicy, rho: float, num_actions: int) -> 
     The result plays the chosen action with probability (1 - rho) + rho / m
     and every other action with probability rho / m, where m = num_actions.
     """
-    _check("probability", "rho", rho)
+    rho = _check("probability", "rho", rho)
+    _check("count", "num_actions", num_actions)
     for a in policy.choice:
         if not 0 <= a < num_actions:
             raise ValueError(f"action id {a} out of range for {num_actions} actions")
@@ -417,8 +422,7 @@ def sample_transition(
 def sample_initial_state(game: StochasticGame, w: float) -> int:
     """Inverse-CDF draw from the initial state distribution, with the same
     tie rule as :func:`sample_transition`."""
-    if not 0.0 <= w <= 1.0:
-        raise ValueError(f"w must lie in [0, 1], got {w}")
+    w = _check("probability", "w", w)
     return int(_inverse_cdf(_cdf_columns(game.initial_dist)[:, None], np.intp(0), np.asarray(w)))
 
 

@@ -7,19 +7,21 @@ keyed by boundary time, per-player policy draws keyed by (time, realized
 greedy set), per-player phase lengths, and the initial state/policy draws.
 Distinct keys give mutually independent streams, and regenerating from the
 same master seed reproduces every draw, so a trace is a pure function of
-(game, configs, schedule parameters, horizon, master seed).
+(game, configs, schedule parameters, horizon, master seed, trial).
 
-The configs hold only the learners' fixed parameters: every Q table and
-every baseline of a run lives in the engine (``_simulate``), which applies
-the Q-learning update and hands each table and baseline to
-:func:`decqlearn.agent.end_phase_update` at the player's phase boundaries.
+The two entry points, :func:`run_episodes` and :func:`frozen_q_run`, take a
+batch of trials, one ``RandomnessStreams`` each; a trial's outputs do not
+depend on the batch. The configs hold only the learners' fixed parameters:
+every Q table and every baseline of a run lives in the engine
+(``_simulate``), which applies the Q-learning update and hands each table
+and baseline to :func:`decqlearn.agent.end_phase_update` at the player's
+phase boundaries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -29,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .agent import AgentConfig, end_phase_update
-from .exact_solver import QTable, check_reachability, label_equilibria
+from .exact_solver import QTable, label_equilibria
 # sample_transition is not called here: the segment engine draws through
 # _inverse_cdf on rows it has built. The name stays importable from this
 # module, where benchmarks/selftest.py reaches it.
@@ -53,7 +55,6 @@ __all__ = [
     "PolicyChange",
     "TraceRecord",
     "SimulationTrace",
-    "run_episode",
     "run_episodes",
     "frozen_q_run",
     "equilibrium_frequency",
@@ -87,10 +88,8 @@ class RandomnessStreams:
     """
 
     def __init__(self, master_seed: int, trial: int = 0) -> None:
-        _check("seed", "master_seed", master_seed)
-        _check("index", "trial", trial)
-        self.master_seed = int(master_seed)
-        self.trial = int(trial)
+        self.master_seed = _check("seed", "master_seed", master_seed)
+        self.trial = _check("index", "trial", trial)
 
     def _generator(self, *key: int) -> np.random.Generator:
         seq = np.random.SeedSequence(self.master_seed, spawn_key=(self.trial, *key))
@@ -149,8 +148,12 @@ class RandomnessStreams:
     ) -> list[int]:
         """Uniform integer lengths in [min_length, ratio * min_length] until
         the cumulative boundaries cover the horizon."""
-        for name, value in (("min_length", min_length), ("ratio", ratio), ("horizon", horizon)):
+        min_length, ratio, horizon = (
             _check("count", name, value)
+            for name, value in (("min_length", min_length), ("ratio", ratio), ("horizon", horizon))
+        )
+        if ratio * min_length >= 2**63:  # the longest phase, one 64-bit draw
+            raise ValueError(f"ratio * min_length must be below 2**63, got {ratio * min_length}")
         gen = self._generator(_FAMILY_PHASE, player)
         lengths: list[int] = []
         total = 0
@@ -184,8 +187,8 @@ class Schedule:
     phase_lengths: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check("count", "min_length", self.min_length)
-        _check("count", "ratio", self.ratio)
+        for name in ("min_length", "ratio"):
+            object.__setattr__(self, name, _check("count", name, getattr(self, name)))
         object.__setattr__(
             self,
             "phase_lengths",
@@ -417,17 +420,6 @@ class SimulationTrace:
         )
 
 
-def _check_configs(game: StochasticGame, configs: Sequence[AgentConfig]) -> None:
-    if len(configs) != game.num_players:
-        raise ValueError(
-            f"need one AgentConfig per player: got {len(configs)} for "
-            f"{game.num_players} players"
-        )
-    for i, cfg in enumerate(configs):
-        if cfg.player != i:
-            raise ValueError("configs must be ordered by player id")
-
-
 def _first_baselines(
     game: StochasticGame,
     configs: Sequence[AgentConfig],
@@ -436,10 +428,18 @@ def _first_baselines(
 ) -> list[np.ndarray]:
     """Per player, the first baseline of every trial, (trial, state): the
     ``forced_choices``, else the config's ``initial_policy``, else a uniform
-    draw from the trial's streams. Checks each given baseline against the
-    game, and each config's ``initial_q`` shape."""
+    draw from the trial's streams. Checks that ``configs`` hold one config
+    per player in player order, each given baseline against the game, and
+    each config's ``initial_q`` shape."""
+    if len(configs) != game.num_players:
+        raise ValueError(
+            f"need one AgentConfig per player: got {len(configs)} for "
+            f"{game.num_players} players"
+        )
     baselines = []
     for i, cfg in enumerate(configs):
+        if cfg.player != i:
+            raise ValueError("configs must be ordered by player id")
         num_states, num_actions = game.num_states, game.action_counts[i]
         if forced_choices is None and cfg.initial_policy is None:
             rows = [s.initial_policy_choices(i, num_states, num_actions) for s in streams]
@@ -858,6 +858,18 @@ def _simulate(
     ]
 
 
+def _trials(streams: Sequence[RandomnessStreams]) -> list[RandomnessStreams]:
+    """``streams`` as a list of at least one RandomnessStreams, one per trial;
+    a lone one, which is not iterable, is a ValueError naming ``streams``."""
+    try:
+        trials = list(streams)
+    except TypeError:
+        raise ValueError(f"streams must be a sequence of RandomnessStreams, got {streams!r}") from None
+    if not trials:
+        raise ValueError("need at least one trial")
+    return trials
+
+
 def run_episodes(
     game: StochasticGame,
     configs: Sequence[AgentConfig],
@@ -867,34 +879,30 @@ def run_episodes(
     record_times: Sequence[int] = (),
     *,
     record_q: bool = False,
-    warn_unreachable: bool = True,
 ) -> list[SimulationTrace]:
-    """:func:`run_episode` for several trials at once, trial k with
-    ``schedules[k]`` and ``streams[k]``, played as one batch; each trace is
-    the one :func:`run_episode` gives for that trial alone.
+    """Play ``horizon`` stages of the asynchronous stage-game loop (see
+    :func:`_simulate`) for a batch of trials, trial k with ``schedules[k]``
+    and ``streams[k]``; returns one trace per trial. A trial draws only from
+    its own streams, so its trace does not depend on the batch it runs in:
+    ``(trace,) = run_episodes(game, configs, [schedule], [streams],
+    horizon)`` gives it byte for byte.
 
     The joints are labelled after play, the distinct ones of the whole batch
     at once, by :func:`decqlearn.exact_solver.label_equilibria` at tol 1e-9,
     which solves only the opponent joints the trials visited, by policy
     iteration, and agrees with membership in
     ``ExactAnalysis(game, 1e-9).equilibria`` except where a Q-gap lies
-    within solver error of the 1e-9 slack."""
-    _check("count", "horizon", horizon)
-    horizon = int(horizon)  # a numpy integer would reach the trace and its JSON
-    _check_configs(game, configs)
-    if not streams or len(schedules) != len(streams):
+    within solver error of the 1e-9 slack. Nothing warns on a game whose
+    state graph is not strongly connected (``check_reachability`` tells)."""
+    horizon = _check("count", "horizon", horizon)
+    streams = _trials(streams)
+    if not isinstance(schedules, Sequence) or len(schedules) != len(streams):
         raise ValueError("need one schedule per trial and at least one trial")
     for schedule in schedules:
         if schedule.num_players != game.num_players:
             raise ValueError("schedule and game disagree on the number of players")
         if not schedule.covers(horizon):
             raise ValueError("schedule does not cover the horizon")
-    if warn_unreachable and not check_reachability(game):
-        warnings.warn(
-            "state graph is not strongly connected; learning may not visit "
-            "every state",
-            stacklevel=2,
-        )
 
     results = _simulate(
         game,
@@ -932,72 +940,36 @@ def run_episodes(
     ]
 
 
-def run_episode(
-    game: StochasticGame,
-    configs: Sequence[AgentConfig],
-    schedule: Schedule,
-    streams: RandomnessStreams,
-    horizon: int,
-    record_times: Sequence[int] = (),
-    *,
-    record_q: bool = False,
-    warn_unreachable: bool = True,
-) -> SimulationTrace:
-    """Execute the full asynchronous stage-game loop.
-
-    Each stage: pending phase-boundary policy updates, action selection from
-    the softened baselines, the state transition via W_t, and every player's
-    Q-update. Only the joints the episode visits are labelled, after play
-    (see :func:`run_episodes`), so no joint-policy space is enumerated.
-    """
-    (trace,) = run_episodes(
-        game,
-        configs,
-        [schedule],
-        [streams],
-        horizon,
-        record_times,
-        record_q=record_q,
-        warn_unreachable=warn_unreachable,
-    )
-    return trace
-
-
 def frozen_q_run(
     game: StochasticGame,
     configs: Sequence[AgentConfig],
     frozen_joint: Sequence[Sequence[int]],
-    streams: RandomnessStreams | Sequence[RandomnessStreams],
+    streams: Sequence[RandomnessStreams],
     steps: int,
-) -> list[QTable] | list[list[QTable]]:
-    """Run the stage-game loop with policy updates disabled.
+) -> list[list[QTable]]:
+    """Play ``steps`` stages of the stage-game loop with policy updates
+    disabled, one trial per entry of ``streams``, as one batch.
 
     The baselines are pinned to ``frozen_joint`` for the whole run, realizing
-    the hypothetical Q-factor trajectory driven by the episode's own
-    primitive streams; returns each player's final Q-table. Given a sequence
-    of streams, plays one trial per entry as one batch and returns one such
-    list per trial.
+    the hypothetical Q-factor trajectory driven by each trial's own
+    primitive streams; returns, per trial, each player's final Q-table. As in
+    :func:`run_episodes`, a trial's tables do not depend on the batch.
     """
-    _check("count", "steps", steps)
-    _check_configs(game, configs)
+    steps = _check("count", "steps", steps)
     if len(frozen_joint) != game.num_players:
         raise ValueError("frozen_joint needs one policy per player")
-    single = isinstance(streams, RandomnessStreams)
-    batch = [streams] if single else list(streams)
-    if not batch:
-        raise ValueError("need at least one trial")
+    streams = _trials(streams)
     results = _simulate(
         game,
         configs,
-        _first_baselines(game, configs, batch, frozen_joint),
-        batch,
+        _first_baselines(game, configs, streams, frozen_joint),
+        streams,
         steps,
         record_times=(),
-        boundaries=[()] * len(batch),
+        boundaries=[()] * len(streams),
         record_q=False,
     )
-    tables = [[QTable(i, q) for i, q in enumerate(final)] for _, _, _, final, _ in results]
-    return tables[0] if single else tables
+    return [[QTable(i, q) for i, q in enumerate(final)] for _, _, _, final, _ in results]
 
 
 def equilibrium_frequency(

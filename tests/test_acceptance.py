@@ -166,9 +166,7 @@ def test_criterion_5_q_hull_on_random_games():
             dq.AgentConfig(player=i, **{**STANDARD_PARAMS, "alpha": 0.3})
             for i in range(game.num_players)
         )
-        trace = dq.run_episode(
-            game, configs, schedule, streams, 20_000, warn_unreachable=False
-        )
+        (trace,) = dq.run_episodes(game, configs, [schedule], [streams], 20_000)
         for cost, beta, reached in zip(game.costs, game.discounts, trace.max_abs_q):
             hull = max(-min(0.0, cost.min() / (1.0 - beta)), max(0.0, cost.max() / (1.0 - beta)))
             worst_ratio = max(worst_ratio, float(reached / hull))
@@ -329,8 +327,8 @@ def test_criterion_9_determinism(tmp_path):
     for name in ("t1.json", "t2.json"):
         streams = dq.RandomnessStreams(9, trial=2)
         schedule = dq.draw_schedule(streams, 2, 1000, 3, 8000)
-        trace = dq.run_episode(
-            game, configs, schedule, streams, 8000, record_times=(0, 4000)
+        (trace,) = dq.run_episodes(
+            game, configs, [schedule], [streams], 8000, record_times=(0, 4000)
         )
         path = tmp_path / name
         trace.save_json(path)

@@ -10,7 +10,6 @@ from decqlearn.acyclicity import (
     p_min,
     path_bound_L,
     solve_theta,
-    theta_and_xi,
     xi_bound,
 )
 from decqlearn.exact_solver import (
@@ -214,7 +213,8 @@ class TestThetaAndXi:
             xi_bound(0.1, R=3, N=2, L=3, deltas=(0.0,), dbar=2.0)
 
     def test_combined(self):
-        theta, xi = theta_and_xi(0.04, 0.1, R=3, N=2, L=3, deltas=(0.5, 0.5), dbar=2.0)
+        theta = solve_theta(0.04, 0.1)
+        xi = xi_bound(theta, R=3, N=2, L=3, deltas=(0.5, 0.5), dbar=2.0)
         assert abs(_stay_vs_move(theta, 0.04) - 0.9) <= 1e-10
         assert xi == pytest.approx(min(theta, 0.25) / 24.0, rel=1e-12)
 

@@ -323,6 +323,26 @@ class TestAnalyzeGame:
         with pytest.raises(ValueError, match="delta"):
             analyze_game(benchmark_game, rhos=(0.05, 0.05), deltas=deltas)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("ratio", np.int64(3)),
+            ("eps", np.float32(0.1)),
+            ("rhos", [np.float32(0.05)] * 2),
+            ("deltas", [np.float16(0.5), np.float32(0.3)]),
+            ("lambdas", [np.float32(0.2)] * 2),
+            ("tol", np.float32(1e-9)),
+        ],
+        ids=["ratio", "eps", "rhos", "deltas", "lambdas", "tol"],
+    )
+    def test_numpy_inputs_report_the_python_number_bytes(self, benchmark_game, key, value):
+        # the report held numpy scalars, and json.dumps raised TypeError
+        plain = dict(rhos=[0.05, 0.05], deltas=[0.5, 0.5], lambdas=[0.2, 0.2], eps=0.1, ratio=3)
+        python = value.item() if isinstance(value, np.generic) else [v.item() for v in value]
+        given = analyze_game(benchmark_game, **{**plain, key: value})
+        expected = analyze_game(benchmark_game, **{**plain, key: python})
+        assert json.dumps(given, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
 
 class TestCli:
     def test_analyze_benchmark(self, capsys):

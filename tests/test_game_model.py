@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from decqlearn import cli
-from decqlearn.acyclicity import p_min, xi_bound
+from decqlearn.acyclicity import build_br_graph, p_min, solve_theta, xi_bound
 from decqlearn.agent import AgentConfig
-from decqlearn.exact_solver import QTable, br_hat, check_input, label_equilibria
+from decqlearn.exact_solver import ExactAnalysis, QTable, br_hat, check_input, label_equilibria
 from decqlearn.experiments import ExperimentConfig, analyze_game
 from decqlearn.game_model import (
     DeterministicPolicy,
@@ -365,6 +365,21 @@ _BAD_INTEGERS = {
     "draw-no-players": ("num_players", lambda g: draw_schedule(_STREAMS, 0, 2, 2, 10)),
     "config-seed-negative": ("master_seed", lambda g: ExperimentConfig(master_seed=-1)),
     "config-seed-past-64-bits": ("master_seed", lambda g: ExperimentConfig(master_seed=2**64)),
+    # a string raised TypeError ("'>' not supported"), -1 was accepted, and
+    # NaN switched the budget off
+    "analysis-budget-string": ("budget", lambda g: ExactAnalysis(g, 1e-9, "5")),
+    "analysis-budget-negative": ("budget", lambda g: ExactAnalysis(g, 1e-9, -1)),
+    "analysis-budget-nan": ("budget", lambda g: ExactAnalysis(g, 1e-9, math.nan)),
+    "analyze-budget-nan": ("budget", lambda g: analyze_game(g, budget=math.nan)),
+    "graph-budget-negative": ("budget", lambda g: build_br_graph(g, 1e-9, -1)),
+    # a string raised TypeError in np.arange
+    "soften-num-actions": ("num_actions", lambda g: soften_policy(DeterministicPolicy(0, (0, 1)), 0.1, "2")),
+    "soften-num-actions-float": ("num_actions", lambda g: soften_policy(DeterministicPolicy(0, (0, 1)), 0.1, 2.0)),
+    # the longest phase is one 64-bit draw: past it numpy raised "high is out
+    # of bounds for int64", naming no input, and only once play had begun
+    "phase-lengths-longest": (r"ratio \* min_length", lambda g: _STREAMS.phase_lengths(0, 2**62, 2, 10)),
+    "draw-longest-phase": (r"ratio \* min_length", lambda g: draw_schedule(_STREAMS, 2, 2**32, 2**31, 10)),
+    "config-longest-phase": (r"ratio \* min_phase", lambda g: ExperimentConfig(min_phase=2**62, ratio=2)),
 }
 
 # Each real input, as a call on one value, with the input its error names.
@@ -383,6 +398,10 @@ _BAD_REALS = {
     "soften-rho": ("rho", lambda g, v: soften_policy(DeterministicPolicy(0, (0, 1)), v, 2)),
     "br-hat-eps": ("eps", lambda g, v: br_hat(QTable(0, np.zeros((2, 2))), v)),
     "label-eps": ("eps", lambda g, v: label_equilibria(g, [((0, 0), (0, 1))], 1e-9, v)),
+    # a string raised TypeError in these four, and True passed as 1
+    "theta-p-min": ("p_min", lambda g, v: solve_theta(v, 0.1)),
+    "xi-delta": ("delta", lambda g, v: xi_bound(0.1, 3, 2, 2, (0.5, v), 1.0)),
+    "initial-state-w": ("w", lambda g, v: sample_initial_state(g, v)),
 }
 # Cases whose range has no upper end (eps >= 0): infinity passes them.
 _UNBOUNDED = {"br-hat-eps", "label-eps"}
@@ -477,6 +496,12 @@ class TestPolicies:
         assert (streams.master_seed, streams.trial) == (3, 1)
         drawn = draw_schedule(streams, 2, np.int64(5), np.int8(2), 50)
         assert drawn == draw_schedule(streams, 2, 5, 2, 50)
+        # held as Python ints: a numpy one reached the trace's JSON, which
+        # could not hold it, and np.int8(100) * np.int8(2) wrapped to -56
+        assert repr(drawn) == repr(draw_schedule(streams, 2, 5, 2, 50))
+        assert draw_schedule(streams, 2, np.int8(100), np.int8(2), 500) == draw_schedule(
+            streams, 2, 100, 2, 500
+        )
 
     def test_stationary_rows_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from decqlearn.orchestrator import (
     draw_schedule,
     equilibrium_frequency,
     frozen_q_run,
-    run_episode,
     run_episodes,
 )
 from oracles import (
@@ -212,11 +211,11 @@ class TestRunEpisode:
         for _ in range(2):
             streams = RandomnessStreams(42, trial=3)
             schedule = draw_schedule(streams, 2, 500, 3, 5000)
-            trace = run_episode(
+            (trace,) = run_episodes(
                 benchmark_game,
                 _configs(),
-                schedule,
-                streams,
+                [schedule],
+                [streams],
                 5000,
                 record_times=(0, 2500, 4999),
                 record_q=True,
@@ -231,9 +230,7 @@ class TestRunEpisode:
     def test_policy_changes_only_at_own_boundaries(self, benchmark_game):
         streams = RandomnessStreams(7, trial=0)
         schedule = draw_schedule(streams, 2, 300, 3, 20_000)
-        trace = run_episode(
-            benchmark_game, _configs(), schedule, streams, 20_000
-        )
+        (trace,) = run_episodes(benchmark_game, _configs(), [schedule], [streams], 20_000)
         assert trace.events, "expected at least one policy change in 20k steps"
         for event in trace.events:
             assert event.t in schedule.boundaries[event.player]
@@ -241,9 +238,7 @@ class TestRunEpisode:
     def test_policy_changes_inside_active_phases(self, benchmark_game):
         streams = RandomnessStreams(11, trial=0)
         schedule = draw_schedule(streams, 2, 300, 3, 20_000)
-        trace = run_episode(
-            benchmark_game, _configs(), schedule, streams, 20_000
-        )
+        (trace,) = run_episodes(benchmark_game, _configs(), [schedule], [streams], 20_000)
         result = active_phases(schedule)
         covered = [(p.tau_min, p.tau_max) for p in result.phases]
         horizon_checked = max(t for _, t in covered)
@@ -255,18 +250,14 @@ class TestRunEpisode:
         # cost bound 11, discount 0.8, zero initialization: M = 55
         streams = RandomnessStreams(3, trial=0)
         schedule = draw_schedule(streams, 2, 1000, 3, 30_000)
-        trace = run_episode(
-            benchmark_game, _configs(), schedule, streams, 30_000
-        )
+        (trace,) = run_episodes(benchmark_game, _configs(), [schedule], [streams], 30_000)
         assert max(trace.max_abs_q) <= 55.0
 
     def test_equilibrium_flag_matches_exact_solver(self, benchmark_game):
         eq = ExactAnalysis(benchmark_game, 1e-9).equilibria
         streams = RandomnessStreams(19, trial=0)
         schedule = draw_schedule(streams, 2, 500, 3, 10_000)
-        trace = run_episode(
-            benchmark_game, _configs(), schedule, streams, 10_000
-        )
+        (trace,) = run_episodes(benchmark_game, _configs(), [schedule], [streams], 10_000)
         assert trace.initial_at_equilibrium == (trace.initial_joint in eq)
         for event in trace.events:
             assert event.at_equilibrium == (event.joint in eq)
@@ -275,16 +266,15 @@ class TestRunEpisode:
         streams = RandomnessStreams(1)
         schedule = draw_schedule(streams, 2, 100, 2, 1000)
         with pytest.raises(ValueError):
-            run_episode(benchmark_game, _configs(), schedule, streams, 0)
+            run_episodes(benchmark_game, _configs(), [schedule], [streams], 0)
         with pytest.raises(ValueError):
-            run_episode(benchmark_game, _configs(n=1), schedule, streams, 100)
+            run_episodes(benchmark_game, _configs(n=1), [schedule], [streams], 100)
         with pytest.raises(ValueError):
-            run_episode(
-                benchmark_game, _configs(), schedule, streams, 5000
-            )  # schedule covers only 1000
+            # the schedule covers only 1000
+            run_episodes(benchmark_game, _configs(), [schedule], [streams], 5000)
         with pytest.raises(ValueError):
-            run_episode(
-                benchmark_game, _configs(), schedule, streams, 500, record_times=(600,)
+            run_episodes(
+                benchmark_game, _configs(), [schedule], [streams], 500, record_times=(600,)
             )
 
     @pytest.mark.parametrize("value", [100.0, 100.5, True, "100"], ids=repr)
@@ -295,20 +285,29 @@ class TestRunEpisode:
         with pytest.raises(ValueError, match="horizon must be a positive integer"):
             draw_schedule(streams, 2, 100, 2, value)
         with pytest.raises(ValueError, match="horizon must be a positive integer"):
-            run_episode(benchmark_game, _configs(), schedule, streams, value)
+            run_episodes(benchmark_game, _configs(), [schedule], [streams], value)
         with pytest.raises(ValueError, match="steps must be a positive integer"):
-            frozen_q_run(benchmark_game, _configs(), ((0, 0), (0, 0)), streams, value)
+            frozen_q_run(benchmark_game, _configs(), ((0, 0), (0, 0)), [streams], value)
 
     def test_record_times_must_be_integers(self, benchmark_game):
         streams = RandomnessStreams(1)
         schedule = draw_schedule(streams, 2, 100, 2, 1000)
         with pytest.raises(ValueError, match=re.escape("must be integers in [0, horizon), got (0, 50.5)")):
-            run_episode(benchmark_game, _configs(), schedule, streams, 100, record_times=(0, 50.5))
+            run_episodes(
+                benchmark_game, _configs(), [schedule], [streams], 100, record_times=(0, 50.5)
+            )
         # numpy integers are integers, and give the JSON of Python ints
-        wide = run_episode(
-            benchmark_game, _configs(), schedule, streams, np.int64(100), record_times=(np.int32(50),)
+        (wide,) = run_episodes(
+            benchmark_game,
+            _configs(),
+            [schedule],
+            [streams],
+            np.int64(100),
+            record_times=(np.int32(50),),
         )
-        plain = run_episode(benchmark_game, _configs(), schedule, streams, 100, record_times=(50,))
+        (plain,) = run_episodes(
+            benchmark_game, _configs(), [schedule], [streams], 100, record_times=(50,)
+        )
         assert json.dumps(wide.to_json_dict()) == json.dumps(plain.to_json_dict())
 
     def test_batch_argument_validation(self, benchmark_game):
@@ -323,6 +322,16 @@ class TestRunEpisode:
         for action in (0.5, True, "1"):
             with pytest.raises(ValueError, match=f"action id {action!r} is not an integer"):
                 frozen_q_run(benchmark_game, _configs(), ((0, action), (0, 0)), streams, 100)
+        # a lone RandomnessStreams is no batch: a ValueError naming streams,
+        # not a TypeError from len()
+        lone = streams[0]
+        for call in (
+            lambda: run_episodes(benchmark_game, _configs(), schedules[:1], lone, 1000),
+            lambda: frozen_q_run(benchmark_game, _configs(), ((0, 0), (0, 0)), lone, 100),
+            lambda: run_episodes(benchmark_game, _configs(), schedules[0], streams[:1], 1000),
+        ):
+            with pytest.raises(ValueError, match="^(streams must be a sequence|need one schedule)"):
+                call()
 
     def test_explicit_initial_policies_respected(self, benchmark_game):
         configs = tuple(
@@ -338,20 +347,16 @@ class TestRunEpisode:
         )
         streams = RandomnessStreams(2, trial=0)
         schedule = draw_schedule(streams, 2, 2000, 2, 4000)
-        trace = run_episode(benchmark_game, configs, schedule, streams, 4000)
+        (trace,) = run_episodes(benchmark_game, configs, [schedule], [streams], 4000)
         assert trace.initial_joint == ((0, 0), (0, 1))
         assert trace.initial_at_equilibrium
 
     def test_initial_equilibrium_rate_near_quarter(self, benchmark_game):
         # 4 of 16 joint policies are equilibria under uniform initialization
-        flags = []
-        for trial in range(400):
-            streams = RandomnessStreams(77, trial=trial)
-            schedule = draw_schedule(streams, 2, 200, 2, 200)
-            trace = run_episode(
-                benchmark_game, _configs(), schedule, streams, 200
-            )
-            flags.append(trace.initial_at_equilibrium)
+        streams = [RandomnessStreams(77, trial=trial) for trial in range(400)]
+        schedules = [draw_schedule(s, 2, 200, 2, 200) for s in streams]
+        traces = run_episodes(benchmark_game, _configs(), schedules, streams, 200)
+        flags = [trace.initial_at_equilibrium for trace in traces]
         rate = sum(flags) / len(flags)
         se = np.sqrt(0.25 * 0.75 / len(flags))
         assert abs(rate - 0.25) <= 3 * se
@@ -444,7 +449,6 @@ class TestSegmentEngine:
                 horizon,
                 record_times,
                 record_q=True,
-                warn_unreachable=False,
             )
             frozen_streams = [RandomnessStreams(seed, trial=100 + k) for k in range(batch)]
             tables = frozen_q_run(game, configs, frozen, frozen_streams, horizon)
@@ -740,7 +744,7 @@ class TestLazyLabels:
             schedules = [draw_schedule(s, game.num_players, 30, 3, 3000) for s in streams]
             traces = run_episodes(
                 game, _configs(game.num_players, rho=0.2), schedules, streams, 3000,
-                (0, 1500, 2999), warn_unreachable=False,
+                (0, 1500, 2999),
             )
             for trace in traces:
                 labelled = [(trace.initial_joint, trace.initial_at_equilibrium)]
@@ -770,16 +774,16 @@ class TestFrozenQRun:
             for i in range(2)
         )
         streams = RandomnessStreams(31, trial=0)
-        frozen_tables = frozen_q_run(benchmark_game, configs, frozen, streams, steps)
+        (frozen_tables,) = frozen_q_run(benchmark_game, configs, frozen, [streams], steps)
 
         schedule = Schedule(
             min_length=steps + 1, ratio=2, phase_lengths=((steps + 1,), (steps + 1,))
         )
-        trace = run_episode(
+        (trace,) = run_episodes(
             benchmark_game,
             configs,
-            schedule,
-            streams,
+            [schedule],
+            [streams],
             steps + 1,
             record_times=(steps,),
             record_q=True,
@@ -800,8 +804,8 @@ class TestFrozenQRun:
             kernel=benchmark_game.kernel,
             initial_dist=benchmark_game.initial_dist,
         )
-        tables = frozen_q_run(
-            game, _configs(), ((0, 0), (0, 0)), RandomnessStreams(1), 5000
+        (tables,) = frozen_q_run(
+            game, _configs(), ((0, 0), (0, 0)), [RandomnessStreams(1)], 5000
         )
         for table in tables:
             assert_allclose(table.values, 0.0, atol=0.0)
@@ -811,7 +815,7 @@ class TestFrozenQRun:
         frozen = ((0, 0), (0, 1))
         configs = _configs(alpha=0.01)
         streams = RandomnessStreams(13, trial=0)
-        tables = frozen_q_run(benchmark_game, configs, frozen, streams, 150_000)
+        (tables,) = frozen_q_run(benchmark_game, configs, frozen, [streams], 150_000)
         for i in range(2):
             j = 1 - i
             soft = soften_policy(DeterministicPolicy(j, frozen[j]), 0.05, 2)
@@ -833,10 +837,22 @@ class TestFrozenQRun:
                 for table in trial:
                     assert table.values.tobytes() == np.zeros((1, 2)).tobytes(), lockstep_min
 
+    def test_numpy_rates_play_as_their_python_values(self, benchmark_game):
+        # float32 rates for every player made a float32 stack row, where the
+        # lockstep form took 1 - alpha in float32
+        rates = dict(rho=0.05, lam=0.2, delta=0.5, alpha=0.08)
+        streams = [RandomnessStreams(5, trial=k) for k in range(orchestrator._LOCKSTEP_MIN)]
+        runs = []
+        for kind in (np.float32, lambda v: np.float32(v).item()):
+            configs = _configs(**{key: kind(value) for key, value in rates.items()})
+            tables = frozen_q_run(benchmark_game, configs, ((0, 0), (0, 1)), streams, 200)
+            runs.append((repr(configs), [t.values.tobytes() for trial in tables for t in trial]))
+        assert runs[0] == runs[1]
+
     def test_steps_must_be_positive(self, benchmark_game):
         with pytest.raises(ValueError):
             frozen_q_run(
-                benchmark_game, _configs(), ((0, 0), (0, 0)), RandomnessStreams(1), 0
+                benchmark_game, _configs(), ((0, 0), (0, 0)), [RandomnessStreams(1)], 0
             )
 
 
@@ -862,16 +878,9 @@ class TestSimulationTrace:
 
 class TestEquilibriumFrequency:
     def _mini_traces(self, benchmark_game, trials=20, horizon=3000):
-        traces = []
-        for trial in range(trials):
-            streams = RandomnessStreams(55, trial=trial)
-            schedule = draw_schedule(streams, 2, 400, 2, horizon)
-            traces.append(
-                run_episode(
-                    benchmark_game, _configs(), schedule, streams, horizon
-                )
-            )
-        return traces
+        streams = [RandomnessStreams(55, trial=trial) for trial in range(trials)]
+        schedules = [draw_schedule(s, 2, 400, 2, horizon) for s in streams]
+        return run_episodes(benchmark_game, _configs(), schedules, streams, horizon)
 
     def test_all_at_equilibrium_gives_one(self, benchmark_game):
         configs = tuple(
@@ -887,7 +896,7 @@ class TestEquilibriumFrequency:
         )
         streams = RandomnessStreams(9, trial=0)
         schedule = Schedule(min_length=601, ratio=1, phase_lengths=((601,), (601,)))
-        trace = run_episode(benchmark_game, configs, schedule, streams, 600)
+        (trace,) = run_episodes(benchmark_game, configs, [schedule], [streams], 600)
         freqs = equilibrium_frequency([trace], [0, 100, 599])
         assert freqs == {0: 1.0, 100: 1.0, 599: 1.0}
 
