@@ -173,21 +173,15 @@ def _check_finite(cost: np.ndarray, kernel: np.ndarray) -> None:
 
 
 def _backup(
-    cost: np.ndarray,
-    kernel: np.ndarray,
-    beta: float,
-    values: np.ndarray,
-    out: np.ndarray | None = None,
+    cost: np.ndarray, kernel: np.ndarray, beta: float, values: np.ndarray
 ) -> np.ndarray:
     """cost + beta * P values for a stack: cost (K, S, A), kernel (K, S, A, S),
-    values (K, S), written into ``out`` (a C-contiguous (K, S, A) array) when
-    given. The product is one (S * A, S) gemv per member, the form of both
-    stack solvers and of the single-solve oracle: BLAS sums in an order that
-    depends on the matrix's row count, so another shape of the same product
-    (such as K * S gemvs of (A, S)) can differ in the last bits."""
+    values (K, S). The product is one (S * A, S) gemv per member, the form of
+    both stack solvers and of the single-solve oracle: BLAS sums in an order
+    that depends on the matrix's row count, so another shape of the same
+    product (such as K * S gemvs of (A, S)) can differ in the last bits."""
     flat = kernel.reshape(len(kernel), -1, kernel.shape[-1])
-    out = np.empty(cost.shape) if out is None else out
-    np.matmul(flat, values[:, :, None], out=out.reshape(flat.shape[:2] + (1,)))
+    out = np.matmul(flat, values[:, :, None]).reshape(cost.shape)
     out *= beta
     out += cost
     return out
@@ -197,47 +191,33 @@ def _value_iteration(
     cost: np.ndarray, kernel: np.ndarray, beta: float, tol: float
 ) -> np.ndarray:
     """Value iteration on Q-factors for a stack of MDPs with one discount:
-    cost (K, S, A), kernel (K, S, A, S), both finite (else ValueError). Each
-    member starts from the zero table and leaves the stack at its own first
-    sweep whose successive gap is <= tol * (1 - beta) / (2 * beta) (a direct
-    pass for beta = 0), so its result does not depend on the other members.
-
-    A sweep takes the min over actions as elementwise minimums of the action
-    columns, multiplies by each member's kernel as one gemv (``_backup``) and
-    stops a member when every entry's gap is within the threshold. The min
-    and the stop are exact: they equal, bit for bit, ``q.min(axis=-1)`` and
-    the test on the largest gap per member. The sweeps run in place on
-    buffers of the live members, and the per-member stop test runs only on a
-    sweep where at least S * A entries of the stack are within the threshold,
-    which any stopping member needs (a NaN gap never counts)."""
+    cost (K, S, A), kernel (K, S, A, S), both finite (else ValueError). Every
+    member starts from the zero table and the whole stack is swept
+    (``_backup`` of the min over actions) until each member has had a sweep
+    whose successive gap is <= tol * (1 - beta) / (2 * beta) in every entry
+    (a direct pass for beta = 0). A member's result is its table from its own
+    first such sweep, so it does not depend on the other members. The
+    per-member test runs only on a sweep where at least S * A entries of the
+    stack are within the threshold, which any stopping member needs (a NaN
+    gap never counts)."""
     _check_finite(cost, kernel)
     if beta == 0.0:
         return cost.copy()
     threshold = tol * (1.0 - beta) / (2.0 * beta)
     entries = math.prod(cost.shape[1:])
     out = np.empty(cost.shape)
-    live = np.arange(len(cost))
-    q, q_next, gap = np.zeros(cost.shape), np.empty(cost.shape), np.empty(cost.shape)
-    low, within = np.empty(cost.shape[:2]), np.empty(cost.shape, dtype=bool)
+    pending = np.ones(len(cost), dtype=bool)
+    q = np.zeros(cost.shape)
     for _ in range(_MAX_VALUE_ITERATIONS):
-        np.copyto(low, q[..., 0])
-        for a in range(1, cost.shape[-1]):
-            np.minimum(low, q[..., a], out=low)
-        _backup(cost, kernel, beta, low, out=q_next)
-        np.abs(np.subtract(q_next, q, out=gap), out=gap)
-        if np.count_nonzero(np.less_equal(gap, threshold, out=within)) >= entries:
-            done = within.reshape(len(live), -1).all(axis=1)
-            if done.any():
-                out[live[done]] = q_next[done]
-                keep = ~done
-                live, cost, kernel = live[keep], cost[keep], kernel[keep]
-                if not live.size:
-                    return out
-                q_next[: live.size] = q_next[keep]
-                q, q_next, gap, low, within = (
-                    a[: live.size] for a in (q, q_next, gap, low, within)
-                )
-        q, q_next = q_next, q
+        q_next = _backup(cost, kernel, beta, q.min(axis=-1))
+        within = np.abs(q_next - q) <= threshold
+        if np.count_nonzero(within) >= entries:
+            done = pending & within.reshape(len(cost), -1).all(axis=1)
+            out[done] = q_next[done]
+            pending &= ~done
+            if not pending.any():
+                return out
+        q = q_next
     raise RuntimeError("value iteration failed to reach the stopping threshold")
 
 

@@ -192,6 +192,7 @@ class ExperimentResult:
 
 def _run_trials(
     game: StochasticGame,
+    configs: tuple[AgentConfig, ...],
     config: ExperimentConfig,
     trials: range,
 ) -> list[tuple[tuple[bool, ...], float]]:
@@ -205,7 +206,7 @@ def _run_trials(
     ]
     traces = run_episodes(
         game,
-        config.agent_configs(game),
+        configs,
         schedules,
         streams,
         config.horizon,
@@ -237,6 +238,7 @@ def run_experiment(
             stacklevel=2,
         )
 
+    configs = config.agent_configs(game)  # a wrong-length rate list fails before any side effect
     out = None if out_dir is None else Path(out_dir)
     if out is not None:  # before any play, so that an unusable one fails fast
         out.mkdir(parents=True, exist_ok=True)
@@ -246,9 +248,9 @@ def run_experiment(
     slices = [range(a, b) for a, b in zip(cuts, cuts[1:])]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(_run_trials, repeat(game), repeat(config), slices))
+            batches = list(pool.map(_run_trials, repeat(game), repeat(configs), repeat(config), slices))
     else:
-        batches = list(map(_run_trials, repeat(game), repeat(config), slices))
+        batches = list(map(_run_trials, repeat(game), repeat(configs), repeat(config), slices))
     outcomes = [outcome for batch in batches for outcome in batch]
 
     flags_by_trial = tuple(flags for flags, _ in outcomes)

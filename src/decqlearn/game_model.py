@@ -388,10 +388,15 @@ def _inverse_cdf(columns: np.ndarray, row: np.ndarray, w: np.ndarray) -> np.ndar
     return below[()]
 
 
-def _check_ids(name: str, ids: np.ndarray, stop: int) -> None:
-    """Every entry of ``ids`` in [0, stop); an empty array passes."""
-    if ids.size and not 0 <= ids.min() <= ids.max() < stop:
-        raise ValueError(f"{name} {ids} out of range")
+def _check_ids(name: str, ids: object, stop: int) -> np.ndarray:
+    """``ids`` as an array with every entry in [0, stop) (an empty array
+    passes): an id (see :func:`_is_id`) or an array of integer dtype."""
+    array = np.asarray(ids)
+    if not (array.dtype.kind in "iu" or _is_id(ids)):
+        raise ValueError(f"{name} must be an integer or an integer array, got {ids!r}")
+    if array.size and not 0 <= array.min() <= array.max() < stop:
+        raise ValueError(f"{name} {array} out of range")
+    return array
 
 
 def sample_transition(
@@ -406,13 +411,19 @@ def sample_transition(
     exceeds ``w``; ``w`` exactly at the top of the CDF maps to the last state
     of positive mass. Under w ~ Unif[0, 1] the induced law is the kernel row.
     The arguments may be integers and a float or arrays that broadcast
-    together; the result is an integer or an array of that shape. The
+    together; the result is an integer or an array of that shape. An id
+    that is not an integer or a w that is not real (a bool is neither) is a
+    ValueError naming it, as is one out of range. The
     cumulative masses are gathered from :attr:`StochasticGame.cdf_columns`
     by the flat (state, joint action) row, one next-state column at a time.
     """
-    state, joint_action, w = np.asarray(state), np.asarray(joint_action), np.asarray(w)
-    _check_ids("state id", state, game.num_states)
-    _check_ids("joint action index", joint_action, game.num_joint_actions)
+    state = _check_ids("state id", state, game.num_states)
+    joint_action = _check_ids("joint action index", joint_action, game.num_joint_actions)
+    if np.ndim(w) == 0 and not isinstance(w, np.ndarray):
+        w = _check("probability", "w", w)
+    w = np.asarray(w)
+    if w.dtype.kind not in "iuf":
+        raise ValueError(f"w must be a real number or a real array, got {w!r}")
     if w.size and not 0.0 <= w.min() <= w.max() <= 1.0:
         raise ValueError(f"w must lie in [0, 1], got {w}")
     row = np.add(np.multiply(state, game.num_joint_actions, dtype=np.intp), joint_action)

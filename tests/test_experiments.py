@@ -110,6 +110,19 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=rf"^{key} must "):
             ExperimentConfig(**{key: value})
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_rate_per_player_is_checked_before_the_out_dir(self, tmp_path, capsys, workers):
+        # three rhos for a two-player game: refused in the parent process,
+        # before the out-dir is made and before any worker starts
+        config = dict(rho=[0.05, 0.05, 0.05], trials=2, horizon=100, record_times=[0], workers=workers)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = ["simulate", "benchmark", "--config", str(cfg_path), "--out-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: rho needs one value per player, got 3")
+        assert not out.exists()
+
     def test_lists_are_held_as_tuples(self):
         config = ExperimentConfig(rho=[0.05, 0.1], record_times=[0, 10])
         assert config == ExperimentConfig(rho=(0.05, 0.1), record_times=(0, 10))

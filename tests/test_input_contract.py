@@ -158,6 +158,10 @@ def _labels(tol=1e-9, eps=0.0, action=1):
     return repr(dq.label_equilibria(_GAME, joints, tol, eps))
 
 
+def _transition(state=1, joint_action=2, w=0.3):
+    return repr(dq.sample_transition(_GAME, state, joint_action, w))
+
+
 def _cli(command, option, base):
     """``decqlearn <command>`` with ``option`` given the value's text; an
     exit code of 2 raises a ValueError carrying stderr, which must name the
@@ -246,6 +250,9 @@ SLOTS = [
     Slot("labels-tol", "positive", "tol", lambda v, out: _labels(tol=v)),
     Slot("labels-eps", "nonnegative", "eps", lambda v, out: _labels(eps=v)),
     Slot("labels-action", "action", "action id", lambda v, out: _labels(action=v)),
+    Slot("transition-state", "action", "state id", lambda v, out: _transition(state=v)),
+    Slot("transition-joint", "action", "joint action index", lambda v, out: _transition(joint_action=v)),
+    Slot("transition-w", "probability", "w must", lambda v, out: _transition(w=v)),
     *(
         Slot(f"cli-analyze-{o}", kind, o, _cli(_analyze_command, f"--{o}", _ANALYZE_ARGS), text=True)
         for o, kind in (
