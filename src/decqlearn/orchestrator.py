@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -453,7 +453,10 @@ def _first_baselines(
 
 
 # Most trial-stages played as one segment: a batch of B trials plays at most
-# _BLOCK // B stages at once, which bounds the per-segment tables.
+# _BLOCK // B stages at once, which bounds the per-segment tables (longer
+# tables lose cache locality). In lockstep a segment outlives the phase ends
+# inside it: the stage loop pauses there, and a trial that switches has its
+# own columns rebuilt; trial by trial, a segment ends at every phase end.
 _BLOCK = 1 << 13
 
 # Trial-stages of per-step draws taken at once from the open generators: few
@@ -531,15 +534,16 @@ class _QStack:
 
     def play(
         self,
-        game: StochasticGame,
-        tables: list[np.ndarray],
-        rows: np.ndarray,
-        successor: np.ndarray,
-        x: np.ndarray,
-    ) -> np.ndarray:
-        """Walk every trial's state path from states ``x`` with one gather per
-        stage, then give every (player, trial) its update of the stage in the
-        float order of :func:`_learn`; returns the states after the segment.
+        entries: np.ndarray,
+        written: np.ndarray,
+        pauses: Sequence[int],
+        pause: Callable[[int], None],
+    ) -> None:
+        """Give every (player, trial) its update of each stage in the float
+        order of :func:`_learn`, from the ``entries`` and ``written`` of a
+        :class:`_Segment`; before each stage of ``pauses`` (increasing, inside
+        the segment) the loop calls ``pause(stage)``, which may rebuild the
+        entries and costs of that stage on.
 
         A stage of A actions makes 5 + A numpy calls: one gather of every
         action plane's next-row entry and of the entry it writes, A - 1
@@ -547,56 +551,31 @@ class _QStack:
         keeps the first of tied values, 0.0 before -0.0), one multiply of
         the minimum by beta and of the old entry by 1 - alpha, ``+ c`` and
         ``* alpha`` on the minimum's row, the sum, and one scatter."""
-        num_states, batch, length = successor.shape
-        span = num_states * batch
-        trials = np.arange(batch)
-        # path[t, k] = (trial k's state at t) * B + k: the row of trial k's
-        # table within one player's block of the stack
-        step = (successor * batch + trials[:, None]).transpose(2, 0, 1).reshape(length, span)
-        path = np.empty((length + 1, batch), dtype=np.intp)
-        path[0] = x * batch + trials
-        for row, now, after in zip(step, path, path[1:]):
-            row.take(now, out=after, mode="clip")
-        now, after = path[:-1], path[1:]
-        # entry (state, k, t) of a (state, trial, stage) table is flat entry
-        # path[t, k] * L + t
-        cells = now * length + np.arange(length)[:, None]
-        cost_cells = rows.take(cells)
-        # column block i of each: player i's (stage, trial) entries; rows
-        # 0..A-1 of a stage's entries hold the next row in each action
-        # plane, row A the entry the stage writes. Row t of ``written``
-        # holds stage t's costs until the stage writes its values over them
-        plane, width = self.q[0].size, len(self.q)
-        entries = np.empty((length, width + 1, len(tables) * batch), dtype=np.intp)
-        written = np.empty((length, len(tables) * batch))
-        for i, (table, cost) in enumerate(zip(tables, game.costs)):
-            columns = slice(i * batch, (i + 1) * batch)
-            np.add(after, i * span, out=entries[:, 0, columns])
-            np.multiply(table.take(cells), plane, out=entries[:, width, columns], dtype=np.intp)
-            entries[:, width, columns] += now + i * span
-            written[:, columns] = cost.take(cost_cells)
-        for a in range(1, width):
-            np.add(entries[:, 0], a * plane, out=entries[:, a])
-
-        flat = self.q.reshape(-1)
+        flat, width = self.q.reshape(-1), len(self.q)
+        take, minimum, multiply, add = flat.take, np.minimum, np.multiply, np.add
         alpha, scale = self.alpha, self.scale
         read = np.empty(entries.shape[1:])
         # the fold leaves the minimum in row A - 1, beside the old entry in
         # row A, so one multiply scales both
         folds = list(zip(read[1:width], read[: width - 1]))
         pair, target, old = read[width - 1 :], read[width - 1], read[width]
-        for value, entry, write in zip(written, entries, entries[:, width]):
-            # (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
-            flat.take(entry, None, read, "clip")
-            for later, running in folds:
-                np.minimum(later, running, out=later)
-            np.multiply(pair, scale, pair)
-            target += value  # the stage's costs
-            target *= alpha
-            np.add(old, target, value)
-            flat[write] = value
+        bounds = [0, *pauses, len(written)]
+        for start, stop in zip(bounds, bounds[1:]):
+            if start:
+                pause(start)
+            for value, entry, write in zip(
+                written[start:stop], entries[start:stop], entries[start:stop, width]
+            ):
+                # (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
+                take(entry, None, read, "clip")
+                for later, running in folds:
+                    minimum(later, running, out=later)
+                multiply(pair, scale, pair)
+                add(target, value, target)  # the stage's costs
+                multiply(target, alpha, target)
+                add(old, target, value)
+                flat[write] = value
         np.maximum(self.max_abs_q, np.abs(written).max(axis=0), out=self.max_abs_q)
-        return after[-1] // batch
 
     def play_each(
         self,
@@ -693,6 +672,101 @@ def _learn(
     return max(hi, -lo)
 
 
+class _Segment:
+    """The tables of one segment of a batch under frozen baselines: per
+    player its actions, and the (state, joint action) rows of the kernel
+    and cost tables, each over (state, trial, stage), with the state axis
+    first to keep the inner loops long. Given the :class:`_QStack` that
+    plays it in lockstep, it also holds every trial's state walk and the
+    ``entries`` and ``written`` of :meth:`_QStack.play`; without one, the
+    next states over (state, trial, stage), which :meth:`_QStack.play_each`
+    walks trial by trial.
+
+    ``baselines`` holds each player's baseline per trial, (trial, state);
+    ``w`` the transition uniforms and ``draws`` each player's
+    experimentation flags and uniform actions, (trial, stage); trial k
+    starts in state ``x[k]``. :meth:`build` writes every table, and after
+    a baseline changes it rewrites that trial's columns from the stage on.
+    """
+
+    def __init__(
+        self,
+        game: StochasticGame,
+        baselines: list[np.ndarray],
+        w: np.ndarray,
+        draws: list[tuple[np.ndarray, np.ndarray]],
+        x: np.ndarray,
+        stack: _QStack | None,
+    ) -> None:
+        self.game, self.baselines, self.w, self.draws = game, baselines, w, draws
+        batch, length = w.shape
+        shape = (game.num_states, batch, length)
+        # the action tables in the draws' narrow integer type; the rows,
+        # state * J + joint action, which may not fit it, in np.intp
+        self.tables = [np.empty(shape, dtype=uniform.dtype) for _, uniform in draws]
+        self.rows = np.empty(shape, dtype=np.intp)
+        self.lockstep = stack is not None
+        if self.lockstep:
+            # path[t, k] = (trial k's state at t) * B + k: the row of trial
+            # k's table within one player's block of the stack; step[t, s,
+            # k] the row after stage t from state s
+            self.step = np.empty((length, game.num_states, batch), dtype=np.intp)
+            self.path = np.empty((length + 1, batch), dtype=np.intp)
+            self.path[0] = x * batch + np.arange(batch)
+            # column block i of each: player i's (stage, trial) entries;
+            # rows 0..A-1 of a stage's entries hold the next row in each
+            # action plane, row A the entry the stage writes. Row t of
+            # ``written`` holds stage t's costs until the stage writes its
+            # values over them
+            self.plane, self.width = stack.q[0].size, len(stack.q)
+            self.entries = np.empty((length, self.width + 1, len(draws) * batch), dtype=np.intp)
+            self.written = np.empty((length, len(draws) * batch))
+        else:
+            self.successor = np.empty(shape, dtype=np.intp)
+        self.build(0, batch, 0)
+
+    def build(self, k0: int, k1: int, u: int) -> None:
+        """Write the columns of trials [k0, k1) from stage ``u`` on, under
+        the current baselines."""
+        game, batch, length = self.game, *self.w.shape
+        trials, stages = slice(k0, k1), slice(u, None)
+        for table, base, (explore, uniform) in zip(self.tables, self.baselines, self.draws):
+            table[:, trials, stages] = np.where(
+                explore[trials, stages],
+                uniform[trials, stages],
+                base[trials].T.astype(uniform.dtype)[:, :, None],
+            )
+        rows = self.rows[:, trials, stages]
+        np.multiply(self.tables[0][:, trials, stages], game.joint_strides[0], out=rows, dtype=np.intp)
+        for table, stride in zip(self.tables[1:], game.joint_strides[1:]):
+            rows += np.multiply(table[:, trials, stages], stride, dtype=np.intp)
+        rows += np.arange(game.num_states, dtype=np.intp)[:, None, None] * game.num_joint_actions
+        successor = _inverse_cdf(game.cdf_columns, rows, self.w[trials, stages])
+        if not self.lockstep:
+            self.successor[:, trials, stages] = successor
+            return
+        self.step[stages, :, trials] = (
+            successor * batch + np.arange(k0, k1)[:, None]
+        ).transpose(2, 0, 1)
+        step = self.step.reshape(length, -1)
+        for row, now, after in zip(step[stages], self.path[u:, trials], self.path[u + 1 :, trials]):
+            row.take(now, out=after, mode="clip")
+        now, after = self.path[u:-1, trials], self.path[u + 1 :, trials]
+        # entry (state, k, t) of a (state, trial, stage) table is flat entry
+        # path[t, k] * L + t
+        cells = now * length + np.arange(u, length)[:, None]
+        cost_cells = self.rows.take(cells)
+        span, entries = game.num_states * batch, self.entries[stages]
+        for i, (table, cost) in enumerate(zip(self.tables, game.costs)):
+            columns = slice(i * batch + k0, i * batch + k1)
+            np.add(after, i * span, out=entries[:, 0, columns])
+            for a in range(1, self.width):
+                np.add(entries[:, 0, columns], a * self.plane, out=entries[:, a, columns])
+            np.multiply(table.take(cells), self.plane, out=entries[:, self.width, columns], dtype=np.intp)
+            entries[:, self.width, columns] += now + i * span
+            self.written[stages, columns] = cost.take(cost_cells)
+
+
 def _play_segment(
     game: StochasticGame,
     baselines: list[np.ndarray],
@@ -700,33 +774,32 @@ def _play_segment(
     draws: list[tuple[np.ndarray, np.ndarray]],
     x: np.ndarray,
     stack: _QStack,
+    pauses: Sequence[int],
+    appraise: Callable[[int], list[int]],
 ) -> np.ndarray:
-    """Play one stretch of stages of a batch under frozen baselines, trial k
-    starting in state ``x[k]``; returns the states after its last stage.
+    """Play one stretch of stages of a batch, trial k starting in state
+    ``x[k]``; returns the states after its last stage.
 
-    ``baselines`` holds each player's baseline per trial, (trial, state);
-    ``w`` the transition uniforms and ``draws`` each player's
-    experimentation flags and uniform actions, (trial, stage). With the
-    baselines fixed, the action of every player and the next state are
-    tables over (state, trial, stage), built with array operations (the
-    state axis first keeps the inner loops long). The state paths and the
+    The arguments are those of :class:`_Segment`, which builds the tables
+    over the whole stretch with array operations. The state paths and the
     Q-factor recursions then run stage by stage on ``stack``: in lockstep
-    for a batch of ``_LOCKSTEP_MIN`` trials or more, else trial by trial.
+    for a batch of ``_LOCKSTEP_MIN`` trials or more, else trial by trial
+    under baselines frozen for the whole stretch. In lockstep the stage loop
+    pauses before each stage of ``pauses``: ``appraise(stage)`` runs the
+    appraisals due there and returns the trials whose baselines changed,
+    and each of them alone has its columns rebuilt from that stage on.
     """
-    # the tables in the draws' narrow integer type; the (state, joint action)
-    # rows of the kernel and cost tables, state * J + joint action, which may
-    # not fit it, in np.intp
-    tables = [
-        np.where(explore, uniform, base.T.astype(uniform.dtype)[:, :, None])
-        for base, (explore, uniform) in zip(baselines, draws)
-    ]
-    rows = np.multiply(tables[0], game.joint_strides[0], dtype=np.intp)
-    for table, stride in zip(tables[1:], game.joint_strides[1:]):
-        rows += np.multiply(table, stride, dtype=np.intp)
-    rows += np.arange(game.num_states, dtype=np.intp)[:, None, None] * game.num_joint_actions
-    successor = _inverse_cdf(game.cdf_columns, rows, w)
-    play = stack.play if len(w) >= _LOCKSTEP_MIN else stack.play_each
-    return play(game, tables, rows, successor, x)
+    lockstep = len(w) >= _LOCKSTEP_MIN
+    segment = _Segment(game, baselines, w, draws, x, stack if lockstep else None)
+    if not lockstep:
+        return stack.play_each(game, segment.tables, segment.rows, segment.successor, x)
+
+    def pause(stage: int) -> None:
+        for k in appraise(stage):
+            segment.build(k, k + 1, stage)
+
+    stack.play(segment.entries, segment.written, pauses, pause)
+    return segment.path[-1] // len(w)
 
 
 def _simulate(
@@ -739,12 +812,11 @@ def _simulate(
     boundaries: Sequence[Sequence[Sequence[int]]],
     record_q: bool,
 ) -> list[tuple[Joint, list, list, tuple[np.ndarray, ...], tuple[float, ...]]]:
-    """Play ``horizon`` stages of a batch of trials in segments between
-    update and record times; per trial, returns its initial joint baseline,
-    its policy changes as (t, player, joint in force from t), its records
-    as (t, joint, Q snapshots or None), and per player its final Q table and
-    largest |Q|. Nothing here labels a joint: the learners never read
-    whether one is an equilibrium.
+    """Play ``horizon`` stages of a batch of trials in segments; per trial,
+    returns its initial joint baseline, its policy changes as (t, player,
+    joint in force from t), its records as (t, joint, Q snapshots or None),
+    and per player its final Q table and largest |Q|. Nothing here labels
+    a joint: the learners never read whether one is an equilibrium.
 
     Trial k has the streams ``streams[k]`` and the phase start times
     ``boundaries[k]`` (a schedule's ``boundaries``, or nothing for a run
@@ -758,12 +830,18 @@ def _simulate(
     :func:`decqlearn.agent.end_phase_update`, which takes the inertia
     uniform keyed by (trial, player, time) only for a baseline that is not
     delta-greedy, so no other draw depends on it. A player experiments at
-    stage t when its experimentation uniform is <= its rho. Every baseline
-    is frozen between two update times, so the stages up to the next update
-    time of any trial, the next record time or the end of the current block
-    of draws (``_DRAWS`` trial-stages, at least ``_DRAWS_MIN_STAGES``
-    stages), at most ``_BLOCK`` trial-stages, form one segment, played by
-    :func:`_play_segment`; appraisals and snapshots run at segment starts.
+    stage t when its experimentation uniform is <= its rho. The stages up
+    to the next record time or the end of the current block of draws
+    (``_DRAWS`` trial-stages, at least ``_DRAWS_MIN_STAGES`` stages), at
+    most ``_BLOCK`` trial-stages, form one segment, played by
+    :func:`_play_segment`; snapshots run at segment starts. Every baseline
+    is frozen between two update times. In lockstep (a batch of
+    ``_LOCKSTEP_MIN`` trials or more) the appraisals at an update time
+    inside a segment run when the stage loop pauses there, and each trial
+    whose baseline changed has its columns of the segment rebuilt from that
+    stage on; trial by trial, a segment also ends at the next update time of
+    any trial. Either way the appraisals at a time run in (trial, player)
+    order and draw the same keyed uniforms as at a segment start.
     A trial's draws depend only on its streams, so its outputs do not
     depend on the batch, and they equal bit for bit those of the
     stage-by-stage reference ``tests/oracles.simulate_stepwise``.
@@ -780,6 +858,8 @@ def _simulate(
     )
     updates.append((horizon, -1, -1))
     next_update = 0
+    update_times = sorted({u for u, _, _ in updates})
+    lockstep = batch >= _LOCKSTEP_MIN
     times = tuple(record_times)
     if not all(_is_id(t) and 0 <= t < horizon for t in times):
         raise ValueError(f"record times must be integers in [0, horizon), got {times!r}")
@@ -808,22 +888,32 @@ def _simulate(
     segment_length = max(1, _BLOCK // batch)
     block_length = max(_DRAWS_MIN_STAGES, _DRAWS // batch)
 
-    t = block_start = block_stop = 0
-    while t < horizon:
-        while updates[next_update][0] == t:
+    def appraise(now: int) -> list[int]:
+        """Run the appraisals at time ``now``; returns the trials whose
+        baselines changed, in order, once each."""
+        nonlocal next_update
+        switched: list[int] = []
+        while updates[next_update][0] == now:
             _, k, i = updates[next_update]
             next_update += 1
             new = end_phase_update(
                 configs[i],
                 stack.table(i, k),
                 baselines[i][k],
-                partial(streams[k].inertia_uniform, i, t),
-                partial(streams[k].policy_draw, i, t),
+                partial(streams[k].inertia_uniform, i, now),
+                partial(streams[k].policy_draw, i, now),
             )
             if new is not None:
                 baselines[i][k] = new
                 current[k] = joint_of(k)
-                events[k].append((t, i, current[k]))
+                events[k].append((now, i, current[k]))
+                if not switched or switched[-1] != k:
+                    switched.append(k)
+        return switched
+
+    t = block_start = block_stop = 0
+    while t < horizon:
+        appraise(t)
         if sorted_records[next_record] == t:
             for k in range(batch):
                 records[k].append((t, current[k], tables_of(k) if record_q else None))
@@ -832,9 +922,12 @@ def _simulate(
             block_start, block_stop = t, min(t + block_length, horizon)
             w, draws = _draw_block(game, configs, generators, block_stop - t)
 
-        stop = min(
-            t + segment_length, block_stop, updates[next_update][0], sorted_records[next_record]
-        )
+        stop = min(t + segment_length, block_stop, sorted_records[next_record])
+        if lockstep:
+            inside = update_times[bisect_right(update_times, t) : bisect_left(update_times, stop)]
+            pauses = [u - t for u in inside]
+        else:
+            stop, pauses = min(stop, updates[next_update][0]), []
         a, b = t - block_start, stop - block_start
         x = _play_segment(
             game,
@@ -843,6 +936,8 @@ def _simulate(
             [(explore[:, a:b], uniform[:, a:b]) for explore, uniform in draws],
             x,
             stack,
+            pauses,
+            lambda stage, start=t: appraise(start + stage),
         )
         t = stop
 

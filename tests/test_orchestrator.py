@@ -644,6 +644,75 @@ class TestSegmentEngine:
         game = random_game(np.random.default_rng(block), num_players=2, max_states=4)
         self._assert_matches_stepwise(monkeypatch, game, 40, 2, 1500, (0, 700), seed=block)
 
+    def test_dense_phases(self, monkeypatch, benchmark_game):
+        # phases of 10 to 30 stages: in lockstep the stage loop pauses at
+        # many phase ends per segment, and the trials that switch there have
+        # their columns rebuilt while the others play on
+        traces = self._assert_matches_stepwise(
+            monkeypatch, benchmark_game, 10, 3, 2000, (0, 999, 1999), seed=16, batches=(1, 9, 40)
+        )
+        switches = [{(e["t"], e["player"]) for e in trace["events"]} for trace in traces]
+        segment_length = orchestrator._BLOCK // 40
+        assert sum(any(0 < t < segment_length for t, _ in trial) for trial in switches) >= 5
+        # both players of one trial switch at one time
+        assert any((t, 0) in trial and (t, 1) in trial for trial in switches for t, _ in trial)
+
+    def test_switches_next_to_cuts(self, monkeypatch):
+        # segments of 5, 22 and 200 stages at batches of 40, 9 and 1, draw
+        # blocks of 11, 49 and 443 stages, and phases of 4 to 12 stages:
+        # trials switch on the first, the second and the last stage of a
+        # segment, beside draw-block ends and beside record times
+        monkeypatch.setattr(orchestrator, "_BLOCK", 200)
+        monkeypatch.setattr(orchestrator, "_DRAWS", 40 * 11 + 3)
+        monkeypatch.setattr(orchestrator, "_DRAWS_MIN_STAGES", 1)
+        game = random_game(np.random.default_rng(17), num_players=2, max_states=4)
+        records = (0, 37, 400, 1199)
+        traces = self._assert_matches_stepwise(
+            monkeypatch, game, 4, 3, 1200, records, seed=17, batches=(1, 9, 40)
+        )
+        # the switch times, against the segments of the batch of 40
+        times = {e["t"] for trace in traces for e in trace["events"]}
+        cuts = _lockstep_cuts(1200, 5, 11, records)
+        block_ends = set(range(11, 1200, 11))
+        for near in (cuts, {t - 1 for t in cuts}, {t + 1 for t in cuts}):
+            assert times & near
+        assert times & {t - 1 for t in block_ends} and times & {t + 1 for t in block_ends}
+        assert times & {36, 38, 399, 401}
+
+    def test_segments_outlive_appraisals(self, monkeypatch, benchmark_game):
+        # the benchmark run's size and parameters in lockstep: a segment ends
+        # only at the stage cap, a draw-block end, a record time or the
+        # horizon, and a switch rebuilds its own trial's columns only
+        built = []
+        build = orchestrator._Segment.build
+
+        def counted(segment, k0, k1, u):
+            built.append((k0, k1, u))
+            build(segment, k0, k1, u)
+
+        monkeypatch.setattr(orchestrator._Segment, "build", counted)
+        batch, horizon, records = 32, 100_000, tuple(range(0, 100_000, 10_000))
+        streams = [RandomnessStreams(0, trial=k) for k in range(batch)]
+        schedules = [draw_schedule(s, 2, 5000, 3, horizon) for s in streams]
+        traces = run_episodes(benchmark_game, _configs(), schedules, streams, horizon, records)
+
+        cuts = _lockstep_cuts(
+            horizon,
+            orchestrator._BLOCK // batch,
+            max(orchestrator._DRAWS_MIN_STAGES, orchestrator._DRAWS // batch),
+            records,
+        )
+        segments = [call for call in built if call == (0, batch, 0)]
+        rebuilds = [call for call in built if call != (0, batch, 0)]
+        assert len(segments) == len(cuts) <= 400
+        # the phase-end times inside segments, where the stage loop pauses
+        phase_ends = {t for s in schedules for row in s.boundaries for t in row[1:] if t < horizon}
+        assert len(phase_ends - cuts) > 300
+        switched = {(e.t, tr.trial) for tr in traces for e in tr.events if e.t not in cuts}
+        assert switched
+        assert all(k1 == k0 + 1 and u > 0 for k0, k1, u in rebuilds)
+        assert len(rebuilds) == len(switched)
+
     def test_trace_does_not_depend_on_the_batch(self, monkeypatch, benchmark_game):
         monkeypatch.setattr(orchestrator, "_LOCKSTEP_MIN", 1)
 
@@ -659,6 +728,18 @@ class TestSegmentEngine:
         alone = traces([5])[5]
         for trials in ([5, 0, 1], [9, 5], list(range(12))):
             assert traces(trials)[5] == alone
+
+
+def _lockstep_cuts(horizon, segment_length, block_length, record_times):
+    """The start times of the lockstep engine's segments: a segment ends at
+    ``segment_length`` stages, at the end of a block of draws (every
+    ``block_length`` stages from 0), at a record time or at the horizon."""
+    cuts, t = set(), 0
+    while t < horizon:
+        cuts.add(t)
+        later = [r for r in record_times if r > t]
+        t = min(t + segment_length, (t // block_length + 1) * block_length, *later, horizon)
+    return cuts
 
 
 def _tie_game() -> StochasticGame:
