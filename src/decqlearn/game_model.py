@@ -484,13 +484,27 @@ def game_from_dict(data: dict) -> StochasticGame:
         return StochasticGame(
             states=tuple(states),
             action_sets=tuple(tuple(a) for a in actions),
-            costs=tuple(np.asarray(c, dtype=np.float64) for c in costs),
-            discounts=tuple(float(b) for b in discounts),
-            kernel=np.asarray(kernel, dtype=np.float64),
-            initial_dist=np.asarray(initial, dtype=np.float64),
+            costs=tuple(_numbers(f"costs[{i}]", c) for i, c in enumerate(costs)),
+            discounts=tuple(_numbers("discounts", discounts).tolist()),
+            kernel=_numbers("kernel", kernel),
+            initial_dist=_numbers("initial_dist", initial),
         )
     except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed game description: {exc}") from exc
+
+
+def _numbers(key: str, value) -> np.ndarray:
+    """``value``, a number or nested lists of numbers, as a float64 array;
+    an entry that is not a real number (see :func:`_is_real`: a bool, a
+    string, a null or a list out of place) is a ValueError naming ``key``."""
+    entries = np.asarray(value, dtype=object)
+    # JSON's numbers are int and float: one pass over the entries' types
+    # clears them, and any other type has its entries checked one by one
+    if not {int, float}.issuperset(map(type, entries.flat)):
+        for entry in entries.flat:
+            if not _is_real(entry):
+                raise ValueError(f"{key} must hold numbers only, got {entry!r}")
+    return entries.astype(np.float64)
 
 
 def save_game(game: StochasticGame, path: str | Path, players: Iterable[str] | None = None) -> None:

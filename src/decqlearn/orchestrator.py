@@ -26,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -179,7 +179,8 @@ class Schedule:
     """Per-player exploration phase lengths and the implied boundary times.
 
     Boundaries start at 0 and satisfy t[k+1] = t[k] + length[k]; every length
-    must lie in [min_length, ratio * min_length].
+    is a count (the rule of ``min_length`` and ``ratio``), held as the Python
+    int it equals, and must lie in [min_length, ratio * min_length].
     """
 
     min_length: int
@@ -192,7 +193,10 @@ class Schedule:
         object.__setattr__(
             self,
             "phase_lengths",
-            tuple(tuple(int(v) for v in row) for row in self.phase_lengths),
+            tuple(
+                tuple(_check("count", f"phase length of player {i}", v) for v in row)
+                for i, row in enumerate(self.phase_lengths)
+            ),
         )
         cap = self.ratio * self.min_length
         for i, row in enumerate(self.phase_lengths):
@@ -201,8 +205,8 @@ class Schedule:
             for v in row:
                 if not self.min_length <= v <= cap:
                     raise ValueError(
-                        f"phase length {v} for player {i} outside "
-                        f"[{self.min_length}, {cap}]"
+                        f"phase length of player {i} must lie in "
+                        f"[{self.min_length}, {cap}], got {v}"
                     )
 
     @property
@@ -454,9 +458,8 @@ def _first_baselines(
 
 # Most trial-stages played as one segment: a batch of B trials plays at most
 # _BLOCK // B stages at once, which bounds the per-segment tables (longer
-# tables lose cache locality). In lockstep a segment outlives the phase ends
-# inside it: the stage loop pauses there, and a trial that switches has its
-# own columns rebuilt; trial by trial, a segment ends at every phase end.
+# tables lose cache locality). A segment outlives the phase ends inside it:
+# play pauses there, and a trial that switches has its own columns rebuilt.
 _BLOCK = 1 << 13
 
 # Trial-stages of per-step draws taken at once from the open generators: few
@@ -532,18 +535,10 @@ class _QStack:
         """A view of one Q table, (state, action)."""
         return self.q[: self.widths[player], player, :, trial].T
 
-    def play(
-        self,
-        entries: np.ndarray,
-        written: np.ndarray,
-        pauses: Sequence[int],
-        pause: Callable[[int], None],
-    ) -> None:
-        """Give every (player, trial) its update of each stage in the float
-        order of :func:`_learn`, from the ``entries`` and ``written`` of a
-        :class:`_Segment`; before each stage of ``pauses`` (increasing, inside
-        the segment) the loop calls ``pause(stage)``, which may rebuild the
-        entries and costs of that stage on.
+    def play(self, entries: np.ndarray, written: np.ndarray, start: int, stop: int) -> None:
+        """Give every (player, trial) its update of each stage in [start,
+        stop) of a :class:`_Segment`, from its ``entries`` and ``written``,
+        in the float order of :func:`_learn`.
 
         A stage of A actions makes 5 + A numpy calls: one gather of every
         action plane's next-row entry and of the entry it writes, A - 1
@@ -559,22 +554,17 @@ class _QStack:
         # row A, so one multiply scales both
         folds = list(zip(read[1:width], read[: width - 1]))
         pair, target, old = read[width - 1 :], read[width - 1], read[width]
-        bounds = [0, *pauses, len(written)]
-        for start, stop in zip(bounds, bounds[1:]):
-            if start:
-                pause(start)
-            for value, entry, write in zip(
-                written[start:stop], entries[start:stop], entries[start:stop, width]
-            ):
-                # (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
-                take(entry, None, read, "clip")
-                for later, running in folds:
-                    minimum(later, running, out=later)
-                multiply(pair, scale, pair)
-                add(target, value, target)  # the stage's costs
-                multiply(target, alpha, target)
-                add(old, target, value)
-                flat[write] = value
+        written = written[start:stop]
+        for value, entry, write in zip(written, entries[start:stop], entries[start:stop, width]):
+            # (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
+            take(entry, None, read, "clip")
+            for later, running in folds:
+                minimum(later, running, out=later)
+            multiply(pair, scale, pair)
+            add(target, value, target)  # the stage's costs
+            multiply(target, alpha, target)
+            add(old, target, value)
+            flat[write] = value
         np.maximum(self.max_abs_q, np.abs(written).max(axis=0), out=self.max_abs_q)
 
     def play_each(
@@ -584,14 +574,19 @@ class _QStack:
         rows: np.ndarray,
         successor: np.ndarray,
         x: np.ndarray,
+        start: int,
+        stop: int,
     ) -> np.ndarray:
-        """:meth:`play` one trial at a time: a Python walk of each trial's
-        state path, then :func:`_learn` on each of its tables as lists,
-        written back into the stack after the segment."""
-        num_states, batch, length = successor.shape
+        """:meth:`play` stages [start, stop) of a :class:`_Segment` one trial
+        at a time, trial k starting in state ``x[k]``: a Python walk of each
+        trial's state path, then :func:`_learn` on each of its tables as
+        lists, written back into the stack; returns the states after stage
+        ``stop - 1``."""
+        num_states, batch = successor.shape[:2]
+        length = stop - start
         paths = []
         for k in range(batch):
-            step = successor[:, k].T.ravel().tolist()
+            step = successor[:, k, start:stop].T.ravel().tolist()
             state = int(x[k])
             path = []
             for offset in range(0, length * num_states, num_states):
@@ -601,7 +596,7 @@ class _QStack:
             paths.append(path)
         visited = np.array(paths)
         # cell (trial k, stage t) of a (state, trial, stage) table along the paths
-        cells = (visited[:, :-1], np.arange(batch)[:, None], np.arange(length))
+        cells = (visited[:, :-1], np.arange(batch)[:, None], np.arange(start, stop))
         cost_cells = rows[cells]
         for i, (table, costs) in enumerate(zip(tables, game.costs)):
             actions, path_costs = table[cells].tolist(), costs.take(cost_cells).tolist()
@@ -686,7 +681,8 @@ class _Segment:
     ``w`` the transition uniforms and ``draws`` each player's
     experimentation flags and uniform actions, (trial, stage); trial k
     starts in state ``x[k]``. :meth:`build` writes every table, and after
-    a baseline changes it rewrites that trial's columns from the stage on.
+    a baseline changes at a pause it rewrites that trial's columns from the
+    stage on, in either form.
     """
 
     def __init__(
@@ -767,41 +763,6 @@ class _Segment:
             self.written[stages, columns] = cost.take(cost_cells)
 
 
-def _play_segment(
-    game: StochasticGame,
-    baselines: list[np.ndarray],
-    w: np.ndarray,
-    draws: list[tuple[np.ndarray, np.ndarray]],
-    x: np.ndarray,
-    stack: _QStack,
-    pauses: Sequence[int],
-    appraise: Callable[[int], list[int]],
-) -> np.ndarray:
-    """Play one stretch of stages of a batch, trial k starting in state
-    ``x[k]``; returns the states after its last stage.
-
-    The arguments are those of :class:`_Segment`, which builds the tables
-    over the whole stretch with array operations. The state paths and the
-    Q-factor recursions then run stage by stage on ``stack``: in lockstep
-    for a batch of ``_LOCKSTEP_MIN`` trials or more, else trial by trial
-    under baselines frozen for the whole stretch. In lockstep the stage loop
-    pauses before each stage of ``pauses``: ``appraise(stage)`` runs the
-    appraisals due there and returns the trials whose baselines changed,
-    and each of them alone has its columns rebuilt from that stage on.
-    """
-    lockstep = len(w) >= _LOCKSTEP_MIN
-    segment = _Segment(game, baselines, w, draws, x, stack if lockstep else None)
-    if not lockstep:
-        return stack.play_each(game, segment.tables, segment.rows, segment.successor, x)
-
-    def pause(stage: int) -> None:
-        for k in appraise(stage):
-            segment.build(k, k + 1, stage)
-
-    stack.play(segment.entries, segment.written, pauses, pause)
-    return segment.path[-1] // len(w)
-
-
 def _simulate(
     game: StochasticGame,
     configs: Sequence[AgentConfig],
@@ -833,15 +794,16 @@ def _simulate(
     stage t when its experimentation uniform is <= its rho. The stages up
     to the next record time or the end of the current block of draws
     (``_DRAWS`` trial-stages, at least ``_DRAWS_MIN_STAGES`` stages), at
-    most ``_BLOCK`` trial-stages, form one segment, played by
-    :func:`_play_segment`; snapshots run at segment starts. Every baseline
-    is frozen between two update times. In lockstep (a batch of
-    ``_LOCKSTEP_MIN`` trials or more) the appraisals at an update time
-    inside a segment run when the stage loop pauses there, and each trial
-    whose baseline changed has its columns of the segment rebuilt from that
-    stage on; trial by trial, a segment also ends at the next update time of
-    any trial. Either way the appraisals at a time run in (trial, player)
-    order and draw the same keyed uniforms as at a segment start.
+    most ``_BLOCK`` trial-stages, form one :class:`_Segment`, whose tables
+    are built with array operations; snapshots run at segment starts. Every
+    baseline is frozen between two update times: play pauses at each update
+    time inside a segment, runs the appraisals due there, and rebuilds the
+    columns of each trial whose baseline changed from that stage on. The
+    appraisals at a time run in (trial, player) order and draw the same
+    keyed uniforms wherever the time falls. Between pauses the state paths
+    and Q-factor recursions run stage by stage, in lockstep
+    (:meth:`_QStack.play`) for a batch of ``_LOCKSTEP_MIN`` trials or more,
+    else trial by trial (:meth:`_QStack.play_each`).
     A trial's draws depend only on its streams, so its outputs do not
     depend on the batch, and they equal bit for bit those of the
     stage-by-stage reference ``tests/oracles.simulate_stepwise``.
@@ -923,22 +885,28 @@ def _simulate(
             w, draws = _draw_block(game, configs, generators, block_stop - t)
 
         stop = min(t + segment_length, block_stop, sorted_records[next_record])
-        if lockstep:
-            inside = update_times[bisect_right(update_times, t) : bisect_left(update_times, stop)]
-            pauses = [u - t for u in inside]
-        else:
-            stop, pauses = min(stop, updates[next_update][0]), []
+        pauses = update_times[bisect_right(update_times, t) : bisect_left(update_times, stop)]
         a, b = t - block_start, stop - block_start
-        x = _play_segment(
+        segment = _Segment(
             game,
             baselines,
             w[:, a:b],
             [(explore[:, a:b], uniform[:, a:b]) for explore, uniform in draws],
             x,
-            stack,
-            pauses,
-            lambda stage, start=t: appraise(start + stage),
+            stack if lockstep else None,
         )
+        bounds = [0, *(u - t for u in pauses), stop - t]
+        for start, end in zip(bounds, bounds[1:]):
+            if start:
+                for k in appraise(t + start):
+                    segment.build(k, k + 1, start)
+            if lockstep:
+                stack.play(segment.entries, segment.written, start, end)
+            else:
+                x = stack.play_each(game, segment.tables, segment.rows, segment.successor, x, start, end)
+        if lockstep:
+            x = segment.path[-1] // batch
+        del segment  # its tables go before the next segment's are built
         t = stop
 
     return [

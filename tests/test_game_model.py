@@ -349,6 +349,10 @@ _BAD_INTEGERS = {
     "trial-float": ("trial", lambda g: RandomnessStreams(0, trial=1.5)),
     "schedule-min-length": ("min_length", lambda g: Schedule(2.5, 2, ((3,),))),
     "schedule-ratio": ("ratio", lambda g: Schedule(2, 2.0, ((3,),))),
+    # a phase length was held as int(v): 2.5 as 2, True as 1 and "3" as 3
+    "schedule-phase-length": ("phase length of player 0", lambda g: Schedule(1, 3, ((2.5, 3),))),
+    "schedule-phase-length-bool": ("phase length of player 1", lambda g: Schedule(1, 3, ((3,), (True, 3)))),
+    "schedule-phase-length-string": ("phase length of player 0", lambda g: Schedule(1, 3, (("3", 3),))),
     "draw-min-length": ("min_length", lambda g: draw_schedule(_STREAMS, 2, 2.5, 2, 10)),
     "draw-min-length-bool": ("min_length", lambda g: draw_schedule(_STREAMS, 2, True, 2, 10)),
     "draw-ratio": ("ratio", lambda g: draw_schedule(_STREAMS, 2, 2, 1.5, 10)),
@@ -644,6 +648,36 @@ class TestLoaderFuzz:
         except ValueError:
             return
         assert isinstance(game, StochasticGame)
+
+    # np.asarray(..., dtype=np.float64) and float() read each of these as a
+    # number, so the game loaded and validate_game reported nothing
+    @pytest.mark.parametrize(
+        "key, where, value",
+        [
+            ("discounts", (), [False, False]),
+            ("discounts", (0,), "0.8"),
+            ("costs", (1, 0, 0), "7"),
+            ("costs", (0, 1, 2), True),
+            ("kernel", (1, 2), ["0.5", "0.5"]),
+            ("kernel", (0, 0, 1), False),
+            ("initial_dist", (), [True, False]),
+            ("initial_dist", (1,), True),
+        ],
+    )
+    def test_non_numbers_are_refused_by_key(
+        self, benchmark_game, tmp_path, capsys, key, where, value
+    ):
+        document = game_to_dict(benchmark_game)
+        parent, index = document, key
+        for step in where:
+            parent, index = parent[index], step
+        parent[index] = value
+        with pytest.raises(ValueError, match=rf"^{key}(\[\d\])? must hold numbers only"):
+            game_from_dict(document)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(document))
+        assert cli.main(["analyze", str(path)]) == 2
+        assert key in capsys.readouterr().err
 
     @settings(max_examples=60, deadline=None)
     @given(document=_game_documents())

@@ -135,6 +135,10 @@ def _schedule(num_players=2, min_length=10, ratio=2, horizon=60):
     return repr(dq.draw_schedule(dq.RandomnessStreams(1), num_players, min_length, ratio, horizon))
 
 
+def _phase_lengths(length):
+    return repr(dq.Schedule(min_length=1, ratio=3, phase_lengths=((2, 3), (3, length))))
+
+
 _ANALYZE = dict(rhos=(0.05, 0.05), deltas=(0.5, 0.5), lambdas=(0.2, 0.2), eps=0.1, ratio=3)
 
 
@@ -234,6 +238,7 @@ SLOTS = [
     Slot("schedule-min_length", "count", "min_length", lambda v, out: _schedule(min_length=v)),
     Slot("schedule-ratio", "count", "ratio", lambda v, out: _schedule(ratio=v)),
     Slot("schedule-horizon", "count", "horizon", lambda v, out: _schedule(horizon=v), most=10**4),
+    Slot("schedule-phase-length", "count", "phase length of player 1", lambda v, out: _phase_lengths(v)),
     Slot("analyze-tol", "positive", "tol", lambda v, out: _analyze(tol=v)),
     Slot("analyze-eps", "unit", "eps", lambda v, out: _analyze(eps=v)),
     Slot("analyze-ratio", "count", "ratio", lambda v, out: _analyze(ratio=v)),

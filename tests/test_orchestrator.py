@@ -672,17 +672,21 @@ class TestSegmentEngine:
         )
         # the switch times, against the segments of the batch of 40
         times = {e["t"] for trace in traces for e in trace["events"]}
-        cuts = _lockstep_cuts(1200, 5, 11, records)
+        cuts = _segment_cuts(1200, 5, 11, records)
         block_ends = set(range(11, 1200, 11))
         for near in (cuts, {t - 1 for t in cuts}, {t + 1 for t in cuts}):
             assert times & near
         assert times & {t - 1 for t in block_ends} and times & {t + 1 for t in block_ends}
         assert times & {36, 38, 399, 401}
 
-    def test_segments_outlive_appraisals(self, monkeypatch, benchmark_game):
-        # the benchmark run's size and parameters in lockstep: a segment ends
-        # only at the stage cap, a draw-block end, a record time or the
-        # horizon, and a switch rebuilds its own trial's columns only
+    @pytest.mark.parametrize("lockstep_min", [None, 10**9], ids=["lockstep", "per-trial"])
+    def test_segments_outlive_appraisals(self, monkeypatch, benchmark_game, lockstep_min):
+        # the benchmark run's size and parameters, in lockstep and trial by
+        # trial: a segment ends only at the stage cap, a draw-block end, a
+        # record time or the horizon, and a switch rebuilds its own trial's
+        # columns only
+        if lockstep_min is not None:
+            monkeypatch.setattr(orchestrator, "_LOCKSTEP_MIN", lockstep_min)
         built = []
         build = orchestrator._Segment.build
 
@@ -696,7 +700,7 @@ class TestSegmentEngine:
         schedules = [draw_schedule(s, 2, 5000, 3, horizon) for s in streams]
         traces = run_episodes(benchmark_game, _configs(), schedules, streams, horizon, records)
 
-        cuts = _lockstep_cuts(
+        cuts = _segment_cuts(
             horizon,
             orchestrator._BLOCK // batch,
             max(orchestrator._DRAWS_MIN_STAGES, orchestrator._DRAWS // batch),
@@ -705,7 +709,7 @@ class TestSegmentEngine:
         segments = [call for call in built if call == (0, batch, 0)]
         rebuilds = [call for call in built if call != (0, batch, 0)]
         assert len(segments) == len(cuts) <= 400
-        # the phase-end times inside segments, where the stage loop pauses
+        # the phase-end times inside segments, where play pauses
         phase_ends = {t for s in schedules for row in s.boundaries for t in row[1:] if t < horizon}
         assert len(phase_ends - cuts) > 300
         switched = {(e.t, tr.trial) for tr in traces for e in tr.events if e.t not in cuts}
@@ -730,8 +734,8 @@ class TestSegmentEngine:
             assert traces(trials)[5] == alone
 
 
-def _lockstep_cuts(horizon, segment_length, block_length, record_times):
-    """The start times of the lockstep engine's segments: a segment ends at
+def _segment_cuts(horizon, segment_length, block_length, record_times):
+    """The start times of the engine's segments: a segment ends at
     ``segment_length`` stages, at the end of a block of draws (every
     ``block_length`` stages from 0), at a record time or at the horizon."""
     cuts, t = set(), 0
