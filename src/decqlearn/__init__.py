@@ -1,7 +1,7 @@
 """Decentralized Q-learning for finite stochastic games.
 
 Library layers: ``game_model`` (games, policies, transition sampling),
-``exact_solver`` (model-based Q-functions, values, equilibrium tests, and
+``exact_solver`` (model-based Q-functions, equilibrium tests, and
 ``ExactAnalysis``, the one exact analysis of a game),
 ``acyclicity`` (best-response graph view and weak-acyclicity certificate),
 ``agent`` (a learner's parameters and phase-end appraisal),
@@ -24,12 +24,10 @@ from .exact_solver import (
     ExactAnalysis,
     InducedMdp,
     QTable,
-    br_hat,
     check_reachability,
     induced_mdp,
     is_equilibrium,
     label_equilibria,
-    policy_value,
     q_star,
 )
 from .experiments import (

@@ -5,7 +5,7 @@ a single-agent MDP; everything here is built on that reduction: optimal
 Q-functions (value iteration on Q-factors, and one batched solve,
 ``_solve_stack``, by policy iteration, behind both the labels of visited
 joints and the analysis, which solves again by value iteration wherever its
-digits could reach a result), policy evaluation, epsilon-greedy policy sets,
+digits could reach a result), the one epsilon-greedy rule (``_greedy_mask``),
 equilibrium tests, a joint-reachability check, and one :class:`ExactAnalysis`,
 the one entry point for the equilibria, the best-response graph's arrays, the
 minimum nonzero Q-gap ``delta_bar`` and the experimentation perturbation gap.
@@ -15,7 +15,6 @@ These are the ground-truth oracles the learning code is tested against.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
@@ -23,13 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game_model import (
-    DeterministicPolicy,
     JointDeterministicPolicy,
     StationaryPolicy,
     StochasticGame,
     _check,
     _choice_for,
     _player_id,
+    _require_finite,
     _softened,
     enumerate_deterministic_policies,
 )
@@ -39,8 +38,6 @@ __all__ = [
     "InducedMdp",
     "induced_mdp",
     "q_star",
-    "policy_value",
-    "br_hat",
     "is_equilibrium",
     "label_equilibria",
     "ExactAnalysis",
@@ -111,8 +108,9 @@ class InducedMdp:
     discount: float
 
     def __post_init__(self) -> None:
-        rows = self.kernel.sum(axis=2)
-        if np.any(np.abs(rows - 1.0) > 1e-9):
+        _require_finite("cost", self.cost)
+        _require_finite("kernel", self.kernel)
+        if not (np.abs(self.kernel.sum(axis=2) - 1.0) <= 1e-9).all():
             raise ValueError("induced kernel rows must sum to 1")
 
 
@@ -379,38 +377,11 @@ def q_star(
     return QTable(player, values[0])
 
 
-def policy_value(
-    game: StochasticGame, player: int, joint: Sequence[StationaryPolicy]
-) -> np.ndarray:
-    """Player's expected discounted cost per initial state when everyone
-    (player included) follows the given joint stationary policy: the player's
-    own policy evaluated on ``induced_mdp``'s rows against the others, by a
-    direct solve."""
-    seen = sorted(pol.player for pol in joint)
-    if seen != list(range(game.num_players)):
-        raise ValueError("joint policy must contain exactly one policy per player")
-    mdp = induced_mdp(game, player, [pol for pol in joint if pol.player != player])
-    (own,) = (pol.probs for pol in joint if pol.player == player)
-    if own.shape != mdp.cost.shape:
-        raise ValueError(f"policy for player {player} has the wrong shape")
-    cost = (mdp.cost * own).sum(axis=1)
-    transition = (mdp.kernel * own[..., None]).sum(axis=1)
-    return np.linalg.solve(np.eye(game.num_states) - mdp.discount * transition, cost)
-
-
 def _greedy_mask(values: np.ndarray, eps: float) -> np.ndarray:
     """Actions within eps of their state's best value (over the last axis):
-    the one eps-greedy rule behind ``br_hat``, the equilibrium tests and the
-    best-response graph."""
+    the one eps-greedy rule behind the phase-end appraisal, the equilibrium
+    tests and the best-response graph."""
     return values <= values.min(axis=-1, keepdims=True) + eps
-
-
-def br_hat(q: QTable, eps: float) -> list[DeterministicPolicy]:
-    """All deterministic policies that are eps-greedy with respect to q
-    in every state. Nonempty for eps >= 0."""
-    eps = _check("nonnegative", "eps", eps)
-    allowed = [np.flatnonzero(row).tolist() for row in _greedy_mask(q.values, eps)]
-    return [DeterministicPolicy(q.player, combo) for combo in itertools.product(*allowed)]
 
 
 def is_equilibrium(

@@ -43,6 +43,13 @@ __all__ = [
 _SUM_TOL = 1e-12
 
 
+def _require_finite(name: str, arr: np.ndarray) -> None:
+    """Refuse an array with a NaN or infinite entry, naming the first one."""
+    if not np.isfinite(arr).all():
+        at = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())
+        raise ValueError(f"{name}{list(at)} is {float(arr[at])!r}, must be finite")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
     out.setflags(write=False)
@@ -247,14 +254,6 @@ class DeterministicPolicy:
         if any(a < 0 for a in self.choice):
             raise ValueError("action ids must be nonnegative")
 
-    def validate_for(self, game: StochasticGame) -> None:
-        _choice_for(game, self.player, self.choice)
-
-    def as_stationary(self, num_actions: int) -> StationaryPolicy:
-        """Indicator (point-mass) representation of this policy: the policy
-        softened with rho = 0 (``soften_policy``)."""
-        return soften_policy(self, 0.0, num_actions)
-
 
 @dataclass(frozen=True)
 class StationaryPolicy:
@@ -269,15 +268,11 @@ class StationaryPolicy:
         object.__setattr__(self, "probs", _readonly(self.probs))
         if self.probs.ndim != 2:
             raise ValueError("probs must be a (num_states, num_actions) array")
-        rows = self.probs.sum(axis=1)
-        if np.any(np.abs(rows - 1.0) > _SUM_TOL):
+        _require_finite("probs", self.probs)
+        if not (np.abs(self.probs.sum(axis=1) - 1.0) <= _SUM_TOL).all():
             raise ValueError("every probability row must sum to 1")
         if np.any(self.probs < 0.0):
             raise ValueError("probabilities must be nonnegative")
-
-    def is_soft(self, xi: float) -> bool:
-        """True iff every action has probability at least xi in every state."""
-        return bool(np.all(self.probs >= xi))
 
 
 @dataclass(frozen=True)
@@ -448,6 +443,9 @@ def game_to_dict(game: StochasticGame, players: Iterable[str] | None = None) -> 
     names = list(players) if players is not None else [f"p{i}" for i in range(game.num_players)]
     if len(names) != game.num_players:
         raise ValueError("need one player name per player")
+    for k, name in enumerate(names):
+        if not isinstance(name, str):
+            raise ValueError(f"players[{k}] must be a string, got {name!r}")
     return {
         "players": names,
         "states": list(game.states),
@@ -476,9 +474,16 @@ def game_from_dict(data: dict) -> StochasticGame:
     try:
         # A string is iterable, so it would be read one character per name.
         named = [("players", players), ("states", states), ("actions", actions)]
-        for key, names in named + [(f"actions[{i}]", a) for i, a in enumerate(actions)]:
+        named += [(f"actions[{i}]", a) for i, a in enumerate(actions)]
+        for key, names in named:
             if isinstance(names, str):
                 raise ValueError(f"{key} must be a list of names, got the string {names!r}")
+        # Each name is a string (``actions`` itself holds lists): StochasticGame
+        # would str() any other, so a JSON true would become the name 'True'.
+        for key, names in named[:2] + named[3:]:
+            for k, name in enumerate(names):
+                if not isinstance(name, str):
+                    raise ValueError(f"{key}[{k}] must be a string, got {name!r}")
         if len(actions) != len(players) or len(discounts) != len(players) or len(costs) != len(players):
             raise ValueError("actions, discounts, and costs must have one entry per player")
         return StochasticGame(

@@ -62,32 +62,6 @@ def q_star_policy_iteration(mdp: InducedMdp, max_iter: int = 1000) -> np.ndarray
     raise RuntimeError("policy iteration did not settle")
 
 
-def policy_value_iterative(game: StochasticGame, player: int, probs_by_player, tol: float) -> np.ndarray:
-    """Iterative policy evaluation with explicitly looped marginalization."""
-    num_states = game.num_states
-    cost = np.zeros(num_states)
-    transition = np.zeros((num_states, num_states))
-    for s in range(num_states):
-        for ja in range(game.num_joint_actions):
-            acts = game.joint_tuple(ja)
-            weight = 1.0
-            for j, a in enumerate(acts):
-                weight *= probs_by_player[j][s, a]
-            cost[s] += weight * game.costs[player][s, ja]
-            transition[s] += weight * game.kernel[s, ja]
-    beta = game.discounts[player]
-    if beta == 0.0:
-        return cost
-    threshold = tol * (1.0 - beta) / (2.0 * beta)
-    values = np.zeros(num_states)
-    while True:
-        updated = cost + beta * (transition @ values)
-        gap = float(np.abs(updated - values).max())
-        values = updated
-        if gap <= threshold:
-            return values
-
-
 def br_hat_bruteforce(values: np.ndarray, eps: float) -> set[tuple[int, ...]]:
     """Filter the whole deterministic policy space by the per-state
     eps-greedy condition."""
@@ -441,7 +415,7 @@ def opponent_policies(game: StochasticGame, player: int, opp, rhos=None) -> list
     for j, choice in zip(others_ids, opp):
         pol = DeterministicPolicy(j, choice)
         m = game.action_counts[j]
-        out.append(pol.as_stationary(m) if rhos is None else soften_policy(pol, rhos[j], m))
+        out.append(soften_policy(pol, 0.0 if rhos is None else rhos[j], m))
     return out
 
 

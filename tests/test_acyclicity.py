@@ -12,12 +12,8 @@ from decqlearn.acyclicity import (
     solve_theta,
     xi_bound,
 )
-from decqlearn.exact_solver import (
-    EnumerationBudgetError,
-    br_hat,
-    q_star,
-)
-from decqlearn.game_model import DeterministicPolicy, StochasticGame
+from decqlearn.exact_solver import EnumerationBudgetError, _greedy_mask, q_star
+from decqlearn.game_model import DeterministicPolicy, StochasticGame, soften_policy
 
 
 def _stay_vs_move(theta, p):
@@ -82,13 +78,13 @@ class TestBrGraph:
             src = benchmark_graph.nodes[s].choices
             dst = benchmark_graph.nodes[t].choices
             others = [
-                DeterministicPolicy(j, c).as_stationary(2)
+                soften_policy(DeterministicPolicy(j, c), 0.0, 2)
                 for j, c in enumerate(src)
                 if j != deviator
             ]
             q = q_star(benchmark_game, deviator, others, tol)
-            best = {p.choice for p in br_hat(q, tol)}
-            assert dst[deviator] in best
+            greedy = _greedy_mask(q.values, tol)
+            assert all(greedy[x, a] for x, a in enumerate(dst[deviator]))
 
     def test_path_len_bellman_consistency(self, benchmark_graph, team_game):
         for graph in (benchmark_graph, build_br_graph(team_game, 1e-9)):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -11,12 +12,11 @@ from decqlearn.exact_solver import (
     ExactAnalysis,
     InducedMdp,
     QTable,
-    br_hat,
+    _greedy_mask,
     check_reachability,
     induced_mdp,
     is_equilibrium,
     label_equilibria,
-    policy_value,
     q_star,
 )
 from decqlearn.experiments import analyze_game
@@ -29,7 +29,6 @@ from decqlearn.game_model import (
 )
 from oracles import (
     br_hat_bruteforce,
-    policy_value_iterative,
     q_star_policy_iteration,
     random_game,
     random_stationary,
@@ -52,7 +51,7 @@ def _single_player_game(costs, beta, kernel=None, states=1):
 
 
 def _indicator(player, choice, num_actions=2):
-    return DeterministicPolicy(player, choice).as_stationary(num_actions)
+    return soften_policy(DeterministicPolicy(player, choice), 0.0, num_actions)
 
 
 def _forbid_solves(monkeypatch):
@@ -152,35 +151,28 @@ class TestQStar:
             q_star(benchmark_game, 0, [], 1e-8)
 
 
-class TestPolicyValue:
-    def test_zero_costs(self, benchmark_game):
-        game = StochasticGame(
-            states=benchmark_game.states,
-            action_sets=benchmark_game.action_sets,
-            costs=(np.zeros((2, 4)), np.zeros((2, 4))),
-            discounts=benchmark_game.discounts,
-            kernel=benchmark_game.kernel,
-            initial_dist=benchmark_game.initial_dist,
-        )
-        joint = [_indicator(0, (0, 0)), _indicator(1, (1, 1))]
-        assert_allclose(policy_value(game, 0, joint), 0.0, atol=1e-12)
+class TestInducedMdp:
+    @staticmethod
+    def _mdp(cost, kernel):
+        return InducedMdp(("s0",), ("a0",), np.array(cost), np.array(kernel), 0.5)
 
-    def test_constant_cost_geometric_series(self):
-        game = _single_player_game([[3.0, 3.0]], beta=0.8)
-        value = policy_value(game, 0, [_indicator(0, (0,))])
-        assert_allclose(value, [15.0], atol=1e-9)
+    def test_kernel_rows_must_sum_to_one(self):
+        with pytest.raises(ValueError, match="induced kernel rows must sum to 1"):
+            self._mdp([[0.0]], [[[0.5]]])
 
-    def test_benchmark_equilibrium_values_match_iterative_oracle(self, benchmark_game):
-        # equilibrium joint: both a0 in s0, a0 vs a1 in s1
-        probs = {
-            0: _indicator(0, (0, 0)).probs,
-            1: _indicator(1, (0, 1)).probs,
-        }
-        joint = [_indicator(0, (0, 0)), _indicator(1, (0, 1))]
-        for player in range(2):
-            mine = policy_value(benchmark_game, player, joint)
-            reference = policy_value_iterative(benchmark_game, player, probs, 1e-10)
-            assert_allclose(mine, reference, atol=1e-8)
+    @pytest.mark.parametrize(
+        "cost, kernel, message",
+        [
+            ([[0.0]], [[[np.nan]]], "kernel[0, 0, 0] is nan"),
+            ([[np.inf]], [[[1.0]]], "cost[0, 0] is inf"),
+            ([[np.nan]], [[[np.inf]]], "cost[0, 0] is nan"),
+        ],
+        ids=["nan-kernel", "inf-cost", "both"],
+    )
+    def test_non_finite_entries_are_refused(self, cost, kernel, message):
+        # NaN fails every comparison, so a row-sum test alone would pass it
+        with pytest.raises(ValueError, match=re.escape(message + ", must be finite")):
+            self._mdp(cost, kernel)
 
 
 class TestQTable:
@@ -197,33 +189,29 @@ class TestQTable:
 
 
 class TestBrHat:
+    """The eps-greedy policies, read off ``_greedy_mask`` per state."""
+
+    @staticmethod
+    def _policies(values, eps):
+        allowed = [np.flatnonzero(row).tolist() for row in _greedy_mask(values, eps)]
+        return set(itertools.product(*allowed))
+
     def test_unique_minimizers_give_singleton(self):
-        q = QTable(0, np.array([[0.0, 1.0], [2.0, 0.5]]))
-        policies = br_hat(q, 0.0)
-        assert [p.choice for p in policies] == [(0, 1)]
+        assert self._policies(np.array([[0.0, 1.0], [2.0, 0.5]]), 0.0) == {(0, 1)}
 
     def test_large_eps_gives_everything(self):
-        q = QTable(0, np.array([[0.0, 1.0], [2.0, 0.5]]))
-        assert len(br_hat(q, 10.0)) == 4
+        assert len(self._policies(np.array([[0.0, 1.0], [2.0, 0.5]]), 10.0)) == 4
 
     def test_partial_freedom(self):
         # per-state gaps 0.3 and 0.7; eps = 0.5 frees only the first state
-        q = QTable(0, np.array([[0.0, 0.3], [0.0, 0.7]]))
-        policies = br_hat(q, 0.5)
-        assert {p.choice for p in policies} == {(0, 0), (1, 0)}
+        values = np.array([[0.0, 0.3], [0.0, 0.7]])
+        assert self._policies(values, 0.5) == {(0, 0), (1, 0)}
 
     def test_matches_bruteforce_filter(self, rng):
         for _ in range(25):
             values = rng.uniform(0.0, 3.0, size=(3, 3))
             eps = float(rng.uniform(0.0, 1.5))
-            mine = {p.choice for p in br_hat(QTable(0, values), eps)}
-            assert mine == br_hat_bruteforce(values, eps)
-
-    def test_negative_eps(self):
-        # NaN, too: it fails eps < 0 and would give no policy at all
-        for eps in (-0.1, float("nan")):
-            with pytest.raises(ValueError, match="eps must be nonnegative"):
-                br_hat(QTable(0, np.zeros((1, 2))), eps)
+            assert self._policies(values, eps) == br_hat_bruteforce(values, eps)
 
 
 class TestIsEquilibrium:
@@ -273,7 +261,6 @@ class TestEquilibriumSet:
 
     def test_agrees_with_is_equilibrium(self, benchmark_game):
         from decqlearn.game_model import enumerate_deterministic_policies
-        import itertools
 
         per_player = [
             enumerate_deterministic_policies(2, 2),

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from decqlearn import cli
 from decqlearn.acyclicity import build_br_graph, p_min, solve_theta, xi_bound
 from decqlearn.agent import AgentConfig
-from decqlearn.exact_solver import ExactAnalysis, QTable, br_hat, check_input, label_equilibria
+from decqlearn.exact_solver import ExactAnalysis, check_input, label_equilibria
 from decqlearn.experiments import ExperimentConfig, analyze_game
 from decqlearn.game_model import (
     DeterministicPolicy,
@@ -174,7 +174,6 @@ class TestSoftenPolicy:
     def test_benchmark_rate(self):
         soft = soften_policy(DeterministicPolicy(0, (0,)), 0.05, 2)
         assert_allclose(soft.probs, [[0.975, 0.025]])
-        assert soft.is_soft(0.025)
 
     def test_rho_out_of_range(self):
         with pytest.raises(ValueError):
@@ -400,7 +399,6 @@ _BAD_REALS = {
     "analyze-eps": ("eps", lambda g, v: analyze_game(g, eps=v)),
     "config-rho": ("rho", lambda g, v: ExperimentConfig(rho=v)),
     "soften-rho": ("rho", lambda g, v: soften_policy(DeterministicPolicy(0, (0, 1)), v, 2)),
-    "br-hat-eps": ("eps", lambda g, v: br_hat(QTable(0, np.zeros((2, 2))), v)),
     "label-eps": ("eps", lambda g, v: label_equilibria(g, [((0, 0), (0, 1))], 1e-9, v)),
     # a string raised TypeError in these four, and True passed as 1
     "theta-p-min": ("p_min", lambda g, v: solve_theta(v, 0.1)),
@@ -408,17 +406,27 @@ _BAD_REALS = {
     "initial-state-w": ("w", lambda g, v: sample_initial_state(g, v)),
 }
 # Cases whose range has no upper end (eps >= 0): infinity passes them.
-_UNBOUNDED = {"br-hat-eps", "label-eps"}
+_UNBOUNDED = {"label-eps"}
 
 
 class TestPolicies:
-    def test_deterministic_validation(self, benchmark_game):
-        with pytest.raises(ValueError):
-            DeterministicPolicy(0, (0, 5)).validate_for(benchmark_game)
+    def test_deterministic_validation(self):
         with pytest.raises(ValueError, match="action id 5 out of range for 2 actions"):
-            DeterministicPolicy(0, (0, 5)).as_stationary(2)
-        with pytest.raises(ValueError):
-            DeterministicPolicy(0, (0,)).validate_for(benchmark_game)
+            soften_policy(DeterministicPolicy(0, (0, 5)), 0.0, 2)
+
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            ([[0.5, np.nan]], "probs[0, 1] is nan, must be finite"),
+            ([[np.inf, -np.inf]], "probs[0, 0] is inf, must be finite"),
+            ([[1.0, 0.0], [0.5, -np.inf]], "probs[1, 1] is -inf, must be finite"),
+        ],
+        ids=["nan", "inf-and-minus-inf", "minus-inf"],
+    )
+    def test_non_finite_probabilities_are_refused(self, probs, message):
+        # NaN fails every comparison, and inf - inf in a row sum warns
+        with pytest.raises(ValueError, match=re.escape(message)):
+            StationaryPolicy(0, np.array(probs))
 
     @pytest.mark.parametrize("action", [1.7, 1.0, "1", True, np.bool_(True), None])
     def test_action_ids_must_be_integers(self, action):
@@ -460,8 +468,6 @@ class TestPolicies:
         message = re.escape(message)
         with pytest.raises(ValueError, match=message):
             _choice_for(benchmark_game, 0, choice)
-        with pytest.raises(ValueError, match=message):
-            DeterministicPolicy(0, choice).validate_for(benchmark_game)
         with pytest.raises(ValueError, match=message):
             _first_baselines(benchmark_game, configs, [RandomnessStreams(0)], (choice, (0, 0)))
         with pytest.raises(ValueError, match=r"joint .* is not a joint policy of this game: "):
@@ -678,6 +684,39 @@ class TestLoaderFuzz:
         path.write_text(json.dumps(document))
         assert cli.main(["analyze", str(path)]) == 2
         assert key in capsys.readouterr().err
+
+    # StochasticGame would str() every name, so true and null would load as
+    # 'True' and 'None'
+    @pytest.mark.parametrize(
+        "key, where, value",
+        [
+            ("states[0]", ("states", 0), True),
+            ("states[1]", ("states", 1), None),
+            ("players[0]", ("players", 0), 1),
+            ("players[1]", ("players", 1), {}),
+            ("actions[1][0]", ("actions", 1, 0), 0.5),
+            ("actions[0][1]", ("actions", 0, 1), ["a1"]),
+        ],
+    )
+    def test_non_string_names_are_refused_by_key(
+        self, benchmark_game, tmp_path, capsys, key, where, value
+    ):
+        document = game_to_dict(benchmark_game)
+        parent = document
+        for step in where[:-1]:
+            parent = parent[step]
+        parent[where[-1]] = value
+        with pytest.raises(ValueError, match=rf"^{re.escape(key)} must be a string, got "):
+            game_from_dict(document)
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(document))
+        assert cli.main(["analyze", str(path)]) == 2
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("players", [[1, None], ["p0", b"p1"]])
+    def test_player_names_are_written_as_strings_only(self, benchmark_game, players):
+        with pytest.raises(ValueError, match=r"^players\[\d\] must be a string, got "):
+            game_to_dict(benchmark_game, players)
 
     @settings(max_examples=60, deadline=None)
     @given(document=_game_documents())
