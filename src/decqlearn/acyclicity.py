@@ -19,12 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exact_solver import (
-    DEFAULT_SOLVE_BUDGET,
-    ExactAnalysis,
-    check_input,
-    check_per_player,
-)
+from .exact_solver import ExactAnalysis, check_input, check_per_player
 from .game_model import JointDeterministicPolicy, StochasticGame, _check
 
 __all__ = [
@@ -82,17 +77,15 @@ class BrGraph:
         return self._analysis.edges
 
 
-def build_br_graph(
-    game: StochasticGame, tol: float, budget: int = DEFAULT_SOLVE_BUDGET
-) -> BrGraph:
+def build_br_graph(game: StochasticGame, tol: float) -> BrGraph:
     """The strict best-response graph over the joint-policy space.
 
     Best-response membership is judged on exact Q-values with slack ``tol``;
     shortest path lengths are computed by reverse breadth-first search from
-    the equilibrium set. The result is a view of ``ExactAnalysis(game, tol,
-    budget)``'s arrays (its grids and one path length per joint policy).
+    the equilibrium set. The result is a view of ``ExactAnalysis(game,
+    tol)``'s arrays (its grids and one path length per joint policy).
     """
-    return BrGraph(ExactAnalysis(game, tol, budget))
+    return BrGraph(ExactAnalysis(game, tol))
 
 
 def is_weakly_acyclic(analysis: ExactAnalysis) -> bool:

@@ -139,10 +139,11 @@ def _induced_stack(
 def induced_mdp(
     game: StochasticGame, player: int, others: Sequence[StationaryPolicy]
 ) -> InducedMdp:
-    """Marginalize the opponents' stationary policies out of the game: the
-    rows of ``_induced_stack`` at every state, one factor per opponent in
-    the order of ``others``."""
-    if not 0 <= player < game.num_players:
+    """Marginalize the opponents' stationary policies out of the game for
+    player id ``player``: the rows of ``_induced_stack`` at every state, one
+    factor per opponent in the order of ``others``."""
+    player = _player_id(player)
+    if player >= game.num_players:
         raise ValueError(f"player id {player} out of range")
     seen = sorted(pol.player for pol in others)
     expected = [j for j in range(game.num_players) if j != player]
@@ -626,11 +627,10 @@ def _row_codes(game: StochasticGame, player: int, opponents: np.ndarray) -> np.n
 class ExactAnalysis:
     """The exact analysis of one game at one tolerance.
 
-    It takes only the inputs it reads: the game, ``tol``, ``budget`` and,
-    for the softened table and the perturbation bound, ``rhos`` and
-    ``deltas``; the constructor checks each one given (``budget`` is a
-    count), whatever else is given, and holds it as Python numbers. Each
-    attribute is built on first use and cached:
+    It takes only the inputs it reads: the game, ``tol`` and, for the
+    softened table and the perturbation bound, ``rhos`` and ``deltas``; the
+    constructor checks each one given, whatever else is given, and holds it
+    as Python numbers. Each attribute is built on first use and cached:
     ``table`` (per player, Q* against every deterministic opponent joint in
     ``itertools.product`` order), the greedy ``grids``, ``equilibria``,
     ``delta_bar``, ``softened`` (the table against opponents softened by
@@ -657,20 +657,19 @@ class ExactAnalysis:
     reads it (``acyclicity.build_br_graph`` is a view of these arrays).
 
     ``table`` and ``softened`` refuse, before any solve, more solves than
-    ``budget``; ``grids`` (behind the equilibria and the graph arrays) hold
-    one boolean per joint policy and first refuse more joint policies than that.
+    ``DEFAULT_SOLVE_BUDGET``, read when they run; ``grids`` (behind the
+    equilibria and the graph arrays) hold one boolean per joint policy and
+    first refuse more joint policies than that.
     """
 
     def __init__(
         self,
         game: StochasticGame,
         tol: float,
-        budget: int = DEFAULT_SOLVE_BUDGET,
         rhos: Sequence[float] | None = None,
         deltas: Sequence[float] | None = None,
     ) -> None:
         self.game, self.tol = game, check_input("tol", tol)
-        self.budget = _check("count", "budget", budget)
         self.rhos, self.deltas = (
             None if values is None else check_per_player(game, name, values)
             for name, values in (("rho", rhos), ("delta", deltas))
@@ -686,10 +685,10 @@ class ExactAnalysis:
         player's rows (``_row_stack``)."""
         sizes = self._sizes
         solves = sum(math.prod(sizes[:i] + sizes[i + 1 :]) for i in range(len(sizes)))
-        if solves > self.budget:
+        if solves > DEFAULT_SOLVE_BUDGET:
             raise EnumerationBudgetError(
                 f"the best-response table needs {solves} exact solves, "
-                f"above the budget of {self.budget}"
+                f"above the budget of {DEFAULT_SOLVE_BUDGET}"
             )
         rhos = [(0.0,) * self.game.num_players]
         if self.rhos is not None:
@@ -741,10 +740,10 @@ class ExactAnalysis:
         (indexed by policy, shape (P_0, ..., P_{N-1})): True where i's policy
         is tol-greedy against the others' in every state."""
         sizes = self._sizes
-        if math.prod(sizes) > self.budget:
+        if math.prod(sizes) > DEFAULT_SOLVE_BUDGET:
             raise EnumerationBudgetError(
                 f"joint policy space has {math.prod(sizes)} nodes, "
-                f"above the budget of {self.budget}"
+                f"above the budget of {DEFAULT_SOLVE_BUDGET}"
             )
         grids = []
         for i, q in enumerate(self.table):

@@ -294,7 +294,6 @@ def analyze_game(
     eps: float | None = None,
     ratio: int | None = None,
     tol: float = 1e-9,
-    budget: int = exact_solver.DEFAULT_SOLVE_BUDGET,
 ) -> dict:
     """Exact structural report: validation, reachability, equilibria, the
     best-response graph certificate, delta_bar, and (when the corresponding
@@ -308,7 +307,7 @@ def analyze_game(
         None if value is None else exact_solver.check_input(name, value)
         for name, value in (("eps", eps), ("ratio", ratio))
     )
-    analysis = exact_solver.ExactAnalysis(game, tol, budget, rhos, deltas)
+    analysis = exact_solver.ExactAnalysis(game, tol, rhos, deltas)
     rhos, deltas = analysis.rhos, analysis.deltas
     if lambdas is not None:
         lambdas = exact_solver.check_per_player(game, "lambda", lambdas)

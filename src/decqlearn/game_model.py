@@ -130,7 +130,8 @@ class StochasticGame:
         return tuple(strides)
 
     def joint_index(self, actions: Sequence[int]) -> int:
-        """Flat index of a joint action tuple (player 0 most significant)."""
+        """Flat index of a joint action tuple of ids (player 0 most significant)."""
+        actions = _action_ids(actions)
         if len(actions) != self.num_players:
             raise ValueError("joint action needs one entry per player")
         idx = 0
@@ -141,8 +142,9 @@ class StochasticGame:
         return idx
 
     def joint_tuple(self, index: int) -> tuple[int, ...]:
-        """Inverse of :meth:`joint_index`."""
-        if not 0 <= index < self.num_joint_actions:
+        """Inverse of :meth:`joint_index`, for an ``index`` by the index rule."""
+        index = _check("index", "joint action index", index)
+        if index >= self.num_joint_actions:
             raise ValueError(f"joint action index {index} out of range")
         out = []
         for stride, count in zip(self.joint_strides, self.action_counts):

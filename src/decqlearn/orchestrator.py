@@ -82,8 +82,9 @@ class RandomnessStreams:
     keyed sub-streams, so a draw never depends on which other draws were
     consumed first.
 
-    ``master_seed`` is a 64-bit unsigned integer and ``trial`` a nonnegative
-    integer, and the phase-length arguments are counts, each by its rule in
+    ``master_seed`` is a 64-bit unsigned integer; ``trial`` and the keys of
+    the event draws, ``player`` and ``t``, are nonnegative integers; and the
+    phase-length arguments are counts, each by its rule in
     ``game_model._RULES``.
     """
 
@@ -109,6 +110,7 @@ class RandomnessStreams:
         return self._generator(_FAMILY_ACTION, player)
 
     def inertia_uniform(self, player: int, t: int) -> float:
+        player, t = _check("index", "player", player), _check("index", "t", t)
         return float(self._generator(_FAMILY_INERTIA, player, t).random())
 
     def policy_draw(
@@ -123,6 +125,7 @@ class RandomnessStreams:
         policies is indexed by one integer draw; a larger one, whose index
         a 64-bit draw cannot hold, by one draw per state, in state order.
         """
+        player, t = _check("index", "player", player), _check("index", "t", t)
         if not allowed or any(len(acts) == 0 for acts in allowed):
             raise ValueError("every state needs at least one allowed action")
         text = ";".join(",".join(map(str, acts)) for acts in allowed)
@@ -148,6 +151,7 @@ class RandomnessStreams:
     ) -> list[int]:
         """Uniform integer lengths in [min_length, ratio * min_length] until
         the cumulative boundaries cover the horizon."""
+        player = _check("index", "player", player)
         min_length, ratio, horizon = (
             _check("count", name, value)
             for name, value in (("min_length", min_length), ("ratio", ratio), ("horizon", horizon))
@@ -170,7 +174,7 @@ class RandomnessStreams:
         self, player: int, num_states: int, num_actions: int
     ) -> tuple[int, ...]:
         """Uniform draw over the player's deterministic policy space."""
-        gen = self._generator(_FAMILY_INIT_POLICY, player)
+        gen = self._generator(_FAMILY_INIT_POLICY, _check("index", "player", player))
         return tuple(int(a) for a in gen.integers(0, num_actions, size=num_states))
 
 
@@ -506,9 +510,10 @@ class _QStack:
     player, state, trial), padded to the largest action count with +inf,
     which no min picks up, and each table's running max |Q|. The update has
     two forms with the same float operations in the same order, and the same
-    tie rule as ``min()``: :meth:`play` gives every (player, trial) its
+    tie rule as ``min()``; both play stages of a :class:`_Segment`, which
+    holds the walks and costs: :meth:`play` gives every (player, trial) its
     update of a stage at once, and :meth:`play_each` runs :func:`_learn`
-    trial by trial.
+    table by table.
 
     Every trial starts from its player's ``initial_q`` (zeros if None) and
     learns with its player's alpha and discount."""
@@ -535,10 +540,10 @@ class _QStack:
         """A view of one Q table, (state, action)."""
         return self.q[: self.widths[player], player, :, trial].T
 
-    def play(self, entries: np.ndarray, written: np.ndarray, start: int, stop: int) -> None:
+    def play(self, segment: "_Segment", start: int, stop: int) -> None:
         """Give every (player, trial) its update of each stage in [start,
-        stop) of a :class:`_Segment`, from its ``entries`` and ``written``,
-        in the float order of :func:`_learn`.
+        stop) of a lockstep :class:`_Segment`, from its ``entries`` and
+        ``written``, in the float order of :func:`_learn`.
 
         A stage of A actions makes 5 + A numpy calls: one gather of every
         action plane's next-row entry and of the entry it writes, A - 1
@@ -546,7 +551,7 @@ class _QStack:
         keeps the first of tied values, 0.0 before -0.0), one multiply of
         the minimum by beta and of the old entry by 1 - alpha, ``+ c`` and
         ``* alpha`` on the minimum's row, the sum, and one scatter."""
-        flat, width = self.q.reshape(-1), len(self.q)
+        entries, flat, width = segment.entries, self.q.reshape(-1), len(self.q)
         take, minimum, multiply, add = flat.take, np.minimum, np.multiply, np.add
         alpha, scale = self.alpha, self.scale
         read = np.empty(entries.shape[1:])
@@ -554,7 +559,7 @@ class _QStack:
         # row A, so one multiply scales both
         folds = list(zip(read[1:width], read[: width - 1]))
         pair, target, old = read[width - 1 :], read[width - 1], read[width]
-        written = written[start:stop]
+        written = segment.written[start:stop]
         for value, entry, write in zip(written, entries[start:stop], entries[start:stop, width]):
             # (1.0 - alpha) * q[x][u] + alpha * (c + beta * min(q[x_next]))
             take(entry, None, read, "clip")
@@ -567,57 +572,25 @@ class _QStack:
             flat[write] = value
         np.maximum(self.max_abs_q, np.abs(written).max(axis=0), out=self.max_abs_q)
 
-    def play_each(
-        self,
-        game: StochasticGame,
-        tables: list[np.ndarray],
-        rows: np.ndarray,
-        successor: np.ndarray,
-        x: np.ndarray,
-        start: int,
-        stop: int,
-    ) -> np.ndarray:
-        """:meth:`play` stages [start, stop) of a :class:`_Segment` one trial
-        at a time, trial k starting in state ``x[k]``: a Python walk of each
-        trial's state path, then :func:`_learn` on each of its tables as
-        lists, written back into the stack; returns the states after stage
-        ``stop - 1``."""
-        num_states, batch = successor.shape[:2]
-        length = stop - start
-        paths = []
-        for k in range(batch):
-            step = successor[:, k, start:stop].T.ravel().tolist()
-            state = int(x[k])
-            path = []
-            for offset in range(0, length * num_states, num_states):
-                path.append(state)
-                state = step[offset + state]
-            path.append(state)
-            paths.append(path)
-        visited = np.array(paths)
-        # cell (trial k, stage t) of a (state, trial, stage) table along the paths
-        cells = (visited[:, :-1], np.arange(batch)[:, None], np.arange(start, stop))
-        cost_cells = rows[cells]
-        for i, (table, costs) in enumerate(zip(tables, game.costs)):
-            actions, path_costs = table[cells].tolist(), costs.take(cost_cells).tolist()
-            for k, path in enumerate(paths):
-                row = i * batch + k
-                q = self.table(i, k)
-                values = q.tolist()
-                # path holds one more state than the stage count, so the
-                # update's zip stops at the segment's last stage
-                self.max_abs_q[row] = _learn(
-                    values,
-                    float(self.alpha[row]),
-                    float(self.beta[row]),
-                    float(self.max_abs_q[row]),
-                    path,
-                    actions[k],
-                    path_costs[k],
-                    path[1:],
-                )
-                q[...] = values
-        return visited[:, -1]
+    def play_each(self, segment: "_Segment", start: int, stop: int) -> None:
+        """:meth:`play` stages [start, stop) of a per-trial
+        :class:`_Segment` one table at a time: :func:`_learn` on the table
+        as lists, along its trial's walk with its player's ``actions`` and
+        costs, written back into the stack."""
+        batch = segment.path.shape[1]
+        # a walk holds one more state than the stage count, so the update's
+        # zip stops at the last stage
+        walks = (segment.path[start : stop + 1] // batch).T.tolist()
+        actions, costs = segment.actions[start:stop].T.tolist(), segment.written[start:stop].T.tolist()
+        for row, (played, paid) in enumerate(zip(actions, costs)):
+            player, k = divmod(row, batch)
+            q = self.table(player, k)
+            values = q.tolist()
+            self.max_abs_q[row] = _learn(
+                values, float(self.alpha[row]), float(self.beta[row]), float(self.max_abs_q[row]),
+                walks[k], played, paid, walks[k][1:],
+            )
+            q[...] = values
 
 
 def _learn(
@@ -671,18 +644,20 @@ class _Segment:
     """The tables of one segment of a batch under frozen baselines: per
     player its actions, and the (state, joint action) rows of the kernel
     and cost tables, each over (state, trial, stage), with the state axis
-    first to keep the inner loops long. Given the :class:`_QStack` that
-    plays it in lockstep, it also holds every trial's state walk and the
-    ``entries`` and ``written`` of :meth:`_QStack.play`; without one, the
-    next states over (state, trial, stage), which :meth:`_QStack.play_each`
-    walks trial by trial.
+    first to keep the inner loops long; every trial's state walk, ``path``;
+    and in ``written`` each player's cost at each walked stage, over (stage,
+    trial), one block of columns per player. Played in lockstep, given the
+    :class:`_QStack` that plays it, it also holds the ``entries`` of
+    :meth:`_QStack.play`; played trial by trial, each player's ``actions``
+    at the walked stages, laid out as ``written``, for
+    :meth:`_QStack.play_each`.
 
     ``baselines`` holds each player's baseline per trial, (trial, state);
     ``w`` the transition uniforms and ``draws`` each player's
     experimentation flags and uniform actions, (trial, stage); trial k
     starts in state ``x[k]``. :meth:`build` writes every table, and after
     a baseline changes at a pause it rewrites that trial's columns from the
-    stage on, in either form.
+    stage on, walk included, in either form.
     """
 
     def __init__(
@@ -701,29 +676,29 @@ class _Segment:
         # state * J + joint action, which may not fit it, in np.intp
         self.tables = [np.empty(shape, dtype=uniform.dtype) for _, uniform in draws]
         self.rows = np.empty(shape, dtype=np.intp)
+        # path[t, k] = (trial k's state at t) * B + k: the row of trial k's
+        # table within one player's block of the stack
+        self.path = np.empty((length + 1, batch), dtype=np.intp)
+        self.path[0] = x * batch + np.arange(batch)
         self.lockstep = stack is not None
         if self.lockstep:
-            # path[t, k] = (trial k's state at t) * B + k: the row of trial
-            # k's table within one player's block of the stack; step[t, s,
-            # k] the row after stage t from state s
+            # step[t, s, k] the row after stage t from state s; rows 0..A-1
+            # of a stage's entries hold the next row in each action plane,
+            # row A the entry it writes; its values overwrite its costs in
+            # ``written`` as it plays
             self.step = np.empty((length, game.num_states, batch), dtype=np.intp)
-            self.path = np.empty((length + 1, batch), dtype=np.intp)
-            self.path[0] = x * batch + np.arange(batch)
-            # column block i of each: player i's (stage, trial) entries;
-            # rows 0..A-1 of a stage's entries hold the next row in each
-            # action plane, row A the entry the stage writes. Row t of
-            # ``written`` holds stage t's costs until the stage writes its
-            # values over them
             self.plane, self.width = stack.q[0].size, len(stack.q)
             self.entries = np.empty((length, self.width + 1, len(draws) * batch), dtype=np.intp)
-            self.written = np.empty((length, len(draws) * batch))
         else:
-            self.successor = np.empty(shape, dtype=np.intp)
+            self.actions = np.empty((length, len(draws) * batch), dtype=np.intp)
+        self.written = np.empty((length, len(draws) * batch))
         self.build(0, batch, 0)
 
     def build(self, k0: int, k1: int, u: int) -> None:
         """Write the columns of trials [k0, k1) from stage ``u`` on, under
-        the current baselines."""
+        the current baselines, walk included: the lockstep form walks the
+        trials together, one numpy call per stage, the per-trial form each
+        trial by itself in Python."""
         game, batch, length = self.game, *self.w.shape
         trials, stages = slice(k0, k1), slice(u, None)
         for table, base, (explore, uniform) in zip(self.tables, self.baselines, self.draws):
@@ -738,28 +713,43 @@ class _Segment:
             rows += np.multiply(table[:, trials, stages], stride, dtype=np.intp)
         rows += np.arange(game.num_states, dtype=np.intp)[:, None, None] * game.num_joint_actions
         successor = _inverse_cdf(game.cdf_columns, rows, self.w[trials, stages])
-        if not self.lockstep:
-            self.successor[:, trials, stages] = successor
-            return
-        self.step[stages, :, trials] = (
-            successor * batch + np.arange(k0, k1)[:, None]
-        ).transpose(2, 0, 1)
-        step = self.step.reshape(length, -1)
-        for row, now, after in zip(step[stages], self.path[u:, trials], self.path[u + 1 :, trials]):
-            row.take(now, out=after, mode="clip")
+        if self.lockstep:
+            self.step[stages, :, trials] = (
+                successor * batch + np.arange(k0, k1)[:, None]
+            ).transpose(2, 0, 1)
+            step = self.step.reshape(length, -1)
+            for row, now, after in zip(step[stages], self.path[u:, trials], self.path[u + 1 :, trials]):
+                row.take(now, out=after, mode="clip")
+        else:
+            num_states = game.num_states
+            for k in range(k0, k1):
+                step = successor[:, k - k0].T.ravel().tolist()
+                state = int(self.path[u, k]) // batch
+                walk = []
+                for offset in range(0, len(step), num_states):
+                    state = step[offset + state]
+                    walk.append(state)
+                column = self.path[u + 1 :, k]
+                column[:] = walk
+                column *= batch
+                column += k
         now, after = self.path[u:-1, trials], self.path[u + 1 :, trials]
         # entry (state, k, t) of a (state, trial, stage) table is flat entry
         # path[t, k] * L + t
         cells = now * length + np.arange(u, length)[:, None]
         cost_cells = self.rows.take(cells)
-        span, entries = game.num_states * batch, self.entries[stages]
+        if self.lockstep:
+            span, entries = game.num_states * batch, self.entries[stages]
         for i, (table, cost) in enumerate(zip(self.tables, game.costs)):
             columns = slice(i * batch + k0, i * batch + k1)
-            np.add(after, i * span, out=entries[:, 0, columns])
-            for a in range(1, self.width):
-                np.add(entries[:, 0, columns], a * self.plane, out=entries[:, a, columns])
-            np.multiply(table.take(cells), self.plane, out=entries[:, self.width, columns], dtype=np.intp)
-            entries[:, self.width, columns] += now + i * span
+            if self.lockstep:
+                np.add(after, i * span, out=entries[:, 0, columns])
+                for a in range(1, self.width):
+                    np.add(entries[:, 0, columns], a * self.plane, out=entries[:, a, columns])
+                np.multiply(table.take(cells), self.plane, out=entries[:, self.width, columns], dtype=np.intp)
+                entries[:, self.width, columns] += now + i * span
+            else:
+                self.actions[stages, columns] = table.take(cells)
             self.written[stages, columns] = cost.take(cost_cells)
 
 
@@ -800,10 +790,12 @@ def _simulate(
     time inside a segment, runs the appraisals due there, and rebuilds the
     columns of each trial whose baseline changed from that stage on. The
     appraisals at a time run in (trial, player) order and draw the same
-    keyed uniforms wherever the time falls. Between pauses the state paths
-    and Q-factor recursions run stage by stage, in lockstep
+    keyed uniforms wherever the time falls. The segment walks every
+    trial's state path and gathers its actions and costs when it is built,
+    and again from the pause for a trial it rebuilds; between pauses the
+    Q-factor recursions run stage by stage, in lockstep
     (:meth:`_QStack.play`) for a batch of ``_LOCKSTEP_MIN`` trials or more,
-    else trial by trial (:meth:`_QStack.play_each`).
+    else table by table (:meth:`_QStack.play_each`).
     A trial's draws depend only on its streams, so its outputs do not
     depend on the batch, and they equal bit for bit those of the
     stage-by-stage reference ``tests/oracles.simulate_stepwise``.
@@ -822,6 +814,7 @@ def _simulate(
     next_update = 0
     update_times = sorted({u for u, _, _ in updates})
     lockstep = batch >= _LOCKSTEP_MIN
+    play = stack.play if lockstep else stack.play_each
     times = tuple(record_times)
     if not all(_is_id(t) and 0 <= t < horizon for t in times):
         raise ValueError(f"record times must be integers in [0, horizon), got {times!r}")
@@ -900,12 +893,8 @@ def _simulate(
             if start:
                 for k in appraise(t + start):
                     segment.build(k, k + 1, start)
-            if lockstep:
-                stack.play(segment.entries, segment.written, start, end)
-            else:
-                x = stack.play_each(game, segment.tables, segment.rows, segment.successor, x, start, end)
-        if lockstep:
-            x = segment.path[-1] // batch
+            play(segment, start, end)
+        x = segment.path[-1] // batch
         del segment  # its tables go before the next segment's are built
         t = stop
 

@@ -12,6 +12,7 @@ from decqlearn.acyclicity import (
     solve_theta,
     xi_bound,
 )
+from decqlearn import exact_solver
 from decqlearn.exact_solver import EnumerationBudgetError, _greedy_mask, q_star
 from decqlearn.game_model import DeterministicPolicy, StochasticGame, soften_policy
 
@@ -127,9 +128,10 @@ class TestBrGraph:
         with pytest.raises(TypeError):
             nodes[1.0]
 
-    def test_budget_guard(self, benchmark_game):
+    def test_budget_guard(self, benchmark_game, monkeypatch):
+        monkeypatch.setattr(exact_solver, "DEFAULT_SOLVE_BUDGET", 4)
         with pytest.raises(EnumerationBudgetError):
-            build_br_graph(benchmark_game, 1e-9, budget=4)
+            build_br_graph(benchmark_game, 1e-9)
 
 
 class TestPMin:

@@ -3,8 +3,8 @@ against one value-iteration solve per opponent joint (``tests/oracles.py``).
 
 Solvers that run the same float operations compare by bytes: the stack against
 the single solves (so every derived object, from the equilibria to the report's
-path bound, is exactly equal) and the in-place value iteration against the
-allocating one. Solvers that run other float operations (policy against value
+path bound, is exactly equal) and the stacked value iteration against an
+allocating reference. Solvers that run other float operations (policy against value
 iteration) agree within their documented error bounds, on every greedy mask and
 on every object read off the masks.
 """
@@ -221,9 +221,9 @@ def _random_stack(rng, size, num_states, num_actions):
     return cost, kernel / kernel.sum(axis=-1, keepdims=True)
 
 
-def _assert_in_place_matches(cost, kernel, beta):
-    # Bytes and stopping sweeps of the in-place stack against the allocating
-    # one; returns each member's stopping sweep.
+def _assert_matches_broadcast_product(cost, kernel, beta):
+    # The stack's bytes against the allocating reference's (one gemv
+    # broadcast over the members); returns each member's stopping sweep.
     expected, sweeps = value_iteration_stack(cost, kernel, beta, TOL)
     assert _value_iteration(cost, kernel, beta, TOL).tobytes() == expected.tobytes()
     return sweeps
@@ -239,7 +239,7 @@ def test_value_iteration_matches_broadcast_product(beta):
         actions = range(1, 6) if beta < 0.99 else [1 + num_states % 5]
         for num_actions in actions:
             size = int(rng.integers(1, 65))
-            _assert_in_place_matches(*_random_stack(rng, size, num_states, num_actions), beta)
+            _assert_matches_broadcast_product(*_random_stack(rng, size, num_states, num_actions), beta)
 
 
 @settings(max_examples=25, deadline=None)
@@ -252,7 +252,7 @@ def test_value_iteration_matches_broadcast_product(beta):
 )
 def test_value_iteration_matches_broadcast_product_drawn(num_states, num_actions, size, beta, seed):
     rng = np.random.default_rng(seed)
-    _assert_in_place_matches(*_random_stack(rng, size, num_states, num_actions), beta)
+    _assert_matches_broadcast_product(*_random_stack(rng, size, num_states, num_actions), beta)
 
 
 def test_value_iteration_matches_single_solves_at_eight_states():
@@ -268,24 +268,24 @@ def test_value_iteration_matches_single_solves_at_eight_states():
 
 
 @pytest.mark.parametrize("beta", [0.5, 0.8, 0.99])
-def test_in_place_value_iteration_matches_allocating_sweeps(beta):
-    # Every S in 1..8 with every A in 1..5, a stack whose members retire at
+def test_members_stopping_at_different_sweeps_match_the_broadcast_product(beta):
+    # Every S in 1..8 with every A in 1..5, a stack whose members stop at
     # different sweeps (costs scaled by 1e-6, 1e-3 or 1), with a zero-cost
     # member that stops at sweep 1. Then its last member alone (K = 1) and
-    # three copies of it, which all retire at one sweep; at beta = 0.99,
+    # three copies of it, which all stop at one sweep; at beta = 0.99,
     # whose ~3000 sweeps make the allocating reference slow, for one A per S.
     rng = np.random.default_rng(int(100 * beta))
     for num_states in range(1, 9):
         for num_actions in range(1, 6):
             cost, kernel = _random_stack(rng, 4, num_states, num_actions)
             cost *= np.array([0.0, 1e-6, 1e-3, 1.0])[:, None, None]
-            sweeps = _assert_in_place_matches(cost, kernel, beta)
+            sweeps = _assert_matches_broadcast_product(cost, kernel, beta)
             assert sweeps[0] == 1 and len(set(sweeps.tolist())) == 4
             if beta == 0.99 and num_actions != 1 + num_states % 5:
                 continue
-            _assert_in_place_matches(cost[3:], kernel[3:], beta)
+            _assert_matches_broadcast_product(cost[3:], kernel[3:], beta)
             copies = [np.repeat(a[3:], 3, axis=0) for a in (cost, kernel)]
-            assert len(set(_assert_in_place_matches(*copies, beta).tolist())) == 1
+            assert len(set(_assert_matches_broadcast_product(*copies, beta).tolist())) == 1
 
 
 @pytest.mark.parametrize("solver", [_value_iteration, _policy_iteration])

@@ -275,8 +275,9 @@ class TestEquilibriumSet:
 
     def test_budget_guard(self, benchmark_game, monkeypatch):
         _forbid_solves(monkeypatch)
+        monkeypatch.setattr(exact_solver, "DEFAULT_SOLVE_BUDGET", 7)
         with pytest.raises(EnumerationBudgetError):
-            ExactAnalysis(benchmark_game, 1e-9, budget=7).equilibria
+            ExactAnalysis(benchmark_game, 1e-9).equilibria
 
     def test_node_budget_guard(self, monkeypatch):
         # 2 players, 2 actions, 10 states: the 2048 solves fit a budget of
@@ -290,8 +291,9 @@ class TestEquilibriumSet:
             initial_dist=np.full(10, 0.1),
         )
         _forbid_solves(monkeypatch)
+        monkeypatch.setattr(exact_solver, "DEFAULT_SOLVE_BUDGET", 4096)
         with pytest.raises(EnumerationBudgetError, match="1048576 nodes"):
-            ExactAnalysis(game, 1e-9, budget=4096).equilibria
+            ExactAnalysis(game, 1e-9).equilibria
 
 
 class TestDeltaBar:
@@ -344,11 +346,12 @@ class TestDeltaBar:
             ExactAnalysis(benchmark_game, 1e-10).delta_bar, abs=1e-6
         )
 
-    def test_budget_guard(self, benchmark_game):
+    def test_budget_guard(self, benchmark_game, monkeypatch):
+        monkeypatch.setattr(exact_solver, "DEFAULT_SOLVE_BUDGET", 3)
         with pytest.raises(EnumerationBudgetError):
-            ExactAnalysis(benchmark_game, 1e-9, budget=3).delta_bar
+            ExactAnalysis(benchmark_game, 1e-9).delta_bar
 
-    def test_needs_the_solve_budget_only(self, solve_calls):
+    def test_needs_the_solve_budget_only(self, solve_calls, monkeypatch):
         # The 2p2a10s game of test_node_budget_guard: its 2048 solves fit a
         # budget of 4096, and neither delta_bar nor the gap marks its
         # 1024 x 1024 joint policies.
@@ -360,8 +363,9 @@ class TestDeltaBar:
             kernel=np.full((10, 4, 10), 0.1),
             initial_dist=np.full(10, 0.1),
         )
-        assert math.isinf(ExactAnalysis(game, 1e-9, budget=4096).delta_bar)
-        assert ExactAnalysis(game, 1e-10, budget=4096, rhos=(0.1, 0.1)).gap == 0.0
+        monkeypatch.setattr(exact_solver, "DEFAULT_SOLVE_BUDGET", 4096)
+        assert math.isinf(ExactAnalysis(game, 1e-9).delta_bar)
+        assert ExactAnalysis(game, 1e-10, rhos=(0.1, 0.1)).gap == 0.0
         # one call for both players' tables behind delta_bar, then one for
         # the gap's plain and softened tables together; each call solves by
         # policy iteration, then again by value iteration the members whose
@@ -419,8 +423,9 @@ class TestPerturbation:
 
     def test_budget_guard(self, benchmark_game, monkeypatch):
         _forbid_solves(monkeypatch)
+        monkeypatch.setattr(exact_solver, "DEFAULT_SOLVE_BUDGET", 7)
         with pytest.raises(EnumerationBudgetError):
-            ExactAnalysis(benchmark_game, 1e-10, budget=7, rhos=(0.05, 0.05)).gap
+            ExactAnalysis(benchmark_game, 1e-10, rhos=(0.05, 0.05)).gap
 
 
 class TestReachability:

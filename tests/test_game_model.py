@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from decqlearn import cli
-from decqlearn.acyclicity import build_br_graph, p_min, solve_theta, xi_bound
+from decqlearn.acyclicity import p_min, solve_theta, xi_bound
 from decqlearn.agent import AgentConfig
-from decqlearn.exact_solver import ExactAnalysis, check_input, label_equilibria
+from decqlearn.exact_solver import check_input, label_equilibria
 from decqlearn.experiments import ExperimentConfig, analyze_game
 from decqlearn.game_model import (
     DeterministicPolicy,
@@ -337,6 +337,23 @@ class TestJointIndexing:
         assert benchmark_game.joint_index((1, 0)) == 2
         assert benchmark_game.joint_tuple(1) == (0, 1)
 
+    @pytest.mark.parametrize("actions", [(1.0, 0), (True, 0), (0, "1")])
+    def test_joint_index_takes_action_ids(self, benchmark_game, actions):
+        # (1.0, 0) gave 2.0 and (True, 0) gave 2
+        with pytest.raises(ValueError, match=r"^action id .* is not an integer$"):
+            benchmark_game.joint_index(actions)
+
+    @pytest.mark.parametrize("index", [2.0, True, "2"])
+    def test_joint_tuple_takes_an_id(self, benchmark_game, index):
+        # 2.0 gave (1.0, 0.0)
+        with pytest.raises(ValueError, match=r"^joint action index must be a nonnegative integer, got "):
+            benchmark_game.joint_tuple(index)
+
+    def test_numpy_ids_give_python_ints(self, benchmark_game):
+        index = benchmark_game.joint_index((np.int64(1), np.uint8(1)))
+        assert index == 3 and type(index) is int
+        assert all(type(a) is int for a in benchmark_game.joint_tuple(np.uint8(2)))
+
 
 # Each integer input given a bool, a float or a value out of its range, with
 # the input its error names.
@@ -368,13 +385,15 @@ _BAD_INTEGERS = {
     "draw-no-players": ("num_players", lambda g: draw_schedule(_STREAMS, 0, 2, 2, 10)),
     "config-seed-negative": ("master_seed", lambda g: ExperimentConfig(master_seed=-1)),
     "config-seed-past-64-bits": ("master_seed", lambda g: ExperimentConfig(master_seed=2**64)),
-    # a string raised TypeError ("'>' not supported"), -1 was accepted, and
-    # NaN switched the budget off
-    "analysis-budget-string": ("budget", lambda g: ExactAnalysis(g, 1e-9, "5")),
-    "analysis-budget-negative": ("budget", lambda g: ExactAnalysis(g, 1e-9, -1)),
-    "analysis-budget-nan": ("budget", lambda g: ExactAnalysis(g, 1e-9, math.nan)),
-    "analyze-budget-nan": ("budget", lambda g: analyze_game(g, budget=math.nan)),
-    "graph-budget-negative": ("budget", lambda g: build_br_graph(g, 1e-9, -1)),
+    # the keys of the event draws: a bool drew as player or time 1, a float
+    # time reached numpy's "seed must be integer" and a negative one its
+    # "expected non-negative integer", neither naming the input
+    "inertia-player-bool": ("player", lambda g: _STREAMS.inertia_uniform(True, 3)),
+    "inertia-player-negative": ("player", lambda g: _STREAMS.inertia_uniform(-1, 2)),
+    "inertia-time-float": ("t", lambda g: _STREAMS.inertia_uniform(0, 2.5)),
+    "policy-draw-time-bool": ("t", lambda g: _STREAMS.policy_draw(0, True, ((0, 1), (1,)))),
+    "phase-lengths-player-bool": ("player", lambda g: _STREAMS.phase_lengths(True, 2, 3, 10)),
+    "initial-choices-player-float": ("player", lambda g: _STREAMS.initial_policy_choices(1.0, 2, 2)),
     # a string raised TypeError in np.arange
     "soften-num-actions": ("num_actions", lambda g: soften_policy(DeterministicPolicy(0, (0, 1)), 0.1, "2")),
     "soften-num-actions-float": ("num_actions", lambda g: soften_policy(DeterministicPolicy(0, (0, 1)), 0.1, 2.0)),

@@ -146,10 +146,37 @@ def _analyze(**given):
     return json.dumps(dq.analyze_game(_GAME, **{**_ANALYZE, **given}), sort_keys=True)
 
 
-def _analysis(tol=1e-9, budget=10**6, rhos=(0.05, 0.05), deltas=(0.5, 0.5)):
-    analysis = dq.ExactAnalysis(_GAME, tol, budget, rhos, deltas)
+def _analysis(tol=1e-9, rhos=(0.05, 0.05), deltas=(0.5, 0.5)):
+    analysis = dq.ExactAnalysis(_GAME, tol, rhos, deltas)
     facts = (sorted(analysis.equilibria), analysis.delta_bar, analysis.gap, analysis.bound)
     return repr(facts), analysis.path_len.tobytes()
+
+
+def _opponents(player):
+    """Softened policies of every player of the benchmark game but
+    ``player``."""
+    return [dq.soften_policy(dq.DeterministicPolicy(j, (0, 1)), 0.1, 2) for j in range(2) if j != player]
+
+
+def _induced(player):
+    mdp = dq.induced_mdp(_GAME, player, _opponents(player))
+    return mdp.cost.tobytes(), mdp.kernel.tobytes()
+
+
+def _q_star(player):
+    return dq.q_star(_GAME, player, _opponents(player), 1e-9).values.tobytes()
+
+
+def _draws(player=1, t=3):
+    streams = dq.RandomnessStreams(5)
+    return repr(
+        (
+            streams.inertia_uniform(player, t),
+            streams.policy_draw(player, t, ((0, 1), (1,))),
+            streams.phase_lengths(player, 10, 2, 60),
+            streams.initial_policy_choices(player, 2, 2),
+        )
+    )
 
 
 def _soften(rho=0.1, num_actions=2):
@@ -242,14 +269,16 @@ SLOTS = [
     Slot("analyze-tol", "positive", "tol", lambda v, out: _analyze(tol=v)),
     Slot("analyze-eps", "unit", "eps", lambda v, out: _analyze(eps=v)),
     Slot("analyze-ratio", "count", "ratio", lambda v, out: _analyze(ratio=v)),
-    Slot("analyze-budget", "count", "budget", lambda v, out: _analyze(budget=v)),
     Slot("analyze-rho", "rho", "rho", lambda v, out: _analyze(rhos=(0.05, v))),
     Slot("analyze-delta", "positive", "delta", lambda v, out: _analyze(deltas=(v, 0.5))),
     Slot("analyze-lambda", "unit", "lambda", lambda v, out: _analyze(lambdas=(0.2, v))),
     Slot("analysis-tol", "positive", "tol", lambda v, out: _analysis(tol=v)),
-    Slot("analysis-budget", "count", "budget", lambda v, out: _analysis(budget=v)),
     Slot("analysis-rho", "rho", "rho", lambda v, out: _analysis(rhos=(v, 0.05))),
     Slot("analysis-delta", "positive", "delta", lambda v, out: _analysis(deltas=(0.5, v))),
+    Slot("induced-player", "action", "player id", lambda v, out: _induced(v)),
+    Slot("q-star-player", "action", "player id", lambda v, out: _q_star(v)),
+    Slot("draws-player", "action", "player", lambda v, out: _draws(player=v)),
+    Slot("draws-time", "action", "t must", lambda v, out: _draws(t=v)),
     Slot("soften-rho", "probability", "rho", lambda v, out: _soften(rho=v)),
     Slot("soften-actions", "count", "num_actions", lambda v, out: _soften(num_actions=v), most=64),
     Slot("labels-tol", "positive", "tol", lambda v, out: _labels(tol=v)),
@@ -287,15 +316,12 @@ SLOTS = [
 
 def _outcome(slot: Slot, value) -> tuple:
     """("ran", outputs) or ("refused",), after checking that a refusal is a
-    ValueError naming the input (or, for a budget, the analysis's own
-    ``EnumerationBudgetError``) and that the refused call wrote nothing."""
+    ValueError naming the input and that the refused call wrote nothing."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
         try:
             return ("ran", slot.call(value, out))
-        except (ValueError, dq.EnumerationBudgetError) as exc:
-            if isinstance(exc, dq.EnumerationBudgetError):
-                assert slot.name == "budget", exc
+        except ValueError as exc:
             assert re.search(slot.name, str(exc)), f"{slot.id}: {value!r}: {exc}"
             assert not out.exists(), f"{slot.id}: {value!r} wrote {out} before it was refused"
             return ("refused",)

@@ -717,6 +717,47 @@ class TestSegmentEngine:
         assert all(k1 == k0 + 1 and u > 0 for k0, k1, u in rebuilds)
         assert len(rebuilds) == len(switched)
 
+    @pytest.mark.parametrize("name", ["3p3s3a", "benchmark"])
+    def test_both_forms_build_the_same_walk(self, benchmark_game, name):
+        # a lockstep and a per-trial segment from the same draws, baselines
+        # and start states hold the same walks and costs, and the action the
+        # per-trial one gathers is the one each lockstep stage writes (row
+        # A of its entries); again after one trial's columns are rebuilt
+        # under a changed baseline
+        if name == "benchmark":
+            game = benchmark_game
+        else:
+            game = seeded_game(np.random.default_rng(3), (3, 3, 3), 3)
+        configs = _configs(game.num_players, rho=0.2)
+        batch, length, k, u = 5, 300, 2, 137
+        streams = [RandomnessStreams(7, trial=trial) for trial in range(batch)]
+        generators = [
+            (
+                s.transition_generator(),
+                [(s.experimentation_generator(i), s.action_generator(i)) for i in range(game.num_players)],
+            )
+            for s in streams
+        ]
+        w, draws = orchestrator._draw_block(game, configs, generators, length)
+        baselines = orchestrator._first_baselines(game, configs, streams)
+        x = np.arange(batch) % game.num_states
+        stack = orchestrator._QStack(game, configs, batch)
+        lockstep = orchestrator._Segment(game, baselines, w, draws, x, stack)
+        alone = orchestrator._Segment(game, baselines, w, draws, x, None)
+
+        def assert_same():
+            assert np.array_equal(lockstep.path, alone.path)
+            assert np.array_equal(lockstep.written, alone.written)
+            assert np.array_equal(lockstep.entries[:, lockstep.width] // lockstep.plane, alone.actions)
+
+        assert_same()
+        before = alone.actions[u:, k].copy()
+        baselines[0][k] = (baselines[0][k] + 1) % game.action_counts[0]
+        for segment in (lockstep, alone):
+            segment.build(k, k + 1, u)
+        assert not np.array_equal(alone.actions[u:, k], before)
+        assert_same()
+
     def test_trace_does_not_depend_on_the_batch(self, monkeypatch, benchmark_game):
         monkeypatch.setattr(orchestrator, "_LOCKSTEP_MIN", 1)
 
