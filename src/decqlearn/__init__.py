@@ -60,7 +60,6 @@ from .orchestrator import (
     SimulationTrace,
     active_phases,
     draw_schedule,
-    equilibrium_frequency,
     frozen_q_run,
     run_episodes,
 )

@@ -1,14 +1,14 @@
 """Structural analysis of the deterministic joint-policy space.
 
 The strict best-response graph is held by ``exact_solver.ExactAnalysis`` as
-arrays: nodes are deterministic joint policies, and an edge changes exactly
-one player's policy to a different 0-best-response. A game is weakly acyclic
-when every node has a path into the (nonempty) equilibrium set; the
-certificate also yields the shortest-path profile used by the convergence
-diagnostics: the path bound L, the inertia floor p_min, and the theta/xi
-tolerance split (``solve_theta``, then ``xi_bound``). ``BrGraph``
-(``build_br_graph``) is a view of those arrays for tools that want the graph
-itself.
+arrays over its nodes, the deterministic joint policies; an edge, never
+listed, changes exactly one player's policy to a different
+0-best-response. A game is weakly acyclic when every node has a path into
+the (nonempty) equilibrium set; the certificate also yields the
+shortest-path profile used by the convergence diagnostics: the path bound
+L, the inertia floor p_min, and the theta/xi tolerance split
+(``solve_theta``, then ``xi_bound``). ``BrGraph`` (``build_br_graph``) is a
+view of those arrays by node.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .exact_solver import ExactAnalysis, check_input, check_per_player
-from .game_model import JointDeterministicPolicy, StochasticGame, _check
+from .game_model import JointDeterministicPolicy, StochasticGame, _check, _items
 
 __all__ = [
     "BrGraph",
@@ -61,20 +61,13 @@ class BrGraph:
     when that node is read; ``equilibria`` the node indices of the
     equilibria; ``path_len`` the analysis's read-only float array, per node
     the length of a shortest strict best-response path into the equilibria
-    (0 exactly on equilibria, ``math.inf`` if none is reachable); ``edges``
-    the analysis's sorted (source, target, deviator) (E, 3) array, built the
-    first time it is read.
+    (0 exactly on equilibria, ``math.inf`` if none is reachable).
     """
 
     def __init__(self, analysis: ExactAnalysis) -> None:
-        self._analysis = analysis
         self.nodes = _Nodes(analysis)
         self.equilibria = frozenset(np.flatnonzero(analysis.equilibrium_mask).tolist())
         self.path_len = analysis.path_len
-
-    @property
-    def edges(self) -> np.ndarray:
-        return self._analysis.edges
 
 
 def build_br_graph(game: StochasticGame, tol: float) -> BrGraph:
@@ -165,7 +158,7 @@ def xi_bound(
     min(theta, min_i min(delta_i, dbar - delta_i) / 2) / ((R+1) N L)."""
     theta = _check("positive", "theta", theta)
     R, N, L = check_input("ratio", R), _check("count", "N", N), _check("count", "L", L)
-    deltas = [_check("positive", "delta", d) for d in deltas]
+    deltas = [_check("positive", "delta", d) for d in _items("deltas", deltas)]
     for d in deltas:
         if not d < dbar:
             raise ValueError(f"delta {d} must lie strictly inside (0, {dbar})")

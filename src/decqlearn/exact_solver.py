@@ -27,6 +27,7 @@ from .game_model import (
     StochasticGame,
     _check,
     _choice_for,
+    _items,
     _player_id,
     _require_finite,
     _softened,
@@ -71,7 +72,9 @@ def check_input(name: str, value):
 
 
 def check_per_player(game: StochasticGame, name: str, values: Sequence[float]) -> tuple:
-    """One value of input ``name`` per player, each in its range, as Python numbers."""
+    """One value of input ``name`` per player, each in its range, as Python
+    numbers; the list input is named ``name`` + "s" (``game_model._items``)."""
+    values = _items(f"{name}s", values)
     if len(values) != game.num_players:
         raise ValueError(f"need one {name} per player")
     return tuple(check_input(name, value) for value in values)
@@ -142,7 +145,7 @@ def induced_mdp(
     """Marginalize the opponents' stationary policies out of the game for
     player id ``player``: the rows of ``_induced_stack`` at every state, one
     factor per opponent in the order of ``others``."""
-    player = _player_id(player)
+    player, others = _player_id(player), _items("others", others)
     if player >= game.num_players:
         raise ValueError(f"player id {player} out of range")
     seen = sorted(pol.player for pol in others)
@@ -419,11 +422,12 @@ def label_equilibria(
     tol, eps = check_input("tol", tol), _check("nonnegative", "eps", eps)
     num_players, num_states = game.num_players, game.num_states
     checked = []
-    for joint in joints:
+    for joint in _items("joints", joints):
         try:
-            if len(joint) != num_players:
-                raise ValueError(f"{len(joint)} policies for {num_players} players")
-            checked.append(tuple(_choice_for(game, i, c) for i, c in enumerate(joint)))
+            policies = _items("policies", joint)
+            if len(policies) != num_players:
+                raise ValueError(f"{len(policies)} policies for {num_players} players")
+            checked.append(tuple(_choice_for(game, i, c) for i, c in enumerate(policies)))
         except ValueError as exc:
             raise ValueError(f"joint {joint!r} is not a joint policy of this game: {exc}") from None
     opponents, rows = {}, []
@@ -651,10 +655,10 @@ class ExactAnalysis:
     The best-response graph is held as arrays over the nodes, the joint
     policies in ``itertools.product`` order (the flat (C) order of the
     grids): ``equilibrium_mask`` and the float ``path_len``, both read off
-    the grids. One decode turns flat indices into choice arrays, both for
-    the opponent joints the table solves and for ``choices`` of nodes. The
-    sorted ``edges`` array is built only when it is read; the report never
-    reads it (``acyclicity.build_br_graph`` is a view of these arrays).
+    the grids, so no edge list is ever built. One decode turns flat indices
+    into choice arrays, both for the opponent joints the table solves and
+    for ``choices`` of nodes (``acyclicity.build_br_graph`` is a view of
+    these arrays).
 
     ``table`` and ``softened`` refuse, before any solve, more solves than
     ``DEFAULT_SOLVE_BUDGET``, read when they run; ``grids`` (behind the
@@ -770,28 +774,6 @@ class ExactAnalysis:
     @functools.cached_property
     def equilibria(self) -> frozenset[tuple[tuple[int, ...], ...]]:
         return frozenset(self.choices(np.flatnonzero(self.equilibrium_mask)))
-
-    @functools.cached_property
-    def edges(self) -> np.ndarray:
-        """Strict best-response edges as (source, target, deviator) rows,
-        sorted by source, then deviator, then target, read-only; built only
-        when read."""
-        grids = self.grids
-        sizes = self._sizes
-        num_nodes = grids[0].size
-        edges = []
-        for i, grid in enumerate(grids):
-            # Every node whose player-i policy is a best response receives an
-            # edge from each node that differs from it in player i's policy only.
-            stride = num_nodes // math.prod(sizes[: i + 1])
-            target = np.flatnonzero(grid)[:, None]
-            source = target + (np.arange(sizes[i]) - target // stride % sizes[i]) * stride
-            rows = np.stack(np.broadcast_arrays(source, target, i), axis=-1)
-            edges.append(rows[source != target])
-        edges = np.concatenate(edges)
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 2], edges[:, 0]))]
-        edges.setflags(write=False)
-        return edges
 
     @functools.cached_property
     def path_len(self) -> np.ndarray:

@@ -203,10 +203,19 @@ def _check(kind: str, name: str, value):
     return value.item() if isinstance(value, np.generic) else value
 
 
+def _items(name: str, value) -> tuple:
+    """The one rule for a list input: ``value``'s entries as a tuple; a
+    number where a list belongs (a 0-d array too), or a string, is a
+    ValueError naming it."""
+    if isinstance(value, str) or not isinstance(value, Iterable) or getattr(value, "ndim", 1) == 0:
+        raise ValueError(f"{name} must be a sequence, got {value!r}")
+    return tuple(value)
+
+
 def _action_ids(choice: Iterable) -> tuple[int, ...]:
-    """``choice`` as Python ints; an entry that is not an id (see
-    :func:`_is_id`) is a ValueError naming it."""
-    choice = tuple(choice)
+    """``choice`` as Python ints (see :func:`_items`); an entry that is not
+    an id (see :func:`_is_id`) is a ValueError naming it."""
+    choice = _items("action ids", choice)
     for a in choice:
         if not _is_id(a):
             raise ValueError(f"action id {a!r} is not an integer")

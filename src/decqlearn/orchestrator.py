@@ -41,6 +41,7 @@ from .game_model import (
     _choice_for,
     _is_id,
     _inverse_cdf,
+    _items,
     sample_initial_state,
     sample_transition,
 )
@@ -57,7 +58,6 @@ __all__ = [
     "SimulationTrace",
     "run_episodes",
     "frozen_q_run",
-    "equilibrium_frequency",
 ]
 
 _FAMILY_TRANSITION = 0
@@ -82,8 +82,8 @@ class RandomnessStreams:
     keyed sub-streams, so a draw never depends on which other draws were
     consumed first.
 
-    ``master_seed`` is a 64-bit unsigned integer; ``trial`` and the keys of
-    the event draws, ``player`` and ``t``, are nonnegative integers; and the
+    ``master_seed`` is a 64-bit unsigned integer; ``trial``, every
+    ``player`` key and the event draws' ``t`` are nonnegative integers; and the
     phase-length arguments are counts, each by its rule in
     ``game_model._RULES``.
     """
@@ -103,11 +103,11 @@ class RandomnessStreams:
 
     def experimentation_generator(self, player: int) -> np.random.Generator:
         """The player's experimentation uniforms, drawn by ``random(n)``."""
-        return self._generator(_FAMILY_EXPERIMENT, player)
+        return self._generator(_FAMILY_EXPERIMENT, _check("index", "player", player))
 
     def action_generator(self, player: int) -> np.random.Generator:
         """The player's uniform actions, drawn by ``integers(0, m, size=n)``."""
-        return self._generator(_FAMILY_ACTION, player)
+        return self._generator(_FAMILY_ACTION, _check("index", "player", player))
 
     def inertia_uniform(self, player: int, t: int) -> float:
         player, t = _check("index", "player", player), _check("index", "t", t)
@@ -1008,6 +1008,7 @@ def frozen_q_run(
     :func:`run_episodes`, a trial's tables do not depend on the batch.
     """
     steps = _check("count", "steps", steps)
+    frozen_joint = _items("frozen_joint", frozen_joint)
     if len(frozen_joint) != game.num_players:
         raise ValueError("frozen_joint needs one policy per player")
     streams = _trials(streams)
@@ -1023,16 +1024,3 @@ def frozen_q_run(
     )
     return [[QTable(i, q) for i, q in enumerate(final)] for _, _, _, final, _ in results]
 
-
-def equilibrium_frequency(
-    traces: Sequence[SimulationTrace], times: Sequence[int]
-) -> dict[int, float]:
-    """Per requested time, the fraction of traces whose baseline joint policy
-    is an equilibrium at that time."""
-    if not traces:
-        raise ValueError("need at least one trace")
-    out = {}
-    for t in times:
-        flags = [tr.at_equilibrium(t) for tr in traces]
-        out[int(t)] = sum(flags) / len(flags)
-    return out

@@ -967,7 +967,6 @@ def test_derived_objects_match_enumeration(game):
     assert ExactAnalysis(game, TOL, rhos=rhos).gap == expected_gap
     # the analysis's graph arrays, and the export, a view of them, against
     # the oracle's node-by-node fields
-    assert np.array_equal(analysis.edges, expected_graph.edges)
     assert np.array_equal(analysis.path_len, expected_graph.path_len)
     assert analysis.equilibria == {expected_graph.nodes[k] for k in expected_graph.equilibria}
     graph = build_br_graph(game, TOL)
@@ -987,19 +986,16 @@ def test_derived_objects_match_enumeration(game):
 
 def _assert_graph_equals(graph, expected):
     """A ``build_br_graph`` view against ``br_graph_enumerated``'s fields:
-    equal node choices, edge rows in the same order, equilibrium node ints
-    and path lengths."""
+    equal node choices, equilibrium node ints and path lengths."""
     assert [node.choices for node in graph.nodes] == list(expected.nodes)
-    assert np.array_equal(graph.edges, expected.edges)
     assert graph.equilibria == expected.equilibria
     assert np.array_equal(graph.path_len, expected.path_len)
 
 
 def test_analyze_builds_no_joint_policy_per_node(monkeypatch):
     # 6561 joint policies, four of them equilibria. The report decodes only
-    # the equilibria and reads the path lengths off the grids, never the edge
-    # array; the graph export builds neither a node's policy until the node
-    # is read nor the edge array until its edges are read.
+    # the equilibria and reads the path lengths off the grids; the graph
+    # export builds no node's policy until the node is read.
     game = _shaped_game(np.random.default_rng(17), 4, (3, 3))
     built = 0
     post_init = JointDeterministicPolicy.__post_init__
@@ -1009,33 +1005,27 @@ def test_analyze_builds_no_joint_policy_per_node(monkeypatch):
         built += 1
         post_init(self)
 
-    def no_edges(self):
-        raise AssertionError("the edge array was built")
-
     monkeypatch.setattr(JointDeterministicPolicy, "__post_init__", counted)
-    with monkeypatch.context() as patch:
-        patch.setattr(exact_solver.ExactAnalysis, "edges", property(no_edges))
-        report = analyze_game(game, rhos=RHOS[:2], lambdas=(0.2, 0.2), eps=0.1, tol=TOL)
-        assert built <= 4
-        built = 0
-        graph = build_br_graph(game, TOL)
-        assert (len(graph.nodes), len(graph.equilibria)) == (6561, 4)
-        assert is_weakly_acyclic(graph)
-        assert built == 0
-        node = graph.nodes[6560]
-        assert built == 1
+    report = analyze_game(game, rhos=RHOS[:2], lambdas=(0.2, 0.2), eps=0.1, tol=TOL)
+    assert built <= 4
+    built = 0
+    graph = build_br_graph(game, TOL)
+    assert (len(graph.nodes), len(graph.equilibria)) == (6561, 4)
+    assert is_weakly_acyclic(graph)
+    assert built == 0
+    node = graph.nodes[6560]
+    assert built == 1
     assert (report["num_joint_policies"], report["num_equilibria"]) == (6561, 4)
     assert report["path_bound_L"] is not None
     assert node.choices == ((2, 2, 2, 2), (2, 2, 2, 2))
-    assert len(graph.edges) == 12960
     _assert_graph_equals(graph, br_graph_enumerated(game, TOL))
 
 
 def test_graph_export_allocates_no_object_per_node():
     # 59 049 joint policies and 117 612 edges: one Python object per node
     # and edge would take about 36 MB here; the export holds the analysis's
-    # arrays, under half a megabyte for its path lengths, until a node or
-    # the edges are read.
+    # arrays, under half a megabyte for its path lengths, until a node is
+    # read.
     game = _shaped_game(np.random.default_rng(5), 5, (3, 3))
     build_br_graph(_shaped_game(np.random.default_rng(4), 2, (3, 3)), TOL)
     tracemalloc.start()

@@ -1,7 +1,8 @@
 """The library's one runtime dependency is numpy: every module of
 ``src/decqlearn`` imports only the standard library, numpy and the package
 itself, and ``pyproject.toml`` declares numpy alone. Every name a module
-exports, and every name the package imports, resolves."""
+exports, every name the package imports, and every name the benchmark
+scripts read from the package, resolves."""
 
 import ast
 import importlib
@@ -72,3 +73,76 @@ def test_every_name_the_package_imports_resolves():
     for module, name in imported:
         source = importlib.import_module(f"decqlearn.{module}")
         assert getattr(package, name) is getattr(source, name), f"{module}.{name}"
+
+
+def _package_reads(tree: ast.AST) -> list[tuple[str, str]]:
+    """The (dotted path, name) pairs that ``tree`` reads from the package:
+    each name imported from a ``decqlearn`` module, and each attribute read
+    through a name bound to a ``decqlearn`` module or one of its names (an
+    ``import decqlearn``, or a ``from decqlearn import orchestrator``), in
+    any scope."""
+    reads, bound = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "decqlearn":
+                    bound[alias.asname or "decqlearn"] = alias.name if alias.asname else "decqlearn"
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] == "decqlearn":
+            for alias in node.names:
+                reads.append((node.module, alias.name))
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+            reads.append((bound[node.value.id], node.attr))
+    return reads
+
+
+def _defines(path: str, name: str) -> bool:
+    """True iff the object at dotted path ``path`` of the package (a module,
+    or a name a module defines) has attribute ``name``, a submodule
+    included."""
+    try:
+        owner = importlib.import_module(path)
+    except ModuleNotFoundError:
+        module, _, last = path.rpartition(".")
+        owner = getattr(importlib.import_module(module), last, None)
+    if hasattr(owner, name):
+        return True
+    try:
+        importlib.import_module(f"{path}.{name}")
+    except ImportError:
+        return False
+    return True
+
+
+def test_every_name_the_benchmarks_read_resolves():
+    # the benchmark scripts import the package by name from outside it, so
+    # a deleted or renamed name would break them unseen by the package's own
+    # tests
+    reads = [
+        read
+        for path in sorted((_ROOT / "benchmarks").glob("*.py"))
+        for read in _package_reads(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert ("decqlearn.acyclicity", "build_br_graph") in reads
+    assert ("decqlearn.orchestrator", "sample_transition") in reads
+    missing = sorted({f"{path}.{name}" for path, name in reads if not _defines(path, name)})
+    assert not missing, f"the benchmarks read {missing}, which the package lacks"
+
+
+def test_the_benchmark_scan_sees_module_bindings():
+    tree = ast.parse(
+        "import decqlearn\nfrom decqlearn import cli\nfrom decqlearn.acyclicity import build_br_graph as b\n"
+        "def f():\n    from decqlearn import orchestrator\n    return orchestrator.gone(cli.main, b.x, decqlearn.__file__)\n"
+    )
+    assert sorted(_package_reads(tree)) == [
+        ("decqlearn", "__file__"),
+        ("decqlearn", "cli"),
+        ("decqlearn", "orchestrator"),
+        ("decqlearn.acyclicity", "build_br_graph"),
+        ("decqlearn.acyclicity.build_br_graph", "x"),
+        ("decqlearn.cli", "main"),
+        ("decqlearn.orchestrator", "gone"),
+    ]
+    assert not _defines("decqlearn.orchestrator", "gone")
+    assert _defines("decqlearn", "cli") and _defines("decqlearn.orchestrator", "sample_transition")

@@ -16,7 +16,7 @@ from numpy.testing import assert_allclose
 from decqlearn import cli
 from decqlearn.acyclicity import p_min, solve_theta, xi_bound
 from decqlearn.agent import AgentConfig
-from decqlearn.exact_solver import check_input, label_equilibria
+from decqlearn.exact_solver import ExactAnalysis, check_input, label_equilibria, q_star
 from decqlearn.experiments import ExperimentConfig, analyze_game
 from decqlearn.game_model import (
     DeterministicPolicy,
@@ -34,7 +34,7 @@ from decqlearn.game_model import (
     soften_policy,
     validate_game,
 )
-from decqlearn.orchestrator import RandomnessStreams, Schedule, _first_baselines, draw_schedule
+from decqlearn.orchestrator import RandomnessStreams, Schedule, _first_baselines, draw_schedule, frozen_q_run
 from oracles import _inverse_cdf as bisect_inverse_cdf
 from oracles import _last_positive as last_positive
 
@@ -394,6 +394,12 @@ _BAD_INTEGERS = {
     "policy-draw-time-bool": ("t", lambda g: _STREAMS.policy_draw(0, True, ((0, 1), (1,)))),
     "phase-lengths-player-bool": ("player", lambda g: _STREAMS.phase_lengths(True, 2, 3, 10)),
     "initial-choices-player-float": ("player", lambda g: _STREAMS.initial_policy_choices(1.0, 2, 2)),
+    # the per-step generators' player key: True drew player 1's stream, 1.5
+    # reached numpy's "seed must be integer" and -1 its "expected
+    # non-negative integer"
+    "experimentation-player-bool": ("player", lambda g: _STREAMS.experimentation_generator(True)),
+    "experimentation-player-negative": ("player", lambda g: _STREAMS.experimentation_generator(-1)),
+    "action-player-float": ("player", lambda g: _STREAMS.action_generator(1.5)),
     # a string raised TypeError in np.arange
     "soften-num-actions": ("num_actions", lambda g: soften_policy(DeterministicPolicy(0, (0, 1)), 0.1, "2")),
     "soften-num-actions-float": ("num_actions", lambda g: soften_policy(DeterministicPolicy(0, (0, 1)), 0.1, 2.0)),
@@ -426,6 +432,26 @@ _BAD_REALS = {
 }
 # Cases whose range has no upper end (eps >= 0): infinity passes them.
 _UNBOUNDED = {"label-eps"}
+
+_CONFIGS = [AgentConfig(player=i, rho=0.05, lam=0.2, delta=0.5, alpha=0.1) for i in (0, 1)]
+
+# Each list input given a number, with the input its error names; each
+# raised a TypeError (a len() or an iteration of a number) naming nothing.
+_NOT_LISTS = {
+    "analysis-rhos": ("rhos", lambda g: ExactAnalysis(g, 1e-9, rhos=0.05)),
+    "analyze-lambdas": ("lambdas", lambda g: analyze_game(g, lambdas=0.2, eps=0.1)),
+    "p-min-lambdas": ("lambdas", lambda g: p_min(g, 0.2, 1, 2)),
+    "xi-deltas": ("deltas", lambda g: xi_bound(0.1, 1, 2, 2, 0.5, 2.0)),
+    "label-joints": ("joints", lambda g: label_equilibria(g, 5, 1e-9)),
+    "label-joint": ("policies", lambda g: label_equilibria(g, [5], 1e-9)),
+    "label-choice": ("action ids", lambda g: label_equilibria(g, [[5, 5]], 1e-9)),
+    "frozen-joint": ("frozen_joint", lambda g: frozen_q_run(g, _CONFIGS, 5, [_STREAMS], 10)),
+    "frozen-choice": ("action ids", lambda g: frozen_q_run(g, _CONFIGS, [5, 5], [_STREAMS], 10)),
+    "policy-choice": ("action ids", lambda g: DeterministicPolicy(0, 5)),
+    "policy-choice-zero-d": ("action ids", lambda g: DeterministicPolicy(0, np.array(5))),
+    "joint-index": ("action ids", lambda g: g.joint_index(5)),
+    "q-star-others": ("others", lambda g: q_star(g, 0, 5, 1e-9)),
+}
 
 
 class TestPolicies:
@@ -500,6 +526,12 @@ class TestPolicies:
         # A bool or a float is a ValueError naming the input, not an integer.
         name, call = _BAD_INTEGERS[case]
         with pytest.raises(ValueError, match=rf"^{name} must be "):
+            call(benchmark_game)
+
+    @pytest.mark.parametrize("case", sorted(_NOT_LISTS))
+    def test_list_inputs_refuse_a_number(self, benchmark_game, case):
+        name, call = _NOT_LISTS[case]
+        with pytest.raises(ValueError, match=rf"{name} must be a sequence, got "):
             call(benchmark_game)
 
     @pytest.mark.parametrize("case", sorted(_BAD_REALS))

@@ -17,7 +17,6 @@ from decqlearn.orchestrator import (
     SimulationTrace,
     active_phases,
     draw_schedule,
-    equilibrium_frequency,
     frozen_q_run,
     run_episodes,
 )
@@ -996,7 +995,7 @@ class TestSimulationTrace:
                 lookup(t)
         # a time that is not an integer is refused, as a record time is, not
         # truncated to the stage before it
-        lookups = (trace.joint_at, trace.at_equilibrium, lambda t: equilibrium_frequency([trace], [t]))
+        lookups = (trace.joint_at, trace.at_equilibrium)
         for t, lookup in itertools.product((5.5, 9.9, True, np.float64(3.0)), lookups):
             with pytest.raises(ValueError, match=re.escape(f"time {t!r} is not an integer")):
                 lookup(t)
@@ -1023,8 +1022,7 @@ class TestEquilibriumFrequency:
         streams = RandomnessStreams(9, trial=0)
         schedule = Schedule(min_length=601, ratio=1, phase_lengths=((601,), (601,)))
         (trace,) = run_episodes(benchmark_game, configs, [schedule], [streams], 600)
-        freqs = equilibrium_frequency([trace], [0, 100, 599])
-        assert freqs == {0: 1.0, 100: 1.0, 599: 1.0}
+        assert all(trace.at_equilibrium(t) for t in (0, 100, 599))
 
     def test_piecewise_constant_between_events(self, benchmark_game):
         traces = self._mini_traces(benchmark_game, trials=5)
@@ -1036,9 +1034,6 @@ class TestEquilibriumFrequency:
 
     def test_beyond_horizon_rejected(self, benchmark_game):
         traces = self._mini_traces(benchmark_game, trials=2)
-        with pytest.raises(ValueError):
-            equilibrium_frequency(traces, [traces[0].horizon])
-
-    def test_empty_traces_rejected(self):
-        with pytest.raises(ValueError):
-            equilibrium_frequency([], [0])
+        for trace in traces:
+            with pytest.raises(ValueError):
+                trace.at_equilibrium(trace.horizon)
